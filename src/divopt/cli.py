@@ -12,7 +12,6 @@ artifacts, 3 solver nonconvergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -23,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .hjb2d import Action, ValueField, build_claim_kernel, set_fft_workers
+from .hjb2d import ValueField, build_claim_kernel, set_fft_workers
 from .model import (
     Deterministic,
     Erlang2,
@@ -127,16 +126,28 @@ def _read_value_csv(path, grid):
     return ValueField(grid, values)
 
 
+_ARGMAX_MASKS = {name: mask for mask, name in enumerate(solver2d.ARGMAX_NAMES)}
+
+
 def _read_policy_csv(path, grid, eps_tie):
     actions = np.zeros(grid.shape, dtype=np.uint8)
     with open(path) as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            mask = 0
-            for name in row["argmax"].split("+"):
-                if name:
-                    mask |= int(Action[name])
-            actions[int(row["n"]), int(row["m"])] = mask
+        header = fh.readline().rstrip("\n")
+        if header != "n,m,label,argmax":
+            raise ValueError(f"{path}: unexpected policy header {header!r}")
+        # about 16 KiB of rows at a time: splitting a whole file at once
+        # raised the peak memory of validate on example 1 by about a third
+        while rows := fh.readlines(1 << 14):
+            fields = ",".join(row.rstrip("\n") for row in rows).split(",")
+            if len(fields) != 4 * len(rows):
+                raise ValueError(f"{path}: every policy row needs 4 fields")
+            try:
+                masks = [_ARGMAX_MASKS[name] for name in fields[3::4]]
+            except KeyError as exc:
+                raise ValueError(f"{path}: unknown argmax token {exc.args[0]!r}") from None
+            ns = np.array(fields[0::4], dtype=np.int64)
+            ms = np.array(fields[1::4], dtype=np.int64)
+            actions[ns, ms] = masks
     return solver2d.PolicyField(grid=grid, actions=actions, eps_tie=eps_tie)
 
 
@@ -171,6 +182,7 @@ def cmd_solve2d(args):
             "tol_effective": report.tol_effective,
             "min_increment": report.min_increment,
             "eps_tie": policy.eps_tie,
+            "phases": report.phases,
             "wall_time": time.perf_counter() - t0,
         },
     )

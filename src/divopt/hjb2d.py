@@ -151,6 +151,14 @@ class ClaimKernel:
     dividends paid at the claim instant.  payout_field is the correlation
     of kp with the all-ones table and is the full payout contribution at
     every node (zero-padding encodes ruin in both pieces).
+
+    fshape, the FFT size, is next_fast_len(s_i + r_i) per axis, where s_i
+    is the grid size and r_i the reach: the largest live cell index along
+    that axis (0 for an empty kernel).  The linear correlation has
+    s_i + r_i points, so a cyclic one of at least that length wraps
+    nothing onto the first s_i outputs and is exact there.  Since
+    r_i <= s_i - 1 this never exceeds the full 2*s_i - 1 padding, and a
+    short-reach kernel (a constant claim size) gets a much smaller FFT.
     """
 
     grid: GridSpec
@@ -258,7 +266,8 @@ def build_claim_kernel(params: ModelParams, law: ClaimLaw, grid: GridSpec) -> Cl
     np.add.at(kp, (-j1_all, -j2_all), wp_all)
 
     nz = np.nonzero((kw != 0) | (kp != 0))
-    fshape = tuple(sfft.next_fast_len(2 * s - 1) for s in grid.shape)
+    reach = tuple(int(idx.max()) if idx.size else 0 for idx in nz)
+    fshape = tuple(sfft.next_fast_len(s + r) for s, r in zip(grid.shape, reach))
     kernel = ClaimKernel(
         grid=grid,
         params=params,

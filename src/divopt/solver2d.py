@@ -50,6 +50,7 @@ __all__ = [
     "write_summary_json",
     "write_region_data",
     "LABEL_NAMES",
+    "ARGMAX_NAMES",
 ]
 
 LABEL_C, LABEL_B1, LABEL_B2, LABEL_B0, LABEL_A1, LABEL_A2, LABEL_A0 = range(7)
@@ -62,6 +63,11 @@ LABEL_NAMES = {
     LABEL_A2: "A2",
     LABEL_A0: "A0",
 }
+# policy.csv argmax column for each E0|E1|E2 bitmask, e.g. 5 -> "E0+E2"
+ARGMAX_NAMES = tuple(
+    "+".join(a.name for a in (Action.E0, Action.E1, Action.E2) if mask & a)
+    for mask in range(8)
+)
 
 
 class NonConvergenceError(RuntimeError):
@@ -108,6 +114,9 @@ class SolveReport:
     min_increment: float
     converged: bool
     mode: str
+    # seconds spent in the claim field, in the sweeps, and in extracting
+    # the policy and residual from the converged table
+    phases: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -141,9 +150,11 @@ def _sweep_inplace(w, cf, grid, disc):
         cont[-1] = up[-1] + dx1
         row = np.maximum(w[:, m], disc * cont + cf[:, m])
         w[:, m] = _t1_closure(row, offs)
-    for m in range(1, m_pts):
-        row = np.maximum(w[:, m], w[:, m - 1] + dx2)
-        w[:, m] = _t1_closure(row, offs)
+    # Every column is now closed under branch-1 lumps, and a max of closed
+    # columns stays closed, so the branch-2 lump closure needs no further
+    # branch-1 pass: it is one prefix-max scan along axis 1.
+    offs2 = np.arange(m_pts) * dx2
+    np.maximum(w, np.maximum.accumulate(w - offs2, axis=1) + offs2, out=w)
     return w
 
 
@@ -193,13 +204,16 @@ def solve(
     if kernel is None:
         kernel = build_claim_kernel(params, law, grid)
     t_start = time.perf_counter()
+    phases = {"claim_field": 0.0, "sweeps": 0.0, "policy": 0.0}
     v = np.zeros(grid.shape)
     sup_inc = math.inf
     min_inc = math.inf
     tol_eff = tol
     sweeps = 0
     while sweeps < iter_cap:
+        t_cf = time.perf_counter()
         cf = claim_field(kernel, v)
+        t_sweep = time.perf_counter()
         if mode == "inplace":
             w = _sweep_inplace(v.copy(), cf, grid, kernel.discount_step)
         else:
@@ -210,11 +224,14 @@ def solve(
         v = w
         sweeps += 1
         tol_eff = tol * (1.0 + float(v.max()))
+        phases["claim_field"] += t_sweep - t_cf
+        phases["sweeps"] += time.perf_counter() - t_sweep
         if sup_inc < tol_eff:
             break
     else:
         raise NonConvergenceError(sweeps, sup_inc)
 
+    t_policy = time.perf_counter()
     vf = ValueField(grid, v)
     t0, t1, t2 = _operator_fields(kernel, v)
     best = np.maximum(t0, np.maximum(t1, t2))
@@ -227,6 +244,7 @@ def solve(
     policy = PolicyField(grid=grid, actions=mask, eps_tie=eps, converged=True)
 
     interior = np.maximum(t0 - v, np.maximum(t1 - v, t2 - v))[: grid.n_max, : grid.m_max]
+    phases["policy"] = time.perf_counter() - t_policy
     report = SolveReport(
         iterations=sweeps,
         final_sup_increment=sup_inc,
@@ -236,6 +254,7 @@ def solve(
         min_increment=min_inc,
         converged=True,
         mode=mode,
+        phases=phases,
     )
     return vf, policy, report
 
@@ -518,25 +537,29 @@ def _tilde_L(params, law, wbar, x1, x2):
 
 def write_value_csv(path, v: ValueField):
     g = v.grid
+    x2s = [f"{m * g.dx2:.17g}" for m in range(g.m_max + 1)]
     with open(path, "w") as fh:
         fh.write("n,m,x1,x2,v\n")
         for n in range(g.n_max + 1):
-            x1 = n * g.dx1
-            for m in range(g.m_max + 1):
-                fh.write(f"{n},{m},{x1:.17g},{m * g.dx2:.17g},{v.values[n, m]:.17g}\n")
+            x1 = f"{n * g.dx1:.17g}"
+            fh.write("".join(
+                f"{n},{m},{x1},{x2},{val:.17g}\n"
+                for m, (x2, val) in enumerate(zip(x2s, v.values[n].tolist()))
+            ))
 
 
 def write_policy_csv(path, policy: PolicyField, region: RegionMap):
     g = policy.grid
+    label_names = [LABEL_NAMES[code] for code in range(len(LABEL_NAMES))]
     with open(path, "w") as fh:
         fh.write("n,m,label,argmax\n")
         for n in range(g.n_max + 1):
-            for m in range(g.m_max + 1):
-                acts = "+".join(
-                    a.name for a in (Action.E0, Action.E1, Action.E2)
-                    if policy.actions[n, m] & a
+            fh.write("".join(
+                f"{n},{m},{label_names[lab]},{ARGMAX_NAMES[mask]}\n"
+                for m, (lab, mask) in enumerate(
+                    zip(region.labels[n].tolist(), (policy.actions[n] & 7).tolist())
                 )
-                fh.write(f"{n},{m},{region.label_name(n, m)},{acts}\n")
+            ))
 
 
 def write_summary_json(path, region: RegionMap, report: SolveReport, extra=None):
@@ -562,11 +585,14 @@ def write_summary_json(path, region: RegionMap, report: SolveReport, extra=None)
 def write_region_data(path, region: RegionMap, recipe_path=None):
     """Gnuplot-ready map: x1 x2 label_code, blank line per grid column."""
     g = region.grid
+    x2s = [f"{m * g.dx2:.6f}" for m in range(g.m_max + 1)]
     with open(path, "w") as fh:
         fh.write("# x1 x2 label (0=C 1=B1 2=B2 3=B0 4=A1 5=A2 6=A0)\n")
         for n in range(g.n_max + 1):
-            for m in range(g.m_max + 1):
-                fh.write(f"{n * g.dx1:.6f} {m * g.dx2:.6f} {int(region.labels[n, m])}\n")
+            x1 = f"{n * g.dx1:.6f}"
+            fh.write("".join(
+                f"{x1} {x2} {lab}\n" for x2, lab in zip(x2s, region.labels[n].tolist())
+            ))
             fh.write("\n")
     if recipe_path:
         with open(recipe_path, "w") as fh:

@@ -1,4 +1,7 @@
-"""Independent brute-force quadrature oracles for the claim integral.
+"""Independent reference implementations for the tests.
+
+Brute-force quadrature oracles for the claim integral, and the
+column-by-column form of the in-place sweep.
 
 Two decompositions, both independent of the production path (which uses
 closed-form time integration over exact claim cells):
@@ -9,6 +12,9 @@ closed-form time integration over exact claim cells):
 * midpoint in t with exact per-cell claim-law integration in u: the t
   integrand is continuous, so this one converges fast and certifies tight
   tolerances while still slicing time numerically.
+
+The sweep reference closes the branch-2 lumps one column at a time,
+re-closing each column under branch-1 lumps after every step.
 """
 
 import math
@@ -75,3 +81,23 @@ def brute_force_t_slices(params, law, grid, values, n, m, nt=4000):
             inner += integrate_affine(law, a_lo, a_hi, p, -1.0)
         total += (delta / nt) * lam * math.exp(-(lam + q) * t) * inner
     return total
+
+
+def sweep_inplace_reference(w, cf, grid, disc):
+    """In-place sweep with the branch-2 lump closure as a column loop."""
+    n_pts, m_pts = w.shape
+    dx1, dx2 = grid.dx1, grid.dx2
+    offs = np.arange(n_pts) * dx1
+
+    def t1_closure(row):
+        return np.maximum(row, np.maximum.accumulate(row - offs) + offs)
+
+    cont = np.empty(n_pts)
+    for m in range(m_pts - 1, -1, -1):
+        up = w[:, m] + dx2 if m == m_pts - 1 else w[:, m + 1]
+        cont[:-1] = up[1:]
+        cont[-1] = up[-1] + dx1
+        w[:, m] = t1_closure(np.maximum(w[:, m], disc * cont + cf[:, m]))
+    for m in range(1, m_pts):
+        w[:, m] = t1_closure(np.maximum(w[:, m], w[:, m - 1] + dx2))
+    return w

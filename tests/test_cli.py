@@ -89,6 +89,14 @@ class TestSolve2dCommand:
         assert manifest["iterations"] > 0
         assert manifest["rng"] == "philox4x64"
 
+    def test_manifest_phases(self, run_dir):
+        out, _ = run_dir
+        manifest = json.loads((out / "manifest.json").read_text())
+        phases = manifest["phases"]
+        assert set(phases) == {"claim_field", "sweeps", "policy"}
+        assert all(t > 0 for t in phases.values())
+        assert sum(phases.values()) <= manifest["wall_time"]
+
     def test_summary_fields(self, run_dir):
         out, _ = run_dir
         summary = json.loads((out / "summary.json").read_text())

@@ -10,6 +10,7 @@ from divopt.model import (
     validate_params,
 )
 from divopt import solver1d, solver2d
+from divopt.cli import _read_policy_csv
 from divopt.solver2d import (
     LABEL_NAMES,
     NonConvergenceError,
@@ -21,6 +22,7 @@ from divopt.solver2d import (
     residual_check,
     solve,
 )
+from oracles import sweep_inplace_reference
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 LAW = Exponential(0.6)
@@ -87,6 +89,19 @@ class TestSolve:
         grid = GridSpec.make(PARAMS, delta=0.1, x1_max=4, x2_max=4)
         with pytest.raises(ValueError):
             solve(PARAMS, LAW, grid, tol=0.0)
+
+
+class TestSweep:
+    def test_matches_column_loop_reference(self, small_solve):
+        grid, kernel, _, _, _ = small_solve
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            # nondecreasing in both axes, with random claim fields
+            w = np.cumsum(np.cumsum(rng.uniform(0, 0.5, grid.shape), axis=0), axis=1)
+            cf = rng.uniform(0, 2.0, grid.shape)
+            got = solver2d._sweep_inplace(w.copy(), cf, grid, kernel.discount_step)
+            ref = sweep_inplace_reference(w.copy(), cf, grid, kernel.discount_step)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 class TestExtendValue:
@@ -200,3 +215,52 @@ class TestWriters:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["iterations"] == report.iterations
         assert "a0_points" in summary and "b0_components" in summary
+
+    def test_policy_csv_matches_per_node_formatter(self, small_solve, tmp_path):
+        grid, _, v, policy, _ = small_solve
+        region = extract_regions(policy, v)
+        solver2d.write_policy_csv(tmp_path / "policy.csv", policy, region)
+        lines = ["n,m,label,argmax\n"]
+        for n in range(grid.n_max + 1):
+            for m in range(grid.m_max + 1):
+                acts = "+".join(
+                    a.name for a in (Action.E0, Action.E1, Action.E2)
+                    if policy.actions[n, m] & a
+                )
+                lines.append(f"{n},{m},{region.label_name(n, m)},{acts}\n")
+        assert (tmp_path / "policy.csv").read_text() == "".join(lines)
+
+    def test_value_and_region_files_match_per_node_formatters(self, small_solve, tmp_path):
+        grid, _, v, policy, _ = small_solve
+        region = extract_regions(policy, v)
+        solver2d.write_value_csv(tmp_path / "value.csv", v)
+        solver2d.write_region_data(tmp_path / "regions.dat", region)
+        value_lines = ["n,m,x1,x2,v\n"]
+        region_lines = ["# x1 x2 label (0=C 1=B1 2=B2 3=B0 4=A1 5=A2 6=A0)\n"]
+        for n in range(grid.n_max + 1):
+            for m in range(grid.m_max + 1):
+                value_lines.append(
+                    f"{n},{m},{n * grid.dx1:.17g},{m * grid.dx2:.17g},{v.values[n, m]:.17g}\n"
+                )
+                region_lines.append(
+                    f"{n * grid.dx1:.6f} {m * grid.dx2:.6f} {int(region.labels[n, m])}\n"
+                )
+            region_lines.append("\n")
+        assert (tmp_path / "value.csv").read_text() == "".join(value_lines)
+        assert (tmp_path / "regions.dat").read_text() == "".join(region_lines)
+
+    def test_policy_csv_roundtrip(self, small_solve, tmp_path):
+        grid, _, v, policy, _ = small_solve
+        path = tmp_path / "policy.csv"
+        solver2d.write_policy_csv(path, policy, extract_regions(policy, v))
+        back = _read_policy_csv(path, grid, policy.eps_tie)
+        assert np.array_equal(back.actions, policy.actions)
+
+    def test_policy_csv_unknown_token_rejected(self, small_solve, tmp_path):
+        grid, _, v, policy, _ = small_solve
+        path = tmp_path / "policy.csv"
+        solver2d.write_policy_csv(path, policy, extract_regions(policy, v))
+        text = path.read_text()
+        path.write_text(text.replace(",E0\n", ",E3\n", 1))
+        with pytest.raises(ValueError, match="E3"):
+            _read_policy_csv(path, grid, policy.eps_tie)
