@@ -49,7 +49,6 @@ from .solver2d import (
     SolveReport,
     check_D1_identity,
     check_tilde_suboptimality,
-    extend_value,
     extract_regions,
     residual_check,
     solve,

@@ -161,8 +161,7 @@ def cmd_solve2d(args):
     t0 = time.perf_counter()
     eps_tie = float(cfg["eps_tie"]) if "eps_tie" in cfg else None
     try:
-        v, policy, report = solver2d.solve(params, law, grid, tol=tol, mode=args.mode,
-                                           eps_tie=eps_tie)
+        v, policy, report = solver2d.solve(params, law, grid, tol=tol, eps_tie=eps_tie)
     except solver2d.NonConvergenceError as exc:
         print(f"solve2d: {exc}", file=sys.stderr)
         return 3
@@ -176,7 +175,6 @@ def cmd_solve2d(args):
         "solve2d",
         cfg_text,
         {
-            "mode": report.mode,
             "iterations": report.iterations,
             "residual_max": report.residual_max,
             "tol_effective": report.tol_effective,
@@ -417,7 +415,6 @@ def main(argv=None):
     parser.add_argument("--out", default="out")
     parser.add_argument("--threads", type=int, default=0,
                         help="FFT worker threads (0 = all cores)")
-    parser.add_argument("--mode", choices=["inplace", "jacobi"], default="inplace")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--kind", choices=["wbar", "merger"], default="wbar",
                         help="solve1d problem kind")

@@ -16,7 +16,8 @@ start node (n, m): only the lookup index (n + j1, m + j2) does, and a
 claim ruining a branch is exactly a negative lookup index.  The whole
 claim operator is therefore one correlation of the value table with a
 fixed kernel (zero padding implements ruin), evaluated either per point
-by a sparse gather or over the full grid by FFT.
+by a sparse gather or over the full grid by FFT.  The same cells on one
+axis, and the same FFT correlation, give the 1D solver's claim operator.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ __all__ = [
     "Action",
     "ValueField",
     "ClaimKernel",
+    "claim_cells",
+    "kernel_fft",
+    "correlate",
     "build_claim_kernel",
     "claim_field",
     "set_fft_workers",
@@ -117,30 +121,121 @@ def shift_up_diag(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return up
 
 
-def _breakpoints(h1: float, h2: float, a_cap: float) -> np.ndarray:
+def _breakpoints(hs, a_cap: float) -> np.ndarray:
     """Sorted claim-size cell boundaries in [0, a_cap].
 
-    Multiples of h1 and h2 (floor crossings of each coordinate) plus the
-    points where the two crossing times coincide, i.e. where u/h1 - u/h2
-    is an integer; within the resulting cells the time ordering of the
-    two floor crossings is constant.
+    Multiples of each h_i (floor crossings of coordinate i) plus, with two
+    axes, the points where the two crossing times coincide, i.e. where
+    u/h1 - u/h2 is an integer; within the resulting cells the time
+    ordering of the floor crossings is constant.
     """
+    lattice = list(hs)
+    if len(hs) == 2 and not math.isclose(hs[0], hs[1], rel_tol=1e-12):
+        lattice.append(hs[0] * hs[1] / abs(hs[0] - hs[1]))
     pts = [np.array([0.0, a_cap])]
-    for h in (h1, h2):
+    for h in lattice:
         k = int(math.floor(a_cap / h)) + 1
         pts.append(h * np.arange(1, k + 1))
-    if not math.isclose(h1, h2, rel_tol=1e-12):
-        h3 = h1 * h2 / abs(h1 - h2)
-        k = int(math.floor(a_cap / h3)) + 1
-        pts.append(h3 * np.arange(1, k + 1))
     bp = np.concatenate(pts)
     bp = bp[(bp >= 0.0) & (bp <= a_cap * (1 + 1e-12))]
     bp = np.unique(bp)
     # merge near-duplicates (h3 often coincides with an h_i lattice)
-    keep = np.concatenate([[True], np.diff(bp) > 1e-9 * min(h1, h2)])
+    keep = np.concatenate([[True], np.diff(bp) > 1e-9 * min(hs)])
     bp = bp[keep]
     bp[-1] = min(bp[-1], a_cap)
     return bp
+
+
+def claim_cells(law: ClaimLaw, lam: float, q: float, delta: float, dxs, bs, c: float, shape):
+    """Exact claim-cell kernel on a grid of one or two axes.
+
+    Axis i has grid step dxs[i] and claim share bs[i]; c is the total
+    premium rate and shape the grid shape.  Returns (kw, kp) of that shape:
+    kw[i] multiplies the value at node - i, and kp[i] is the dividend paid
+    at the claim instant (the post-claim remainders, at one per unit).
+    """
+    beta = lam + q
+    hs = [dx / b for dx, b in zip(dxs, bs)]
+    bp = _breakpoints(hs, min(s * h for s, h in zip(shape, hs)))
+    a_lo, a_hi = bp[:-1], bp[1:]
+    mid = 0.5 * (a_lo + a_hi)
+    f = np.array([np.floor(mid / h).astype(np.int64) for h in hs])
+
+    # Boundary moments per cell: (E0, E1, T) with Ek = int_cell u^k
+    # e^{-beta * t_b(u)} dG(u) and T = int_cell t_b(u) e^{-beta t_b(u)} dG(u),
+    # for the time boundaries t_b in {0, t_i*, delta}, where
+    # t_i*(u) = delta * (u/h_i - f_i) is the crossing time of floor i.
+    e0_s, e1_s = law.weighted_moments(a_lo, a_hi, 0.0)
+    crossings = []
+    for h, fi in zip(hs, f):
+        e0, e1 = law.weighted_moments(a_lo, a_hi, beta * delta / h, ref=fi * h)
+        crossings.append((e0, e1, (delta / h) * (e1 - (fi * h) * e0)))
+    edelta = math.exp(-beta * delta)
+    start = (e0_s, e1_s, np.zeros_like(e0_s))
+    end = (edelta * e0_s, edelta * e1_s, delta * (edelta * e0_s))
+
+    # Sub-cells between consecutive crossings; on a tie axis 1 crosses first.
+    # An axis that has not crossed yet sits one cell lower, at -(f_i + 1).
+    times = np.array([(delta / h) * mid - delta * fi for h, fi in zip(hs, f)])
+    order = np.argsort(times, axis=0, kind="stable")
+    rank = np.argsort(order, axis=0)
+    ordered = np.take_along_axis(np.array(crossings), order[:, None, :], axis=0)
+    bounds = [start, *ordered, end]
+
+    j_parts, wv_parts, wp_parts = [], [], []
+    for sub in range(len(hs) + 1):
+        (ea0, ea1, ta), (eb0, eb1, tb) = bounds[sub], bounds[sub + 1]
+        j = np.where(rank < sub, -f, -(f + 1))
+        wv = (lam / beta) * (ea0 - eb0)
+        int_alpha = (lam / beta) * (ea1 - eb1)
+        int_t = lam * ((ta - tb) / beta + (ea0 - eb0) / beta**2)
+        wp = c * int_t - sum(bs) * int_alpha - sum(ji * dx for ji, dx in zip(j, dxs)) * wv
+        j_parts.append(j)
+        wv_parts.append(wv)
+        wp_parts.append(wp)
+
+    j_all = np.concatenate(j_parts, axis=1)
+    wv_all = np.concatenate(wv_parts)
+    wp_all = np.concatenate(wp_parts)
+
+    # drop cells that no grid node can reach and exact zeros
+    live = np.all(j_all > -np.array(shape)[:, None], axis=0)
+    live &= (np.abs(wv_all) > 0) | (np.abs(wp_all) > 0)
+    idx = tuple(-j_all[:, live])
+    kw = np.zeros(shape)
+    kp = np.zeros(shape)
+    np.add.at(kw, idx, wv_all[live])
+    np.add.at(kp, idx, wp_all[live])
+    return kw, kp
+
+
+def kernel_fft(kw: np.ndarray, kp: np.ndarray):
+    """FFT set-up of a cell kernel: (fshape, transform of kw, payout field).
+
+    fshape is sized to the kernel's reach as described in ClaimKernel.  The
+    payout field, the correlation of kp with the all-ones table, does
+    not depend on the value table, so it is computed here once.
+    """
+    nz = np.nonzero((kw != 0) | (kp != 0))
+    reach = [int(idx.max()) if idx.size else 0 for idx in nz]
+    fshape = tuple(sfft.next_fast_len(s + r) for s, r in zip(kw.shape, reach))
+    axes = tuple(range(kw.ndim))
+    fk = sfft.rfftn(kw, s=fshape, axes=axes, workers=_FFT_WORKERS)
+    fp = sfft.rfftn(kp, s=fshape, axes=axes, workers=_FFT_WORKERS)
+    return fshape, fk, correlate(np.ones(kw.shape), fp, fshape).copy()
+
+
+def correlate(values: np.ndarray, fk: np.ndarray, fshape) -> np.ndarray:
+    """Correlation of a table with a kernel given by its transform fk.
+
+    Zero padding beyond the table encodes ruin; the result is a view of the
+    first values.shape entries of the cyclic correlation.
+    """
+    axes = tuple(range(values.ndim))
+    fv = sfft.rfftn(values, s=fshape, axes=axes, workers=_FFT_WORKERS)
+    fv *= fk  # in place: one spectrum alive at a time bounds the peak memory
+    full = sfft.irfftn(fv, s=fshape, axes=axes, workers=_FFT_WORKERS)
+    return full[tuple(slice(0, s) for s in values.shape)]
 
 
 @dataclass
@@ -180,95 +275,13 @@ class ClaimKernel:
 
 
 def build_claim_kernel(params: ModelParams, law: ClaimLaw, grid: GridSpec) -> ClaimKernel:
-    b1, b2 = params.b1, params.b2
-    dx1, dx2, delta = grid.dx1, grid.dx2, grid.delta
-    lam, beta = params.lam, params.lam + params.q
-    n_pts, m_pts = grid.shape
-
-    h1 = dx1 / b1
-    h2 = dx2 / b2
-    a_cap = min(n_pts * h1, m_pts * h2)
-    bp = _breakpoints(h1, h2, a_cap)
-    a_lo, a_hi = bp[:-1], bp[1:]
-    mid = 0.5 * (a_lo + a_hi)
-    f1 = np.floor(mid / h1).astype(np.int64)
-    f2 = np.floor(mid / h2).astype(np.int64)
-
-    # Boundary moments per cell: Bk = int_cell u^k e^{-beta * t_b(u)} dG(u)
-    # for the four time boundaries t_b in {0, t1*, t2*, delta}, with
-    # ti*(u) = delta * (u/h_i - f_i) the crossing time of floor i.
-    e0_s, e1_s = law.weighted_moments(a_lo, a_hi, 0.0)
-    g1 = beta * delta / h1
-    g2 = beta * delta / h2
-    e0_1, e1_1 = law.weighted_moments(a_lo, a_hi, g1, ref=f1 * h1)
-    e0_2, e1_2 = law.weighted_moments(a_lo, a_hi, g2, ref=f2 * h2)
-    edelta = math.exp(-beta * delta)
-    e0_e, e1_e = edelta * e0_s, edelta * e1_s
-    # T_b = int_cell t_b(u) e^{-beta t_b(u)} dG(u)
-    t_s = np.zeros_like(e0_s)
-    t_1 = (delta / h1) * (e1_1 - (f1 * h1) * e0_1)
-    t_2 = (delta / h2) * (e1_2 - (f2 * h2) * e0_2)
-    t_e = delta * e0_e
-
-    first1 = (delta / h1) * mid - delta * f1 <= (delta / h2) * mid - delta * f2
-
-    def pick(which_1, which_2):
-        return np.where(first1, which_1, which_2)
-
-    sub_bounds = [
-        # (ta moments, tb moments, j1 offset, j2 offset) per sub-cell
-        (
-            (e0_s, e1_s, t_s),
-            (pick(e0_1, e0_2), pick(e1_1, e1_2), pick(t_1, t_2)),
-            -(f1 + 1),
-            -(f2 + 1),
-        ),
-        (
-            (pick(e0_1, e0_2), pick(e1_1, e1_2), pick(t_1, t_2)),
-            (pick(e0_2, e0_1), pick(e1_2, e1_1), pick(t_2, t_1)),
-            np.where(first1, -f1, -(f1 + 1)),
-            np.where(first1, -(f2 + 1), -f2),
-        ),
-        (
-            (pick(e0_2, e0_1), pick(e1_2, e1_1), pick(t_2, t_1)),
-            (e0_e, e1_e, t_e),
-            -f1,
-            -f2,
-        ),
-    ]
-
-    ctot = params.c1 + params.c2
-    j1_parts, j2_parts, wv_parts, wp_parts = [], [], [], []
-    for (ea0, ea1, ta), (eb0, eb1, tb), j1, j2 in sub_bounds:
-        wv = (lam / beta) * (ea0 - eb0)
-        int_alpha = (lam / beta) * (ea1 - eb1)
-        int_t = lam * ((ta - tb) / beta + (ea0 - eb0) / beta**2)
-        wp = ctot * int_t - int_alpha - (j1 * dx1 + j2 * dx2) * wv
-        j1_parts.append(np.asarray(j1, dtype=np.int64))
-        j2_parts.append(np.asarray(j2, dtype=np.int64))
-        wv_parts.append(wv)
-        wp_parts.append(wp)
-
-    j1_all = np.concatenate(j1_parts)
-    j2_all = np.concatenate(j2_parts)
-    wv_all = np.concatenate(wv_parts)
-    wp_all = np.concatenate(wp_parts)
-
-    # drop cells that no grid node can reach and exact zeros
-    live = (j1_all >= -grid.n_max) & (j2_all >= -grid.m_max)
-    live &= (np.abs(wv_all) > 0) | (np.abs(wp_all) > 0)
-    j1_all, j2_all = j1_all[live], j2_all[live]
-    wv_all, wp_all = wv_all[live], wp_all[live]
-
-    kw = np.zeros(grid.shape)
-    kp = np.zeros(grid.shape)
-    np.add.at(kw, (-j1_all, -j2_all), wv_all)
-    np.add.at(kp, (-j1_all, -j2_all), wp_all)
-
+    kw, kp = claim_cells(
+        law, params.lam, params.q, grid.delta, (grid.dx1, grid.dx2),
+        (params.b1, params.b2), params.c1 + params.c2, grid.shape,
+    )
+    fshape, fk, payout = kernel_fft(kw, kp)
     nz = np.nonzero((kw != 0) | (kp != 0))
-    reach = tuple(int(idx.max()) if idx.size else 0 for idx in nz)
-    fshape = tuple(sfft.next_fast_len(s + r) for s, r in zip(grid.shape, reach))
-    kernel = ClaimKernel(
+    return ClaimKernel(
         grid=grid,
         params=params,
         law=law,
@@ -279,21 +292,14 @@ def build_claim_kernel(params: ModelParams, law: ClaimLaw, grid: GridSpec) -> Cl
         cell_wv=kw[nz],
         cell_wp=kp[nz],
         fshape=fshape,
+        _fk=fk,
+        payout_field=payout,
     )
-    kernel._fk = sfft.rfft2(kw, s=fshape, workers=_FFT_WORKERS)
-    ones = np.ones(grid.shape)
-    fp = sfft.rfft2(kp, s=fshape, workers=_FFT_WORKERS)
-    full = sfft.irfft2(sfft.rfft2(ones, s=fshape, workers=_FFT_WORKERS) * fp, s=fshape, workers=_FFT_WORKERS)
-    kernel.payout_field = full[: grid.shape[0], : grid.shape[1]].copy()
-    return kernel
 
 
 def claim_field(kernel: ClaimKernel, values: np.ndarray) -> np.ndarray:
     """Claim integral at every grid node for the given value table."""
-    fv = sfft.rfft2(values, s=kernel.fshape, workers=_FFT_WORKERS)
-    full = sfft.irfft2(fv * kernel._fk, s=kernel.fshape, workers=_FFT_WORKERS)
-    n_pts, m_pts = kernel.grid.shape
-    return full[:n_pts, :m_pts] + kernel.payout_field
+    return correlate(values, kernel._fk, kernel.fshape) + kernel.payout_field
 
 
 def integral_I_delta(kernel: ClaimKernel, v: ValueField, n: int, m: int) -> float:

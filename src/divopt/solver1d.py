@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hjb2d import claim_cells, correlate, kernel_fft, tie_epsilon
 from .model import ClaimLaw, ModelParams, integrate_affine, validate_params
 
 __all__ = [
@@ -30,9 +31,6 @@ __all__ = [
     "tilde_V_eval",
     "merger_compare",
 ]
-
-EPS_TIE_REL = 1e-9
-
 
 class TruncationError(RuntimeError):
     """The band did not close with a lump region before the truncation."""
@@ -144,64 +142,12 @@ def make_auxiliary_problem(
     raise ValueError("kind must be 'wbar' or 'merger'")
 
 
-def _kernel_1d(prob: OneDimProblem, delta: float, n_max: int):
-    """Exact claim cells: offsets j <= 0, value weights and rho-scaled
-    claim-instant payouts, same decomposition as the 2D kernel on one axis."""
-    beta = prob.lam + prob.q
+def _claim_kernel(prob: OneDimProblem, delta: float, n_pts: int):
+    """FFT set-up of the claim operator on n_pts nodes: the exact cells of
+    the 2D kernel on one axis, with claim-instant payouts scaled by rho."""
     dx = prob.c * delta
-    h = dx / prob.b
-    a_cap = (n_max + 1) * h
-    k = int(math.floor(a_cap / h)) + 1
-    bp = np.unique(np.concatenate([[0.0], h * np.arange(1, k + 1), [a_cap]]))
-    bp = bp[bp <= a_cap * (1 + 1e-12)]
-    bp[-1] = min(bp[-1], a_cap)
-    keep = np.concatenate([[True], np.diff(bp) > 1e-9 * h])
-    bp = bp[keep]
-    a_lo, a_hi = bp[:-1], bp[1:]
-    mid = 0.5 * (a_lo + a_hi)
-    f = np.floor(mid / h).astype(np.int64)
-
-    law = prob.law
-    e0_s, e1_s = law.weighted_moments(a_lo, a_hi, 0.0)
-    g = beta * delta / h
-    e0_t, e1_t = law.weighted_moments(a_lo, a_hi, g, ref=f * h)
-    edelta = math.exp(-beta * delta)
-    e0_e, e1_e = edelta * e0_s, edelta * e1_s
-    t_s = np.zeros_like(e0_s)
-    t_t = (delta / h) * (e1_t - (f * h) * e0_t)
-    t_e = delta * e0_e
-
-    lam = prob.lam
-    j_parts, wv_parts, wp_parts = [], [], []
-    for (ea0, ea1, ta), (eb0, eb1, tb), j in (
-        ((e0_s, e1_s, t_s), (e0_t, e1_t, t_t), -(f + 1)),
-        ((e0_t, e1_t, t_t), (e0_e, e1_e, t_e), -f),
-    ):
-        wv = (lam / beta) * (ea0 - eb0)
-        int_alpha = (lam / beta) * (ea1 - eb1)
-        int_t = lam * ((ta - tb) / beta + (ea0 - eb0) / beta**2)
-        wp = prob.rho * (prob.c * int_t - prob.b * int_alpha - j * dx * wv)
-        j_parts.append(np.asarray(j))
-        wv_parts.append(wv)
-        wp_parts.append(wp)
-
-    j_all = np.concatenate(j_parts)
-    wv_all = np.concatenate(wv_parts)
-    wp_all = np.concatenate(wp_parts)
-    live = j_all >= -n_max
-    j_all, wv_all, wp_all = j_all[live], wv_all[live], wp_all[live]
-    kw = np.zeros(n_max + 1)
-    kp = np.zeros(n_max + 1)
-    np.add.at(kw, -j_all, wv_all)
-    np.add.at(kp, -j_all, wp_all)
-    return kw, kp
-
-
-def _claim_field_1d(kw, kp, w):
-    n = len(w)
-    conv_v = np.convolve(w, kw)[:n]
-    conv_p = np.convolve(np.ones(n), kp)[:n]
-    return conv_v + conv_p
+    kw, kp = claim_cells(prob.law, prob.lam, prob.q, delta, (dx,), (prob.b,), prob.c, (n_pts,))
+    return kernel_fft(kw, prob.rho * kp)
 
 
 def solve_1d(
@@ -226,7 +172,7 @@ def solve_1d(
     disc = math.exp(-beta * delta)
     r0 = prob.rho * prob.kappa * (1.0 - disc) / beta
     rho_dx = prob.rho * dx
-    kw, kp = _kernel_1d(prob, delta, n_max)
+    fshape, fk, payout = _claim_kernel(prob, delta, n_max + 1)
 
     t_start = time.perf_counter()
     w = np.zeros(n_max + 1)
@@ -236,7 +182,7 @@ def solve_1d(
     tol_eff = tol
     sweeps = 0
     while sweeps < iter_cap:
-        cf = _claim_field_1d(kw, kp, w) + r0
+        cf = correlate(w, fk, fshape) + payout + r0
         nxt = w.copy()
         for n in range(n_max, -1, -1):
             upv = nxt[n + 1] if n < n_max else nxt[n_max] + rho_dx
@@ -255,11 +201,12 @@ def solve_1d(
     else:
         raise NonConvergence1D(sweeps, sup_inc)
 
-    t0f = _t0_field(w, kw, kp, r0, disc, rho_dx)
+    up = np.append(w[1:], w[-1] + rho_dx)
+    t0f = disc * up + (correlate(w, fk, fshape) + payout) + r0
     t1f = np.full_like(w, -np.inf)
     t1f[1:] = w[:-1] + rho_dx
     best = np.maximum(t0f, t1f)
-    eps = EPS_TIE_REL * (1.0 + float(best.max()))
+    eps = tie_epsilon(float(best.max()))
     is_b = t1f >= best - eps
     is_c = t0f >= best - eps
     band = _extract_band(is_b, is_c, dx)
@@ -278,13 +225,6 @@ def solve_1d(
         min_increment=min_inc,
         wall_time=time.perf_counter() - t_start,
     )
-
-
-def _t0_field(w, kw, kp, r0, disc, rho_dx):
-    up = np.empty_like(w)
-    up[:-1] = w[1:]
-    up[-1] = w[-1] + rho_dx
-    return disc * up + _claim_field_1d(kw, kp, w) + r0
 
 
 def _extract_band(is_b, is_c, dx):

@@ -3,13 +3,13 @@
 The iteration starts from the all-zero table (the value of never paying
 again) and applies monotone sweeps; every iterate is the value of an
 admissible grid strategy, so the sequence increases pointwise to the
-smallest fixed point.  The default in-place sweep freezes the claim field
-once per sweep (one FFT correlation), then resolves the diagonal
-continuation row by row downward and finishes with lump-closure scans in
-both axes; each partial update is a restriction of the Bellman operator
-evaluated on values between the previous iterate and the fixed point,
-which keeps the squeeze v_jacobi <= v_inplace <= v_delta and hence the
-limit intact.  A strict Jacobi mode is kept for oracle comparison.
+smallest fixed point.  Each in-place sweep freezes the claim field (one
+FFT correlation), then resolves the diagonal continuation row by row
+downward and finishes with lump-closure scans in both axes; each partial
+update is a restriction of the Bellman operator evaluated on values
+between the previous iterate and the fixed point, which keeps the squeeze
+v_jacobi <= v_inplace <= v_delta and hence the limit intact.  The strict
+Jacobi iteration is the test suite's reference (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "SolveReport",
     "NonConvergenceError",
     "solve",
-    "extend_value",
     "residual_check",
     "extract_regions",
     "check_D1_identity",
@@ -113,7 +112,6 @@ class SolveReport:
     tol_effective: float
     min_increment: float
     converged: bool
-    mode: str
     # seconds spent in the claim field, in the sweeps, and in extracting
     # the policy and residual from the converged table
     phases: dict = field(default_factory=dict)
@@ -169,23 +167,12 @@ def _operator_fields(kernel, values):
     return t0, t1, t2
 
 
-def _sweep_jacobi(w, cf, kernel):
-    grid = kernel.grid
-    t0 = kernel.discount_step * shift_up_diag(w, grid) + cf
-    t1 = np.full_like(w, -np.inf)
-    t1[1:, :] = w[:-1, :] + grid.dx1
-    t2 = np.full_like(w, -np.inf)
-    t2[:, 1:] = w[:, :-1] + grid.dx2
-    return np.maximum(w, np.maximum(t0, np.maximum(t1, t2)))
-
-
 def solve(
     params: ModelParams,
     law: ClaimLaw,
     grid: GridSpec,
     tol: float = 1e-8,
     iter_cap: int = 200_000,
-    mode: str = "inplace",
     kernel: ClaimKernel = None,
     eps_tie: float = None,
 ):
@@ -199,8 +186,6 @@ def solve(
     params = validate_params(params)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if mode not in ("inplace", "jacobi"):
-        raise ValueError("mode must be 'inplace' or 'jacobi'")
     if kernel is None:
         kernel = build_claim_kernel(params, law, grid)
     t_start = time.perf_counter()
@@ -214,10 +199,7 @@ def solve(
         t_cf = time.perf_counter()
         cf = claim_field(kernel, v)
         t_sweep = time.perf_counter()
-        if mode == "inplace":
-            w = _sweep_inplace(v.copy(), cf, grid, kernel.discount_step)
-        else:
-            w = _sweep_jacobi(v, cf, kernel)
+        w = _sweep_inplace(v.copy(), cf, grid, kernel.discount_step)
         inc = w - v
         sup_inc = float(inc.max())
         min_inc = min(min_inc, float(inc.min()))
@@ -253,15 +235,9 @@ def solve(
         tol_effective=tol_eff,
         min_increment=min_inc,
         converged=True,
-        mode=mode,
         phases=phases,
     )
     return vf, policy, report
-
-
-def extend_value(v: ValueField, x1: float, x2: float) -> float:
-    """Continuous extension of the grid solution (floor plus remainders)."""
-    return v.extend(x1, x2)
 
 
 def residual_check(kernel: ClaimKernel, v: ValueField) -> float:
@@ -478,10 +454,11 @@ def check_tilde_suboptimality(
 
     In the strict premium regime, if the 1D no-pay set is nonempty the
     reflection construction fails the HJB equation just above the ray;
-    returns {'witness': ((x1, x2), L-value)} with a positive residual, or
-    {'applicable': False, ...} when the 1D no-pay set is empty (pay
-    everything immediately is optimal along the ray).  Rejects symmetric
-    parameter sets, where the reflection value is genuinely optimal.
+    returns {'witness': ((x1, x2), L-value)} in plain floats with a positive
+    residual, or {'applicable': False, ...} when the 1D no-pay set is empty
+    (pay everything immediately is optimal along the ray).  Rejects
+    symmetric parameter sets, where the reflection value is genuinely
+    optimal.
     """
     if params.is_symmetric:
         raise ValueError("reflection strategy is optimal in the symmetric case")
@@ -507,7 +484,7 @@ def check_tilde_suboptimality(
             x2 = x2_0 + steps * wbar.dx
             lval = _tilde_L(params, law, wbar, x1_0, x2)
             if best is None or lval > best[1]:
-                best = ((x1_0, x2), lval)
+                best = ((float(x1_0), float(x2)), float(lval))
         if best is not None and best[1] > 0:
             return {"applicable": True, "witness": best}
     return {"applicable": True, "witness": best}
@@ -573,7 +550,6 @@ def write_summary_json(path, region: RegionMap, report: SolveReport, extra=None)
         "tol_effective": report.tol_effective,
         "converged": report.converged,
         "slope_runs": region.slope_runs,
-        "breakpoints": [],
     }
     if extra:
         payload.update(extra)

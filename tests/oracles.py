@@ -1,7 +1,8 @@
 """Independent reference implementations for the tests.
 
-Brute-force quadrature oracles for the claim integral, and the
-column-by-column form of the in-place sweep.
+Brute-force quadrature oracles for the claim integral in 2D and 1D, the
+column-by-column form of the in-place sweep, and strict Jacobi value
+iteration.
 
 Two decompositions, both independent of the production path (which uses
 closed-form time integration over exact claim cells):
@@ -14,13 +15,16 @@ closed-form time integration over exact claim cells):
   tolerances while still slicing time numerically.
 
 The sweep reference closes the branch-2 lumps one column at a time,
-re-closing each column under branch-1 lumps after every step.
+re-closing each column under branch-1 lumps after every step.  The Jacobi
+iteration applies T0, T1 and T2 to the previous iterate only; the in-place
+sweeps of the solver stay between it and the fixed point.
 """
 
 import math
 
 import numpy as np
 
+from divopt import solver2d
 from divopt.model import Deterministic, Erlang2, Exponential, integrate_affine
 
 
@@ -81,6 +85,42 @@ def brute_force_t_slices(params, law, grid, values, n, m, nt=4000):
             inner += integrate_affine(law, a_lo, a_hi, p, -1.0)
         total += (delta / nt) * lam * math.exp(-(lam + q) * t) * inner
     return total
+
+
+def brute_force_t_slices_1d(prob, delta, values, n, nt=4000):
+    """1D claim field at node n: midpoint rule in t, exact law integration in u.
+
+    A claim of size u at time t moves the surplus y = n*dx + c*t to
+    y - b*u; on the floor k of that point the value is values[k] and the
+    remainder y - b*u - k*dx is paid out at rho per unit.
+    """
+    c, b, rho = prob.c, prob.b, prob.rho
+    dx = c * delta
+    t = (np.arange(nt) + 0.5) * delta / nt
+    y = n * dx + c * t
+    # cells (lo, hi] of claim sizes between the points where y - b*u
+    # crosses a grid node; the first hi is y/b, beyond which the claim ruins
+    hi = (y[:, None] - np.arange(n + 1) * dx) / b
+    lo = np.concatenate([hi[:, 1:], np.zeros((nt, 1))], axis=1)
+    k = np.floor((y[:, None] - b * 0.5 * (lo + hi)) / dx).astype(int)
+    p = values[k] + rho * (y[:, None] - k * dx)
+    inner = integrate_affine(prob.law, lo, hi, p, -rho * b).sum(axis=1)
+    weight = (delta / nt) * prob.lam * np.exp(-(prob.lam + prob.q) * t)
+    return float(np.dot(weight, inner))
+
+
+def solve_jacobi(kernel, tol=1e-8, iter_cap=200_000):
+    """Strict Jacobi value iteration from zero; returns (values, tol_eff)."""
+    v = np.zeros(kernel.grid.shape)
+    for _ in range(iter_cap):
+        t0, t1, t2 = solver2d._operator_fields(kernel, v)
+        w = np.maximum(v, np.maximum(t0, np.maximum(t1, t2)))
+        sup_inc = float((w - v).max())
+        v = w
+        tol_eff = tol * (1.0 + float(v.max()))
+        if sup_inc < tol_eff:
+            return v, tol_eff
+    raise RuntimeError("Jacobi iteration hit the sweep cap")
 
 
 def sweep_inplace_reference(w, cf, grid, disc):

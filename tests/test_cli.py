@@ -124,9 +124,12 @@ class TestSolve2dCommand:
     def test_validate_command_passes(self, run_dir):
         out, cfg = run_dir
         rc = main(["validate", "--config", str(cfg), "--out", str(out)])
-        report = json.loads((out / "validate.json").read_text())
+        text = (out / "validate.json").read_text()
+        report = json.loads(text)
         assert rc == 0, report
         assert report["pass"]
+        # details are formatted from plain floats, not numpy reprs
+        assert "np.float64" not in text
 
     def test_simulate_missing_artifacts_exit_2(self, tmp_path, cfg_file):
         rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "no")])

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
+from divopt.hjb2d import correlate
 from divopt.model import Deterministic, Erlang2, Exponential, ModelParams, validate_params
 from divopt.solver1d import (
     NonConvergence1D,
     OneDimProblem,
     TruncationError,
+    _claim_kernel,
     make_auxiliary_problem,
     merger_compare,
     ray_integral,
     solve_1d,
     tilde_V_eval,
 )
+from oracles import brute_force_t_slices_1d
 
 EX1 = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 SYM = validate_params(ModelParams(c1=21.4, c2=21.4, b1=0.5, b2=0.5, lam=10, q=0.1))
@@ -45,6 +49,28 @@ class TestMakeAuxiliary:
             OneDimProblem(c=1.0, b=0.5, law=Exponential(1), lam=1, q=0.1, rho=0.5)
         with pytest.raises(ValueError):
             OneDimProblem(c=1.0, b=0.5, law=Exponential(1), lam=1, q=0.1, kappa=-0.1)
+
+
+class TestClaimField1d:
+    # h = dx/b = 0.25 puts every atom's floor-crossing time on a boundary of
+    # the oracle's t-slices, so the midpoint rule is exact across the jump
+    @pytest.mark.parametrize("law, reach", [
+        (Exponential(0.6), None),
+        (Erlang2(6 / 7), None),
+        (Deterministic(4.35), 18),
+        (Deterministic(0.35), 2),  # short reach: a wrongly sized FFT wraps
+    ])
+    def test_matches_t_slice_oracle(self, law, reach):
+        prob = OneDimProblem(c=1.5, b=0.6, law=law, lam=1, q=0.05, kappa=0.3, rho=1.7)
+        delta, n_pts = 0.1, 41
+        fshape, fk, payout = _claim_kernel(prob, delta, n_pts)
+        reach = n_pts - 1 if reach is None else reach
+        assert fshape == (sfft.next_fast_len(n_pts + reach),)
+        rng = np.random.default_rng(5)
+        values = np.cumsum(rng.uniform(0.0, 0.6, n_pts))
+        field = correlate(values, fk, fshape) + payout
+        ref = [brute_force_t_slices_1d(prob, delta, values, n, nt=3000) for n in range(n_pts)]
+        np.testing.assert_allclose(field, ref, rtol=1e-6, atol=1e-12)
 
 
 class TestSolve1d:

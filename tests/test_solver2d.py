@@ -17,12 +17,11 @@ from divopt.solver2d import (
     PolicyField,
     check_D1_identity,
     check_tilde_suboptimality,
-    extend_value,
     extract_regions,
     residual_check,
     solve,
 )
-from oracles import sweep_inplace_reference
+from oracles import solve_jacobi, sweep_inplace_reference
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 LAW = Exponential(0.6)
@@ -59,9 +58,9 @@ class TestSolve:
 
     def test_jacobi_agrees_with_inplace(self, small_solve):
         grid, kernel, v, _, _ = small_solve
-        vj, pj, rj = solve(PARAMS, LAW, grid, mode="jacobi", kernel=kernel)
-        gap = 200 * max(rj.tol_effective, 1e-8)
-        assert np.abs(vj.values - v.values).max() <= gap
+        vj, tol_eff = solve_jacobi(kernel)
+        gap = 200 * max(tol_eff, 1e-8)
+        assert np.abs(vj - v.values).max() <= gap
 
     def test_zero_seed_not_a_solution(self, small_solve):
         grid, kernel, _, _, _ = small_solve
@@ -107,16 +106,16 @@ class TestSweep:
 class TestExtendValue:
     def test_node_and_offset(self, small_solve):
         grid, _, v, _, _ = small_solve
-        assert extend_value(v, 3 * grid.dx1, 4 * grid.dx2) == v.values[3, 4]
+        assert v.extend(3 * grid.dx1, 4 * grid.dx2) == v.values[3, 4]
         h1, h2 = 0.4 * grid.dx1, 0.7 * grid.dx2
-        assert extend_value(v, 3 * grid.dx1 + h1, 4 * grid.dx2 + h2) == pytest.approx(
+        assert v.extend(3 * grid.dx1 + h1, 4 * grid.dx2 + h2) == pytest.approx(
             v.values[3, 4] + h1 + h2
         )
 
     def test_negative_rejected(self, small_solve):
         _, _, v, _, _ = small_solve
         with pytest.raises(ValueError):
-            extend_value(v, -0.1, 1.0)
+            v.extend(-0.1, 1.0)
 
 
 class TestPolicyAndRegions:
@@ -164,8 +163,8 @@ class TestStructuralChecks:
         # on the ray the identity is tautological
         x2 = 1.0
         proj = (PARAMS.b1 / PARAMS.b2) * x2
-        lhs = extend_value(v, proj, x2)
-        rhs = proj - proj + extend_value(v, proj, x2)
+        lhs = v.extend(proj, x2)
+        rhs = proj - proj + v.extend(proj, x2)
         assert lhs == rhs
 
     def test_suboptimality_witness_strict_case(self):
