@@ -45,11 +45,13 @@ from .solver1d import (
 )
 from .solver2d import (
     PolicyField,
+    PolicyFlow,
     RegionMap,
     SolveReport,
     check_D1_identity,
     check_tilde_suboptimality,
     extract_regions,
+    policy_flow,
     residual_check,
     solve,
 )

@@ -41,6 +41,10 @@ class ConfigError(ValueError):
     pass
 
 
+# a 1D solve that cannot finish: the command exits 3 with one line on stderr
+_SOLVE_1D_ERRORS = (solver1d.NonConvergence1D, solver1d.TruncationError)
+
+
 def load_config(path):
     """Parse a flat key=value file ('#' starts a comment)."""
     p = Path(path)
@@ -199,7 +203,7 @@ def cmd_solve1d(args):
     x_max = _get_float(cfg, "x_max_1d", 2.0 * _get_float(cfg, "x1_max", 14.0))
     try:
         sol = solver1d.solve_1d(prob, delta, x_max, tol=_get_float(cfg, "tol", 1e-9))
-    except (solver1d.NonConvergence1D, solver1d.TruncationError) as exc:
+    except _SOLVE_1D_ERRORS as exc:
         print(f"solve1d: {exc}", file=sys.stderr)
         return 3
     with open(out / f"value1d_{args.kind}.csv", "w") as fh:
@@ -279,6 +283,7 @@ def cmd_simulate(args):
             {
                 "x1": x1, "x2": x2, "mean": res.mean, "stderr": res.stderr,
                 "solver_value": v.extend(x1, x2), "z": z, "horizon": res.horizon,
+                "rounds": res.rounds, "ruined": res.ruined, "horizon_cut": res.horizon_cut,
             }
         )
     with open(out / "sim.json", "w") as fh:
@@ -302,7 +307,11 @@ def cmd_merger_compare(args):
     v = _read_value_csv(value_path, grid)
     m_cost = args.m_cost if args.m_cost is not None else _get_float(cfg, "merger.cost", 0.0)
     samples = _sample_points(cfg, grid)
-    rows, merger = solver1d.merger_compare(params, law, m_cost, samples, v)
+    try:
+        rows, merger = solver1d.merger_compare(params, law, m_cost, samples, v)
+    except _SOLVE_1D_ERRORS as exc:
+        print(f"merger-compare: {exc}", file=sys.stderr)
+        return 3
     with open(out / "merger_compare.csv", "w") as fh:
         fh.write("x1,x2,merger_reduced,v2d_reduced\n")
         for x1, x2, vm, vd in rows:
@@ -327,11 +336,15 @@ def cmd_validate(args):
     tol_eff = manifest.get("tol_effective", 1e-8)
     checks = []
 
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "pass": bool(ok), "detail": detail})
+    def check(name, ok, detail="", value=None, bound=None):
+        entry = {"name": name, "pass": bool(ok), "detail": detail}
+        if value is not None:
+            entry.update(value=float(value), bound=float(bound))
+        checks.append(entry)
 
     resid = solver2d.residual_check(kernel, v)
-    check("residual", resid <= 10 * tol_eff, f"residual {resid:.3e} vs 10*tol {10*tol_eff:.3e}")
+    check("residual", resid <= 10 * tol_eff, f"residual {resid:.3e} vs 10*tol {10*tol_eff:.3e}",
+          resid, 10 * tol_eff)
 
     ns = np.arange(grid.n_max + 1)[:, None] * grid.dx1
     ms = np.arange(grid.m_max + 1)[None, :] * grid.dx2
@@ -345,13 +358,25 @@ def cmd_validate(args):
     check("iterate_monotone", manifest.get("min_increment", 0.0) >= -1e-15)
 
     dev = solver2d.check_D1_identity(v, params)
-    check("d1_identity", dev <= 2 * (grid.dx1 + grid.dx2), f"max deviation {dev:.4f}")
+    check("d1_identity", dev <= 2 * (grid.dx1 + grid.dx2), f"max deviation {dev:.4f}",
+          dev, 2 * (grid.dx1 + grid.dx2))
 
-    wbar = solver1d.solve_1d(
-        solver1d.make_auxiliary_problem(params, law, "wbar"),
-        grid.delta / 4.0,
-        grid.x2_max * 2.0,
-    )
+    try:
+        wbar = solver1d.solve_1d(
+            solver1d.make_auxiliary_problem(params, law, "wbar"),
+            grid.delta / 4.0,
+            grid.x2_max * 2.0,
+        )
+        rows, _ = solver1d.merger_compare(
+            params, law, 0.0,
+            [(n * grid.dx1, m * grid.dx2)
+             for n in range(0, grid.n_max + 1, max(1, grid.n_max // 20))
+             for m in range(0, grid.m_max + 1, max(1, grid.m_max // 20))],
+            v,
+        )
+    except _SOLVE_1D_ERRORS as exc:
+        print(f"validate: {exc}", file=sys.stderr)
+        return 3
     if params.is_symmetric:
         xs = np.linspace(0.2, 0.8, 7) * min(grid.x1_max, grid.x2_max)
         rel = max(
@@ -359,25 +384,20 @@ def cmd_validate(args):
             / max(1.0, wbar.extend(x))
             for x in xs
         )
-        check("symmetric_diagonal", rel <= 1e-2, f"max rel dev {rel:.2e}")
+        check("symmetric_diagonal", rel <= 1e-2, f"max rel dev {rel:.2e}", rel, 1e-2)
     else:
         sub = solver2d.check_tilde_suboptimality(params, law, wbar)
         if sub.get("applicable", True):
             ok = sub["witness"][1] > 0
             check("reflection_suboptimal", ok,
-                  f"L(tilde) = {sub['witness'][1]:.4f} at {sub['witness'][0]}")
+                  f"L(tilde) = {sub['witness'][1]:.4f} at {sub['witness'][0]}",
+                  sub["witness"][1], 0.0)
         else:
             check("reflection_suboptimal", True, "no-pay set empty: take-the-money regime")
 
-    rows, _ = solver1d.merger_compare(
-        params, law, 0.0,
-        [(n * grid.dx1, m * grid.dx2)
-         for n in range(0, grid.n_max + 1, max(1, grid.n_max // 20))
-         for m in range(0, grid.m_max + 1, max(1, grid.m_max // 20))],
-        v,
-    )
     worst_gap = min(r[2] - r[3] for r in rows if r[2] is not None)
-    check("merger_dominance", worst_gap >= -100 * tol_eff, f"min gap {worst_gap:.3e}")
+    check("merger_dominance", worst_gap >= -100 * tol_eff, f"min gap {worst_gap:.3e}",
+          worst_gap, -100 * tol_eff)
 
     policy = _read_policy_csv(out / "policy.csv", grid, manifest.get("eps_tie", 1e-9))
     n_paths = int(_get_float(cfg, "paths", 20_000))
@@ -389,13 +409,13 @@ def cmd_validate(args):
             n_paths, seed,
         )
         worst_z = max(worst_z, abs(sim_mod.estimate_gap(res, v.extend(x1, x2))))
-    check("mc_policy_crosscheck", worst_z <= 3.0, f"max |z| = {worst_z:.2f}")
+    check("mc_policy_crosscheck", worst_z <= 3.0, f"max |z| = {worst_z:.2f}", worst_z, 3.0)
 
     x0 = SurplusPoint(grid.x1_max / 3, grid.x2_max / 3)
     res = sim_mod.simulate_policy(params, law, sim_mod.TakeAndRun(), x0, n_paths, seed)
     target = x0.x1 + x0.x2 + (params.c1 + params.c2) / (params.q + params.lam)
     z = sim_mod.estimate_gap(res, target)
-    check("mc_take_and_run", abs(z) <= 3.0, f"z = {z:.2f}")
+    check("mc_take_and_run", abs(z) <= 3.0, f"z = {z:.2f}", z, 3.0)
 
     all_ok = all(c["pass"] for c in checks)
     with open(out / "validate.json", "w") as fh:

@@ -2,14 +2,16 @@
 
 Paths are driven event by event: premium and reward streams between events
 are discounted in closed form, so the only discretization in a simulated
-path is the strategy's own grid.  Policy-table runs batch consecutive
-no-pay steps (the uncontrolled drift between claims is linear) and collapse
-the boundary-riding cycles (drift up, lump back) into geometric sums, which
-keeps the per-path work proportional to the number of claims.
+path is the strategy's own grid.  Between claims a policy table moves a
+path along a fixed flow: lump to the chain anchor, drift the no-pay run
+(the uncontrolled drift is linear), lump to the next anchor.  Binary-lifting
+jump tables over that anchor graph (pointer jumping) cover 2^j segments at
+once, so each claim round costs one log-depth descent per live path, and a
+path riding the boundary (drift up, lump back) is just a loop in the graph.
 
-All draws use a counter-based Philox generator and are made in fixed-size
-arrays per event round, so results are bit-identical for a given seed
-regardless of how the rounds interleave across paths.
+All draws use a counter-based Philox generator and are made in full-size
+arrays per claim round, indexed by path, so results are bit-identical for a
+given seed whichever paths are still live.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hjb2d import Action, ValueField
+from .hjb2d import ValueField
 from .model import ClaimLaw, ModelParams, SurplusPoint, validate_params
 from .solver1d import WbarSolution
-from .solver2d import PolicyField
+from .solver2d import PolicyField, policy_flow
 
 __all__ = [
     "PolicyTable",
@@ -65,6 +67,11 @@ class SimResult:
     horizon: float
     seed: int
     rng: str = RNG_ALGORITHM
+    # claim rounds of the reported run, and how its paths ended: ruined by
+    # a claim or cut at the horizon
+    rounds: int = 0
+    ruined: int = 0
+    horizon_cut: int = 0
 
 
 def estimate_gap(sim: SimResult, solver_value: float) -> float:
@@ -103,7 +110,8 @@ def simulate_policy(
         vals = x0.x1 + x0.x2 + ctot * (1.0 - np.exp(-params.q * tau)) / params.q
         if trace_path:
             _write_trace(trace_path, vals, tau)
-        return _wrap(vals, math.inf, seed)
+        # everything is paid at once, so the first claim ruins every path
+        return _wrap(vals, math.inf, seed, 1, np.ones(n_paths, dtype=bool))
     if isinstance(strat, PolicyTable):
         runner, ub = _policy_runner(params, law, strat, x0), _upper_bound(params, x0)
     elif isinstance(strat, MReflection):
@@ -114,13 +122,13 @@ def simulate_policy(
     if horizon is None:
         pilot_n = min(max(n_paths // 50, 200), 2000, n_paths)
         pilot_T = math.log(1e4) / params.q
-        pilot, _ = runner(pilot_n, seed + 1, pilot_T)
+        pilot = runner(pilot_n, seed + 1, pilot_T)[0]
         target = 0.1 * max(np.std(pilot, ddof=1) / math.sqrt(n_paths), 1e-8)
         horizon = math.log(max(ub / target, 10.0)) / params.q
-    vals, t_final = runner(n_paths, seed, horizon)
+    vals, t_final, ruined, rounds = runner(n_paths, seed, horizon)
     if trace_path:
         _write_trace(trace_path, vals, t_final)
-    return _wrap(vals, horizon, seed)
+    return _wrap(vals, horizon, seed, rounds, ruined)
 
 
 def _write_trace(path, vals, t_final):
@@ -130,11 +138,13 @@ def _write_trace(path, vals, t_final):
             fh.write(f"{i},{v:.17g},{t:.17g}\n")
 
 
-def _wrap(vals, horizon, seed):
+def _wrap(vals, horizon, seed, rounds, ruined):
     n = len(vals)
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    n_ruined = int(np.count_nonzero(ruined))
     return SimResult(
-        mean=float(np.mean(vals)), stderr=stderr, n_paths=n, horizon=horizon, seed=seed
+        mean=float(np.mean(vals)), stderr=stderr, n_paths=n, horizon=horizon, seed=seed,
+        rounds=rounds, ruined=n_ruined, horizon_cut=n - n_ruined,
     )
 
 
@@ -142,50 +152,63 @@ def _upper_bound(params, x0):
     return x0.x1 + x0.x2 + (params.c1 + params.c2) / params.q
 
 
-def _prepare_policy_tables(policy: PolicyField):
-    """Preferred action per node (lumps first), lump-chain anchors with the
-    dividends paid along the chain, and the length of the no-pay diagonal
-    run from each node."""
-    g = policy.grid
-    acts = policy.actions
-    pref = np.zeros(g.shape, dtype=np.int8)
-    pref[(acts & Action.E1) > 0] = 1
-    pref[((acts & Action.E2) > 0) & (pref == 0)] = 2
-    # outer edges follow the unit-slope extension: treat residual no-pay
-    # nodes there as lump nodes so drift never leaves the table
-    edge = pref[g.n_max, :] == 0
-    pref[g.n_max, edge] = 1
-    edge = pref[:, g.m_max] == 0
-    pref[1:, g.m_max][edge[1:]] = 1
-    pref[0, g.m_max] = 2 if pref[0, g.m_max] == 0 else pref[0, g.m_max]
+class _AnchorJumps:
+    """Binary-lifting tables over the anchor graph of a policy flow.
 
-    n_pts, m_pts = g.shape
-    anchor_n = np.empty(g.shape, dtype=np.int64)
-    anchor_m = np.empty(g.shape, dtype=np.int64)
-    cols = np.arange(n_pts)
-    for m in range(m_pts):
-        row = pref[:, m]
-        an = np.where(row == 0, cols, 0)
-        am = np.where(row == 0, m, 0)
-        is2 = row == 2
-        if m > 0 and np.any(is2):
-            an[is2] = anchor_n[is2, m - 1]
-            am[is2] = anchor_m[is2, m - 1]
-        src = np.maximum.accumulate(np.where(row != 1, cols, -1))
-        is1 = row == 1
-        if np.any(is1):
-            an[is1] = an[src[is1]]
-            am[is1] = am[src[is1]]
-        anchor_n[:, m] = an
-        anchor_m[:, m] = am
-    paid = (cols[:, None] - anchor_n) * g.dx1 + (np.arange(m_pts)[None, :] - anchor_m) * g.dx2
+    The anchors are the no-pay nodes where the lump chains at the end of
+    no-pay runs come to rest.  From anchor a the flow drifts exit_k cells,
+    then lumps to the next anchor; level j holds, for 2^j such segments,
+    the anchor reached (nxt), the cells drifted (dur) and the dividends
+    discounted to the start (pay).  Levels are added until the shortest 2^j
+    span reaches the horizon, so a greedy descent over them finds any
+    number of segments a claim round can take.  The tables have one row per
+    anchor, never one per grid node.
+    """
 
-    exit_k = np.zeros(g.shape, dtype=np.int64)
-    for m in range(m_pts - 2, -1, -1):
-        up = np.zeros(n_pts, dtype=np.int64)
-        up[:-1] = exit_k[1:, m + 1]
-        exit_k[:, m] = np.where(pref[:, m] == 0, 1 + up, 0)
-    return pref, anchor_n, anchor_m, paid, exit_k
+    def __init__(self, flow, delta, q):
+        self.flow, self.delta, self.q = flow, delta, q
+        self.cols = flow.pref.shape[1]
+        self.nodes = np.unique(self._run_end(*np.nonzero(flow.pref == 0))[1])
+        self.an, self.am = np.divmod(self.nodes, self.cols)
+        k, nxt, paid = self.segment(self.an, self.am)
+        self.levels = [(nxt, k, paid * np.exp(-q * delta * k))]
+
+    def _run_end(self, n, m):
+        """From no-pay nodes (n, m): the cells of the drift run, the flat
+        index of the anchor the lump at its end reaches, and its dividend."""
+        f = self.flow
+        k = f.exit_k[n, m]
+        en, em = n + k, m + k
+        return k, f.anchor_n[en, em] * self.cols + f.anchor_m[en, em], f.paid[en, em]
+
+    def segment(self, n, m):
+        """As _run_end, with the anchor as an index into the tables."""
+        k, node, paid = self._run_end(n, m)
+        return k, np.searchsorted(self.nodes, node), paid
+
+    def cover(self, horizon):
+        """Add levels until the shortest span of the top one reaches horizon."""
+        while self.levels[-1][1].min() * self.delta < horizon:
+            nxt, dur, pay = self.levels[-1]
+            self.levels.append(
+                (nxt[nxt], dur + dur[nxt], pay + np.exp(-self.q * self.delta * dur) * pay[nxt])
+            )
+
+    def descend(self, a, cum, gain, t0, togo, horizon):
+        """From anchors a, reached after cum cells since the round start at
+        t0, take the most whole segments that end before both the claim,
+        togo from t0, and the horizon.  Adds their dividends, discounted to
+        time 0, to gain; returns the anchor nodes reached and the cells."""
+        # the top level spans the horizon from every anchor: it is never taken
+        for nxt, dur, pay in reversed(self.levels[:-1]):
+            span = cum + dur[a]
+            end = span * self.delta
+            take = np.flatnonzero((end < togo) & (t0 + end < horizon))
+            at = a[take]
+            gain[take] += pay[at] * np.exp(-self.q * (t0[take] + self.delta * cum[take]))
+            cum[take] = span[take]
+            a[take] = nxt[at]
+        return self.an[a], self.am[a], cum
 
 
 def _policy_runner(params, law, strat: PolicyTable, x0: SurplusPoint):
@@ -194,97 +217,78 @@ def _policy_runner(params, law, strat: PolicyTable, x0: SurplusPoint):
     g = strat.policy.grid
     if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
         raise ValueError("initial surplus outside the solved grid")
-    pref, anchor_n, anchor_m, paid, exit_k = _prepare_policy_tables(strat.policy)
+    flow = policy_flow(strat.policy)
+    _, anchor_n, anchor_m, paid, exit_k = flow
     dx1, dx2, delta = g.dx1, g.dx2, g.delta
     c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
     q, lam = params.q, params.lam
+    jumps = _AnchorJumps(flow, delta, q)
     n0 = int(math.floor(x0.x1 / dx1 + 1e-12))
     m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
     pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
 
     def run(n_paths, seed, horizon):
+        jumps.cover(horizon)
         rng = np.random.Generator(np.random.Philox(key=seed))
+        vals = np.empty(n_paths)
+        t_final = np.empty(n_paths)
+        ruined = np.zeros(n_paths, dtype=bool)
+        # state of the live paths only, compacted as paths finish
+        ids = np.arange(n_paths)
         n = np.full(n_paths, n0, dtype=np.int64)
         m = np.full(n_paths, m0, dtype=np.int64)
         t = np.zeros(n_paths)
         acc = np.full(n_paths, pay0)
-        running = np.ones(n_paths, dtype=bool)
-        while np.any(running):
-            togo = rng.exponential(1.0 / lam, n_paths)
-            claim = law.sample(rng, n_paths)
-            ph = running.copy()
-            last_n = np.full(n_paths, -1, dtype=np.int64)
-            last_m = np.full(n_paths, -1, dtype=np.int64)
-            while np.any(ph):
-                idx = np.nonzero(ph)[0]
-                ni, mi = n[idx], m[idx]
-                # instant lump payouts down to the chain anchor
-                lump = pref[ni, mi] != 0
-                if np.any(lump):
-                    li = idx[lump]
-                    acc[li] += paid[n[li], m[li]] * np.exp(-q * t[li])
-                    n[li], m[li] = anchor_n[n[li], m[li]], anchor_m[n[li], m[li]]
-                    ni, mi = n[idx], m[idx]
-                k = exit_k[ni, mi]
-                kd = k * delta
-                # boundary-riding cycle: batch full periods until the claim
-                cyc = (ni == last_n[idx]) & (mi == last_m[idx]) & (kd > 0)
-                if np.any(cyc):
-                    ci = idx[cyc]
-                    kdc = kd[cyc]
-                    full = np.floor(togo[ci] / kdc).astype(np.int64)
-                    cap = np.floor(np.maximum(horizon - t[ci], 0.0) / kdc).astype(np.int64)
-                    reps = np.minimum(full, cap)
-                    pos = np.nonzero(reps > 0)[0]
-                    if pos.size:
-                        pi = ci[pos]
-                        kdp = kdc[pos]
-                        en = n[pi] + k[cyc][pos]
-                        em = m[pi] + k[cyc][pos]
-                        pay = paid[en, em]
-                        x = np.exp(-q * kdp)
-                        acc[pi] += pay * np.exp(-q * t[pi]) * x * (1 - x ** reps[pos]) / (1 - x)
-                        t[pi] += reps[pos] * kdp
-                        togo[pi] -= reps[pos] * kdp
-                    over = ci[(full > cap)]
-                    if over.size:
-                        running[over] = False
-                        ph[over] = False
-                    idx = np.nonzero(ph)[0]
-                    if idx.size == 0:
-                        break
-                    ni, mi = n[idx], m[idx]
-                    k = exit_k[ni, mi]
-                    kd = k * delta
-                last_n[idx], last_m[idx] = ni, mi
-                claims_now = togo[idx] <= kd
-                ci = idx[claims_now]
-                if ci.size:
-                    s = togo[ci]
-                    y1 = n[ci] * dx1 + c1 * s - b1 * claim[ci]
-                    y2 = m[ci] * dx2 + c2 * s - b2 * claim[ci]
-                    t[ci] += s
-                    ruined = (y1 < 0) | (y2 < 0)
-                    running[ci[ruined]] = False
-                    ok = ci[~ruined]
-                    if ok.size:
-                        k1 = np.floor(y1[~ruined] / dx1 + 1e-12).astype(np.int64)
-                        k2 = np.floor(y2[~ruined] / dx2 + 1e-12).astype(np.int64)
-                        rem = (y1[~ruined] - k1 * dx1) + (y2[~ruined] - k2 * dx2)
-                        acc[ok] += rem * np.exp(-q * t[ok])
-                        n[ok], m[ok] = k1, k2
-                        running[ok[t[ok] >= horizon]] = False
-                    ph[ci] = False
-                di = idx[~claims_now]
-                if di.size:
-                    t[di] += kd[~claims_now]
-                    togo[di] -= kd[~claims_now]
-                    n[di] += k[~claims_now]
-                    m[di] += k[~claims_now]
-                    hit = di[t[di] >= horizon]
-                    running[hit] = False
-                    ph[hit] = False
-        return acc, t
+        rounds = 0
+        while ids.size:
+            rounds += 1
+            # full-size draws indexed by path id: every path sees the same
+            # claims whichever other paths are still live
+            togo = rng.exponential(1.0 / lam, n_paths)[ids]
+            claim = law.sample(rng, n_paths)[ids]
+            # instant lump payouts down to the chain anchor (paid is 0 on
+            # no-pay nodes, which are their own anchors)
+            acc += paid[n, m] * np.exp(-q * t)
+            n, m = anchor_n[n, m], anchor_m[n, m]
+            # cum: cells drifted this round before the node the round ends
+            # at; cells: cum plus the drift run from that node
+            cum = np.zeros(ids.size, dtype=np.int64)
+            cells = exit_k[n, m]
+            go = np.flatnonzero((cells * delta < togo) & (t + cells * delta < horizon))
+            if go.size:
+                # the first drift run lands every path on an anchor, the
+                # descent takes the rest of the round's whole segments
+                k, a, gain = jumps.segment(n[go], m[go])
+                gain *= np.exp(-q * (t[go] + delta * k))
+                n[go], m[go], cum[go] = jumps.descend(a, k, gain, t[go], togo[go], horizon)
+                acc[go] += gain
+                cells[go] = cum[go] + exit_k[n[go], m[go]]
+            # the next segment ends at or after the claim, or else at or
+            # after the horizon, where the path stops with no more payouts
+            hit = np.flatnonzero(cells * delta >= togo)
+            cut = np.ones(ids.size, dtype=bool)
+            cut[hit] = False
+            t[cut] += delta * cells[cut]
+            s = togo[hit] - delta * cum[hit]
+            t[hit] += togo[hit]
+            y1 = n[hit] * dx1 + c1 * s - b1 * claim[hit]
+            y2 = m[hit] * dx2 + c2 * s - b2 * claim[hit]
+            broke = (y1 < 0) | (y2 < 0)
+            ok = hit[~broke]
+            k1 = np.floor(y1[~broke] / dx1 + 1e-12).astype(np.int64)
+            k2 = np.floor(y2[~broke] / dx2 + 1e-12).astype(np.int64)
+            rem = (y1[~broke] - k1 * dx1) + (y2[~broke] - k2 * dx2)
+            acc[ok] += rem * np.exp(-q * t[ok])
+            n[ok], m[ok] = k1, k2
+            ruined[ids[hit[broke]]] = True
+            keep = np.zeros(ids.size, dtype=bool)
+            keep[ok] = t[ok] < horizon
+            if not np.all(keep):
+                done = np.flatnonzero(~keep)
+                vals[ids[done]], t_final[ids[done]] = acc[done], t[done]
+                keep = np.flatnonzero(keep)
+                ids, n, m, t, acc = ids[keep], n[keep], m[keep], t[keep], acc[keep]
+        return vals, t_final, ruined, rounds
 
     return run
 
@@ -323,8 +327,11 @@ def _reflection_runner(params, law, strat: MReflection, x0: SurplusPoint):
         t = np.zeros(n_paths)
         acc = np.full(n_paths, pay0)
         running = np.ones(n_paths, dtype=bool)
+        ruined = np.zeros(n_paths, dtype=bool)
+        rounds = 0
         snap = 1e-9 * (1.0 + wbar.x_max)
         while np.any(running):
+            rounds += 1
             togo = rng.exponential(1.0 / lam, n_paths)
             claim = law.sample(rng, n_paths)
             ph = running.copy()
@@ -353,7 +360,7 @@ def _reflection_runner(params, law, strat: MReflection, x0: SurplusPoint):
                     s = togo[ai]
                     acc[ai] += ctot * np.exp(-q * t[ai]) * (1 - np.exp(-q * s)) / q
                     t[ai] += s
-                    _claim_1d(ai, z, t, acc, running, claim, b2, q, horizon, rho)
+                    _claim_1d(ai, z, t, running, ruined, claim, b2, horizon)
                     ph[ai] = False
                 # no-pay region: drift up at c2, branch 1 streaming the excess
                 isc = (lab == "C") & ~at_a
@@ -371,21 +378,22 @@ def _reflection_runner(params, law, strat: MReflection, x0: SurplusPoint):
                     claimers = togo[di] <= reach
                     ci = di[claimers]
                     if ci.size:
-                        _claim_1d(ci, z, t, acc, running, claim, b2, q, horizon, rho)
+                        _claim_1d(ci, z, t, running, ruined, claim, b2, horizon)
                         ph[ci] = False
                     togo[di[~claimers]] -= reach[~claimers]
                 hit = idx[(t[idx] >= horizon) & ph[idx]]
                 running[hit] = False
                 ph[hit] = False
-        return acc, t
+        return acc, t, ruined, rounds
 
     return run
 
 
-def _claim_1d(ids, z, t, acc, running, claim, b2, q, horizon, rho):
+def _claim_1d(ids, z, t, running, ruined, claim, b2, horizon):
     post = z[ids] - b2 * claim[ids]
-    ruined = post < 0
-    running[ids[ruined]] = False
-    ok = ids[~ruined]
-    z[ok] = post[~ruined]
+    broke = post < 0
+    running[ids[broke]] = False
+    ruined[ids[broke]] = True
+    ok = ids[~broke]
+    z[ok] = post[~broke]
     running[ok[t[ok] >= horizon]] = False

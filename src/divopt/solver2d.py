@@ -18,6 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -36,6 +37,8 @@ from .model import ClaimLaw, GridSpec, ModelParams, region_of, validate_params
 
 __all__ = [
     "PolicyField",
+    "PolicyFlow",
+    "policy_flow",
     "RegionMap",
     "SolveReport",
     "NonConvergenceError",
@@ -101,6 +104,67 @@ class PolicyField:
 
     def action_set(self, n, m):
         return {act for act in (Action.E0, Action.E1, Action.E2) if self.actions[n, m] & act}
+
+
+class PolicyFlow(NamedTuple):
+    """The grid strategy as a flow between claims.
+
+    pref is the action taken at each node (0 no-pay, 1 or 2 the branch to
+    lump; lumps are preferred over no-pay).  A lump chain from a node ends
+    at the no-pay node (anchor_n, anchor_m), paying paid on the way.  A
+    no-pay node drifts exit_k cells diagonally before it meets a lump node
+    (0 on lump nodes).
+    """
+
+    pref: np.ndarray
+    anchor_n: np.ndarray
+    anchor_m: np.ndarray
+    paid: np.ndarray
+    exit_k: np.ndarray
+
+
+def policy_flow(policy: PolicyField) -> PolicyFlow:
+    """The policy-flow tables of a converged grid policy."""
+    g = policy.grid
+    acts = policy.actions
+    pref = np.zeros(g.shape, dtype=np.int8)
+    pref[(acts & Action.E1) > 0] = 1
+    pref[((acts & Action.E2) > 0) & (pref == 0)] = 2
+    # outer edges follow the unit-slope extension: treat residual no-pay
+    # nodes there as lump nodes so drift never leaves the table
+    edge = pref[g.n_max, :] == 0
+    pref[g.n_max, edge] = 1
+    edge = pref[:, g.m_max] == 0
+    pref[1:, g.m_max][edge[1:]] = 1
+    pref[0, g.m_max] = 2 if pref[0, g.m_max] == 0 else pref[0, g.m_max]
+
+    n_pts, m_pts = g.shape
+    anchor_n = np.empty(g.shape, dtype=np.int64)
+    anchor_m = np.empty(g.shape, dtype=np.int64)
+    cols = np.arange(n_pts)
+    for m in range(m_pts):
+        row = pref[:, m]
+        an = np.where(row == 0, cols, 0)
+        am = np.where(row == 0, m, 0)
+        is2 = row == 2
+        if m > 0 and np.any(is2):
+            an[is2] = anchor_n[is2, m - 1]
+            am[is2] = anchor_m[is2, m - 1]
+        src = np.maximum.accumulate(np.where(row != 1, cols, -1))
+        is1 = row == 1
+        if np.any(is1):
+            an[is1] = an[src[is1]]
+            am[is1] = am[src[is1]]
+        anchor_n[:, m] = an
+        anchor_m[:, m] = am
+    paid = (cols[:, None] - anchor_n) * g.dx1 + (np.arange(m_pts)[None, :] - anchor_m) * g.dx2
+
+    exit_k = np.zeros(g.shape, dtype=np.int64)
+    for m in range(m_pts - 2, -1, -1):
+        up = np.zeros(n_pts, dtype=np.int64)
+        up[:-1] = exit_k[1:, m + 1]
+        exit_k[:, m] = np.where(pref[:, m] == 0, 1 + up, 0)
+    return PolicyFlow(pref, anchor_n, anchor_m, paid, exit_k)
 
 
 @dataclass

@@ -15,7 +15,9 @@ closed-form time integration over exact claim cells):
   tolerances while still slicing time numerically.
 
 The sweep reference closes the branch-2 lumps one column at a time,
-re-closing each column under branch-1 lumps after every step.  The Jacobi
+re-closing each column under branch-1 lumps after every step.  The policy
+runner reference walks the grid strategy one drift-and-lump segment at a
+time instead of jumping over the anchor graph.  The Jacobi
 iteration applies T0, T1 and T2 to the previous iterate only; the in-place
 sweeps of the solver stay between it and the fixed point.
 """
@@ -141,3 +143,113 @@ def sweep_inplace_reference(w, cf, grid, disc):
     for m in range(1, m_pts):
         w[:, m] = t1_closure(np.maximum(w[:, m], w[:, m - 1] + dx2))
     return w
+
+
+def policy_runner_reference(params, law, strat, x0):
+    """Policy-table runner that walks one drift-and-lump segment at a time.
+
+    Boundary-riding cycles (an anchor that drifts and is lumped back to
+    itself) are batched as geometric sums once seen twice in a round.  The
+    draws are the production runner's; run() returns the dividends, final
+    times and the mask of ruined paths.
+    """
+    if not strat.policy.converged:
+        raise ValueError("policy table must come from a converged solve")
+    g = strat.policy.grid
+    if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
+        raise ValueError("initial surplus outside the solved grid")
+    pref, anchor_n, anchor_m, paid, exit_k = solver2d.policy_flow(strat.policy)
+    dx1, dx2, delta = g.dx1, g.dx2, g.delta
+    c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
+    q, lam = params.q, params.lam
+    n0 = int(math.floor(x0.x1 / dx1 + 1e-12))
+    m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
+    pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
+
+    def run(n_paths, seed, horizon):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        n = np.full(n_paths, n0, dtype=np.int64)
+        m = np.full(n_paths, m0, dtype=np.int64)
+        t = np.zeros(n_paths)
+        acc = np.full(n_paths, pay0)
+        running = np.ones(n_paths, dtype=bool)
+        broke = np.zeros(n_paths, dtype=bool)
+        while np.any(running):
+            togo = rng.exponential(1.0 / lam, n_paths)
+            claim = law.sample(rng, n_paths)
+            ph = running.copy()
+            last_n = np.full(n_paths, -1, dtype=np.int64)
+            last_m = np.full(n_paths, -1, dtype=np.int64)
+            while np.any(ph):
+                idx = np.nonzero(ph)[0]
+                ni, mi = n[idx], m[idx]
+                # instant lump payouts down to the chain anchor
+                lump = pref[ni, mi] != 0
+                if np.any(lump):
+                    li = idx[lump]
+                    acc[li] += paid[n[li], m[li]] * np.exp(-q * t[li])
+                    n[li], m[li] = anchor_n[n[li], m[li]], anchor_m[n[li], m[li]]
+                    ni, mi = n[idx], m[idx]
+                k = exit_k[ni, mi]
+                kd = k * delta
+                # boundary-riding cycle: batch full periods until the claim
+                cyc = (ni == last_n[idx]) & (mi == last_m[idx]) & (kd > 0)
+                if np.any(cyc):
+                    ci = idx[cyc]
+                    kdc = kd[cyc]
+                    full = np.floor(togo[ci] / kdc).astype(np.int64)
+                    cap = np.floor(np.maximum(horizon - t[ci], 0.0) / kdc).astype(np.int64)
+                    reps = np.minimum(full, cap)
+                    pos = np.nonzero(reps > 0)[0]
+                    if pos.size:
+                        pi = ci[pos]
+                        kdp = kdc[pos]
+                        en = n[pi] + k[cyc][pos]
+                        em = m[pi] + k[cyc][pos]
+                        pay = paid[en, em]
+                        x = np.exp(-q * kdp)
+                        acc[pi] += pay * np.exp(-q * t[pi]) * x * (1 - x ** reps[pos]) / (1 - x)
+                        t[pi] += reps[pos] * kdp
+                        togo[pi] -= reps[pos] * kdp
+                    over = ci[(full > cap)]
+                    if over.size:
+                        running[over] = False
+                        ph[over] = False
+                    idx = np.nonzero(ph)[0]
+                    if idx.size == 0:
+                        break
+                    ni, mi = n[idx], m[idx]
+                    k = exit_k[ni, mi]
+                    kd = k * delta
+                last_n[idx], last_m[idx] = ni, mi
+                claims_now = togo[idx] <= kd
+                ci = idx[claims_now]
+                if ci.size:
+                    s = togo[ci]
+                    y1 = n[ci] * dx1 + c1 * s - b1 * claim[ci]
+                    y2 = m[ci] * dx2 + c2 * s - b2 * claim[ci]
+                    t[ci] += s
+                    ruined = (y1 < 0) | (y2 < 0)
+                    running[ci[ruined]] = False
+                    broke[ci[ruined]] = True
+                    ok = ci[~ruined]
+                    if ok.size:
+                        k1 = np.floor(y1[~ruined] / dx1 + 1e-12).astype(np.int64)
+                        k2 = np.floor(y2[~ruined] / dx2 + 1e-12).astype(np.int64)
+                        rem = (y1[~ruined] - k1 * dx1) + (y2[~ruined] - k2 * dx2)
+                        acc[ok] += rem * np.exp(-q * t[ok])
+                        n[ok], m[ok] = k1, k2
+                        running[ok[t[ok] >= horizon]] = False
+                    ph[ci] = False
+                di = idx[~claims_now]
+                if di.size:
+                    t[di] += kd[~claims_now]
+                    togo[di] -= kd[~claims_now]
+                    n[di] += k[~claims_now]
+                    m[di] += k[~claims_now]
+                    hit = di[t[di] >= horizon]
+                    running[hit] = False
+                    ph[hit] = False
+        return acc, t, broke
+
+    return run

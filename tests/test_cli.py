@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,13 @@ def run_dir(tmp_path_factory):
     return out, cfg
 
 
+@pytest.fixture(scope="module")
+def validated(run_dir):
+    out, cfg = run_dir
+    rc = main(["validate", "--config", str(cfg), "--out", str(out)])
+    return rc, (out / "validate.json").read_text()
+
+
 class TestSolve2dCommand:
 
     def test_artifacts_written(self, run_dir):
@@ -111,6 +119,9 @@ class TestSolve2dCommand:
         sim = json.loads((out / "sim.json").read_text())
         assert len(sim["results"]) == 5
         assert all(abs(r["z"]) <= 4.0 for r in sim["results"])
+        for row in sim["results"]:
+            assert row["rounds"] > 0
+            assert row["ruined"] + row["horizon_cut"] == sim["paths"]
 
     def test_merger_compare_command(self, run_dir):
         out, cfg = run_dir
@@ -121,15 +132,28 @@ class TestSolve2dCommand:
         assert rows[0] == "x1,x2,merger_reduced,v2d_reduced"
         assert len(rows) == 6
 
-    def test_validate_command_passes(self, run_dir):
-        out, cfg = run_dir
-        rc = main(["validate", "--config", str(cfg), "--out", str(out)])
-        text = (out / "validate.json").read_text()
+    def test_validate_command_passes(self, validated):
+        rc, text = validated
         report = json.loads(text)
         assert rc == 0, report
         assert report["pass"]
         # details are formatted from plain floats, not numpy reprs
         assert "np.float64" not in text
+
+    def test_validate_numeric_fields(self, validated):
+        report = json.loads(validated[1])
+        checks = {c["name"]: c for c in report["checks"]}
+        numeric = {"residual", "d1_identity", "reflection_suboptimal", "merger_dominance",
+                   "mc_policy_crosscheck", "mc_take_and_run"}
+        assert numeric <= set(checks)
+        for name, c in checks.items():
+            if name in numeric:
+                assert isinstance(c["value"], float) and math.isfinite(c["value"])
+                assert isinstance(c["bound"], float) and math.isfinite(c["bound"])
+            else:
+                assert "value" not in c and "bound" not in c
+        assert checks["residual"]["value"] <= checks["residual"]["bound"]
+        assert abs(checks["mc_take_and_run"]["value"]) <= checks["mc_take_and_run"]["bound"]
 
     def test_simulate_missing_artifacts_exit_2(self, tmp_path, cfg_file):
         rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "no")])
@@ -151,6 +175,25 @@ class TestSolve1dCommand:
         cfg = tmp_path / "trunc.cfg"
         cfg.write_text(TINY_CFG.replace("x_max_1d = 25", "x_max_1d = 2"))
         assert main(["solve1d", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+class TestTruncated1dBands:
+    def test_validate_and_merger_compare_exit_3(self, tmp_path, capsys):
+        # example-1 parameters on a grid too small for the 1D bands: the 2D
+        # solve succeeds, the 1D solves inside validate and merger-compare
+        # cannot
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(TINY_CFG.replace("x1_max = 9", "x1_max = 1.5")
+                       .replace("x2_max = 9", "x2_max = 1.5"))
+        out = tmp_path / "o"
+        assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for command in ("validate", "merger-compare"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command}: ") and len(err.strip().splitlines()) == 1
+        assert not (out / "validate.json").exists()
+        assert not (out / "merger_compare.csv").exists()
 
 
 class TestValidateNegativeControl:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from divopt.model import (
     SurplusPoint,
     validate_params,
 )
-from divopt import solver1d, solver2d
+from divopt import simulate, solver1d, solver2d
 from divopt.simulate import (
     MReflection,
     PolicyTable,
@@ -20,6 +22,8 @@ from divopt.simulate import (
     estimate_gap,
     simulate_policy,
 )
+
+from oracles import policy_runner_reference
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 LAW = Exponential(0.6)
@@ -90,6 +94,45 @@ class TestPolicyTable:
         res = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), x0, 30_000, seed=9)
         assert abs(estimate_gap(res, v.extend(x0.x1, x0.x2))) <= 3.0
 
+    def test_matches_segment_walk_reference(self, small_policy):
+        # the jump-table runner against the one-segment-at-a-time walk with
+        # the same draws, from a node deep in the no-pay region and from
+        # nodes in the branch-1 and branch-2 lump regions
+        grid, v, policy = small_policy
+        flow = solver2d.policy_flow(policy)
+        strat = PolicyTable(policy, v)
+        inside = np.unravel_index(np.argmax(np.where(flow.pref == 0, flow.exit_k, 0)),
+                                  grid.shape)
+        starts = [inside, (20, 30), (5, 80)]
+        assert [flow.pref[s] for s in starts] == [0, 1, 2]
+        assert flow.exit_k[inside] > 1
+        horizon = math.log(1e4) / PARAMS.q
+        drift_run = flow.exit_k.max() * grid.delta
+        for n, m in starts:
+            x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)
+            vals, t_final, ruined, rounds = simulate._policy_runner(PARAMS, LAW, strat, x0)(
+                2000, 17, horizon)
+            ref_vals, ref_t, ref_ruined = policy_runner_reference(PARAMS, LAW, strat, x0)(
+                2000, 17, horizon)
+            np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(ruined, ref_ruined)
+            assert rounds > 1 and 0 < np.count_nonzero(~ruined) < 2000
+            np.testing.assert_allclose(t_final[ruined], ref_t[ruined], rtol=0, atol=1e-9)
+            # a horizon-cut path may stop one drift run later than the
+            # reference's batched cycle, which halts short of the horizon
+            assert np.all(np.abs(t_final - ref_t)[~ruined] <= drift_run + 1e-9)
+            assert np.all(t_final[~ruined] >= horizon)
+
+    def test_diagnostics_count_every_path(self, small_policy):
+        grid, v, policy = small_policy
+        res = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), SurplusPoint(2.0, 3.0),
+                              3000, seed=4)
+        assert res.rounds > 1
+        assert res.ruined > 0 and res.horizon_cut > 0
+        assert res.ruined + res.horizon_cut == res.n_paths
+        tr = simulate_policy(PARAMS, LAW, TakeAndRun(), SurplusPoint(2.0, 3.0), 100, seed=4)
+        assert (tr.rounds, tr.ruined, tr.horizon_cut) == (1, 100, 0)
+
     def test_reproducible_bit_identical(self, small_policy):
         grid, v, policy = small_policy
         x0 = SurplusPoint(1.0, 2.0)
@@ -150,4 +193,5 @@ class TestMReflection:
         x0 = SurplusPoint(2.0, 3.0)
         refl = simulate_policy(PARAMS, LAW, MReflection(wbar), x0, 20_000, seed=33)
         pol = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), x0, 20_000, seed=34)
+        assert refl.rounds > 1 and refl.ruined + refl.horizon_cut == refl.n_paths
         assert refl.mean <= pol.mean + 3.0 * (refl.stderr + pol.stderr)
