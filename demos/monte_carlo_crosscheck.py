@@ -29,10 +29,11 @@ print(f"solver: {rep.iterations} sweeps, residual {rep.residual_max:.1e}")
 n_paths = 50_000
 print(f"\npolicy evaluation with {n_paths} paths per point:")
 print(f"{'start':>14} {'solver':>9} {'simulated':>16} {'z':>6} {'horizon':>8}")
+table = PolicyTable(policy, v)
 for x1, x2 in [(5.4, 6.36), (2.04, 3.0), (8.04, 3.0)]:
     n, m = round(x1 / grid.dx1), round(x2 / grid.dx2)
     x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)
-    res = simulate_policy(params, law, PolicyTable(policy, v), x0, n_paths, seed=99)
+    res = simulate_policy(params, law, table, x0, n_paths, seed=99)
     z = estimate_gap(res, v.values[n, m])
     print(f"({x0.x1:5.2f},{x0.x2:5.2f}) {v.values[n, m]:9.4f} "
           f"{res.mean:9.4f}+-{res.stderr:.4f} {z:+6.2f} {res.horizon:8.1f}")

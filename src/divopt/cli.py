@@ -6,7 +6,8 @@ byte for byte together with versions, seeds, and timings so deterministic
 runs can be reproduced exactly.
 
 Exit codes: 0 success, 1 validation failure, 2 bad config or missing
-artifacts, 3 solver nonconvergence.
+artifacts, 3 a solve that cannot finish (nonconvergence, or a 1D band cut
+by its truncation).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .hjb2d import ValueField, build_claim_kernel, set_fft_workers
+from .hjb2d import NonConvergenceError, ValueField, build_claim_kernel, set_fft_workers
 from .model import (
     Deterministic,
     Erlang2,
@@ -39,10 +40,6 @@ __all__ = ["main", "load_config", "build_model", "build_grid", "ConfigError"]
 
 class ConfigError(ValueError):
     pass
-
-
-# a 1D solve that cannot finish: the command exits 3 with one line on stderr
-_SOLVE_1D_ERRORS = (solver1d.NonConvergence1D, solver1d.TruncationError)
 
 
 def load_config(path):
@@ -163,12 +160,7 @@ def cmd_solve2d(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    eps_tie = float(cfg["eps_tie"]) if "eps_tie" in cfg else None
-    try:
-        v, policy, report = solver2d.solve(params, law, grid, tol=tol, eps_tie=eps_tie)
-    except solver2d.NonConvergenceError as exc:
-        print(f"solve2d: {exc}", file=sys.stderr)
-        return 3
+    v, policy, report = solver2d.solve(params, law, grid, tol=tol)
     region = solver2d.extract_regions(policy, v)
     solver2d.write_value_csv(out / "value.csv", v)
     solver2d.write_policy_csv(out / "policy.csv", policy, region)
@@ -201,11 +193,7 @@ def cmd_solve1d(args):
     prob = solver1d.make_auxiliary_problem(params, law, args.kind, m_cost)
     delta = _get_float(cfg, "delta_1d", _get_float(cfg, "delta") / 4.0)
     x_max = _get_float(cfg, "x_max_1d", 2.0 * _get_float(cfg, "x1_max", 14.0))
-    try:
-        sol = solver1d.solve_1d(prob, delta, x_max, tol=_get_float(cfg, "tol", 1e-9))
-    except _SOLVE_1D_ERRORS as exc:
-        print(f"solve1d: {exc}", file=sys.stderr)
-        return 3
+    sol = solver1d.solve_1d(prob, delta, x_max, tol=_get_float(cfg, "tol", 1e-9))
     with open(out / f"value1d_{args.kind}.csv", "w") as fh:
         fh.write("x,value,label\n")
         for n, val in enumerate(sol.values):
@@ -270,14 +258,12 @@ def cmd_simulate(args):
     manifest = json.loads(manifest_path.read_text())
     v = _read_value_csv(value_path, grid)
     policy = _read_policy_csv(policy_path, grid, manifest.get("eps_tie", 1e-9))
+    table = sim_mod.PolicyTable(policy, v)
     n_paths = int(_get_float(cfg, "paths", 10_000))
     seed = args.seed if args.seed is not None else int(_get_float(cfg, "seed", 1))
     rows = []
     for x1, x2 in _sample_points(cfg, grid):
-        res = sim_mod.simulate_policy(
-            params, law, sim_mod.PolicyTable(policy, v), SurplusPoint(x1, x2),
-            n_paths, seed,
-        )
+        res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, seed)
         z = sim_mod.estimate_gap(res, v.extend(x1, x2))
         rows.append(
             {
@@ -307,11 +293,7 @@ def cmd_merger_compare(args):
     v = _read_value_csv(value_path, grid)
     m_cost = args.m_cost if args.m_cost is not None else _get_float(cfg, "merger.cost", 0.0)
     samples = _sample_points(cfg, grid)
-    try:
-        rows, merger = solver1d.merger_compare(params, law, m_cost, samples, v)
-    except _SOLVE_1D_ERRORS as exc:
-        print(f"merger-compare: {exc}", file=sys.stderr)
-        return 3
+    rows, merger = solver1d.merger_compare(params, law, m_cost, samples, v)
     with open(out / "merger_compare.csv", "w") as fh:
         fh.write("x1,x2,merger_reduced,v2d_reduced\n")
         for x1, x2, vm, vd in rows:
@@ -361,22 +343,18 @@ def cmd_validate(args):
     check("d1_identity", dev <= 2 * (grid.dx1 + grid.dx2), f"max deviation {dev:.4f}",
           dev, 2 * (grid.dx1 + grid.dx2))
 
-    try:
-        wbar = solver1d.solve_1d(
-            solver1d.make_auxiliary_problem(params, law, "wbar"),
-            grid.delta / 4.0,
-            grid.x2_max * 2.0,
-        )
-        rows, _ = solver1d.merger_compare(
-            params, law, 0.0,
-            [(n * grid.dx1, m * grid.dx2)
-             for n in range(0, grid.n_max + 1, max(1, grid.n_max // 20))
-             for m in range(0, grid.m_max + 1, max(1, grid.m_max // 20))],
-            v,
-        )
-    except _SOLVE_1D_ERRORS as exc:
-        print(f"validate: {exc}", file=sys.stderr)
-        return 3
+    wbar = solver1d.solve_1d(
+        solver1d.make_auxiliary_problem(params, law, "wbar"),
+        grid.delta / 4.0,
+        grid.x2_max * 2.0,
+    )
+    rows, _ = solver1d.merger_compare(
+        params, law, 0.0,
+        [(n * grid.dx1, m * grid.dx2)
+         for n in range(0, grid.n_max + 1, max(1, grid.n_max // 20))
+         for m in range(0, grid.m_max + 1, max(1, grid.m_max // 20))],
+        v,
+    )
     if params.is_symmetric:
         xs = np.linspace(0.2, 0.8, 7) * min(grid.x1_max, grid.x2_max)
         rel = max(
@@ -400,14 +378,12 @@ def cmd_validate(args):
           worst_gap, -100 * tol_eff)
 
     policy = _read_policy_csv(out / "policy.csv", grid, manifest.get("eps_tie", 1e-9))
+    table = sim_mod.PolicyTable(policy, v)
     n_paths = int(_get_float(cfg, "paths", 20_000))
     seed = args.seed if args.seed is not None else int(_get_float(cfg, "seed", 1))
     worst_z = 0.0
     for x1, x2 in _sample_points(cfg, grid)[:3]:
-        res = sim_mod.simulate_policy(
-            params, law, sim_mod.PolicyTable(policy, v), SurplusPoint(x1, x2),
-            n_paths, seed,
-        )
+        res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, seed)
         worst_z = max(worst_z, abs(sim_mod.estimate_gap(res, v.extend(x1, x2))))
     check("mc_policy_crosscheck", worst_z <= 3.0, f"max |z| = {worst_z:.2f}", worst_z, 3.0)
 
@@ -456,6 +432,10 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NonConvergenceError, solver1d.TruncationError) as exc:
+        # a solve that cannot finish: one line on stderr, exit 3
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 3
     return 2
 
 

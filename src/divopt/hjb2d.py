@@ -17,13 +17,17 @@ claim ruining a branch is exactly a negative lookup index.  The whole
 claim operator is therefore one correlation of the value table with a
 fixed kernel (zero padding implements ruin), evaluated either per point
 by a sparse gather or over the full grid by FFT.  The same cells on one
-axis, and the same FFT correlation, give the 1D solver's claim operator.
+axis, and the same FFT correlation, give the 1D solver's claim operator;
+the two solvers also share the stop loop, the argmax-set extraction and
+the exact ray integral defined here.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +44,9 @@ __all__ = [
     "correlate",
     "build_claim_kernel",
     "claim_field",
+    "NonConvergenceError",
+    "iterate",
+    "argmax_sets",
     "set_fft_workers",
     "shift_up_diag",
     "op_lump",
@@ -48,6 +55,7 @@ __all__ = [
     "op_T",
     "tie_epsilon",
     "continuous_L",
+    "ray_integral",
 ]
 
 EPS_TIE_REL = 1e-9
@@ -302,6 +310,62 @@ def claim_field(kernel: ClaimKernel, values: np.ndarray) -> np.ndarray:
     return correlate(values, kernel._fk, kernel.fshape) + kernel.payout_field
 
 
+class NonConvergenceError(RuntimeError):
+    """Value iteration hit its sweep cap before the stop rule fired."""
+
+    def __init__(self, sweeps, last_increment):
+        super().__init__(
+            f"value iteration hit the sweep cap ({sweeps}) with sup-increment "
+            f"{last_increment:.3e}"
+        )
+        self.sweeps = sweeps
+        self.last_increment = last_increment
+
+
+def iterate(claim, sweep, v, tol, iter_cap):
+    """Monotone value iteration from the table v, shared by both solvers.
+
+    Each sweep freezes the claim field cf = claim(v) and takes sweep(copy
+    of v, cf) as the next iterate, until the sup increment of a sweep drops
+    below tol * (1 + sup v).  Returns (values, sweeps, last sup increment,
+    min increment, effective tol, seconds per phase).
+    """
+    phases = {"claim_field": 0.0, "sweeps": 0.0}
+    sup_inc = min_inc = math.inf
+    for sweeps in range(1, iter_cap + 1):
+        t_cf = time.perf_counter()
+        cf = claim(v)
+        t_sweep = time.perf_counter()
+        w = sweep(v.copy(), cf)
+        inc = w - v
+        sup_inc = float(inc.max())
+        min_inc = min(min_inc, float(inc.min()))
+        v = w
+        tol_eff = tol * (1.0 + float(v.max()))
+        phases["claim_field"] += t_sweep - t_cf
+        phases["sweeps"] += time.perf_counter() - t_sweep
+        if sup_inc < tol_eff:
+            return v, sweeps, sup_inc, min_inc, tol_eff, phases
+    raise NonConvergenceError(iter_cap, sup_inc)
+
+
+def tie_epsilon(max_value: float) -> float:
+    return EPS_TIE_REL * (1.0 + abs(max_value))
+
+
+def argmax_sets(v: np.ndarray, fields):
+    """Argmax sets and residual of the operator fields T_i at the table v.
+
+    Returns one mask per field, true where T_i is within the tie tolerance
+    of max_i T_i; the tie tolerance; and |sup(max_i T_i - v)| over the
+    interior nodes (all but the last on each axis).
+    """
+    best = functools.reduce(np.maximum, fields)
+    eps = tie_epsilon(float(best.max()))
+    resid = abs(float((best - v)[(slice(-1),) * v.ndim].max()))
+    return [f >= best - eps for f in fields], eps, resid
+
+
 def integral_I_delta(kernel: ClaimKernel, v: ValueField, n: int, m: int) -> float:
     """Claim integral at a single node by direct gather over kernel cells."""
     g = kernel.grid
@@ -330,10 +394,6 @@ def op_lump(v: ValueField, n: int, m: int, axis: int) -> float:
 def op_T0(kernel: ClaimKernel, v: ValueField, n: int, m: int) -> float:
     """No-dividend continuation over one step (or until the first claim)."""
     return kernel.discount_step * v.lookup(n + 1, m + 1) + integral_I_delta(kernel, v, n, m)
-
-
-def tie_epsilon(max_value: float) -> float:
-    return EPS_TIE_REL * (1.0 + abs(max_value))
 
 
 def op_T(kernel: ClaimKernel, v: ValueField, n: int, m: int, eps_tie: float = None):
@@ -367,7 +427,10 @@ def continuous_L(
     u0 = v.extend(x1, x2)
     d1 = (v.extend(x1 + g.dx1, x2) - u0) / g.dx1
     d2 = (v.extend(x1, x2 + g.dx2) - u0) / g.dx2
-    integral = _ray_integral(v, x1, x2, params, law)
+    integral = ray_integral(
+        v.values, (x1, x2), (params.b1, params.b2), (g.dx1, g.dx2), (1.0, 1.0),
+        min(x1 / params.b1, x2 / params.b2), law,
+    )
     return (
         params.c1 * d1
         + params.c2 * d2
@@ -376,26 +439,30 @@ def continuous_L(
     )
 
 
-def _ray_integral(v: ValueField, x1: float, x2: float, params: ModelParams, law: ClaimLaw):
-    """int_0^{x1/b1 ^ x2/b2} V_ext(x1 - b1 u, x2 - b2 u) dG(u), exactly per cell."""
-    g = v.grid
-    b1, b2 = params.b1, params.b2
-    ub = min(x1 / b1, x2 / b2)
+def ray_integral(values: np.ndarray, xs, bs, dxs, slopes, ub: float, law: ClaimLaw):
+    """int_0^ub U(x - b*u) dG(u), exactly per grid cell, over one or two axes.
+
+    U is the floor-plus-remainder extension of the table values: the value
+    at the floor node plus slopes[i] per unit of axis-i remainder.  Axis i
+    starts at xs[i] with claim share bs[i] and grid step dxs[i]; ub must
+    not exceed min_i xs[i]/bs[i], where the first axis is ruined.
+    """
     if ub <= 0:
         return 0.0
     cuts = [np.array([0.0, ub])]
-    for coord, b, dx in ((x1, b1, g.dx1), (x2, b2, g.dx2)):
-        ks = np.arange(0, int(math.floor(coord / dx)) + 1)
-        alphas = (coord - ks * dx) / b
+    for x, b, dx in zip(xs, bs, dxs):
+        alphas = (x - np.arange(int(math.floor(x / dx)) + 1) * dx) / b
         cuts.append(alphas[(alphas > 0) & (alphas < ub)])
     bp = np.unique(np.concatenate(cuts))
     keep = np.concatenate([[True], np.diff(bp) > 1e-13 * max(1.0, ub)])
     bp = bp[keep]
+    slope = -sum(r * b for r, b in zip(slopes, bs))
     total = 0.0
     for a_lo, a_hi in zip(bp[:-1], bp[1:]):
         amid = 0.5 * (a_lo + a_hi)
-        k1 = int(math.floor((x1 - b1 * amid) / g.dx1))
-        k2 = int(math.floor((x2 - b2 * amid) / g.dx2))
-        p = v.values[k1, k2] + (x1 - k1 * g.dx1) + (x2 - k2 * g.dx2)
-        total += integrate_affine(law, a_lo, a_hi, p, -1.0)
+        ks = [int(math.floor((x - b * amid) / dx)) for x, b, dx in zip(xs, bs, dxs)]
+        p = values[tuple(ks)]
+        for x, k, dx, r in zip(xs, ks, dxs, slopes):
+            p += r * (x - k * dx)
+        total += integrate_affine(law, a_lo, a_hi, p, slope)
     return total

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,11 @@ class PolicyTable:
 
     policy: PolicyField
     values: ValueField
+
+    @cached_property
+    def flow(self):
+        """The policy-flow tables, built on first use and shared by every run."""
+        return policy_flow(self.policy)
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,7 @@ def _policy_runner(params, law, strat: PolicyTable, x0: SurplusPoint):
     g = strat.policy.grid
     if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
         raise ValueError("initial surplus outside the solved grid")
-    flow = policy_flow(strat.policy)
+    flow = strat.flow
     _, anchor_n, anchor_m, paid, exit_k = flow
     dx1, dx2, delta = g.dx1, g.dx2, g.delta
     c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2

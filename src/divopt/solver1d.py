@@ -16,33 +16,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hjb2d import claim_cells, correlate, kernel_fft, tie_epsilon
-from .model import ClaimLaw, ModelParams, integrate_affine, validate_params
+from .hjb2d import argmax_sets, claim_cells, correlate, iterate, kernel_fft
+from .model import ClaimLaw, ModelParams, validate_params
 
 __all__ = [
     "OneDimProblem",
     "BandStructure",
     "WbarSolution",
     "TruncationError",
-    "NonConvergence1D",
     "make_auxiliary_problem",
     "solve_1d",
-    "ray_integral",
     "tilde_V_eval",
     "merger_compare",
 ]
 
 class TruncationError(RuntimeError):
     """The band did not close with a lump region before the truncation."""
-
-
-class NonConvergence1D(RuntimeError):
-    def __init__(self, sweeps, last_increment):
-        super().__init__(
-            f"1D iteration hit the sweep cap ({sweeps}) with sup-increment "
-            f"{last_increment:.3e}"
-        )
-        self.last_increment = last_increment
 
 
 @dataclass(frozen=True)
@@ -174,43 +163,29 @@ def solve_1d(
     rho_dx = prob.rho * dx
     fshape, fk, payout = _claim_kernel(prob, delta, n_max + 1)
 
-    t_start = time.perf_counter()
-    w = np.zeros(n_max + 1)
     offs = np.arange(n_max + 1) * rho_dx
-    sup_inc = math.inf
-    min_inc = math.inf
-    tol_eff = tol
-    sweeps = 0
-    while sweeps < iter_cap:
-        cf = correlate(w, fk, fshape) + payout + r0
-        nxt = w.copy()
+
+    def sweep(nxt, cf, disc=disc, rho_dx=rho_dx, n_max=n_max):
+        # defaults bind fast locals: this loop takes millions of node steps per validate
         for n in range(n_max, -1, -1):
             upv = nxt[n + 1] if n < n_max else nxt[n_max] + rho_dx
             cand = disc * upv + cf[n]
             if cand > nxt[n]:
                 nxt[n] = cand
-        nxt = np.maximum(nxt, np.maximum.accumulate(nxt - offs) + offs)
-        inc = nxt - w
-        sup_inc = float(inc.max())
-        min_inc = min(min_inc, float(inc.min()))
-        w = nxt
-        sweeps += 1
-        tol_eff = tol * (1.0 + float(w.max()))
-        if sup_inc < tol_eff:
-            break
-    else:
-        raise NonConvergence1D(sweeps, sup_inc)
+        return np.maximum(nxt, np.maximum.accumulate(nxt - offs) + offs)
+
+    t_start = time.perf_counter()
+    w, sweeps, sup_inc, min_inc, tol_eff, _ = iterate(
+        lambda u: correlate(u, fk, fshape) + payout + r0, sweep, np.zeros(n_max + 1),
+        tol, iter_cap,
+    )
 
     up = np.append(w[1:], w[-1] + rho_dx)
     t0f = disc * up + (correlate(w, fk, fshape) + payout) + r0
     t1f = np.full_like(w, -np.inf)
     t1f[1:] = w[:-1] + rho_dx
-    best = np.maximum(t0f, t1f)
-    eps = tie_epsilon(float(best.max()))
-    is_b = t1f >= best - eps
-    is_c = t0f >= best - eps
+    (is_c, is_b), _, resid = argmax_sets(w, (t0f, t1f))
     band = _extract_band(is_b, is_c, dx)
-    resid = abs(float((best - w)[:-1].max()))
 
     return WbarSolution(
         problem=prob,
@@ -258,25 +233,6 @@ def _extract_band(is_b, is_c, dx):
     return BandStructure(
         breakpoints=breakpoints, intervals=intervals, a_points=sorted(set(a_points))
     )
-
-
-def ray_integral(wbar: WbarSolution, z0: float, b: float, ub: float, law: ClaimLaw):
-    """int_0^ub Wext(z0 - b*u) dG(u), exact per grid cell of the 1D solution."""
-    if ub <= 0:
-        return 0.0
-    dx = wbar.dx
-    ks = np.arange(0, int(math.floor(z0 / dx)) + 1)
-    alphas = (z0 - ks * dx) / b
-    cuts = np.concatenate([[0.0, ub], alphas[(alphas > 0) & (alphas < ub)]])
-    bp = np.unique(cuts)
-    total = 0.0
-    rho = wbar.rho
-    for a_lo, a_hi in zip(bp[:-1], bp[1:]):
-        amid = 0.5 * (a_lo + a_hi)
-        k = int(math.floor((z0 - b * amid) / dx))
-        p = wbar.values[k] + rho * (z0 - k * dx)
-        total += integrate_affine(law, a_lo, a_hi, p, -rho * b)
-    return total
 
 
 def tilde_V_eval(wbar: WbarSolution, params: ModelParams, x1: float, x2: float) -> float:

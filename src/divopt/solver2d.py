@@ -23,15 +23,17 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from . import solver1d
 from .hjb2d import (
     Action,
     ClaimKernel,
+    NonConvergenceError,
     ValueField,
+    argmax_sets,
     build_claim_kernel,
     claim_field,
+    iterate,
+    ray_integral,
     shift_up_diag,
-    tie_epsilon,
 )
 from .model import ClaimLaw, GridSpec, ModelParams, region_of, validate_params
 
@@ -70,16 +72,6 @@ ARGMAX_NAMES = tuple(
     "+".join(a.name for a in (Action.E0, Action.E1, Action.E2) if mask & a)
     for mask in range(8)
 )
-
-
-class NonConvergenceError(RuntimeError):
-    def __init__(self, sweeps, last_increment):
-        super().__init__(
-            f"value iteration hit the sweep cap ({sweeps}) with sup-increment "
-            f"{last_increment:.3e}"
-        )
-        self.sweeps = sweeps
-        self.last_increment = last_increment
 
 
 @dataclass
@@ -197,10 +189,6 @@ class RegionMap:
         return LABEL_NAMES[int(self.labels[n, m])]
 
 
-def _t1_closure(row, offs):
-    return np.maximum(row, np.maximum.accumulate(row - offs) + offs)
-
-
 def _sweep_inplace(w, cf, grid, disc):
     n_pts, m_pts = w.shape
     dx1, dx2 = grid.dx1, grid.dx2
@@ -211,7 +199,7 @@ def _sweep_inplace(w, cf, grid, disc):
         cont[:-1] = up[1:]
         cont[-1] = up[-1] + dx1
         row = np.maximum(w[:, m], disc * cont + cf[:, m])
-        w[:, m] = _t1_closure(row, offs)
+        w[:, m] = np.maximum(row, np.maximum.accumulate(row - offs) + offs)
     # Every column is now closed under branch-1 lumps, and a max of closed
     # columns stays closed, so the branch-2 lump closure needs no further
     # branch-1 pass: it is one prefix-max scan along axis 1.
@@ -238,13 +226,11 @@ def solve(
     tol: float = 1e-8,
     iter_cap: int = 200_000,
     kernel: ClaimKernel = None,
-    eps_tie: float = None,
 ):
     """Iterate to the grid fixed point and extract the policy.
 
     tol is relative: the loop stops when the sup increment of a sweep drops
-    below tol * (1 + sup v); eps_tie overrides the default argmax tie
-    tolerance of 1e-9 * (1 + |max|).  Returns (ValueField, PolicyField,
+    below tol * (1 + sup v).  Returns (ValueField, PolicyField,
     SolveReport).
     """
     params = validate_params(params)
@@ -253,55 +239,29 @@ def solve(
     if kernel is None:
         kernel = build_claim_kernel(params, law, grid)
     t_start = time.perf_counter()
-    phases = {"claim_field": 0.0, "sweeps": 0.0, "policy": 0.0}
-    v = np.zeros(grid.shape)
-    sup_inc = math.inf
-    min_inc = math.inf
-    tol_eff = tol
-    sweeps = 0
-    while sweeps < iter_cap:
-        t_cf = time.perf_counter()
-        cf = claim_field(kernel, v)
-        t_sweep = time.perf_counter()
-        w = _sweep_inplace(v.copy(), cf, grid, kernel.discount_step)
-        inc = w - v
-        sup_inc = float(inc.max())
-        min_inc = min(min_inc, float(inc.min()))
-        v = w
-        sweeps += 1
-        tol_eff = tol * (1.0 + float(v.max()))
-        phases["claim_field"] += t_sweep - t_cf
-        phases["sweeps"] += time.perf_counter() - t_sweep
-        if sup_inc < tol_eff:
-            break
-    else:
-        raise NonConvergenceError(sweeps, sup_inc)
+    # claim_field resolves in this module at each call, where tracers wrap it
+    v, sweeps, sup_inc, min_inc, tol_eff, phases = iterate(
+        lambda u: claim_field(kernel, u),
+        lambda w, cf: _sweep_inplace(w, cf, grid, kernel.discount_step),
+        np.zeros(grid.shape), tol, iter_cap,
+    )
 
     t_policy = time.perf_counter()
-    vf = ValueField(grid, v)
-    t0, t1, t2 = _operator_fields(kernel, v)
-    best = np.maximum(t0, np.maximum(t1, t2))
-    eps = tie_epsilon(float(best.max())) if eps_tie is None else eps_tie
-    mask = (
-        (t0 >= best - eps) * int(Action.E0)
-        + (t1 >= best - eps) * int(Action.E1)
-        + (t2 >= best - eps) * int(Action.E2)
-    ).astype(np.uint8)
-    policy = PolicyField(grid=grid, actions=mask, eps_tie=eps, converged=True)
-
-    interior = np.maximum(t0 - v, np.maximum(t1 - v, t2 - v))[: grid.n_max, : grid.m_max]
+    masks, eps, resid = argmax_sets(v, _operator_fields(kernel, v))
+    acts = sum(mask * int(a) for mask, a in zip(masks, (Action.E0, Action.E1, Action.E2)))
+    policy = PolicyField(grid=grid, actions=acts.astype(np.uint8), eps_tie=eps, converged=True)
     phases["policy"] = time.perf_counter() - t_policy
     report = SolveReport(
         iterations=sweeps,
         final_sup_increment=sup_inc,
-        residual_max=abs(float(interior.max())),
+        residual_max=resid,
         wall_time=time.perf_counter() - t_start,
         tol_effective=tol_eff,
         min_increment=min_inc,
         converged=True,
         phases=phases,
     )
-    return vf, policy, report
+    return ValueField(grid, v), policy, report
 
 
 def residual_check(kernel: ClaimKernel, v: ValueField) -> float:
@@ -310,10 +270,7 @@ def residual_check(kernel: ClaimKernel, v: ValueField) -> float:
     Zero at any fixed point (lump ties included); for an accepted solve the
     value must stay below 10x the stopping tolerance.
     """
-    t0, t1, t2 = _operator_fields(kernel, v.values)
-    resid = np.maximum(t0 - v.values, np.maximum(t1 - v.values, t2 - v.values))
-    interior = resid[: v.grid.n_max, : v.grid.m_max]
-    return abs(float(interior.max()))
+    return argmax_sets(v.values, _operator_fields(kernel, v.values))[2]
 
 
 def _mask_label(actions):
@@ -567,7 +524,9 @@ def _tilde_L(params, law, wbar, x1, x2):
     d2 = 1.0
     ub = x1 / params.b1
     shift = x2 - z0
-    integral = shift * float(law.cdf(ub)) + solver1d.ray_integral(wbar, z0, params.b2, ub, law)
+    integral = shift * float(law.cdf(ub)) + ray_integral(
+        wbar.values, (z0,), (params.b2,), (wbar.dx,), (wbar.rho,), ub, law
+    )
     return (
         params.c1 * d1
         + params.c2 * d2

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,26 @@ class TestTruncated1dBands:
             assert err.startswith(f"{command}: ") and len(err.strip().splitlines()) == 1
         assert not (out / "validate.json").exists()
         assert not (out / "merger_compare.csv").exists()
+
+
+class TestSolveErrorExit:
+    def test_nonconvergence_exits_3_in_every_solving_command(self, run_dir, tmp_path,
+                                                              monkeypatch, capsys):
+        # the iteration driver, as both solvers look it up, hits its cap
+        from divopt import hjb2d, solver1d, solver2d
+
+        def capped(*args, **kwargs):
+            raise hjb2d.NonConvergenceError(3, 0.5)
+
+        monkeypatch.setattr(solver2d, "iterate", capped)
+        monkeypatch.setattr(solver1d, "iterate", capped)
+        out = tmp_path / "o"
+        shutil.copytree(run_dir[0], out)
+        capsys.readouterr()
+        for command in ("solve2d", "solve1d", "validate", "merger-compare"):
+            assert main([command, "--config", str(run_dir[1]), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command}: ") and len(err.strip().splitlines()) == 1
 
 
 class TestValidateNegativeControl:

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from divopt.hjb2d import correlate
+from divopt.hjb2d import NonConvergenceError, correlate, ray_integral
 from divopt.model import Deterministic, Erlang2, Exponential, ModelParams, validate_params
 from divopt.solver1d import (
-    NonConvergence1D,
     OneDimProblem,
     TruncationError,
     _claim_kernel,
     make_auxiliary_problem,
     merger_compare,
-    ray_integral,
     solve_1d,
     tilde_V_eval,
 )
@@ -120,7 +118,7 @@ class TestSolve1d:
 
     def test_iteration_cap_raises(self):
         prob = make_auxiliary_problem(EX1, Exponential(0.6), "wbar")
-        with pytest.raises(NonConvergence1D) as exc:
+        with pytest.raises(NonConvergenceError) as exc:
             solve_1d(prob, delta=0.01, x_max=12.0, iter_cap=3)
         assert exc.value.last_increment > 0
 
@@ -157,15 +155,44 @@ class TestTildeV:
     @pytest.mark.filterwarnings("ignore::UserWarning", "ignore:The occurrence of roundoff")
     def test_ray_integral_matches_quadrature(self, wbar):
         from scipy.integrate import quad
-        law = Exponential(0.6)
-        z0, b, ub = 4.0, 0.5, 6.0
-        ref, _ = quad(
-            lambda u: wbar.extend(z0 - b * u) * law.rate * math.exp(-law.rate * u),
-            0.0, ub, limit=400, epsabs=1e-12,
-            points=[(z0 - k * wbar.dx) / b for k in range(0, int(z0 / wbar.dx), 50)],
-        )
-        got = ray_integral(wbar, z0, b, ub, law)
-        assert got == pytest.approx(ref, rel=1e-6)
+        for got, integrand, ub, points in (_one_axis_ray(wbar), _two_axis_ray()):
+            ref, _ = quad(integrand, 0.0, ub, limit=400, epsabs=1e-12, points=points)
+            assert got == pytest.approx(ref, rel=1e-6)
+
+
+def _one_axis_ray(wbar):
+    """A 1D solution's extension along z0 - b*u, exponential claims."""
+    law = Exponential(0.6)
+    z0, b, ub = 4.0, 0.5, 6.0
+    got = ray_integral(wbar.values, (z0,), (b,), (wbar.dx,), (wbar.rho,), ub, law)
+    return (
+        got,
+        lambda u: wbar.extend(z0 - b * u) * law.rate * math.exp(-law.rate * u),
+        ub,
+        [(z0 - k * wbar.dx) / b for k in range(0, int(z0 / wbar.dx), 50)],
+    )
+
+
+def _two_axis_ray():
+    """A solved 2D field along (x1 - b1*u, x2 - b2*u), b1 != b2, Erlang-2 claims."""
+    from divopt import solver2d
+    from divopt.model import GridSpec
+    params = validate_params(ModelParams(c1=2, c2=1, b1=0.6, b2=0.4, lam=1, q=0.05))
+    law = Erlang2(0.857)
+    v, _, _ = solver2d.solve(params, law, GridSpec.make(params, delta=0.1, x1_max=6, x2_max=6))
+    # just above the proportional ray, where the floor crossings of both axes
+    # move the integrand
+    (x1, x2), bs, dxs = (3.05, 2.15), (params.b1, params.b2), (v.grid.dx1, v.grid.dx2)
+    ub = min(x1 / bs[0], x2 / bs[1])
+    got = ray_integral(v.values, (x1, x2), bs, dxs, (1.0, 1.0), ub, law)
+    return (
+        got,
+        lambda u: (v.extend(x1 - bs[0] * u, x2 - bs[1] * u)
+                   * law.rate**2 * u * math.exp(-law.rate * u)),
+        ub,
+        sorted((x - k * dx) / b for x, b, dx in zip((x1, x2), bs, dxs)
+               for k in range(int(x / dx) + 1) if 0 < (x - k * dx) / b < ub),
+    )
 
 
 class TestMergerCompare:
