@@ -17,7 +17,6 @@ from .model import (
     GridSpec,
     ModelParams,
     SurplusPoint,
-    claim_cdf,
     integrate_affine,
     region_of,
     validate_params,
@@ -28,11 +27,6 @@ from .hjb2d import (
     ValueField,
     build_claim_kernel,
     claim_field,
-    continuous_L,
-    integral_I_delta,
-    op_T,
-    op_T0,
-    op_lump,
 )
 from .solver1d import (
     BandStructure,
@@ -56,7 +50,6 @@ from .solver2d import (
     solve,
 )
 from .simulate import (
-    MReflection,
     PolicyTable,
     SimResult,
     TakeAndRun,

@@ -15,11 +15,10 @@ forms.  Crucially the cells and their weights do not depend on the
 start node (n, m): only the lookup index (n + j1, m + j2) does, and a
 claim ruining a branch is exactly a negative lookup index.  The whole
 claim operator is therefore one correlation of the value table with a
-fixed kernel (zero padding implements ruin), evaluated either per point
-by a sparse gather or over the full grid by FFT.  The same cells on one
-axis, and the same FFT correlation, give the 1D solver's claim operator;
-the two solvers also share the stop loop, the argmax-set extraction and
-the exact ray integral defined here.
+fixed kernel (zero padding implements ruin), evaluated over the full grid
+by FFT.  The same cells on one axis, and the same FFT correlation, give
+the 1D solver's claim operator; the two solvers also share the stop loop,
+the argmax-set extraction and the exact ray integral defined here.
 """
 
 from __future__ import annotations
@@ -49,12 +48,7 @@ __all__ = [
     "argmax_sets",
     "set_fft_workers",
     "shift_up_diag",
-    "op_lump",
-    "integral_I_delta",
-    "op_T0",
-    "op_T",
     "tie_epsilon",
-    "continuous_L",
     "ray_integral",
 ]
 
@@ -70,12 +64,11 @@ def set_fft_workers(n: int):
 
 
 class Action(enum.IntFlag):
-    """Grid control actions; ES (stop paying) seeds the iteration only."""
+    """Grid control actions: E0 no payout, E1/E2 a one-cell lump in branch 1/2."""
 
     E0 = 1
     E1 = 2
     E2 = 4
-    ES = 8
 
 
 @dataclass
@@ -250,10 +243,11 @@ def correlate(values: np.ndarray, fk: np.ndarray, fshape) -> np.ndarray:
 class ClaimKernel:
     """Exact cell decomposition of the claim integral for one grid/model/law.
 
-    kw[i1, i2] multiplies W(n - i1, m - i2); kp (same indexing) carries the
-    dividends paid at the claim instant.  payout_field is the correlation
-    of kp with the all-ones table and is the full payout contribution at
-    every node (zero-padding encodes ruin in both pieces).
+    Live cell k sits at offset (cell_i1[k], cell_i2[k]): its weight cell_wv[k]
+    multiplies W(n - i1, m - i2), and cell_wp[k] carries the dividends paid
+    at the claim instant.  payout_field is the sum of the cell_wp terms
+    whose offset stays on the grid, the full payout contribution at every
+    node (zero-padding encodes ruin in both pieces).
 
     fshape, the FFT size, is next_fast_len(s_i + r_i) per axis, where s_i
     is the grid size and r_i the reach: the largest live cell index along
@@ -267,8 +261,6 @@ class ClaimKernel:
     grid: GridSpec
     params: ModelParams
     law: ClaimLaw
-    kw: np.ndarray
-    kp: np.ndarray
     cell_i1: np.ndarray
     cell_i2: np.ndarray
     cell_wv: np.ndarray
@@ -293,8 +285,6 @@ def build_claim_kernel(params: ModelParams, law: ClaimLaw, grid: GridSpec) -> Cl
         grid=grid,
         params=params,
         law=law,
-        kw=kw,
-        kp=kp,
         cell_i1=nz[0].astype(np.int64),
         cell_i2=nz[1].astype(np.int64),
         cell_wv=kw[nz],
@@ -364,79 +354,6 @@ def argmax_sets(v: np.ndarray, fields):
     eps = tie_epsilon(float(best.max()))
     resid = abs(float((best - v)[(slice(-1),) * v.ndim].max()))
     return [f >= best - eps for f in fields], eps, resid
-
-
-def integral_I_delta(kernel: ClaimKernel, v: ValueField, n: int, m: int) -> float:
-    """Claim integral at a single node by direct gather over kernel cells."""
-    g = kernel.grid
-    if not (0 <= n <= g.n_max and 0 <= m <= g.m_max):
-        raise IndexError("grid point outside the truncated grid")
-    keep = (kernel.cell_i1 <= n) & (kernel.cell_i2 <= m)
-    if not np.any(keep):
-        return 0.0
-    vals = v.values[n - kernel.cell_i1[keep], m - kernel.cell_i2[keep]]
-    return float(np.dot(kernel.cell_wv[keep], vals) + kernel.cell_wp[keep].sum())
-
-
-def op_lump(v: ValueField, n: int, m: int, axis: int) -> float:
-    """Lump-payout operator: one grid step of surplus paid as dividends."""
-    if axis == 1:
-        if n <= 0:
-            raise ValueError("branch-1 lump needs n > 0")
-        return v.values[n - 1, m] + v.grid.dx1
-    if axis == 2:
-        if m <= 0:
-            raise ValueError("branch-2 lump needs m > 0")
-        return v.values[n, m - 1] + v.grid.dx2
-    raise ValueError("axis must be 1 or 2")
-
-
-def op_T0(kernel: ClaimKernel, v: ValueField, n: int, m: int) -> float:
-    """No-dividend continuation over one step (or until the first claim)."""
-    return kernel.discount_step * v.lookup(n + 1, m + 1) + integral_I_delta(kernel, v, n, m)
-
-
-def op_T(kernel: ClaimKernel, v: ValueField, n: int, m: int, eps_tie: float = None):
-    """Bellman operator: max of the applicable operators plus its argmax set.
-
-    The action set contains every operator within the tie tolerance of the
-    maximum.  ES is never a candidate.
-    """
-    cands = {Action.E0: op_T0(kernel, v, n, m)}
-    if n > 0:
-        cands[Action.E1] = op_lump(v, n, m, 1)
-    if m > 0:
-        cands[Action.E2] = op_lump(v, n, m, 2)
-    best = max(cands.values())
-    eps = tie_epsilon(best) if eps_tie is None else eps_tie
-    return best, {a for a, val in cands.items() if val >= best - eps}
-
-
-def continuous_L(
-    v: ValueField, x1: float, x2: float, params: ModelParams, law: ClaimLaw
-) -> float:
-    """Generator-type residual of the continuous extension at (x1, x2).
-
-    Diagnostic only: forward differences of step dx1/dx2 for the partials
-    and exact per-cell quadrature of the claim integral along the ray
-    (x1 - b1*u, x2 - b2*u).
-    """
-    g = v.grid
-    if not (0 <= x1 <= g.x1_max - g.dx1 and 0 <= x2 <= g.x2_max - g.dx2):
-        raise ValueError("point outside the domain interior")
-    u0 = v.extend(x1, x2)
-    d1 = (v.extend(x1 + g.dx1, x2) - u0) / g.dx1
-    d2 = (v.extend(x1, x2 + g.dx2) - u0) / g.dx2
-    integral = ray_integral(
-        v.values, (x1, x2), (params.b1, params.b2), (g.dx1, g.dx2), (1.0, 1.0),
-        min(x1 / params.b1, x2 / params.b2), law,
-    )
-    return (
-        params.c1 * d1
-        + params.c2 * d2
-        - (params.q + params.lam) * u0
-        + params.lam * integral
-    )
 
 
 def ray_integral(values: np.ndarray, xs, bs, dxs, slopes, ub: float, law: ClaimLaw):

@@ -26,7 +26,6 @@ __all__ = [
     "GridSpec",
     "SurplusPoint",
     "validate_params",
-    "claim_cdf",
     "integrate_affine",
     "region_of",
 ]
@@ -88,8 +87,6 @@ def validate_params(p: ModelParams) -> ModelParams:
 class ClaimLaw:
     """Base class for claim-size distributions with exact affine moments."""
 
-    kind = "abstract"
-
     def cdf(self, x):
         raise NotImplementedError
 
@@ -106,9 +103,6 @@ class ClaimLaw:
         raise NotImplementedError
 
     def sample(self, rng, size):
-        raise NotImplementedError
-
-    def config_items(self) -> dict:
         raise NotImplementedError
 
 
@@ -147,7 +141,6 @@ class Exponential(ClaimLaw):
     """Claim law G(x) = 1 - exp(-rate * x)."""
 
     rate: float
-    kind = "exponential"
 
     def __post_init__(self):
         if not (self.rate > 0 and math.isfinite(self.rate)):
@@ -169,16 +162,12 @@ class Exponential(ClaimLaw):
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
-    def config_items(self):
-        return {"claim.kind": "exponential", "claim.rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Erlang2(ClaimLaw):
     """Claim law G(x) = 1 - (1 + rate*x) exp(-rate*x), density rate^2 x e^{-rate x}."""
 
     rate: float
-    kind = "erlang2"
 
     def __post_init__(self):
         if not (self.rate > 0 and math.isfinite(self.rate)):
@@ -203,16 +192,12 @@ class Erlang2(ClaimLaw):
     def sample(self, rng, size):
         return rng.gamma(2.0, 1.0 / self.rate, size)
 
-    def config_items(self):
-        return {"claim.kind": "erlang2", "claim.rate": self.rate}
-
 
 @dataclass(frozen=True)
 class Deterministic(ClaimLaw):
     """Constant claim size: all mass at `atom` (> 0), right-continuous cdf."""
 
     atom: float
-    kind = "deterministic"
 
     def __post_init__(self):
         if not (self.atom > 0 and math.isfinite(self.atom)):
@@ -234,16 +219,6 @@ class Deterministic(ClaimLaw):
 
     def sample(self, rng, size):
         return np.full(size, self.atom)
-
-    def config_items(self):
-        return {"claim.kind": "deterministic", "claim.atom": self.atom}
-
-
-def claim_cdf(law: ClaimLaw, x):
-    """Evaluate the claim-size cdf; rejects negative x."""
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("claim size must be nonnegative")
-    return law.cdf(x)
 
 
 def integrate_affine(law: ClaimLaw, a, b, p, s):
@@ -302,12 +277,6 @@ class GridSpec:
     @property
     def x2_max(self):
         return self.m_max * self.dx2
-
-    def x1(self, n):
-        return np.asarray(n) * self.dx1
-
-    def x2(self, m):
-        return np.asarray(m) * self.dx2
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ path riding the boundary (drift up, lump back) is just a loop in the graph.
 All draws use a counter-based Philox generator and are made in full-size
 arrays per claim round, indexed by path, so results are bit-identical for a
 given seed whichever paths are still live.
+
+Two strategies ship: a grid policy table and pay-everything (TakeAndRun).
+simulate_policy runs any other strategy that provides the same runner
+method as PolicyTable, which is how the tests drive their reference
+strategies through the same pilot run and horizon.
 """
 
 from __future__ import annotations
@@ -24,13 +29,11 @@ import numpy as np
 
 from .hjb2d import ValueField
 from .model import ClaimLaw, ModelParams, SurplusPoint, validate_params
-from .solver1d import WbarSolution
 from .solver2d import PolicyField, policy_flow
 
 __all__ = [
     "PolicyTable",
     "TakeAndRun",
-    "MReflection",
     "SimResult",
     "simulate_policy",
     "estimate_gap",
@@ -57,12 +60,88 @@ class PolicyTable:
         """The policy-flow tables, built on first use and shared by every run."""
         return policy_flow(self.policy)
 
+    def runner(self, params, law, x0: SurplusPoint):
+        """run(n_paths, seed, horizon) -> (values, final times, ruined, rounds)
+        of this table's paths from x0."""
+        if not self.policy.converged:
+            raise ValueError("policy table must come from a converged solve")
+        g = self.policy.grid
+        if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
+            raise ValueError("initial surplus outside the solved grid")
+        flow = self.flow
+        _, anchor_n, anchor_m, paid, exit_k = flow
+        dx1, dx2, delta = g.dx1, g.dx2, g.delta
+        c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
+        q, lam = params.q, params.lam
+        jumps = _AnchorJumps(flow, delta, q)
+        n0 = int(math.floor(x0.x1 / dx1 + 1e-12))
+        m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
+        pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
 
-@dataclass(frozen=True)
-class MReflection:
-    """Project onto the proportional ray, then follow the 1D band strategy."""
+        def run(n_paths, seed, horizon):
+            jumps.cover(horizon)
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            vals = np.empty(n_paths)
+            t_final = np.empty(n_paths)
+            ruined = np.zeros(n_paths, dtype=bool)
+            # state of the live paths only, compacted as paths finish
+            ids = np.arange(n_paths)
+            n = np.full(n_paths, n0, dtype=np.int64)
+            m = np.full(n_paths, m0, dtype=np.int64)
+            t = np.zeros(n_paths)
+            acc = np.full(n_paths, pay0)
+            rounds = 0
+            while ids.size:
+                rounds += 1
+                # full-size draws indexed by path id: every path sees the same
+                # claims whichever other paths are still live
+                togo = rng.exponential(1.0 / lam, n_paths)[ids]
+                claim = law.sample(rng, n_paths)[ids]
+                # instant lump payouts down to the chain anchor (paid is 0 on
+                # no-pay nodes, which are their own anchors)
+                acc += paid[n, m] * np.exp(-q * t)
+                n, m = anchor_n[n, m], anchor_m[n, m]
+                # cum: cells drifted this round before the node the round ends
+                # at; cells: cum plus the drift run from that node
+                cum = np.zeros(ids.size, dtype=np.int64)
+                cells = exit_k[n, m]
+                go = np.flatnonzero((cells * delta < togo) & (t + cells * delta < horizon))
+                if go.size:
+                    # the first drift run lands every path on an anchor, the
+                    # descent takes the rest of the round's whole segments
+                    k, a, gain = jumps.segment(n[go], m[go])
+                    gain *= np.exp(-q * (t[go] + delta * k))
+                    n[go], m[go], cum[go] = jumps.descend(a, k, gain, t[go], togo[go], horizon)
+                    acc[go] += gain
+                    cells[go] = cum[go] + exit_k[n[go], m[go]]
+                # the next segment ends at or after the claim, or else at or
+                # after the horizon, where the path stops with no more payouts
+                hit = np.flatnonzero(cells * delta >= togo)
+                cut = np.ones(ids.size, dtype=bool)
+                cut[hit] = False
+                t[cut] += delta * cells[cut]
+                s = togo[hit] - delta * cum[hit]
+                t[hit] += togo[hit]
+                y1 = n[hit] * dx1 + c1 * s - b1 * claim[hit]
+                y2 = m[hit] * dx2 + c2 * s - b2 * claim[hit]
+                broke = (y1 < 0) | (y2 < 0)
+                ok = hit[~broke]
+                k1 = np.floor(y1[~broke] / dx1 + 1e-12).astype(np.int64)
+                k2 = np.floor(y2[~broke] / dx2 + 1e-12).astype(np.int64)
+                rem = (y1[~broke] - k1 * dx1) + (y2[~broke] - k2 * dx2)
+                acc[ok] += rem * np.exp(-q * t[ok])
+                n[ok], m[ok] = k1, k2
+                ruined[ids[hit[broke]]] = True
+                keep = np.zeros(ids.size, dtype=bool)
+                keep[ok] = t[ok] < horizon
+                if not np.all(keep):
+                    done = np.flatnonzero(~keep)
+                    vals[ids[done]], t_final[ids[done]] = acc[done], t[done]
+                    keep = np.flatnonzero(keep)
+                    ids, n, m, t, acc = ids[keep], n[keep], m[keep], t[keep], acc[keep]
+            return vals, t_final, ruined, rounds
 
-    wbar: WbarSolution
+        return run
 
 
 @dataclass(frozen=True)
@@ -96,15 +175,14 @@ def simulate_policy(
     x0: SurplusPoint,
     n_paths: int,
     seed: int,
-    horizon: float = None,
-    trace_path=None,
 ) -> SimResult:
     """Sample mean and standard error of discounted dividends until ruin.
 
     The horizon is picked in a pilot run so the discarded tail is below a
     tenth of the reported standard error (the discounted value beyond T is
-    at most e^{-qT} times the global upper bound).  trace_path, if given,
-    receives a per-path CSV (path index, discounted total, final time).
+    at most e^{-qT} times the global upper bound).  The pilot takes at
+    least two paths, so its standard deviation is defined.  Any strategy
+    but TakeAndRun supplies its runner as strat.runner(params, law, x0).
     """
     params = validate_params(params)
     if n_paths < 1:
@@ -114,34 +192,17 @@ def simulate_policy(
         tau = rng.exponential(1.0 / params.lam, n_paths)
         ctot = params.c1 + params.c2
         vals = x0.x1 + x0.x2 + ctot * (1.0 - np.exp(-params.q * tau)) / params.q
-        if trace_path:
-            _write_trace(trace_path, vals, tau)
         # everything is paid at once, so the first claim ruins every path
         return _wrap(vals, math.inf, seed, 1, np.ones(n_paths, dtype=bool))
-    if isinstance(strat, PolicyTable):
-        runner, ub = _policy_runner(params, law, strat, x0), _upper_bound(params, x0)
-    elif isinstance(strat, MReflection):
-        runner, ub = _reflection_runner(params, law, strat, x0), _upper_bound(params, x0)
-    else:
-        raise TypeError(f"unknown strategy {strat!r}")
-
-    if horizon is None:
-        pilot_n = min(max(n_paths // 50, 200), 2000, n_paths)
-        pilot_T = math.log(1e4) / params.q
-        pilot = runner(pilot_n, seed + 1, pilot_T)[0]
-        target = 0.1 * max(np.std(pilot, ddof=1) / math.sqrt(n_paths), 1e-8)
-        horizon = math.log(max(ub / target, 10.0)) / params.q
-    vals, t_final, ruined, rounds = runner(n_paths, seed, horizon)
-    if trace_path:
-        _write_trace(trace_path, vals, t_final)
+    runner = strat.runner(params, law, x0)
+    pilot_n = max(min(max(n_paths // 50, 200), 2000, n_paths), 2)
+    pilot_T = math.log(1e4) / params.q
+    pilot = runner(pilot_n, seed + 1, pilot_T)[0]
+    target = 0.1 * max(np.std(pilot, ddof=1) / math.sqrt(n_paths), 1e-8)
+    ub = x0.x1 + x0.x2 + (params.c1 + params.c2) / params.q
+    horizon = math.log(max(ub / target, 10.0)) / params.q
+    vals, _, ruined, rounds = runner(n_paths, seed, horizon)
     return _wrap(vals, horizon, seed, rounds, ruined)
-
-
-def _write_trace(path, vals, t_final):
-    with open(path, "w") as fh:
-        fh.write("path,value,t_final\n")
-        for i, (v, t) in enumerate(zip(vals, t_final)):
-            fh.write(f"{i},{v:.17g},{t:.17g}\n")
 
 
 def _wrap(vals, horizon, seed, rounds, ruined):
@@ -152,10 +213,6 @@ def _wrap(vals, horizon, seed, rounds, ruined):
         mean=float(np.mean(vals)), stderr=stderr, n_paths=n, horizon=horizon, seed=seed,
         rounds=rounds, ruined=n_ruined, horizon_cut=n - n_ruined,
     )
-
-
-def _upper_bound(params, x0):
-    return x0.x1 + x0.x2 + (params.c1 + params.c2) / params.q
 
 
 class _AnchorJumps:
@@ -215,191 +272,3 @@ class _AnchorJumps:
             cum[take] = span[take]
             a[take] = nxt[at]
         return self.an[a], self.am[a], cum
-
-
-def _policy_runner(params, law, strat: PolicyTable, x0: SurplusPoint):
-    if not strat.policy.converged:
-        raise ValueError("policy table must come from a converged solve")
-    g = strat.policy.grid
-    if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
-        raise ValueError("initial surplus outside the solved grid")
-    flow = strat.flow
-    _, anchor_n, anchor_m, paid, exit_k = flow
-    dx1, dx2, delta = g.dx1, g.dx2, g.delta
-    c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
-    q, lam = params.q, params.lam
-    jumps = _AnchorJumps(flow, delta, q)
-    n0 = int(math.floor(x0.x1 / dx1 + 1e-12))
-    m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
-    pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
-
-    def run(n_paths, seed, horizon):
-        jumps.cover(horizon)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        vals = np.empty(n_paths)
-        t_final = np.empty(n_paths)
-        ruined = np.zeros(n_paths, dtype=bool)
-        # state of the live paths only, compacted as paths finish
-        ids = np.arange(n_paths)
-        n = np.full(n_paths, n0, dtype=np.int64)
-        m = np.full(n_paths, m0, dtype=np.int64)
-        t = np.zeros(n_paths)
-        acc = np.full(n_paths, pay0)
-        rounds = 0
-        while ids.size:
-            rounds += 1
-            # full-size draws indexed by path id: every path sees the same
-            # claims whichever other paths are still live
-            togo = rng.exponential(1.0 / lam, n_paths)[ids]
-            claim = law.sample(rng, n_paths)[ids]
-            # instant lump payouts down to the chain anchor (paid is 0 on
-            # no-pay nodes, which are their own anchors)
-            acc += paid[n, m] * np.exp(-q * t)
-            n, m = anchor_n[n, m], anchor_m[n, m]
-            # cum: cells drifted this round before the node the round ends
-            # at; cells: cum plus the drift run from that node
-            cum = np.zeros(ids.size, dtype=np.int64)
-            cells = exit_k[n, m]
-            go = np.flatnonzero((cells * delta < togo) & (t + cells * delta < horizon))
-            if go.size:
-                # the first drift run lands every path on an anchor, the
-                # descent takes the rest of the round's whole segments
-                k, a, gain = jumps.segment(n[go], m[go])
-                gain *= np.exp(-q * (t[go] + delta * k))
-                n[go], m[go], cum[go] = jumps.descend(a, k, gain, t[go], togo[go], horizon)
-                acc[go] += gain
-                cells[go] = cum[go] + exit_k[n[go], m[go]]
-            # the next segment ends at or after the claim, or else at or
-            # after the horizon, where the path stops with no more payouts
-            hit = np.flatnonzero(cells * delta >= togo)
-            cut = np.ones(ids.size, dtype=bool)
-            cut[hit] = False
-            t[cut] += delta * cells[cut]
-            s = togo[hit] - delta * cum[hit]
-            t[hit] += togo[hit]
-            y1 = n[hit] * dx1 + c1 * s - b1 * claim[hit]
-            y2 = m[hit] * dx2 + c2 * s - b2 * claim[hit]
-            broke = (y1 < 0) | (y2 < 0)
-            ok = hit[~broke]
-            k1 = np.floor(y1[~broke] / dx1 + 1e-12).astype(np.int64)
-            k2 = np.floor(y2[~broke] / dx2 + 1e-12).astype(np.int64)
-            rem = (y1[~broke] - k1 * dx1) + (y2[~broke] - k2 * dx2)
-            acc[ok] += rem * np.exp(-q * t[ok])
-            n[ok], m[ok] = k1, k2
-            ruined[ids[hit[broke]]] = True
-            keep = np.zeros(ids.size, dtype=bool)
-            keep[ok] = t[ok] < horizon
-            if not np.all(keep):
-                done = np.flatnonzero(~keep)
-                vals[ids[done]], t_final[ids[done]] = acc[done], t[done]
-                keep = np.flatnonzero(keep)
-                ids, n, m, t, acc = ids[keep], n[keep], m[keep], t[keep], acc[keep]
-        return vals, t_final, ruined, rounds
-
-    return run
-
-
-def _reflection_runner(params, law, strat: MReflection, x0: SurplusPoint):
-    wbar = strat.wbar
-    band = wbar.band
-    c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
-    q, lam = params.q, params.lam
-    ctot = c1 + c2
-    kflow = c1 - (b1 / b2) * c2
-    rho = wbar.rho
-    ivl_lo = np.array([iv[0] for iv in band.intervals])
-    ivl_lab = np.array([iv[2] for iv in band.intervals])
-    a_pts = np.array(band.a_points)
-    if a_pts.size == 0:
-        raise ValueError("band structure has no premium-paying points")
-
-    ratio21 = params.b2 / params.b1
-    if ratio21 * x0.x1 >= x0.x2:
-        z0 = x0.x2
-        pay0 = x0.x1 - (params.b1 / params.b2) * x0.x2
-    else:
-        z0 = ratio21 * x0.x1
-        pay0 = x0.x2 - z0
-    if z0 > wbar.x_max:
-        raise ValueError("initial projection outside the solved band range")
-
-    def labels_of(z):
-        i = np.searchsorted(ivl_lo, z, side="right") - 1
-        return ivl_lab[np.clip(i, 0, len(ivl_lab) - 1)]
-
-    def run(n_paths, seed, horizon):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        z = np.full(n_paths, z0)
-        t = np.zeros(n_paths)
-        acc = np.full(n_paths, pay0)
-        running = np.ones(n_paths, dtype=bool)
-        ruined = np.zeros(n_paths, dtype=bool)
-        rounds = 0
-        snap = 1e-9 * (1.0 + wbar.x_max)
-        while np.any(running):
-            rounds += 1
-            togo = rng.exponential(1.0 / lam, n_paths)
-            claim = law.sample(rng, n_paths)
-            ph = running.copy()
-            while np.any(ph):
-                idx = np.nonzero(ph)[0]
-                zi = z[idx]
-                at_a = np.zeros(len(idx), dtype=bool)
-                if a_pts.size:
-                    nearest = a_pts[np.clip(np.searchsorted(a_pts, zi), 0, a_pts.size - 1)]
-                    below = a_pts[np.clip(np.searchsorted(a_pts, zi) - 1, 0, a_pts.size - 1)]
-                    at_a = (np.abs(zi - nearest) <= snap) | (np.abs(zi - below) <= snap)
-                lab = labels_of(zi)
-                # lump region: drop to the nearest premium point below
-                isb = (lab == "B") & ~at_a
-                if np.any(isb):
-                    bi = idx[isb]
-                    aidx = np.clip(np.searchsorted(a_pts, z[bi] + snap) - 1, 0, a_pts.size - 1)
-                    target = a_pts[aidx]
-                    acc[bi] += rho * (z[bi] - target) * np.exp(-q * t[bi])
-                    z[bi] = target
-                    at_a[isb] = True
-                # premium point: stream both premiums until the claim
-                isa = at_a
-                if np.any(isa):
-                    ai = idx[isa]
-                    s = togo[ai]
-                    acc[ai] += ctot * np.exp(-q * t[ai]) * (1 - np.exp(-q * s)) / q
-                    t[ai] += s
-                    _claim_1d(ai, z, t, running, ruined, claim, b2, horizon)
-                    ph[ai] = False
-                # no-pay region: drift up at c2, branch 1 streaming the excess
-                isc = (lab == "C") & ~at_a
-                if np.any(isc):
-                    di = idx[isc]
-                    nxt = np.searchsorted(a_pts, z[di] + snap)
-                    a_up = a_pts[np.clip(nxt, 0, a_pts.size - 1)]
-                    a_up = np.where(nxt >= a_pts.size, np.inf, a_up)
-                    reach = (a_up - z[di]) / c2
-                    s = np.minimum(togo[di], reach)
-                    if kflow > 0:
-                        acc[di] += kflow * np.exp(-q * t[di]) * (1 - np.exp(-q * s)) / q
-                    t[di] += s
-                    z[di] += c2 * s
-                    claimers = togo[di] <= reach
-                    ci = di[claimers]
-                    if ci.size:
-                        _claim_1d(ci, z, t, running, ruined, claim, b2, horizon)
-                        ph[ci] = False
-                    togo[di[~claimers]] -= reach[~claimers]
-                hit = idx[(t[idx] >= horizon) & ph[idx]]
-                running[hit] = False
-                ph[hit] = False
-        return acc, t, ruined, rounds
-
-    return run
-
-
-def _claim_1d(ids, z, t, running, ruined, claim, b2, horizon):
-    post = z[ids] - b2 * claim[ids]
-    broke = post < 0
-    running[ids[broke]] = False
-    ruined[ids[broke]] = True
-    ok = ids[~broke]
-    z[ok] = post[~broke]
-    running[ok[t[ok] >= horizon]] = False

@@ -181,8 +181,6 @@ class RegionMap:
     labels: np.ndarray
     a0_points: list
     component_counts: dict
-    lower_boundary: list = field(default_factory=list)
-    upper_boundary: list = field(default_factory=list)
     slope_runs: list = field(default_factory=list)
 
     def label_name(self, n, m):
@@ -365,38 +363,31 @@ def extract_regions(policy: PolicyField, v: ValueField) -> RegionMap:
             a0_points.insert(0, (0.0, 0.0))
     a0_points.sort()
 
-    lower, upper, runs = _c_boundaries(labels, grid)
     return RegionMap(
         grid=grid,
         labels=labels,
         a0_points=a0_points,
         component_counts=counts,
-        lower_boundary=lower,
-        upper_boundary=upper,
-        slope_runs=runs,
+        slope_runs=_slope_runs(labels, grid),
     )
 
 
-def _c_boundaries(labels, grid):
-    """Lower/upper boundary polylines of the largest no-pay component and
-    the maximal straight runs of the lower boundary with one diagonal step
-    per column (slope dx2/dx1 = c2/c1 in surplus units)."""
+def _slope_runs(labels, grid):
+    """Maximal straight runs of the lower boundary of the largest no-pay
+    component with one diagonal step per column (slope dx2/dx1 = c2/c1 in
+    surplus units)."""
     comp, k = ndimage.label(labels == LABEL_C, structure=_BOX)
     if k == 0:
-        return [], [], []
+        return []
     sizes = ndimage.sum_labels(np.ones_like(comp), comp, index=np.arange(1, k + 1))
     main = int(np.argmax(sizes)) + 1
     mask = comp == main
     cols = np.nonzero(mask.any(axis=1))[0]
-    lower, upper = [], []
-    for n in cols:
-        ms = np.nonzero(mask[n])[0]
-        lower.append((n * grid.dx1, ms.min() * grid.dx2))
-        upper.append((n * grid.dx1, ms.max() * grid.dx2))
     runs = []
     if len(cols) > 1:
-        m_lo = np.array([p[1] for p in lower]) / grid.dx2
-        steps = np.diff(m_lo).round().astype(int)
+        # lowest no-pay cell of each column
+        m_lo = np.argmax(mask[cols], axis=1)
+        steps = np.diff(m_lo)
         contig = np.diff(cols) == 1
         i = 0
         while i < len(steps):
@@ -414,16 +405,15 @@ def _c_boundaries(labels, grid):
                 i = j
             else:
                 i += 1
-    return lower, upper, runs
+    return runs
 
 
-def c_region_inside_d2(region: RegionMap, params: ModelParams, slack_cells: int = 2) -> bool:
+def c_region_inside_d2(region: RegionMap, params: ModelParams) -> bool:
     """True if the no-pay region sits inside D2 at grid resolution.
 
     Requires a nonempty set of C nodes strictly above the proportional ray
-    and no C node deeper below it than the grid jitter band (slack_cells
-    cells); the continuous no-pay region touches the ray only along its
-    boundary.
+    and no C node deeper below it than the grid jitter band (two cells);
+    the continuous no-pay region touches the ray only along its boundary.
     """
     g = region.grid
     ns, ms = np.nonzero(region.labels == LABEL_C)
@@ -432,7 +422,7 @@ def c_region_inside_d2(region: RegionMap, params: ModelParams, slack_cells: int 
     ratio = params.b2 / params.b1
     depth = ratio * ns * g.dx1 - ms * g.dx2
     has_d2 = np.any(depth < 0)
-    no_deep_d1 = np.all(depth <= slack_cells * (g.dx1 + g.dx2))
+    no_deep_d1 = np.all(depth <= 2 * (g.dx1 + g.dx2))
     return bool(has_d2 and no_deep_d1)
 
 
@@ -465,12 +455,7 @@ def check_D1_identity(
     return worst
 
 
-def check_tilde_suboptimality(
-    params: ModelParams,
-    law: ClaimLaw,
-    wbar,
-    n_probe: int = 4,
-):
+def check_tilde_suboptimality(params: ModelParams, law: ClaimLaw, wbar):
     """Probe the ray-reflection value for a positive generator residual.
 
     In the strict premium regime, if the 1D no-pay set is nonempty the
@@ -498,7 +483,7 @@ def check_tilde_suboptimality(
 
     lo, hi, _ = max(c_intervals, key=lambda iv: iv[1] - iv[0])
     best = None
-    for frac in np.linspace(0.25, 0.75, n_probe):
+    for frac in np.linspace(0.25, 0.75, 4):
         x2_0 = lo + frac * (hi - lo)
         x1_0 = (params.b1 / params.b2) * x2_0
         for steps in (2, 4, 8):

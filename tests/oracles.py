@@ -1,8 +1,10 @@
 """Independent reference implementations for the tests.
 
 Brute-force quadrature oracles for the claim integral in 2D and 1D, the
-column-by-column form of the in-place sweep, and strict Jacobi value
-iteration.
+column-by-column form of the in-place sweep, strict Jacobi value
+iteration, the per-point Bellman operators, the generator residual of the
+continuous extension, and a Monte Carlo runner for the ray-reflection
+strategy.  None of them is part of the divopt pipeline.
 
 Two decompositions, both independent of the production path (which uses
 closed-form time integration over exact claim cells):
@@ -20,14 +22,30 @@ runner reference walks the grid strategy one drift-and-lump segment at a
 time instead of jumping over the anchor graph.  The Jacobi
 iteration applies T0, T1 and T2 to the previous iterate only; the in-place
 sweeps of the solver stay between it and the fixed point.
+
+The per-point operators gather the claim integral at one node straight
+from the kernel cells, the form the FFT claim field is checked against.
+MReflection projects a start point onto the proportional ray and follows
+the 1D band strategy there, event by event; simulate.simulate_policy runs
+it through the same pilot and horizon as a policy table.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from divopt import solver2d
-from divopt.model import Deterministic, Erlang2, Exponential, integrate_affine
+from divopt.hjb2d import Action, ClaimKernel, ValueField, ray_integral, tie_epsilon
+from divopt.model import (
+    ClaimLaw,
+    Deterministic,
+    Erlang2,
+    Exponential,
+    ModelParams,
+    integrate_affine,
+)
+from divopt.solver1d import WbarSolution
 
 
 def brute_force_tensor(params, law, grid, values, n, m, nt=2000, na=2000):
@@ -253,3 +271,192 @@ def policy_runner_reference(params, law, strat, x0):
         return acc, t, broke
 
     return run
+
+
+def integral_I_delta(kernel: ClaimKernel, v: ValueField, n: int, m: int) -> float:
+    """Claim integral at a single node by direct gather over kernel cells."""
+    g = kernel.grid
+    if not (0 <= n <= g.n_max and 0 <= m <= g.m_max):
+        raise IndexError("grid point outside the truncated grid")
+    keep = (kernel.cell_i1 <= n) & (kernel.cell_i2 <= m)
+    if not np.any(keep):
+        return 0.0
+    vals = v.values[n - kernel.cell_i1[keep], m - kernel.cell_i2[keep]]
+    return float(np.dot(kernel.cell_wv[keep], vals) + kernel.cell_wp[keep].sum())
+
+
+def op_lump(v: ValueField, n: int, m: int, axis: int) -> float:
+    """Lump-payout operator: one grid step of surplus paid as dividends."""
+    if axis == 1:
+        if n <= 0:
+            raise ValueError("branch-1 lump needs n > 0")
+        return v.values[n - 1, m] + v.grid.dx1
+    if axis == 2:
+        if m <= 0:
+            raise ValueError("branch-2 lump needs m > 0")
+        return v.values[n, m - 1] + v.grid.dx2
+    raise ValueError("axis must be 1 or 2")
+
+
+def op_T0(kernel: ClaimKernel, v: ValueField, n: int, m: int) -> float:
+    """No-dividend continuation over one step (or until the first claim)."""
+    return kernel.discount_step * v.lookup(n + 1, m + 1) + integral_I_delta(kernel, v, n, m)
+
+
+def op_T(kernel: ClaimKernel, v: ValueField, n: int, m: int, eps_tie: float = None):
+    """Bellman operator: max of the applicable operators plus its argmax set.
+
+    The action set contains every operator within the tie tolerance of the
+    maximum.
+    """
+    cands = {Action.E0: op_T0(kernel, v, n, m)}
+    if n > 0:
+        cands[Action.E1] = op_lump(v, n, m, 1)
+    if m > 0:
+        cands[Action.E2] = op_lump(v, n, m, 2)
+    best = max(cands.values())
+    eps = tie_epsilon(best) if eps_tie is None else eps_tie
+    return best, {a for a, val in cands.items() if val >= best - eps}
+
+
+def continuous_L(
+    v: ValueField, x1: float, x2: float, params: ModelParams, law: ClaimLaw
+) -> float:
+    """Generator-type residual of the continuous extension at (x1, x2).
+
+    Diagnostic only: forward differences of step dx1/dx2 for the partials
+    and exact per-cell quadrature of the claim integral along the ray
+    (x1 - b1*u, x2 - b2*u).
+    """
+    g = v.grid
+    if not (0 <= x1 <= g.x1_max - g.dx1 and 0 <= x2 <= g.x2_max - g.dx2):
+        raise ValueError("point outside the domain interior")
+    u0 = v.extend(x1, x2)
+    d1 = (v.extend(x1 + g.dx1, x2) - u0) / g.dx1
+    d2 = (v.extend(x1, x2 + g.dx2) - u0) / g.dx2
+    integral = ray_integral(
+        v.values, (x1, x2), (params.b1, params.b2), (g.dx1, g.dx2), (1.0, 1.0),
+        min(x1 / params.b1, x2 / params.b2), law,
+    )
+    return (
+        params.c1 * d1
+        + params.c2 * d2
+        - (params.q + params.lam) * u0
+        + params.lam * integral
+    )
+
+
+@dataclass(frozen=True)
+class MReflection:
+    """Project onto the proportional ray, then follow the 1D band strategy.
+
+    A strategy for simulate.simulate_policy: runner(params, law, x0) returns
+    run(n_paths, seed, horizon) -> (values, final times, ruined, rounds).
+    """
+
+    wbar: WbarSolution
+
+    def runner(self, params, law, x0):
+        wbar = self.wbar
+        band = wbar.band
+        c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
+        q, lam = params.q, params.lam
+        ctot = c1 + c2
+        kflow = c1 - (b1 / b2) * c2
+        rho = wbar.rho
+        ivl_lo = np.array([iv[0] for iv in band.intervals])
+        ivl_lab = np.array([iv[2] for iv in band.intervals])
+        a_pts = np.array(band.a_points)
+        if a_pts.size == 0:
+            raise ValueError("band structure has no premium-paying points")
+
+        ratio21 = params.b2 / params.b1
+        if ratio21 * x0.x1 >= x0.x2:
+            z0 = x0.x2
+            pay0 = x0.x1 - (params.b1 / params.b2) * x0.x2
+        else:
+            z0 = ratio21 * x0.x1
+            pay0 = x0.x2 - z0
+        if z0 > wbar.x_max:
+            raise ValueError("initial projection outside the solved band range")
+
+        def labels_of(z):
+            i = np.searchsorted(ivl_lo, z, side="right") - 1
+            return ivl_lab[np.clip(i, 0, len(ivl_lab) - 1)]
+
+        def run(n_paths, seed, horizon):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            z = np.full(n_paths, z0)
+            t = np.zeros(n_paths)
+            acc = np.full(n_paths, pay0)
+            running = np.ones(n_paths, dtype=bool)
+            ruined = np.zeros(n_paths, dtype=bool)
+            rounds = 0
+            snap = 1e-9 * (1.0 + wbar.x_max)
+            while np.any(running):
+                rounds += 1
+                togo = rng.exponential(1.0 / lam, n_paths)
+                claim = law.sample(rng, n_paths)
+                ph = running.copy()
+                while np.any(ph):
+                    idx = np.nonzero(ph)[0]
+                    zi = z[idx]
+                    at_a = np.zeros(len(idx), dtype=bool)
+                    if a_pts.size:
+                        nearest = a_pts[np.clip(np.searchsorted(a_pts, zi), 0, a_pts.size - 1)]
+                        below = a_pts[np.clip(np.searchsorted(a_pts, zi) - 1, 0, a_pts.size - 1)]
+                        at_a = (np.abs(zi - nearest) <= snap) | (np.abs(zi - below) <= snap)
+                    lab = labels_of(zi)
+                    # lump region: drop to the nearest premium point below
+                    isb = (lab == "B") & ~at_a
+                    if np.any(isb):
+                        bi = idx[isb]
+                        aidx = np.clip(np.searchsorted(a_pts, z[bi] + snap) - 1, 0, a_pts.size - 1)
+                        target = a_pts[aidx]
+                        acc[bi] += rho * (z[bi] - target) * np.exp(-q * t[bi])
+                        z[bi] = target
+                        at_a[isb] = True
+                    # premium point: stream both premiums until the claim
+                    isa = at_a
+                    if np.any(isa):
+                        ai = idx[isa]
+                        s = togo[ai]
+                        acc[ai] += ctot * np.exp(-q * t[ai]) * (1 - np.exp(-q * s)) / q
+                        t[ai] += s
+                        _claim_1d(ai, z, t, running, ruined, claim, b2, horizon)
+                        ph[ai] = False
+                    # no-pay region: drift up at c2, branch 1 streaming the excess
+                    isc = (lab == "C") & ~at_a
+                    if np.any(isc):
+                        di = idx[isc]
+                        nxt = np.searchsorted(a_pts, z[di] + snap)
+                        a_up = a_pts[np.clip(nxt, 0, a_pts.size - 1)]
+                        a_up = np.where(nxt >= a_pts.size, np.inf, a_up)
+                        reach = (a_up - z[di]) / c2
+                        s = np.minimum(togo[di], reach)
+                        if kflow > 0:
+                            acc[di] += kflow * np.exp(-q * t[di]) * (1 - np.exp(-q * s)) / q
+                        t[di] += s
+                        z[di] += c2 * s
+                        claimers = togo[di] <= reach
+                        ci = di[claimers]
+                        if ci.size:
+                            _claim_1d(ci, z, t, running, ruined, claim, b2, horizon)
+                            ph[ci] = False
+                        togo[di[~claimers]] -= reach[~claimers]
+                    hit = idx[(t[idx] >= horizon) & ph[idx]]
+                    running[hit] = False
+                    ph[hit] = False
+            return acc, t, ruined, rounds
+
+        return run
+
+
+def _claim_1d(ids, z, t, running, ruined, claim, b2, horizon):
+    post = z[ids] - b2 * claim[ids]
+    broke = post < 0
+    running[ids[broke]] = False
+    ruined[ids[broke]] = True
+    ok = ids[~broke]
+    z[ok] = post[~broke]
+    running[ok[t[ok] >= horizon]] = False

@@ -23,7 +23,7 @@ from divopt.model import (
 )
 from divopt import simulate as sim
 from divopt import solver1d, solver2d
-from oracles import brute_force_t_slices, brute_force_tensor
+from oracles import brute_force_t_slices, brute_force_tensor, integral_I_delta
 
 STRICT = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 SYM = validate_params(ModelParams(c1=21.4, c2=21.4, b1=0.5, b2=0.5, lam=10, q=0.1))
@@ -132,11 +132,13 @@ def test_criterion_3_example2_components(ex2, regions):
 
 def test_criterion_3_example2_a0_location(ex2, regions):
     # The computed interior premium point sits near (3.93, 4.10); it is
-    # stable under grid refinement (delta/2, delta/4), under tighter stop
-    # tolerances, and the surrounding value surface is confirmed by an
-    # independent Monte Carlo run, yet the expected location (4.00, 4.75)
-    # differs in the second coordinate.  The assertion is kept at the
-    # required tolerance and fails honestly.
+    # stable under grid refinement (delta/2, delta/4), and the surrounding
+    # value surface is confirmed by an independent Monte Carlo run, yet the
+    # expected location (4.00, 4.75) differs in the second coordinate.  A
+    # tighter stop tolerance moves it a little, from (3.933, 4.096) at
+    # tol = 1e-8 to (3.981, 4.150) at tol = 1e-10, still about 0.6 below
+    # the expected x2.  The assertion is kept at the required tolerance and
+    # fails honestly.
     region = regions["ex2"]
     nonzero = [p for p in region.a0_points if p[0] > 0.5]
     assert len(nonzero) == 1, region.a0_points
@@ -239,13 +241,12 @@ MC_POINTS = {
 def test_criterion_10_monte_carlo(name, request):
     case = request.getfixturevalue(name)
     grid, v, policy = case["grid"], case["v"], case["policy"]
+    table = sim.PolicyTable(policy, v)
     zs = []
     for x1, x2 in MC_POINTS[name]:
         n, m = round(x1 / grid.dx1), round(x2 / grid.dx2)
         x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)
-        res = sim.simulate_policy(
-            STRICT, EX_LAWS[name], sim.PolicyTable(policy, v), x0, 100_000, seed=SEED
-        )
+        res = sim.simulate_policy(STRICT, EX_LAWS[name], table, x0, 100_000, seed=SEED)
         zs.append(sim.estimate_gap(res, v.values[n, m]))
     ok = all(abs(z) <= 3.0 for z in zs)
     report(10, ok, f"{name} policy |z| = {[f'{z:+.2f}' for z in zs]}")
@@ -316,7 +317,6 @@ def test_claim_integral_oracle_on_converged_field(ex1):
     # converged field: time-sliced with exact claim cells certifies 1e-6,
     # the plain 2000x2000 tensor midpoint its own first-order resolution
     grid, kernel, v = ex1["grid"], ex1["kernel"], ex1["v"]
-    from divopt.hjb2d import integral_I_delta
     mine = integral_I_delta(kernel, v, 5, 5)
     sharp = brute_force_t_slices(STRICT, EX_LAWS["ex1"], grid, v.values, 5, 5, nt=4000)
     assert mine == pytest.approx(sharp, rel=1e-6)

@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from divopt.cli import ConfigError, build_grid, build_model, load_config, main
+from divopt.cli import (
+    ConfigError,
+    _read_policy_csv,
+    build_grid,
+    build_model,
+    load_config,
+    main,
+)
 
 TINY_CFG = """\
 # tiny solve for exercising the command surface
@@ -215,6 +222,45 @@ class TestSolveErrorExit:
             assert main([command, "--config", str(run_dir[1]), "--out", str(out)]) == 3
             err = capsys.readouterr().err
             assert err.startswith(f"{command}: ") and len(err.strip().splitlines()) == 1
+
+
+class TestArtifactsOfAnotherGrid:
+    # run_dir holds artifacts solved at delta = 0.1 on [0, 9]^2
+    @pytest.mark.parametrize("delta,x_max", [("0.15", "9"), ("0.08", "9"), ("0.2", "18")])
+    def test_reading_commands_exit_2(self, run_dir, tmp_path, capsys, delta, x_max):
+        # a coarser grid, a finer one, and one of the same shape whose nodes
+        # sit elsewhere (twice the step on twice the domain)
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(TINY_CFG.replace("delta = 0.1\n", f"delta = {delta}\n")
+                       .replace("x1_max = 9", f"x1_max = {x_max}")
+                       .replace("x2_max = 9", f"x2_max = {x_max}"))
+        out = tmp_path / "o"
+        out.mkdir()
+        artifacts = ["manifest.json", "policy.csv", "value.csv"]
+        for name in artifacts:
+            shutil.copy(run_dir[0] / name, out)
+        capsys.readouterr()
+        for command in ("simulate", "validate", "merger-compare"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "value.csv" in err and len(err.strip().splitlines()) == 1
+        assert sorted(p.name for p in out.iterdir()) == artifacts
+
+    def test_policy_reader_checks_every_node_once(self, run_dir, tmp_path):
+        out, cfg = run_dir
+        cfg_map, _ = load_config(cfg)
+        params, _ = build_model(cfg_map)
+        for delta in ("0.15", "0.08"):
+            grid = build_grid({**cfg_map, "delta": delta}, params)
+            with pytest.raises(ValueError, match="policy.csv"):
+                _read_policy_csv(out / "policy.csv", grid, 1e-9)
+        # the right number of rows, but node (0, 1) twice and (0, 0) never
+        lines = (out / "policy.csv").read_text().splitlines(keepends=True)
+        assert lines[1].startswith("0,0,") and lines[2].startswith("0,1,")
+        path = tmp_path / "policy.csv"
+        path.write_text("".join([lines[0], lines[2]] + lines[2:]))
+        with pytest.raises(ValueError, match="policy.csv"):
+            _read_policy_csv(path, build_grid(cfg_map, params), 1e-9)
 
 
 class TestValidateNegativeControl:

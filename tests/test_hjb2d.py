@@ -11,11 +11,6 @@ from divopt.hjb2d import (
     ValueField,
     build_claim_kernel,
     claim_field,
-    continuous_L,
-    integral_I_delta,
-    op_T,
-    op_T0,
-    op_lump,
     shift_up_diag,
 )
 from divopt.model import (
@@ -26,7 +21,15 @@ from divopt.model import (
     ModelParams,
     validate_params,
 )
-from oracles import brute_force_t_slices, brute_force_tensor
+from oracles import (
+    brute_force_t_slices,
+    brute_force_tensor,
+    continuous_L,
+    integral_I_delta,
+    op_T,
+    op_T0,
+    op_lump,
+)
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 

@@ -13,7 +13,6 @@ from divopt.model import (
     GridSpec,
     ModelParams,
     SurplusPoint,
-    claim_cdf,
     integrate_affine,
     region_of,
     validate_params,
@@ -49,21 +48,17 @@ class TestValidateParams:
 
 class TestClaimCdf:
     def test_exponential_at_origin(self):
-        assert claim_cdf(Exponential(0.6), 0.0) == 0.0
+        assert Exponential(0.6).cdf(0.0) == 0.0
 
     def test_erlang2_analytic_point(self):
         # 1 - (1 + 0.5*2) e^{-0.5*2} = 1 - 2/e
-        assert claim_cdf(Erlang2(0.5), 2.0) == pytest.approx(1 - 2 / math.e, abs=1e-15)
+        assert Erlang2(0.5).cdf(2.0) == pytest.approx(1 - 2 / math.e, abs=1e-15)
 
     def test_deterministic_step(self):
         law = Deterministic(29 / 12)
-        assert claim_cdf(law, 2.0) == 0.0
-        assert claim_cdf(law, 3.0) == 1.0
-        assert claim_cdf(law, 29 / 12) == 1.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            claim_cdf(Exponential(1.0), -0.5)
+        assert law.cdf(2.0) == 0.0
+        assert law.cdf(3.0) == 1.0
+        assert law.cdf(29 / 12) == 1.0
 
     @pytest.mark.parametrize("law", LAWS)
     def test_monotone_bounded(self, law):
@@ -72,6 +67,7 @@ class TestClaimCdf:
         assert np.all(np.diff(c) >= 0)
         assert np.all((c >= 0) & (c <= 1))
         assert law.cdf(1e9) == pytest.approx(1.0)
+        assert law.cdf(-0.5) == 0.0
 
 
 class TestIntegrateAffine:

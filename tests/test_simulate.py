@@ -13,9 +13,8 @@ from divopt.model import (
     SurplusPoint,
     validate_params,
 )
-from divopt import simulate, solver1d, solver2d
+from divopt import solver1d, solver2d
 from divopt.simulate import (
-    MReflection,
     PolicyTable,
     SimResult,
     TakeAndRun,
@@ -23,7 +22,7 @@ from divopt.simulate import (
     simulate_policy,
 )
 
-from oracles import policy_runner_reference
+from oracles import MReflection, policy_runner_reference
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 LAW = Exponential(0.6)
@@ -110,8 +109,7 @@ class TestPolicyTable:
         drift_run = flow.exit_k.max() * grid.delta
         for n, m in starts:
             x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)
-            vals, t_final, ruined, rounds = simulate._policy_runner(PARAMS, LAW, strat, x0)(
-                2000, 17, horizon)
+            vals, t_final, ruined, rounds = strat.runner(PARAMS, LAW, x0)(2000, 17, horizon)
             ref_vals, ref_t, ref_ruined = policy_runner_reference(PARAMS, LAW, strat, x0)(
                 2000, 17, horizon)
             np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-9)
@@ -160,6 +158,14 @@ class TestPolicyTable:
         with pytest.raises(ValueError):
             simulate_policy(PARAMS, LAW, PolicyTable(policy, v),
                             SurplusPoint(100.0, 1.0), 10, seed=1)
+
+    def test_single_path_gets_a_finite_horizon(self, small_policy):
+        # the pilot run that picks the horizon takes at least two paths,
+        # so its standard deviation is defined
+        grid, v, policy = small_policy
+        res = simulate_policy(PARAMS, LAW, PolicyTable(policy, v),
+                              SurplusPoint(2.0, 3.0), 1, seed=4)
+        assert math.isfinite(res.horizon) and res.horizon > 0
 
     def test_horizon_respects_error_budget(self, small_policy):
         grid, v, policy = small_policy
