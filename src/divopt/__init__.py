@@ -45,8 +45,8 @@ from .solver2d import (
     check_D1_identity,
     check_tilde_suboptimality,
     extract_regions,
+    greedy_policy,
     policy_flow,
-    residual_check,
     solve,
 )
 from .simulate import (

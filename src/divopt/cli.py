@@ -66,9 +66,12 @@ def _get_float(cfg, key, default=None):
             return default
         raise ConfigError(f"missing config key: {key}")
     try:
-        return float(cfg[key])
+        val = float(cfg[key])
     except ValueError:
         raise ConfigError(f"config key {key} is not a number: {cfg[key]!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"config key {key} must be finite: {cfg[key]!r}")
+    return val
 
 
 def build_model(cfg):
@@ -126,23 +129,17 @@ def _other_grid(path, grid):
                       "was it solved with another delta or truncation?")
 
 
-def _mark_nodes(path, grid, ns, ms, seen):
-    """Mark the nodes (ns, ms) of some rows of an artifact in seen and return
-    the number of rows; a node outside the config's grid is rejected.  The
-    rows hold each node exactly once when their number is the node count
-    and every node is marked."""
-    if ns.size and not (0 <= ns.min() and ns.max() <= grid.n_max
-                        and 0 <= ms.min() and ms.max() <= grid.m_max):
-        raise _other_grid(path, grid)
-    seen[ns, ms] = True
-    return ns.size
-
-
 def _read_value_csv(path, grid):
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 4), ndmin=2)
     ns, ms = data[:, 0].astype(np.int64), data[:, 1].astype(np.int64)
+    # each node of the config's grid exactly once: one row per node, every
+    # row inside the grid, and every node marked
     seen = np.zeros(grid.shape, dtype=bool)
-    if not (_mark_nodes(path, grid, ns, ms, seen) == seen.size and seen.all()):
+    if not (ns.size == seen.size and 0 <= ns.min() and ns.max() <= grid.n_max
+            and 0 <= ms.min() and ms.max() <= grid.m_max):
+        raise _other_grid(path, grid)
+    seen[ns, ms] = True
+    if not seen.all():
         raise _other_grid(path, grid)
     values = np.zeros(grid.shape)
     values[ns, ms] = data[:, 2]
@@ -154,36 +151,6 @@ def _read_value_csv(path, grid):
             and np.allclose(xs[:, 1], ms * grid.dx2, rtol=1e-12, atol=0)):
         raise _other_grid(path, grid)
     return ValueField(grid, values)
-
-
-_ARGMAX_MASKS = {name: mask for mask, name in enumerate(solver2d.ARGMAX_NAMES)}
-
-
-def _read_policy_csv(path, grid, eps_tie):
-    actions = np.zeros(grid.shape, dtype=np.uint8)
-    seen = np.zeros(grid.shape, dtype=bool)
-    rows_read = 0
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "n,m,label,argmax":
-            raise ValueError(f"{path}: unexpected policy header {header!r}")
-        # about 16 KiB of rows at a time: splitting a whole file at once
-        # raised the peak memory of validate on example 1 by about a third
-        while rows := fh.readlines(1 << 14):
-            fields = ",".join(row.rstrip("\n") for row in rows).split(",")
-            if len(fields) != 4 * len(rows):
-                raise ValueError(f"{path}: every policy row needs 4 fields")
-            try:
-                masks = [_ARGMAX_MASKS[name] for name in fields[3::4]]
-            except KeyError as exc:
-                raise ValueError(f"{path}: unknown argmax token {exc.args[0]!r}") from None
-            ns = np.array(fields[0::4], dtype=np.int64)
-            ms = np.array(fields[1::4], dtype=np.int64)
-            rows_read += _mark_nodes(path, grid, ns, ms, seen)
-            actions[ns, ms] = masks
-    if rows_read != seen.size or not seen.all():
-        raise _other_grid(path, grid)
-    return solver2d.PolicyField(grid=grid, actions=actions, eps_tie=eps_tie)
 
 
 def cmd_solve2d(args):
@@ -281,20 +248,16 @@ def cmd_simulate(args):
     cfg, cfg_text = load_config(args.config)
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
-    out = Path(args.out)
-    value_path = out / "value.csv"
-    policy_path = out / "policy.csv"
-    manifest_path = out / "manifest.json"
-    if not (value_path.is_file() and policy_path.is_file() and manifest_path.is_file()):
-        print("simulate: missing solve2d artifacts (value.csv/policy.csv/manifest.json)",
-              file=sys.stderr)
-        return 2
-    manifest = json.loads(manifest_path.read_text())
-    v = _read_value_csv(value_path, grid)
-    policy = _read_policy_csv(policy_path, grid, manifest.get("eps_tie", 1e-9))
-    table = sim_mod.PolicyTable(policy, v)
     n_paths = int(_get_float(cfg, "paths", 10_000))
     seed = args.seed if args.seed is not None else int(_get_float(cfg, "seed", 1))
+    out = Path(args.out)
+    value_path = out / "value.csv"
+    if not value_path.is_file():
+        print("simulate: missing value.csv", file=sys.stderr)
+        return 2
+    v = _read_value_csv(value_path, grid)
+    policy, _ = solver2d.greedy_policy(build_claim_kernel(params, law, grid), v)
+    table = sim_mod.PolicyTable(policy, v)
     rows = []
     for x1, x2 in _sample_points(cfg, grid):
         res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, seed)
@@ -341,14 +304,16 @@ def cmd_validate(args):
     cfg, cfg_text = load_config(args.config)
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
+    n_paths = int(_get_float(cfg, "paths", 20_000))
+    seed = args.seed if args.seed is not None else int(_get_float(cfg, "seed", 1))
     out = Path(args.out)
-    needed = [out / "value.csv", out / "policy.csv", out / "manifest.json"]
+    needed = [out / "value.csv", out / "manifest.json"]
     if not all(p.is_file() for p in needed):
-        print("validate: missing solve artifacts", file=sys.stderr)
+        print("validate: missing solve artifacts (value.csv/manifest.json)", file=sys.stderr)
         return 2
     manifest = json.loads((out / "manifest.json").read_text())
     v = _read_value_csv(out / "value.csv", grid)
-    kernel = build_claim_kernel(params, law, grid)
+    policy, resid = solver2d.greedy_policy(build_claim_kernel(params, law, grid), v)
     tol_eff = manifest.get("tol_effective", 1e-8)
     checks = []
 
@@ -358,7 +323,6 @@ def cmd_validate(args):
             entry.update(value=float(value), bound=float(bound))
         checks.append(entry)
 
-    resid = solver2d.residual_check(kernel, v)
     check("residual", resid <= 10 * tol_eff, f"residual {resid:.3e} vs 10*tol {10*tol_eff:.3e}",
           resid, 10 * tol_eff)
 
@@ -411,10 +375,7 @@ def cmd_validate(args):
     check("merger_dominance", worst_gap >= -100 * tol_eff, f"min gap {worst_gap:.3e}",
           worst_gap, -100 * tol_eff)
 
-    policy = _read_policy_csv(out / "policy.csv", grid, manifest.get("eps_tie", 1e-9))
     table = sim_mod.PolicyTable(policy, v)
-    n_paths = int(_get_float(cfg, "paths", 20_000))
-    seed = args.seed if args.seed is not None else int(_get_float(cfg, "seed", 1))
     worst_z = 0.0
     for x1, x2 in _sample_points(cfg, grid)[:3]:
         res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, seed)

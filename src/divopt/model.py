@@ -90,9 +90,6 @@ class ClaimLaw:
     def cdf(self, x):
         raise NotImplementedError
 
-    def mean(self) -> float:
-        raise NotImplementedError
-
     def weighted_moments(self, a, b, gamma, ref=0.0):
         """Return (E0, E1) with Ek = int_(a,b] u^k e^{-gamma*(u - ref)} dG(u).
 
@@ -150,9 +147,6 @@ class Exponential(ClaimLaw):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, 1.0 - np.exp(-self.rate * np.maximum(x, 0.0)))
 
-    def mean(self):
-        return 1.0 / self.rate
-
     def weighted_moments(self, a, b, gamma, ref=0.0):
         d = self.rate
         s = d + gamma
@@ -177,9 +171,6 @@ class Erlang2(ClaimLaw):
         x = np.asarray(x, dtype=float)
         xr = self.rate * np.maximum(x, 0.0)
         return np.where(x < 0, 0.0, 1.0 - (1.0 + xr) * np.exp(-xr))
-
-    def mean(self):
-        return 2.0 / self.rate
 
     def weighted_moments(self, a, b, gamma, ref=0.0):
         r = self.rate
@@ -206,9 +197,6 @@ class Deterministic(ClaimLaw):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, (x >= self.atom).astype(float))
-
-    def mean(self):
-        return self.atom
 
     def weighted_moments(self, a, b, gamma, ref=0.0):
         a = np.asarray(a, dtype=float)

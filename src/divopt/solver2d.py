@@ -45,7 +45,7 @@ __all__ = [
     "SolveReport",
     "NonConvergenceError",
     "solve",
-    "residual_check",
+    "greedy_policy",
     "extract_regions",
     "check_D1_identity",
     "check_tilde_suboptimality",
@@ -81,7 +81,6 @@ class PolicyField:
     grid: GridSpec
     actions: np.ndarray
     eps_tie: float
-    converged: bool = True
 
     def __post_init__(self):
         a = self.actions
@@ -93,9 +92,6 @@ class PolicyField:
             raise ValueError("E1 cannot be optimal at n = 0")
         if np.any(a[:, 0] & Action.E2):
             raise ValueError("E2 cannot be optimal at m = 0")
-
-    def action_set(self, n, m):
-        return {act for act in (Action.E0, Action.E1, Action.E2) if self.actions[n, m] & act}
 
 
 class PolicyFlow(NamedTuple):
@@ -183,9 +179,6 @@ class RegionMap:
     component_counts: dict
     slope_runs: list = field(default_factory=list)
 
-    def label_name(self, n, m):
-        return LABEL_NAMES[int(self.labels[n, m])]
-
 
 def _sweep_inplace(w, cf, grid, disc):
     n_pts, m_pts = w.shape
@@ -245,9 +238,8 @@ def solve(
     )
 
     t_policy = time.perf_counter()
-    masks, eps, resid = argmax_sets(v, _operator_fields(kernel, v))
-    acts = sum(mask * int(a) for mask, a in zip(masks, (Action.E0, Action.E1, Action.E2)))
-    policy = PolicyField(grid=grid, actions=acts.astype(np.uint8), eps_tie=eps, converged=True)
+    v = ValueField(grid, v)
+    policy, resid = greedy_policy(kernel, v)
     phases["policy"] = time.perf_counter() - t_policy
     report = SolveReport(
         iterations=sweeps,
@@ -259,16 +251,20 @@ def solve(
         converged=True,
         phases=phases,
     )
-    return ValueField(grid, v), policy, report
+    return v, policy, report
 
 
-def residual_check(kernel: ClaimKernel, v: ValueField) -> float:
-    """|sup over interior nodes of max(T0 - v, T1 - v, T2 - v)|.
+def greedy_policy(kernel: ClaimKernel, v: ValueField):
+    """The greedy policy of a value table and its residual.
 
-    Zero at any fixed point (lump ties included); for an accepted solve the
-    value must stay below 10x the stopping tolerance.
+    Returns (PolicyField, residual): the argmax sets of T0, T1, T2 at v,
+    and |sup over interior nodes of max(T0 - v, T1 - v, T2 - v)|.  The
+    residual is zero at any fixed point (lump ties included); for an
+    accepted solve it must stay below 10x the stopping tolerance.
     """
-    return argmax_sets(v.values, _operator_fields(kernel, v.values))[2]
+    masks, eps, resid = argmax_sets(v.values, _operator_fields(kernel, v.values))
+    acts = sum(mask * int(a) for mask, a in zip(masks, (Action.E0, Action.E1, Action.E2)))
+    return PolicyField(grid=v.grid, actions=acts.astype(np.uint8), eps_tie=eps), resid
 
 
 def _mask_label(actions):

@@ -114,7 +114,8 @@ def test_criterion_2_example1_structure(ex1, regions):
     grid = ex1["grid"]
     deep = [(10.0, 1.0), (8.0, 2.0), (12.0, 4.0), (9.0, 3.0)]
     labels = [
-        region.label_name(round(x1 / grid.dx1), round(x2 / grid.dx2)) for x1, x2 in deep
+        solver2d.LABEL_NAMES[int(region.labels[round(x1 / grid.dx1), round(x2 / grid.dx2)])]
+        for x1, x2 in deep
     ]
     report(2, all(l == "B1" for l in labels), f"deep-D1 labels {labels} (expect all B1)")
     # the branch-1 lump is in the argmax set at a deep-D1 node

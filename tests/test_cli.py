@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divopt import hjb2d, solver2d
 from divopt.cli import (
     ConfigError,
-    _read_policy_csv,
+    _read_value_csv,
     build_grid,
     build_model,
     load_config,
@@ -72,6 +73,19 @@ class TestConfig:
         p.write_text(TINY_CFG.replace("claim.rate = 0.6\n", ""))
         assert main(["solve1d", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command,key", [
+        ("solve2d", "x1_max"), ("solve2d", "tol"),
+        ("simulate", "x1_max"), ("simulate", "paths"), ("simulate", "seed"),
+    ])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, command, key):
+        # an infinite grid, path count or seed cannot be built, and an
+        # infinite tol would stop a solve after one sweep
+        p = tmp_path / "inf.cfg"
+        p.write_text(TINY_CFG + f"{key} = inf\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.strip().splitlines()) == 1
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -84,9 +98,12 @@ def run_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def validated(run_dir):
-    out, cfg = run_dir
-    rc = main(["validate", "--config", str(cfg), "--out", str(out)])
+def validated(run_dir, tmp_path_factory):
+    # validate reads value.csv and manifest.json, and no other artifact
+    out = tmp_path_factory.mktemp("validate")
+    for name in ("value.csv", "manifest.json"):
+        shutil.copy(run_dir[0] / name, out)
+    rc = main(["validate", "--config", str(run_dir[1]), "--out", str(out)])
     return rc, (out / "validate.json").read_text()
 
 
@@ -130,6 +147,40 @@ class TestSolve2dCommand:
         for row in sim["results"]:
             assert row["rounds"] > 0
             assert row["ruined"] + row["horizon_cut"] == sim["paths"]
+
+    def test_simulate_reads_only_value_csv(self, run_dir, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        shutil.copy(run_dir[0] / "value.csv", out)
+        cfg = tmp_path / "few.cfg"
+        cfg.write_text(TINY_CFG.replace("paths = 4000", "paths = 500"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["sim.json", "value.csv"]
+
+    def test_greedy_policy_of_value_csv_is_policy_csv(self, run_dir):
+        # simulate and validate recompute the policy that solve2d wrote
+        out, cfg = run_dir
+        cfg_map, _ = load_config(cfg)
+        params, law = build_model(cfg_map)
+        grid = build_grid(cfg_map, params)
+        masks = {name: mask for mask, name in enumerate(solver2d.ARGMAX_NAMES)}
+        lines = (out / "policy.csv").read_text().splitlines()
+        assert lines[0] == "n,m,label,argmax"
+        written = np.zeros(grid.shape, dtype=np.uint8)
+        for line in lines[1:]:
+            n, m, _, argmax = line.split(",")
+            written[int(n), int(m)] = masks[argmax]
+        eps_tie = json.loads((out / "manifest.json").read_text())["eps_tie"]
+        v = _read_value_csv(out / "value.csv", grid)
+        before = hjb2d._FFT_WORKERS
+        try:
+            for workers in (1, 2):
+                hjb2d.set_fft_workers(workers)
+                policy, _ = solver2d.greedy_policy(hjb2d.build_claim_kernel(params, law, grid), v)
+                assert np.array_equal(policy.actions, written)
+                assert policy.eps_tie == eps_tie
+        finally:
+            hjb2d.set_fft_workers(before)
 
     def test_merger_compare_command(self, run_dir):
         out, cfg = run_dir
@@ -246,21 +297,17 @@ class TestArtifactsOfAnotherGrid:
             assert "value.csv" in err and len(err.strip().splitlines()) == 1
         assert sorted(p.name for p in out.iterdir()) == artifacts
 
-    def test_policy_reader_checks_every_node_once(self, run_dir, tmp_path):
+    def test_value_reader_checks_every_node_once(self, run_dir, tmp_path):
         out, cfg = run_dir
         cfg_map, _ = load_config(cfg)
         params, _ = build_model(cfg_map)
-        for delta in ("0.15", "0.08"):
-            grid = build_grid({**cfg_map, "delta": delta}, params)
-            with pytest.raises(ValueError, match="policy.csv"):
-                _read_policy_csv(out / "policy.csv", grid, 1e-9)
         # the right number of rows, but node (0, 1) twice and (0, 0) never
-        lines = (out / "policy.csv").read_text().splitlines(keepends=True)
+        lines = (out / "value.csv").read_text().splitlines(keepends=True)
         assert lines[1].startswith("0,0,") and lines[2].startswith("0,1,")
-        path = tmp_path / "policy.csv"
+        path = tmp_path / "value.csv"
         path.write_text("".join([lines[0], lines[2]] + lines[2:]))
-        with pytest.raises(ValueError, match="policy.csv"):
-            _read_policy_csv(path, build_grid(cfg_map, params), 1e-9)
+        with pytest.raises(ValueError, match="value.csv"):
+            _read_value_csv(path, build_grid(cfg_map, params))
 
 
 class TestValidateNegativeControl:

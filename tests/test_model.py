@@ -76,11 +76,11 @@ class TestIntegrateAffine:
         assert integrate_affine(law, 0.0, 3.0, 1.5, 2.0) == pytest.approx(1.5 + 2.0 * 2.0)
         assert integrate_affine(law, 2.5, 3.0, 1.5, 2.0) == 0.0
 
-    @pytest.mark.parametrize("law", LAWS)
-    def test_mean_recovered(self, law):
-        assert integrate_affine(law, 0.0, math.inf, 0.0, 1.0) == pytest.approx(
-            law.mean(), rel=1e-12
-        )
+    # the closed-form means of LAWS: 1/rate, 2/rate, 2/rate and the atom
+    @pytest.mark.parametrize("law,mean", zip(LAWS, [1 / 0.6, 2 / 0.5, 2 / (6 / 7), 29 / 12]),
+                             ids=[f"law{i}" for i in range(len(LAWS))])
+    def test_mean_recovered(self, law, mean):
+        assert integrate_affine(law, 0.0, math.inf, 0.0, 1.0) == pytest.approx(mean, rel=1e-12)
 
     @pytest.mark.parametrize("law", LAWS)
     def test_empty_interval(self, law):

@@ -145,14 +145,6 @@ class TestPolicyTable:
         pol = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), x0, 20_000, seed=14)
         assert tr.mean <= pol.mean + 3.0 * (tr.stderr + pol.stderr)
 
-    def test_unconverged_policy_rejected(self, small_policy):
-        grid, v, policy = small_policy
-        bad = solver2d.PolicyField(
-            grid=grid, actions=policy.actions, eps_tie=policy.eps_tie, converged=False
-        )
-        with pytest.raises(ValueError):
-            simulate_policy(PARAMS, LAW, PolicyTable(bad, v), SurplusPoint(1, 1), 10, seed=1)
-
     def test_start_outside_grid_rejected(self, small_policy):
         grid, v, policy = small_policy
         with pytest.raises(ValueError):
