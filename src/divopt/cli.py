@@ -74,6 +74,14 @@ def _get_float(cfg, key, default=None):
     return val
 
 
+def _get_count(cfg, key, default, low):
+    """An integer-valued key (paths, seed) of at least low."""
+    val = _get_float(cfg, key, default)
+    if val != int(val) or val < low:
+        raise ConfigError(f"config key {key} must be an integer >= {low}: {cfg[key]!r}")
+    return int(val)
+
+
 def build_model(cfg):
     params = validate_params(
         ModelParams(
@@ -222,6 +230,7 @@ def cmd_solve1d(args):
             "residual_max": sol.residual_max,
             "tol_effective": sol.tol_effective,
             "min_increment": sol.min_increment,
+            "phases": sol.phases,
             "wall_time": sol.wall_time,
         },
     )
@@ -233,8 +242,13 @@ def _sample_points(cfg, grid):
     if "sim.points" in cfg:
         pts = []
         for chunk in cfg["sim.points"].split(";"):
-            x1s, x2s = chunk.split(":")
-            pts.append((float(x1s), float(x2s)))
+            try:
+                x1, x2 = (float(s) for s in chunk.split(":"))
+            except ValueError:
+                x1 = x2 = math.nan
+            if not math.isfinite(x1 + x2):
+                raise ConfigError(f"config key sim.points: expected x1:x2, got {chunk!r}")
+            pts.append((x1, x2))
         return pts
     fr = [(0.25, 0.25), (0.5, 0.5), (0.25, 0.6), (0.6, 0.25), (0.45, 0.7)]
     return [
@@ -248,8 +262,8 @@ def cmd_simulate(args):
     cfg, cfg_text = load_config(args.config)
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
-    n_paths = int(_get_float(cfg, "paths", 10_000))
-    seed = args.seed if args.seed is not None else int(_get_float(cfg, "seed", 1))
+    n_paths = _get_count(cfg, "paths", 10_000, 1)
+    seed = args.seed if args.seed is not None else _get_count(cfg, "seed", 1, 0)
     out = Path(args.out)
     value_path = out / "value.csv"
     if not value_path.is_file():
@@ -304,8 +318,8 @@ def cmd_validate(args):
     cfg, cfg_text = load_config(args.config)
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
-    n_paths = int(_get_float(cfg, "paths", 20_000))
-    seed = args.seed if args.seed is not None else int(_get_float(cfg, "seed", 1))
+    n_paths = _get_count(cfg, "paths", 20_000, 1)
+    seed = args.seed if args.seed is not None else _get_count(cfg, "seed", 1, 0)
     out = Path(args.out)
     needed = [out / "value.csv", out / "manifest.json"]
     if not all(p.is_file() for p in needed):
@@ -398,10 +412,10 @@ def cmd_validate(args):
 
 
 def main(argv=None):
+    commands = {"solve2d": cmd_solve2d, "solve1d": cmd_solve1d, "simulate": cmd_simulate,
+                "validate": cmd_validate, "merger-compare": cmd_merger_compare}
     parser = argparse.ArgumentParser(prog="divopt", description=__doc__)
-    parser.add_argument("command",
-                        choices=["solve2d", "solve1d", "simulate", "validate",
-                                 "merger-compare"])
+    parser.add_argument("command", choices=list(commands))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="out")
     parser.add_argument("--threads", type=int, default=0,
@@ -414,16 +428,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     set_fft_workers(args.threads)
     try:
-        if args.command == "solve2d":
-            return cmd_solve2d(args)
-        if args.command == "solve1d":
-            return cmd_solve1d(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "merger-compare":
-            return cmd_merger_compare(args)
+        return commands[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -431,7 +436,6 @@ def main(argv=None):
         # a solve that cannot finish: one line on stderr, exit 3
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ __all__ = [
     "WbarSolution",
     "TruncationError",
     "make_auxiliary_problem",
+    "drift_scan",
     "solve_1d",
     "tilde_V_eval",
     "merger_compare",
@@ -87,6 +88,7 @@ class WbarSolution:
     tol_effective: float
     min_increment: float
     wall_time: float
+    phases: dict  # seconds in the claim field and in the drift-scan sweeps
 
     @property
     def rho(self):
@@ -139,6 +141,26 @@ def _claim_kernel(prob: OneDimProblem, delta: float, n_pts: int):
     return kernel_fft(kw, prob.rho * kp)
 
 
+def drift_scan(a, c, d, top):
+    """y_n = max(a_n, d*y_{n+1} + c_n) from n = N down to 0, y_{N+1} = top.
+
+    A reverse doubling scan over the maps y -> max(A, D*y + C), which are
+    closed under composition: at stride s node n takes in node n+s, in
+    ceil(log2(N+1)) vector steps.  Only the right map's A enters the new
+    A, so one scalar D = d**s serves every node.  The scan multiplies by
+    D <= 1 and never divides.
+    """
+    y, c = a.copy(), c.copy()
+    y[-1] = max(a[-1], d * top + c[-1])
+    s = 1
+    while s < len(y):
+        np.maximum(y[:-s], d * y[s:] + c[:-s], out=y[:-s])
+        c[:-s] += d * c[s:]
+        d *= d
+        s *= 2
+    return y
+
+
 def solve_1d(
     prob: OneDimProblem,
     delta: float,
@@ -165,17 +187,12 @@ def solve_1d(
 
     offs = np.arange(n_max + 1) * rho_dx
 
-    def sweep(nxt, cf, disc=disc, rho_dx=rho_dx, n_max=n_max):
-        # defaults bind fast locals: this loop takes millions of node steps per validate
-        for n in range(n_max, -1, -1):
-            upv = nxt[n + 1] if n < n_max else nxt[n_max] + rho_dx
-            cand = disc * upv + cf[n]
-            if cand > nxt[n]:
-                nxt[n] = cand
-        return np.maximum(nxt, np.maximum.accumulate(nxt - offs) + offs)
+    def sweep(nxt, cf):
+        y = drift_scan(nxt, cf, disc, nxt[-1] + rho_dx)
+        return np.maximum(y, np.maximum.accumulate(y - offs) + offs)
 
     t_start = time.perf_counter()
-    w, sweeps, sup_inc, min_inc, tol_eff, _ = iterate(
+    w, sweeps, sup_inc, min_inc, tol_eff, phases = iterate(
         lambda u: correlate(u, fk, fshape) + payout + r0, sweep, np.zeros(n_max + 1),
         tol, iter_cap,
     )
@@ -199,6 +216,7 @@ def solve_1d(
         tol_effective=tol_eff,
         min_increment=min_inc,
         wall_time=time.perf_counter() - t_start,
+        phases=phases,
     )
 
 

@@ -58,15 +58,7 @@ __all__ = [
 ]
 
 LABEL_C, LABEL_B1, LABEL_B2, LABEL_B0, LABEL_A1, LABEL_A2, LABEL_A0 = range(7)
-LABEL_NAMES = {
-    LABEL_C: "C",
-    LABEL_B1: "B1",
-    LABEL_B2: "B2",
-    LABEL_B0: "B0",
-    LABEL_A1: "A1",
-    LABEL_A2: "A2",
-    LABEL_A0: "A0",
-}
+LABEL_NAMES = dict(enumerate(("C", "B1", "B2", "B0", "A1", "A2", "A0")))
 # policy.csv argmax column for each E0|E1|E2 bitmask, e.g. 5 -> "E0+E2"
 ARGMAX_NAMES = tuple(
     "+".join(a.name for a in (Action.E0, Action.E1, Action.E2) if mask & a)
@@ -379,29 +371,15 @@ def _slope_runs(labels, grid):
     main = int(np.argmax(sizes)) + 1
     mask = comp == main
     cols = np.nonzero(mask.any(axis=1))[0]
-    runs = []
-    if len(cols) > 1:
-        # lowest no-pay cell of each column
-        m_lo = np.argmax(mask[cols], axis=1)
-        steps = np.diff(m_lo)
-        contig = np.diff(cols) == 1
-        i = 0
-        while i < len(steps):
-            if steps[i] == 1 and contig[i]:
-                j = i
-                while j < len(steps) and steps[j] == 1 and contig[j]:
-                    j += 1
-                runs.append(
-                    (
-                        float(cols[i] * grid.dx1),
-                        float(cols[j] * grid.dx1),
-                        float((cols[j] - cols[i]) * grid.dx1),
-                    )
-                )
-                i = j
-            else:
-                i += 1
-    return runs
+    # lowest no-pay cell of each column; a run is a stretch of adjacent
+    # columns whose lowest cell rises by one each
+    diag = (np.diff(np.argmax(mask[cols], axis=1)) == 1) & (np.diff(cols) == 1)
+    edges = np.diff(np.concatenate(([0], diag.astype(np.int8), [0])))
+    x1 = cols * grid.dx1
+    return [
+        (float(x1[i]), float(x1[j]), float((cols[j] - cols[i]) * grid.dx1))
+        for i, j in zip(np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0])
+    ]
 
 
 def c_region_inside_d2(region: RegionMap, params: ModelParams) -> bool:
@@ -543,7 +521,7 @@ def write_policy_csv(path, policy: PolicyField, region: RegionMap):
             ))
 
 
-def write_summary_json(path, region: RegionMap, report: SolveReport, extra=None):
+def write_summary_json(path, region: RegionMap, report: SolveReport):
     payload = {
         "a0_points": [list(p) for p in region.a0_points],
         "b0_components": region.component_counts.get("B0", 0),
@@ -555,8 +533,6 @@ def write_summary_json(path, region: RegionMap, report: SolveReport, extra=None)
         "converged": report.converged,
         "slope_runs": region.slope_runs,
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

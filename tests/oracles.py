@@ -17,7 +17,8 @@ closed-form time integration over exact claim cells):
   tolerances while still slicing time numerically.
 
 The sweep reference closes the branch-2 lumps one column at a time,
-re-closing each column under branch-1 lumps after every step.  The policy
+re-closing each column under branch-1 lumps after every step; the 1D
+drift reference runs the drift recurrence one node at a time.  The policy
 runner reference walks the grid strategy one drift-and-lump segment at a
 time instead of jumping over the anchor graph.  The Jacobi
 iteration applies T0, T1 and T2 to the previous iterate only; the in-place
@@ -161,6 +162,17 @@ def sweep_inplace_reference(w, cf, grid, disc):
     for m in range(1, m_pts):
         w[:, m] = t1_closure(np.maximum(w[:, m], w[:, m - 1] + dx2))
     return w
+
+
+def drift_scan_reference(a, c, d, top):
+    """The 1D drift pass node by node: y_n = max(a_n, d*y_{n+1} + c_n) from
+    the top node down, with y_{N+1} = top."""
+    y = np.array(a, dtype=float)
+    up = top
+    for n in range(len(y) - 1, -1, -1):
+        y[n] = max(y[n], d * up + c[n])
+        up = y[n]
+    return y
 
 
 def policy_runner_reference(params, law, strat, x0):

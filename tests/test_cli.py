@@ -86,6 +86,19 @@ class TestConfig:
         err = capsys.readouterr().err
         assert key in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "paths", "2.5"), ("simulate", "paths", "0"), ("simulate", "seed", "2.7"),
+        ("validate", "paths", "12.5"), ("validate", "paths", "-4"), ("validate", "seed", "2.7"),
+        ("validate", "seed", "-1"),
+    ])
+    def test_count_must_be_integer_exit_2(self, tmp_path, capsys, command, key, value):
+        # a fractional seed would otherwise run another seed without notice
+        p = tmp_path / "frac.cfg"
+        p.write_text(TINY_CFG + f"{key} = {value}\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and len(err.strip().splitlines()) == 1
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -214,6 +227,21 @@ class TestSolve2dCommand:
         assert checks["residual"]["value"] <= checks["residual"]["bound"]
         assert abs(checks["mc_take_and_run"]["value"]) <= checks["mc_take_and_run"]["bound"]
 
+    @pytest.mark.parametrize("points,bad", [
+        ("1;2", "1"), ("1:2;3:x", "3:x"), ("1:2:3", "1:2:3"), ("1:inf", "1:inf"),
+    ])
+    def test_bad_sim_points_exit_2(self, run_dir, tmp_path, capsys, points, bad):
+        out = tmp_path / "o"
+        out.mkdir()
+        shutil.copy(run_dir[0] / "value.csv", out)
+        cfg = tmp_path / "points.cfg"
+        cfg.write_text(TINY_CFG + f"sim.points = {points}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sim.points" in err and repr(bad) in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "sim.json").exists()
+
     def test_simulate_missing_artifacts_exit_2(self, tmp_path, cfg_file):
         rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "no")])
         assert rc == 2
@@ -226,6 +254,11 @@ class TestSolve1dCommand:
                      "--kind", "wbar"]) == 0
         band = json.loads((out / "band_wbar.json").read_text())
         assert band["intervals"][-1][2] == "B"
+        # the claim field and the drift-scan sweeps, timed apart
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["phases"]) == {"claim_field", "sweeps"}
+        assert all(t > 0 for t in manifest["phases"].values())
+        assert sum(manifest["phases"].values()) <= manifest["wall_time"]
         assert main(["solve1d", "--config", str(cfg_file), "--out", str(out),
                      "--kind", "merger"]) == 0
         assert (out / "value1d_merger.csv").is_file()

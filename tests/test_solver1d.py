@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divopt.hjb2d import NonConvergenceError, correlate, ray_integral
 from divopt.model import Deterministic, Erlang2, Exponential, ModelParams, validate_params
+from divopt import solver1d
 from divopt.solver1d import (
     OneDimProblem,
     TruncationError,
     _claim_kernel,
+    drift_scan,
     make_auxiliary_problem,
     merger_compare,
     solve_1d,
     tilde_V_eval,
 )
-from oracles import brute_force_t_slices_1d
+from oracles import brute_force_t_slices_1d, drift_scan_reference
 
 EX1 = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 SYM = validate_params(ModelParams(c1=21.4, c2=21.4, b1=0.5, b2=0.5, lam=10, q=0.1))
@@ -69,6 +73,48 @@ class TestClaimField1d:
         field = correlate(values, fk, fshape) + payout
         ref = [brute_force_t_slices_1d(prob, delta, values, n, nt=3000) for n in range(n_pts)]
         np.testing.assert_allclose(field, ref, rtol=1e-6, atol=1e-12)
+
+
+class TestDriftScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_pts=st.integers(1, 20_000),
+        d=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # d**(2**k) underflows to 0 before the scan ends
+    @example(n_pts=20_000, d=math.exp(-0.06), scale=1.0, seed=0)
+    @example(n_pts=20_000, d=math.exp(-0.06), scale=30.0, seed=1)
+    def test_matches_node_loop(self, n_pts, d, scale, seed):
+        rng = np.random.default_rng(seed)
+        a = np.cumsum(rng.uniform(0.0, 1.0, n_pts)) * scale
+        c = rng.uniform(-1.0, 1.0, n_pts) * scale
+        top = a[-1] + rng.uniform(-1.0, 2.0) * scale
+        a0, c0 = a.copy(), c.copy()
+        y = drift_scan(a, c, d, top)
+        ref = drift_scan_reference(a, c, d, top)
+        assert np.array_equal(a, a0) and np.array_equal(c, c0)
+        assert np.all(np.isfinite(y))
+        assert np.all(y >= a)
+        # the node loop sums a chain of min(N, 1/(1-d)) terms one at a time,
+        # so its own rounding error grows with that length: at d = 1 - 1e-16
+        # and N = 16377 it is 8.5e-9 off an extended-precision run, the
+        # scan 4.3e-12
+        chain = min(n_pts, 1.0 / (1.0 - d))
+        atol = max(1e-12, np.finfo(float).eps * chain) * (1.0 + np.abs(y).max())
+        np.testing.assert_allclose(y, ref, rtol=0, atol=atol)
+
+    def test_solve_with_node_loop_sweep(self, monkeypatch):
+        # the same iteration driver with the drift pass run node by node
+        prob = make_auxiliary_problem(EX1, Exponential(0.6), "wbar")
+        sol = solve_1d(prob, delta=0.05, x_max=20.0)
+        monkeypatch.setattr(solver1d, "drift_scan", drift_scan_reference)
+        ref = solve_1d(prob, delta=0.05, x_max=20.0)
+        assert sol.iterations == ref.iterations
+        assert sol.band.intervals == ref.band.intervals
+        assert sol.band.a_points == ref.band.a_points
+        np.testing.assert_allclose(sol.values, ref.values, rtol=0, atol=1e-12)
 
 
 class TestSolve1d:
