@@ -29,7 +29,7 @@ print(f"solver: {rep.iterations} sweeps, residual {rep.residual_max:.1e}")
 n_paths = 50_000
 print(f"\npolicy evaluation with {n_paths} paths per point:")
 print(f"{'start':>14} {'solver':>9} {'simulated':>16} {'z':>6} {'horizon':>8}")
-table = PolicyTable(policy, v)
+table = PolicyTable(policy)
 for x1, x2 in [(5.4, 6.36), (2.04, 3.0), (8.04, 3.0)]:
     n, m = round(x1 / grid.dx1), round(x2 / grid.dx2)
     x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)

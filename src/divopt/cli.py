@@ -198,9 +198,9 @@ def cmd_solve1d(args):
     params, law = build_model(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    m_cost = _get_float(cfg, "merger.cost", 0.0)
-    prob = solver1d.make_auxiliary_problem(params, law, args.kind, m_cost)
-    delta = _get_float(cfg, "delta_1d", _get_float(cfg, "delta") / 4.0)
+    prob = solver1d.make_auxiliary_problem(params, law, args.kind)
+    # delta is read only when delta_1d is absent, for its default
+    delta = _get_float(cfg, "delta_1d") if "delta_1d" in cfg else _get_float(cfg, "delta") / 4.0
     x_max = _get_float(cfg, "x_max_1d", 2.0 * _get_float(cfg, "x1_max", 14.0))
     sol = solver1d.solve_1d(prob, delta, x_max, tol=_get_float(cfg, "tol", 1e-9))
     with open(out / f"value1d_{args.kind}.csv", "w") as fh:
@@ -248,6 +248,11 @@ def _sample_points(cfg, grid):
                 x1 = x2 = math.nan
             if not math.isfinite(x1 + x2):
                 raise ConfigError(f"config key sim.points: expected x1:x2, got {chunk!r}")
+            if not (0 <= x1 <= grid.x1_max + 1e-9 and 0 <= x2 <= grid.x2_max + 1e-9):
+                raise ConfigError(
+                    f"config key sim.points: {chunk!r} is outside the solved grid "
+                    f"[0, {grid.x1_max:g}] x [0, {grid.x2_max:g}]"
+                )
             pts.append((x1, x2))
         return pts
     fr = [(0.25, 0.25), (0.5, 0.5), (0.25, 0.6), (0.6, 0.25), (0.45, 0.7)]
@@ -262,7 +267,7 @@ def cmd_simulate(args):
     cfg, cfg_text = load_config(args.config)
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
-    n_paths = _get_count(cfg, "paths", 10_000, 1)
+    n_paths = _get_count(cfg, "paths", 10_000, 2)
     seed = args.seed if args.seed is not None else _get_count(cfg, "seed", 1, 0)
     out = Path(args.out)
     value_path = out / "value.csv"
@@ -271,7 +276,7 @@ def cmd_simulate(args):
         return 2
     v = _read_value_csv(value_path, grid)
     policy, _ = solver2d.greedy_policy(build_claim_kernel(params, law, grid), v)
-    table = sim_mod.PolicyTable(policy, v)
+    table = sim_mod.PolicyTable(policy)
     rows = []
     for x1, x2 in _sample_points(cfg, grid):
         res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, seed)
@@ -318,7 +323,7 @@ def cmd_validate(args):
     cfg, cfg_text = load_config(args.config)
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
-    n_paths = _get_count(cfg, "paths", 20_000, 1)
+    n_paths = _get_count(cfg, "paths", 20_000, 2)
     seed = args.seed if args.seed is not None else _get_count(cfg, "seed", 1, 0)
     out = Path(args.out)
     needed = [out / "value.csv", out / "manifest.json"]
@@ -389,7 +394,7 @@ def cmd_validate(args):
     check("merger_dominance", worst_gap >= -100 * tol_eff, f"min gap {worst_gap:.3e}",
           worst_gap, -100 * tol_eff)
 
-    table = sim_mod.PolicyTable(policy, v)
+    table = sim_mod.PolicyTable(policy)
     worst_z = 0.0
     for x1, x2 in _sample_points(cfg, grid)[:3]:
         res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, seed)

@@ -151,9 +151,10 @@ def claim_cells(law: ClaimLaw, lam: float, q: float, delta: float, dxs, bs, c: f
     """Exact claim-cell kernel on a grid of one or two axes.
 
     Axis i has grid step dxs[i] and claim share bs[i]; c is the total
-    premium rate and shape the grid shape.  Returns (kw, kp) of that shape:
-    kw[i] multiplies the value at node - i, and kp[i] is the dividend paid
-    at the claim instant (the post-claim remainders, at one per unit).
+    premium rate and shape the grid shape.  Returns (kw, kp), sized to the
+    largest live offset on each axis: kw[i] multiplies the value at node
+    - i, and kp[i] is the dividend paid at the claim instant (the
+    post-claim remainders, at one per unit).
     """
     beta = lam + q
     hs = [dx / b for dx, b in zip(dxs, bs)]
@@ -202,28 +203,30 @@ def claim_cells(law: ClaimLaw, lam: float, q: float, delta: float, dxs, bs, c: f
     # drop cells that no grid node can reach and exact zeros
     live = np.all(j_all > -np.array(shape)[:, None], axis=0)
     live &= (np.abs(wv_all) > 0) | (np.abs(wp_all) > 0)
-    idx = tuple(-j_all[:, live])
-    kw = np.zeros(shape)
-    kp = np.zeros(shape)
-    np.add.at(kw, idx, wv_all[live])
-    np.add.at(kp, idx, wp_all[live])
+    idx = -j_all[:, live]
+    size = tuple(idx.max(axis=1) + 1) if idx.size else (1,) * len(shape)
+    kw = np.zeros(size)
+    kp = np.zeros(size)
+    np.add.at(kw, tuple(idx), wv_all[live])
+    np.add.at(kp, tuple(idx), wp_all[live])
     return kw, kp
 
 
-def kernel_fft(kw: np.ndarray, kp: np.ndarray):
-    """FFT set-up of a cell kernel: (fshape, transform of kw, payout field).
+def kernel_fft(kw: np.ndarray, kp: np.ndarray, shape):
+    """FFT set-up of a cell kernel on a grid of the given shape: (fshape,
+    transform of kw, payout field).
 
-    fshape is sized to the kernel's reach as described in ClaimKernel.  The
-    payout field, the correlation of kp with the all-ones table, does
-    not depend on the value table, so it is computed here once.
+    fshape is sized to the kernel's reach, the table size less one, as
+    described in ClaimKernel.  The payout field, the correlation of kp
+    with the all-ones table, is the prefix sum of kp along every axis,
+    held constant past the reach; it does not depend on the value table,
+    so it is computed here once.
     """
-    nz = np.nonzero((kw != 0) | (kp != 0))
-    reach = [int(idx.max()) if idx.size else 0 for idx in nz]
-    fshape = tuple(sfft.next_fast_len(s + r) for s, r in zip(kw.shape, reach))
-    axes = tuple(range(kw.ndim))
-    fk = sfft.rfftn(kw, s=fshape, axes=axes, workers=_FFT_WORKERS)
-    fp = sfft.rfftn(kp, s=fshape, axes=axes, workers=_FFT_WORKERS)
-    return fshape, fk, correlate(np.ones(kw.shape), fp, fshape).copy()
+    fshape = tuple(sfft.next_fast_len(s + r - 1) for s, r in zip(shape, kw.shape))
+    fk = sfft.rfftn(kw, s=fshape, axes=tuple(range(kw.ndim)), workers=_FFT_WORKERS)
+    payout = functools.reduce(np.cumsum, range(kp.ndim), kp)
+    pad = [(0, s - r) for s, r in zip(shape, kp.shape)]
+    return fshape, fk, np.pad(payout, pad, mode="edge")
 
 
 def correlate(values: np.ndarray, fk: np.ndarray, fshape) -> np.ndarray:
@@ -260,7 +263,6 @@ class ClaimKernel:
 
     grid: GridSpec
     params: ModelParams
-    law: ClaimLaw
     cell_i1: np.ndarray
     cell_i2: np.ndarray
     cell_wv: np.ndarray
@@ -279,12 +281,11 @@ def build_claim_kernel(params: ModelParams, law: ClaimLaw, grid: GridSpec) -> Cl
         law, params.lam, params.q, grid.delta, (grid.dx1, grid.dx2),
         (params.b1, params.b2), params.c1 + params.c2, grid.shape,
     )
-    fshape, fk, payout = kernel_fft(kw, kp)
+    fshape, fk, payout = kernel_fft(kw, kp, grid.shape)
     nz = np.nonzero((kw != 0) | (kp != 0))
     return ClaimKernel(
         grid=grid,
         params=params,
-        law=law,
         cell_i1=nz[0].astype(np.int64),
         cell_i2=nz[1].astype(np.int64),
         cell_wv=kw[nz],

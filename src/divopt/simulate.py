@@ -27,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .hjb2d import ValueField
 from .model import ClaimLaw, ModelParams, SurplusPoint, validate_params
 from .solver2d import PolicyField, policy_flow
 
@@ -53,7 +52,6 @@ class PolicyTable:
     rounding payout down to the grid and floor-rounding payouts at claims."""
 
     policy: PolicyField
-    values: ValueField
 
     @cached_property
     def flow(self):

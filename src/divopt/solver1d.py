@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,9 +108,7 @@ class WbarSolution:
         return base + self.rho * (x - n * self.dx)
 
 
-def make_auxiliary_problem(
-    params: ModelParams, law: ClaimLaw, kind: str, m_cost: float = 0.0
-) -> OneDimProblem:
+def make_auxiliary_problem(params: ModelParams, law: ClaimLaw, kind: str) -> OneDimProblem:
     """Build the on-ray problem ('wbar') or the merged-company one ('merger').
 
     For a merger the caller shifts the initial surplus by x1 + x2 - m_cost.
@@ -124,8 +122,6 @@ def make_auxiliary_problem(
             kappa=kappa, rho=1.0 + ratio,
         )
     if kind == "merger":
-        if m_cost < 0:
-            raise ValueError("merger cost must be >= 0")
         return OneDimProblem(
             c=params.c1 + params.c2, b=1.0, law=law, lam=params.lam, q=params.q,
             kappa=0.0, rho=1.0,
@@ -138,7 +134,7 @@ def _claim_kernel(prob: OneDimProblem, delta: float, n_pts: int):
     the 2D kernel on one axis, with claim-instant payouts scaled by rho."""
     dx = prob.c * delta
     kw, kp = claim_cells(prob.law, prob.lam, prob.q, delta, (dx,), (prob.b,), prob.c, (n_pts,))
-    return kernel_fft(kw, prob.rho * kp)
+    return kernel_fft(kw, prob.rho * kp, (n_pts,))
 
 
 def drift_scan(a, c, d, top):
@@ -223,17 +219,13 @@ def solve_1d(
 def _extract_band(is_b, is_c, dx):
     n_pts = len(is_b)
     labels = np.where(is_b & is_c, "A", np.where(is_b, "B", "C"))
-    intervals = []
-    breakpoints = []
-    start = 0
-    for i in range(1, n_pts + 1):
-        if i == n_pts or labels[i] != labels[start]:
-            lo = 0.0 if start == 0 else (start - 0.5) * dx
-            hi = (n_pts - 1) * dx if i == n_pts else (i - 0.5) * dx
-            intervals.append((lo, hi, str(labels[start])))
-            if i < n_pts:
-                breakpoints.append(hi)
-            start = i
+    # runs of equal labels: node i starts a run where its label changes
+    starts = [0] + (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+    breakpoints = [(i - 0.5) * dx for i in starts[1:]]
+    intervals = [
+        (lo, hi, str(labels[i]))
+        for i, lo, hi in zip(starts, [0.0] + breakpoints, breakpoints + [(n_pts - 1) * dx])
+    ]
     if intervals[-1][2] != "B":
         raise TruncationError(
             "no-pay region extends to the truncation; increase x_max"
@@ -241,13 +233,10 @@ def _extract_band(is_b, is_c, dx):
     a_points = [0.5 * (lo + hi) for lo, hi, lab in intervals if lab == "A"]
     # a lump region anchored at the origin pays premiums out at 0
     if intervals[0][2] == "B" or (len(intervals) > 1 and intervals[0][2] == "A"):
-        if 0.0 not in a_points:
-            a_points.insert(0, 0.0)
-    # each C-to-B transition accumulates at the barrier
-    for bp_ in breakpoints:
-        for lo, hi, lab in intervals:
-            if lab == "C" and abs(hi - bp_) < 1e-12 and bp_ not in a_points:
-                a_points.append(bp_)
+        a_points.append(0.0)
+    # each no-pay interval ends at a barrier, where the surplus accumulates
+    # (never at the truncation: the last interval is a lump interval)
+    a_points += [hi for lo, hi, lab in intervals if lab == "C"]
     return BandStructure(
         breakpoints=breakpoints, intervals=intervals, a_points=sorted(set(a_points))
     )
@@ -290,8 +279,10 @@ def merger_compare(
     entry is None when x1 + x2 < m_cost.  Values are the floor extensions
     of the respective solves.
     """
+    if m_cost < 0:
+        raise ValueError("merger cost must be >= 0")
     if merger is None:
-        prob = make_auxiliary_problem(params, law, "merger", m_cost)
+        prob = make_auxiliary_problem(params, law, "merger")
         if delta is None:
             delta = v2d.grid.delta / 4.0
         if x_max is None:

@@ -59,6 +59,12 @@ __all__ = [
 
 LABEL_C, LABEL_B1, LABEL_B2, LABEL_B0, LABEL_A1, LABEL_A2, LABEL_A0 = range(7)
 LABEL_NAMES = dict(enumerate(("C", "B1", "B2", "B0", "A1", "A2", "A0")))
+# region label and preferred action (0 no-pay, 1 or 2 the branch to lump,
+# lumps before no-pay) of each E0|E1|E2 bitmask
+_LABEL_OF_MASK = np.array(
+    [LABEL_C, LABEL_C, LABEL_B1, LABEL_A1, LABEL_B2, LABEL_A2, LABEL_B0, LABEL_A0], dtype=np.int8
+)
+_PREF_OF_MASK = np.array([0, 0, 1, 1, 2, 2, 1, 1], dtype=np.int8)
 # policy.csv argmax column for each E0|E1|E2 bitmask, e.g. 5 -> "E0+E2"
 ARGMAX_NAMES = tuple(
     "+".join(a.name for a in (Action.E0, Action.E1, Action.E2) if mask & a)
@@ -106,10 +112,7 @@ class PolicyFlow(NamedTuple):
 def policy_flow(policy: PolicyField) -> PolicyFlow:
     """The policy-flow tables of a converged grid policy."""
     g = policy.grid
-    acts = policy.actions
-    pref = np.zeros(g.shape, dtype=np.int8)
-    pref[(acts & Action.E1) > 0] = 1
-    pref[((acts & Action.E2) > 0) & (pref == 0)] = 2
+    pref = _PREF_OF_MASK[policy.actions & 7]
     # outer edges follow the unit-slope extension: treat residual no-pay
     # nodes there as lump nodes so drift never leaves the table
     edge = pref[g.n_max, :] == 0
@@ -118,25 +121,16 @@ def policy_flow(policy: PolicyField) -> PolicyFlow:
     pref[1:, g.m_max][edge[1:]] = 1
     pref[0, g.m_max] = 2 if pref[0, g.m_max] == 0 else pref[0, g.m_max]
 
+    # pointer jumping: each lump node points at its lump target, one cell
+    # down in its branch, and every pass doubles the chain length covered.
+    # Each chain ends on a no-pay node, since PolicyField rejects E1 at
+    # n = 0 and E2 at m = 0.
     n_pts, m_pts = g.shape
-    anchor_n = np.empty(g.shape, dtype=np.int64)
-    anchor_m = np.empty(g.shape, dtype=np.int64)
+    nxt = np.arange(n_pts * m_pts) - np.array([0, m_pts, 1])[pref.ravel()]
+    while np.any(nxt[nxt] != nxt):
+        nxt = nxt[nxt]
+    anchor_n, anchor_m = np.divmod(nxt.reshape(g.shape), m_pts)
     cols = np.arange(n_pts)
-    for m in range(m_pts):
-        row = pref[:, m]
-        an = np.where(row == 0, cols, 0)
-        am = np.where(row == 0, m, 0)
-        is2 = row == 2
-        if m > 0 and np.any(is2):
-            an[is2] = anchor_n[is2, m - 1]
-            am[is2] = anchor_m[is2, m - 1]
-        src = np.maximum.accumulate(np.where(row != 1, cols, -1))
-        is1 = row == 1
-        if np.any(is1):
-            an[is1] = an[src[is1]]
-            am[is1] = am[src[is1]]
-        anchor_n[:, m] = an
-        anchor_m[:, m] = am
     paid = (cols[:, None] - anchor_n) * g.dx1 + (np.arange(m_pts)[None, :] - anchor_m) * g.dx2
 
     exit_k = np.zeros(g.shape, dtype=np.int64)
@@ -259,20 +253,6 @@ def greedy_policy(kernel: ClaimKernel, v: ValueField):
     return PolicyField(grid=v.grid, actions=acts.astype(np.uint8), eps_tie=eps), resid
 
 
-def _mask_label(actions):
-    has0 = (actions & Action.E0) > 0
-    has1 = (actions & Action.E1) > 0
-    has2 = (actions & Action.E2) > 0
-    labels = np.full(actions.shape, LABEL_C, dtype=np.int8)
-    labels[has1 & ~has2 & ~has0] = LABEL_B1
-    labels[has2 & ~has1 & ~has0] = LABEL_B2
-    labels[has1 & has2 & ~has0] = LABEL_B0
-    labels[has0 & has1 & ~has2] = LABEL_A1
-    labels[has0 & has2 & ~has1] = LABEL_A2
-    labels[has0 & has1 & has2] = LABEL_A0
-    return labels
-
-
 _BOX = np.ones((3, 3), dtype=bool)
 
 
@@ -329,7 +309,7 @@ def extract_regions(policy: PolicyField, v: ValueField) -> RegionMap:
     present, are reported as their own cluster centroids.
     """
     grid = policy.grid
-    labels = _mask_label(policy.actions)
+    labels = _LABEL_OF_MASK[policy.actions & 7]
 
     counts = {name: _component_count(labels == code) for code, name in LABEL_NAMES.items()}
 

@@ -18,7 +18,9 @@ closed-form time integration over exact claim cells):
 
 The sweep reference closes the branch-2 lumps one column at a time,
 re-closing each column under branch-1 lumps after every step; the 1D
-drift reference runs the drift recurrence one node at a time.  The policy
+drift reference runs the drift recurrence one node at a time.  The
+policy-flow reference finds the lump-chain anchors row by row, and the
+band reference walks the 1D labels node by node.  The policy
 runner reference walks the grid strategy one drift-and-lump segment at a
 time instead of jumping over the anchor graph.  The Jacobi
 iteration applies T0, T1 and T2 to the previous iterate only; the in-place
@@ -46,7 +48,7 @@ from divopt.model import (
     ModelParams,
     integrate_affine,
 )
-from divopt.solver1d import WbarSolution
+from divopt.solver1d import BandStructure, TruncationError, WbarSolution
 
 
 def brute_force_tensor(params, law, grid, values, n, m, nt=2000, na=2000):
@@ -173,6 +175,82 @@ def drift_scan_reference(a, c, d, top):
         y[n] = max(y[n], d * up + c[n])
         up = y[n]
     return y
+
+
+def policy_flow_reference(policy):
+    """solver2d.policy_flow with masked assignments for the lump preference
+    and a loop over the grid rows for the chain anchors: the branch-2 lumps
+    take the previous row's anchors, then a prefix-max scan carries each
+    branch-1 chain down to its first non-branch-1 node."""
+    g = policy.grid
+    acts = policy.actions
+    pref = np.zeros(g.shape, dtype=np.int8)
+    pref[(acts & Action.E1) > 0] = 1
+    pref[((acts & Action.E2) > 0) & (pref == 0)] = 2
+    edge = pref[g.n_max, :] == 0
+    pref[g.n_max, edge] = 1
+    edge = pref[:, g.m_max] == 0
+    pref[1:, g.m_max][edge[1:]] = 1
+    pref[0, g.m_max] = 2 if pref[0, g.m_max] == 0 else pref[0, g.m_max]
+
+    n_pts, m_pts = g.shape
+    anchor_n = np.empty(g.shape, dtype=np.int64)
+    anchor_m = np.empty(g.shape, dtype=np.int64)
+    cols = np.arange(n_pts)
+    for m in range(m_pts):
+        row = pref[:, m]
+        an = np.where(row == 0, cols, 0)
+        am = np.where(row == 0, m, 0)
+        is2 = row == 2
+        if m > 0 and np.any(is2):
+            an[is2] = anchor_n[is2, m - 1]
+            am[is2] = anchor_m[is2, m - 1]
+        src = np.maximum.accumulate(np.where(row != 1, cols, -1))
+        is1 = row == 1
+        if np.any(is1):
+            an[is1] = an[src[is1]]
+            am[is1] = am[src[is1]]
+        anchor_n[:, m] = an
+        anchor_m[:, m] = am
+    paid = (cols[:, None] - anchor_n) * g.dx1 + (np.arange(m_pts)[None, :] - anchor_m) * g.dx2
+
+    exit_k = np.zeros(g.shape, dtype=np.int64)
+    for m in range(m_pts - 2, -1, -1):
+        up = np.zeros(n_pts, dtype=np.int64)
+        up[:-1] = exit_k[1:, m + 1]
+        exit_k[:, m] = np.where(pref[:, m] == 0, 1 + up, 0)
+    return solver2d.PolicyFlow(pref, anchor_n, anchor_m, paid, exit_k)
+
+
+def extract_band_reference(is_b, is_c, dx):
+    """solver1d's band extraction node by node, with each no-pay interval's
+    upper end matched against every breakpoint."""
+    n_pts = len(is_b)
+    labels = np.where(is_b & is_c, "A", np.where(is_b, "B", "C"))
+    intervals = []
+    breakpoints = []
+    start = 0
+    for i in range(1, n_pts + 1):
+        if i == n_pts or labels[i] != labels[start]:
+            lo = 0.0 if start == 0 else (start - 0.5) * dx
+            hi = (n_pts - 1) * dx if i == n_pts else (i - 0.5) * dx
+            intervals.append((lo, hi, str(labels[start])))
+            if i < n_pts:
+                breakpoints.append(hi)
+            start = i
+    if intervals[-1][2] != "B":
+        raise TruncationError("no-pay region extends to the truncation; increase x_max")
+    a_points = [0.5 * (lo + hi) for lo, hi, lab in intervals if lab == "A"]
+    if intervals[0][2] == "B" or (len(intervals) > 1 and intervals[0][2] == "A"):
+        if 0.0 not in a_points:
+            a_points.insert(0, 0.0)
+    for bp_ in breakpoints:
+        for lo, hi, lab in intervals:
+            if lab == "C" and abs(hi - bp_) < 1e-12 and bp_ not in a_points:
+                a_points.append(bp_)
+    return BandStructure(
+        breakpoints=breakpoints, intervals=intervals, a_points=sorted(set(a_points))
+    )
 
 
 def policy_runner_reference(params, law, strat, x0):

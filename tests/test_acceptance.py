@@ -242,7 +242,7 @@ MC_POINTS = {
 def test_criterion_10_monte_carlo(name, request):
     case = request.getfixturevalue(name)
     grid, v, policy = case["grid"], case["v"], case["policy"]
-    table = sim.PolicyTable(policy, v)
+    table = sim.PolicyTable(policy)
     zs = []
     for x1, x2 in MC_POINTS[name]:
         n, m = round(x1 / grid.dx1), round(x2 / grid.dx2)

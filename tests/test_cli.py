@@ -89,10 +89,11 @@ class TestConfig:
     @pytest.mark.parametrize("command,key,value", [
         ("simulate", "paths", "2.5"), ("simulate", "paths", "0"), ("simulate", "seed", "2.7"),
         ("validate", "paths", "12.5"), ("validate", "paths", "-4"), ("validate", "seed", "2.7"),
-        ("validate", "seed", "-1"),
+        ("validate", "seed", "-1"), ("simulate", "paths", "1"),
     ])
     def test_count_must_be_integer_exit_2(self, tmp_path, capsys, command, key, value):
-        # a fractional seed would otherwise run another seed without notice
+        # a fractional seed would otherwise run another seed without notice,
+        # and one path has no standard error
         p = tmp_path / "frac.cfg"
         p.write_text(TINY_CFG + f"{key} = {value}\n")
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -229,18 +230,22 @@ class TestSolve2dCommand:
 
     @pytest.mark.parametrize("points,bad", [
         ("1;2", "1"), ("1:2;3:x", "3:x"), ("1:2:3", "1:2:3"), ("1:inf", "1:inf"),
+        ("1:2;-1:2", "-1:2"), ("30:2", "30:2"), ("1:9.5", "1:9.5"),
     ])
     def test_bad_sim_points_exit_2(self, run_dir, tmp_path, capsys, points, bad):
+        # points off the solved 9 x 9 grid as well as malformed ones
         out = tmp_path / "o"
         out.mkdir()
         shutil.copy(run_dir[0] / "value.csv", out)
         cfg = tmp_path / "points.cfg"
         cfg.write_text(TINY_CFG + f"sim.points = {points}\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "sim.points" in err and repr(bad) in err
-        assert len(err.strip().splitlines()) == 1
-        assert not (out / "sim.json").exists()
+        for command, artifact in (("simulate", "sim.json"),
+                                  ("merger-compare", "merger_compare.csv")):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "sim.points" in err and repr(bad) in err
+            assert len(err.strip().splitlines()) == 1
+            assert not (out / artifact).exists()
 
     def test_simulate_missing_artifacts_exit_2(self, tmp_path, cfg_file):
         rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "no")])
@@ -262,6 +267,14 @@ class TestSolve1dCommand:
         assert main(["solve1d", "--config", str(cfg_file), "--out", str(out),
                      "--kind", "merger"]) == 0
         assert (out / "value1d_merger.csv").is_file()
+
+    def test_delta_1d_without_delta(self, tmp_path):
+        # delta only supplies delta_1d's default
+        cfg = tmp_path / "no_delta.cfg"
+        cfg.write_text(TINY_CFG.replace("delta = 0.1\n", ""))
+        out = tmp_path / "o"
+        assert main(["solve1d", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "band_wbar.json").is_file()
 
     def test_truncated_band_exit_3(self, tmp_path):
         cfg = tmp_path / "trunc.cfg"

@@ -128,21 +128,22 @@ class TestClaimIntegral:
 
     def test_fft_field_matches_gather(self):
         # Deterministic(0.9) reaches only a few cells, so its FFT is far
-        # shorter than 2*s - 1: the case a wrongly sized FFT would wrap around
+        # shorter than 2*s - 1: the case a wrongly sized FFT would wrap around.
+        # On the all-zero table the field is the payout field alone.
         g = small_grid(delta=0.1, x1_max=3.0, x2_max=2.0)
-        v = random_field(g, seed=9)
         for law in LAW_CASES + [Deterministic(0.9)]:
             kern = build_claim_kernel(PARAMS, law, g)
             reach = (int(kern.cell_i1.max()), int(kern.cell_i2.max()))
             for s, r, f in zip(g.shape, reach, kern.fshape):
                 assert f == sfft.next_fast_len(s + r)
                 assert f <= sfft.next_fast_len(2 * s - 1)
-            cf = claim_field(kern, v.values)
-            gather = np.array(
-                [[integral_I_delta(kern, v, n, m) for m in range(g.m_max + 1)]
-                 for n in range(g.n_max + 1)]
-            )
-            np.testing.assert_allclose(cf, gather, rtol=0, atol=1e-12)
+            for v in (random_field(g, seed=9), ValueField(g, np.zeros(g.shape))):
+                cf = claim_field(kern, v.values)
+                gather = np.array(
+                    [[integral_I_delta(kern, v, n, m) for m in range(g.m_max + 1)]
+                     for n in range(g.n_max + 1)]
+                )
+                np.testing.assert_allclose(cf, gather, rtol=0, atol=1e-12)
 
     def test_zero_intensity_gives_zero(self):
         p0 = ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=0.0, q=0.05)

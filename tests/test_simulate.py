@@ -82,7 +82,7 @@ class TestPolicyTable:
         grid, v, policy = small_policy
         n, m = 20, 30
         x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)
-        res = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), x0, 30_000, seed=9)
+        res = simulate_policy(PARAMS, LAW, PolicyTable(policy), x0, 30_000, seed=9)
         assert abs(estimate_gap(res, v.values[n, m])) <= 3.0
 
     def test_initial_rounding_payout(self, small_policy):
@@ -90,7 +90,7 @@ class TestPolicyTable:
         # off-grid start: the immediate payout equals both remainders, so
         # the sample mean estimates the continuous extension
         x0 = SurplusPoint(20.3 * grid.dx1, 30.7 * grid.dx2)
-        res = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), x0, 30_000, seed=9)
+        res = simulate_policy(PARAMS, LAW, PolicyTable(policy), x0, 30_000, seed=9)
         assert abs(estimate_gap(res, v.extend(x0.x1, x0.x2))) <= 3.0
 
     def test_matches_segment_walk_reference(self, small_policy):
@@ -99,7 +99,7 @@ class TestPolicyTable:
         # nodes in the branch-1 and branch-2 lump regions
         grid, v, policy = small_policy
         flow = solver2d.policy_flow(policy)
-        strat = PolicyTable(policy, v)
+        strat = PolicyTable(policy)
         inside = np.unravel_index(np.argmax(np.where(flow.pref == 0, flow.exit_k, 0)),
                                   grid.shape)
         starts = [inside, (20, 30), (5, 80)]
@@ -123,7 +123,7 @@ class TestPolicyTable:
 
     def test_diagnostics_count_every_path(self, small_policy):
         grid, v, policy = small_policy
-        res = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), SurplusPoint(2.0, 3.0),
+        res = simulate_policy(PARAMS, LAW, PolicyTable(policy), SurplusPoint(2.0, 3.0),
                               3000, seed=4)
         assert res.rounds > 1
         assert res.ruined > 0 and res.horizon_cut > 0
@@ -134,34 +134,34 @@ class TestPolicyTable:
     def test_reproducible_bit_identical(self, small_policy):
         grid, v, policy = small_policy
         x0 = SurplusPoint(1.0, 2.0)
-        a = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), x0, 2000, seed=5)
-        b = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), x0, 2000, seed=5)
+        a = simulate_policy(PARAMS, LAW, PolicyTable(policy), x0, 2000, seed=5)
+        b = simulate_policy(PARAMS, LAW, PolicyTable(policy), x0, 2000, seed=5)
         assert a == b
 
     def test_take_and_run_dominated(self, small_policy):
         grid, v, policy = small_policy
         x0 = SurplusPoint(2.0, 3.0)
         tr = simulate_policy(PARAMS, LAW, TakeAndRun(), x0, 20_000, seed=13)
-        pol = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), x0, 20_000, seed=14)
+        pol = simulate_policy(PARAMS, LAW, PolicyTable(policy), x0, 20_000, seed=14)
         assert tr.mean <= pol.mean + 3.0 * (tr.stderr + pol.stderr)
 
     def test_start_outside_grid_rejected(self, small_policy):
         grid, v, policy = small_policy
         with pytest.raises(ValueError):
-            simulate_policy(PARAMS, LAW, PolicyTable(policy, v),
+            simulate_policy(PARAMS, LAW, PolicyTable(policy),
                             SurplusPoint(100.0, 1.0), 10, seed=1)
 
     def test_single_path_gets_a_finite_horizon(self, small_policy):
         # the pilot run that picks the horizon takes at least two paths,
         # so its standard deviation is defined
         grid, v, policy = small_policy
-        res = simulate_policy(PARAMS, LAW, PolicyTable(policy, v),
+        res = simulate_policy(PARAMS, LAW, PolicyTable(policy),
                               SurplusPoint(2.0, 3.0), 1, seed=4)
         assert math.isfinite(res.horizon) and res.horizon > 0
 
     def test_horizon_respects_error_budget(self, small_policy):
         grid, v, policy = small_policy
-        res = simulate_policy(PARAMS, LAW, PolicyTable(policy, v),
+        res = simulate_policy(PARAMS, LAW, PolicyTable(policy),
                               SurplusPoint(1.0, 1.0), 5000, seed=2)
         ub = 1.0 + 1.0 + (PARAMS.c1 + PARAMS.c2) / PARAMS.q
         assert np.exp(-PARAMS.q * res.horizon) * ub < 0.1 * res.stderr * 1.5
@@ -190,6 +190,6 @@ class TestMReflection:
         )
         x0 = SurplusPoint(2.0, 3.0)
         refl = simulate_policy(PARAMS, LAW, MReflection(wbar), x0, 20_000, seed=33)
-        pol = simulate_policy(PARAMS, LAW, PolicyTable(policy, v), x0, 20_000, seed=34)
+        pol = simulate_policy(PARAMS, LAW, PolicyTable(policy), x0, 20_000, seed=34)
         assert refl.rounds > 1 and refl.ruined + refl.horizon_cut == refl.n_paths
         assert refl.mean <= pol.mean + 3.0 * (refl.stderr + pol.stderr)

@@ -19,7 +19,7 @@ from divopt.solver1d import (
     solve_1d,
     tilde_V_eval,
 )
-from oracles import brute_force_t_slices_1d, drift_scan_reference
+from oracles import brute_force_t_slices_1d, drift_scan_reference, extract_band_reference
 
 EX1 = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 SYM = validate_params(ModelParams(c1=21.4, c2=21.4, b1=0.5, b2=0.5, lam=10, q=0.1))
@@ -43,8 +43,8 @@ class TestMakeAuxiliary:
         assert (prob.c, prob.b, prob.kappa, prob.rho) == (3.0, 1.0, 0.0, 1.0)
 
     def test_bad_merger_cost(self):
-        with pytest.raises(ValueError):
-            make_auxiliary_problem(EX1, Exponential(0.6), "merger", m_cost=-1.0)
+        with pytest.raises(ValueError, match="merger cost"):
+            merger_compare(EX1, Exponential(0.6), -1.0, [(1.0, 1.0)], v2d=None)
 
     def test_problem_invariants(self):
         with pytest.raises(ValueError):
@@ -176,6 +176,26 @@ class TestSolve1d:
         lo, hi, _ = cs[0]
         assert lo == pytest.approx(1.803, abs=0.05)
         assert hi == pytest.approx(10.22, abs=0.05)
+
+
+class TestBandExtraction:
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(1, 30)),
+                         min_size=1, max_size=12),
+           dx=st.floats(1e-3, 1.0))
+    def test_matches_node_walk(self, runs, dx):
+        is_b = np.repeat([b for b, _, _ in runs], [k for _, _, k in runs])
+        is_c = np.repeat([c for _, c, _ in runs], [k for _, _, k in runs])
+        try:
+            ref = extract_band_reference(is_b, is_c, dx)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                solver1d._extract_band(is_b, is_c, dx)
+            return
+        band = solver1d._extract_band(is_b, is_c, dx)
+        assert band.intervals == ref.intervals
+        assert band.breakpoints == ref.breakpoints
+        assert band.a_points == ref.a_points
 
 
 @pytest.fixture(scope="module")

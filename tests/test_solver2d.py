@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divopt.hjb2d import Action, ValueField, build_claim_kernel
 from divopt.model import (
@@ -11,6 +13,7 @@ from divopt.model import (
 )
 from divopt import solver1d, solver2d
 from divopt.solver2d import (
+    ARGMAX_NAMES,
     LABEL_NAMES,
     NonConvergenceError,
     PolicyField,
@@ -18,9 +21,10 @@ from divopt.solver2d import (
     check_tilde_suboptimality,
     extract_regions,
     greedy_policy,
+    policy_flow,
     solve,
 )
-from oracles import solve_jacobi, sweep_inplace_reference
+from oracles import policy_flow_reference, solve_jacobi, sweep_inplace_reference
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 LAW = Exponential(0.6)
@@ -144,6 +148,45 @@ class TestPolicyAndRegions:
         actions = np.full(grid.shape, int(Action.E1), dtype=np.uint8)
         with pytest.raises(ValueError):
             PolicyField(grid=grid, actions=actions, eps_tie=1e-9)
+
+    def test_label_of_each_argmax_set(self, small_solve):
+        grid, _, v, _, _ = small_solve
+        expected = {"E0": "C", "E1": "B1", "E2": "B2", "E1+E2": "B0",
+                    "E0+E1": "A1", "E0+E2": "A2", "E0+E1+E2": "A0"}
+        actions = np.full(grid.shape, int(Action.E0), dtype=np.uint8)
+        inner = actions[1:, 1:]
+        inner[...] = 1 + np.arange(inner.size).reshape(inner.shape) % 7
+        region = extract_regions(PolicyField(grid=grid, actions=actions, eps_tie=1e-9), v)
+        for mask, lab in zip(actions.ravel(), region.labels.ravel()):
+            assert LABEL_NAMES[int(lab)] == expected[ARGMAX_NAMES[mask]]
+
+
+def _random_policy(n_pts, m_pts, lump_share, seed):
+    """Random argmax sets on an n_pts x m_pts grid that obey the PolicyField
+    invariants; lump_share of the nodes hold a lump only, which makes long
+    lump chains."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(delta=0.1, dx1=0.2, dx2=0.1, n_max=n_pts - 1, m_max=m_pts - 1)
+    actions = np.where(rng.random(grid.shape) < lump_share,
+                       rng.choice([2, 4, 6], grid.shape), rng.integers(1, 8, grid.shape))
+    actions = actions.astype(np.uint8)
+    actions[0, :] &= ~np.uint8(Action.E1)
+    actions[:, 0] &= ~np.uint8(Action.E2)
+    actions[actions == 0] = Action.E0
+    return PolicyField(grid=grid, actions=actions, eps_tie=1e-9)
+
+
+class TestPolicyFlow:
+    @settings(max_examples=60, deadline=None)
+    @given(n_pts=st.integers(3, 40), m_pts=st.integers(3, 40),
+           lump_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]), seed=st.integers(0, 10_000))
+    def test_matches_row_loop_reference(self, n_pts, m_pts, lump_share, seed):
+        policy = _random_policy(n_pts, m_pts, lump_share, seed)
+        flow = policy_flow(policy)
+        ref = policy_flow_reference(policy)
+        for name, got, want in zip(flow._fields, flow, ref):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert got.dtype == want.dtype, name
 
 
 class TestStructuralChecks:
