@@ -184,12 +184,16 @@ def cmd_solve2d(args):
             "residual_max": report.residual_max,
             "tol_effective": report.tol_effective,
             "min_increment": report.min_increment,
+            "policies": report.policies,
+            "gmres_matvecs": report.gmres_matvecs,
+            "gmres_residual": report.gmres_residual,
             "eps_tie": policy.eps_tie,
             "phases": report.phases,
             "wall_time": time.perf_counter() - t0,
         },
     )
-    print(f"solve2d: {report.iterations} sweeps, residual {report.residual_max:.3e}")
+    print(f"solve2d: {report.iterations} sweeps, {report.policies} policies, "
+          f"residual {report.residual_max:.3e}")
     return 0
 
 
@@ -199,9 +203,11 @@ def cmd_solve1d(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     prob = solver1d.make_auxiliary_problem(params, law, args.kind)
-    # delta is read only when delta_1d is absent, for its default
+    # delta and x1_max are read only when delta_1d and x_max_1d are absent,
+    # for their defaults
     delta = _get_float(cfg, "delta_1d") if "delta_1d" in cfg else _get_float(cfg, "delta") / 4.0
-    x_max = _get_float(cfg, "x_max_1d", 2.0 * _get_float(cfg, "x1_max", 14.0))
+    x_max = (_get_float(cfg, "x_max_1d") if "x_max_1d" in cfg
+             else 2.0 * _get_float(cfg, "x1_max", 14.0))
     sol = solver1d.solve_1d(prob, delta, x_max, tol=_get_float(cfg, "tol", 1e-9))
     with open(out / f"value1d_{args.kind}.csv", "w") as fh:
         fh.write("x,value,label\n")

@@ -112,9 +112,10 @@ class ValueField:
         return self.lookup(n, m) + (x1 - n * g.dx1) + (x2 - m * g.dx2)
 
 
-def shift_up_diag(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Array of lookup(n+1, m+1), using the linear extension at the edges."""
-    up = np.empty_like(values)
+def shift_up_diag(values: np.ndarray, grid: GridSpec, out: np.ndarray = None) -> np.ndarray:
+    """Array of lookup(n+1, m+1), using the linear extension at the edges
+    (written into out, a buffer other than values, when given)."""
+    up = np.empty_like(values) if out is None else out
     up[:-1, :-1] = values[1:, 1:]
     up[-1, :-1] = values[-1, 1:] + grid.dx1
     up[:-1, -1] = values[1:, -1] + grid.dx2
@@ -302,11 +303,14 @@ def claim_field(kernel: ClaimKernel, values: np.ndarray) -> np.ndarray:
 
 
 class NonConvergenceError(RuntimeError):
-    """Value iteration hit its sweep cap before the stop rule fired."""
+    """A solve cannot finish: value iteration hit its sweep cap before the
+    stop rule fired, or (with a message saying so) the 2D policy-iteration
+    finish hit its policy cap or its linear solve stalled."""
 
-    def __init__(self, sweeps, last_increment):
+    def __init__(self, sweeps, last_increment, message=None):
         super().__init__(
-            f"value iteration hit the sweep cap ({sweeps}) with sup-increment "
+            message
+            or f"value iteration hit the sweep cap ({sweeps}) with sup-increment "
             f"{last_increment:.3e}"
         )
         self.sweeps = sweeps

@@ -19,7 +19,9 @@ closed-form time integration over exact claim cells):
 The sweep reference closes the branch-2 lumps one column at a time,
 re-closing each column under branch-1 lumps after every step; the 1D
 drift reference runs the drift recurrence one node at a time.  The
-policy-flow reference finds the lump-chain anchors row by row, and the
+policy-flow reference finds the lump-chain anchors row by row; the policy
+evaluation reference solves for a policy's value over the full grid with
+a sparse LU, where the solver works on the no-pay nodes only; and the
 band reference walks the 1D labels node by node.  The policy
 runner reference walks the grid strategy one drift-and-lump segment at a
 time instead of jumping over the anchor graph.  The Jacobi
@@ -220,6 +222,46 @@ def policy_flow_reference(policy):
         up[:-1] = exit_k[1:, m + 1]
         exit_k[:, m] = np.where(pref[:, m] == 0, 1 + up, 0)
     return solver2d.PolicyFlow(pref, anchor_n, anchor_m, paid, exit_k)
+
+
+def evaluate_policy_reference(kernel, pref):
+    """Exact value of a grid policy by one sparse solve over the full grid.
+
+    pref is each node's action (0 no-pay, 1 or 2 the branch to lump).  The
+    system is (I - L_pi - P0 C) v = b_pi: a lump row ties v to the node one
+    cell down in its branch plus that cell's payout; a no-pay row to
+    disc * lookup(n+1, m+1) (shift_up_diag's edge rule) plus the claim
+    integral, gathered straight from the kernel cells.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import spsolve
+
+    g = kernel.grid
+    n_pts, m_pts = g.shape
+    disc = kernel.discount_step
+    flat = np.arange(n_pts * m_pts).reshape(g.shape)
+    rows, cols, vals = [flat.ravel()], [flat.ravel()], [np.ones(flat.size)]
+    rhs = np.zeros(flat.size)
+    for code, step, dx in ((1, (1, 0), g.dx1), (2, (0, 1), g.dx2)):
+        ns, ms = np.nonzero(pref == code)
+        rows.append(flat[ns, ms])
+        cols.append(flat[ns - step[0], ms - step[1]])
+        vals.append(-np.ones(ns.size))
+        rhs[flat[ns, ms]] = dx
+    ns, ms = np.nonzero(pref == 0)
+    rows.append(flat[ns, ms])
+    cols.append(flat[np.minimum(ns + 1, g.n_max), np.minimum(ms + 1, g.m_max)])
+    vals.append(np.full(ns.size, -disc))
+    rhs[flat[ns, ms]] = (disc * (g.dx1 * (ns == g.n_max) + g.dx2 * (ms == g.m_max))
+                         + kernel.payout_field[ns, ms])
+    for i1, i2, wv in zip(kernel.cell_i1, kernel.cell_i2, kernel.cell_wv):
+        on = (ns >= i1) & (ms >= i2)
+        rows.append(flat[ns[on], ms[on]])
+        cols.append(flat[ns[on] - i1, ms[on] - i2])
+        vals.append(np.full(int(on.sum()), -wv))
+    a = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(flat.size, flat.size)).tocsc()
+    return spsolve(a, rhs).reshape(g.shape)
 
 
 def extract_band_reference(is_b, is_c, dx):

@@ -132,14 +132,13 @@ def test_criterion_3_example2_components(ex2, regions):
 
 
 def test_criterion_3_example2_a0_location(ex2, regions):
-    # The computed interior premium point sits near (3.93, 4.10); it is
-    # stable under grid refinement (delta/2, delta/4), and the surrounding
-    # value surface is confirmed by an independent Monte Carlo run, yet the
-    # expected location (4.00, 4.75) differs in the second coordinate.  A
-    # tighter stop tolerance moves it a little, from (3.933, 4.096) at
-    # tol = 1e-8 to (3.981, 4.150) at tol = 1e-10, still about 0.6 below
-    # the expected x2.  The assertion is kept at the required tolerance and
-    # fails honestly.
+    # The computed interior premium point sits at (3.981, 4.150), the point
+    # of the exact grid fixed point; it is stable under grid refinement
+    # (delta/2, delta/4), and the surrounding value surface is confirmed by
+    # an independent Monte Carlo run, yet the expected location (4.00, 4.75)
+    # differs in the second coordinate, by about 0.6.  A tol = 1e-8 stop
+    # of plain value iteration put it at (3.933, 4.096).  The assertion is
+    # kept at the required tolerance and fails honestly.
     region = regions["ex2"]
     nonzero = [p for p in region.a0_points if p[0] > 0.5]
     assert len(nonzero) == 1, region.a0_points

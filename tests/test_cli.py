@@ -140,7 +140,7 @@ class TestSolve2dCommand:
         out, _ = run_dir
         manifest = json.loads((out / "manifest.json").read_text())
         phases = manifest["phases"]
-        assert set(phases) == {"claim_field", "sweeps", "policy"}
+        assert set(phases) == {"claim_field", "sweeps", "evaluation", "policy"}
         assert all(t > 0 for t in phases.values())
         assert sum(phases.values()) <= manifest["wall_time"]
 
@@ -149,6 +149,11 @@ class TestSolve2dCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"]
         assert summary["residual_max"] <= 10 * summary["tol_effective"]
+        # the policy-iteration finish, in both reports
+        manifest = json.loads((out / "manifest.json").read_text())
+        for report in (summary, manifest):
+            assert report["policies"] >= 1 and report["gmres_matvecs"] >= 1
+            assert report["residual_max"] < 1e-10 and report["gmres_residual"] < 1e-10
         assert isinstance(summary["a0_points"], list)
 
     def test_simulate_command(self, run_dir):
@@ -276,6 +281,14 @@ class TestSolve1dCommand:
         assert main(["solve1d", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "band_wbar.json").is_file()
 
+    def test_x_max_1d_without_x1_max(self, tmp_path):
+        # x1_max only supplies x_max_1d's default, so a bad one is not read
+        cfg = tmp_path / "inf_x1.cfg"
+        cfg.write_text(TINY_CFG.replace("x1_max = 9", "x1_max = inf"))
+        out = tmp_path / "o"
+        assert main(["solve1d", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "band_wbar.json").is_file()
+
     def test_truncated_band_exit_3(self, tmp_path):
         cfg = tmp_path / "trunc.cfg"
         cfg.write_text(TINY_CFG.replace("x_max_1d = 25", "x_max_1d = 2"))
@@ -357,12 +370,17 @@ class TestArtifactsOfAnotherGrid:
 
 
 class TestValidateNegativeControl:
-    def test_early_stopped_solve_fails_residual(self, tmp_path):
-        # a deliberately loose solve leaves a residual far above 10x tol
+    def test_early_stopped_solve_fails_residual(self, tmp_path, monkeypatch):
+        # a deliberately loose solve leaves a residual far above 10x tol:
+        # value iteration stopped at tol = 1.0, without the policy-iteration
+        # finish that always takes solve2d to the fixed point
+        monkeypatch.setattr(solver2d, "_finish", lambda kernel, v, claim, phases:
+                            solver2d._Finish(0, math.inf, 0.0, 0, 0, math.inf))
         cfg = tmp_path / "loose.cfg"
         cfg.write_text(TINY_CFG.replace("tol = 1e-8", "tol = 1.0"))
         out = tmp_path / "loose_out"
         assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
+        monkeypatch.undo()
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["tol_effective"] = 1e-8
         (out / "manifest.json").write_text(json.dumps(manifest))

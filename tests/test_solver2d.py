@@ -24,7 +24,12 @@ from divopt.solver2d import (
     policy_flow,
     solve,
 )
-from oracles import policy_flow_reference, solve_jacobi, sweep_inplace_reference
+from oracles import (
+    evaluate_policy_reference,
+    policy_flow_reference,
+    solve_jacobi,
+    sweep_inplace_reference,
+)
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 LAW = Exponential(0.6)
@@ -61,9 +66,12 @@ class TestSolve:
 
     def test_jacobi_agrees_with_inplace(self, small_solve):
         grid, kernel, v, _, _ = small_solve
-        vj, tol_eff = solve_jacobi(kernel)
+        # the solve ends at the fixed point, so the Jacobi reference runs
+        # close to it too; a Jacobi iterate is a subsolution, never above
+        vj, tol_eff = solve_jacobi(kernel, tol=1e-13)
         gap = 200 * max(tol_eff, 1e-8)
         assert np.abs(vj - v.values).max() <= gap
+        assert np.all(vj <= v.values + 1e-12)
 
     def test_zero_seed_not_a_solution(self, small_solve):
         grid, kernel, _, _, _ = small_solve
@@ -86,6 +94,25 @@ class TestSolve:
         with pytest.raises(NonConvergenceError) as exc:
             solve(PARAMS, LAW, grid, iter_cap=2)
         assert exc.value.last_increment > 0
+
+    def test_policy_cap(self, monkeypatch):
+        monkeypatch.setattr(solver2d, "_POLICY_CAP", 1)
+        grid = GridSpec.make(PARAMS, delta=0.1, x1_max=4, x2_max=4)
+        with pytest.raises(NonConvergenceError, match="policy iteration"):
+            solve(PARAMS, LAW, grid)
+
+    def test_gmres_stall(self, monkeypatch):
+        monkeypatch.setattr(solver2d, "_GMRES_CYCLES", 0)
+        grid = GridSpec.make(PARAMS, delta=0.1, x1_max=4, x2_max=4)
+        with pytest.raises(NonConvergenceError, match="stalled"):
+            solve(PARAMS, LAW, grid)
+
+    def test_finish_reaches_fixed_point(self, small_solve):
+        _, _, _, _, report = small_solve
+        assert report.policies >= 1 and report.gmres_matvecs >= 1
+        assert report.residual_max <= 1e-11
+        assert report.gmres_residual <= 1e-11
+        assert report.final_sup_increment <= 1e-11
 
     def test_bad_tol_rejected(self):
         grid = GridSpec.make(PARAMS, delta=0.1, x1_max=4, x2_max=4)
@@ -187,6 +214,64 @@ class TestPolicyFlow:
         for name, got, want in zip(flow._fields, flow, ref):
             np.testing.assert_array_equal(got, want, err_msg=name)
             assert got.dtype == want.dtype, name
+
+
+def _evaluate(kernel, pref):
+    out = np.empty(kernel.grid.shape)
+    return solver2d._NoPayEvaluation(kernel).evaluate(pref, np.zeros(kernel.grid.shape), out)
+
+
+def _assert_matches_reference(kernel, pref):
+    got = _evaluate(kernel, pref)
+    want = evaluate_policy_reference(kernel, pref)
+    assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+
+class TestNoPayEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(n_pts=st.integers(3, 40), m_pts=st.integers(3, 40),
+           lump_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]), edge_nopay=st.booleans(),
+           seed=st.integers(0, 10_000))
+    def test_matches_full_grid_solve(self, n_pts, m_pts, lump_share, edge_nopay, seed):
+        policy = _random_policy(n_pts, m_pts, lump_share, seed)
+        pref = solver2d._PREF_OF_MASK[policy.actions & 7]
+        if edge_nopay:  # no-pay nodes drift along the outer edges
+            pref[-1, :] = 0
+            pref[:, -1] = 0
+        _assert_matches_reference(build_claim_kernel(PARAMS, LAW, policy.grid), pref)
+
+    @pytest.mark.parametrize("chain", [4, 5, 8, 9, 16, 17, 32, 33])
+    @pytest.mark.parametrize("kind", ["branch1", "branch2", "staircase"])
+    def test_lump_chains_of_each_length(self, chain, kind):
+        # the longest lump chain has `chain` cells, so pointer jumping
+        # takes ceil(log2(chain)) doubling passes, 2 to 6: odd and even
+        # counts both.  Every other node of the bottom row (column) lumps
+        # on along it, so a no-pay node's rank differs from its flat index.
+        if kind == "branch1":  # lumps in branch 1 down to n = 0
+            shape = (chain, 4)
+        elif kind == "branch2":  # ... in branch 2 down to m = 0
+            shape = (4, chain)
+        else:  # branch 1 down to n = 0, then branch 2 to the origin
+            shape = (chain // 2 + 1, chain - chain // 2 + 1)
+        grid = GridSpec(delta=0.1, dx1=0.2, dx2=0.1, n_max=shape[0] - 1, m_max=shape[1] - 1)
+        pref = np.zeros(shape, dtype=np.int8)
+        if kind == "branch1":
+            pref[1:, :] = 1
+            pref[0, 1::2] = 2
+        elif kind == "branch2":
+            pref[:, 1:] = 2
+            pref[1::2, 0] = 1
+        else:
+            pref[1:, :] = 1
+            pref[0, 1:] = 2
+        _assert_matches_reference(build_claim_kernel(PARAMS, LAW, grid), pref)
+
+    def test_greedy_policy_of_the_solve(self, small_solve):
+        # at the fixed point the value of its greedy policy is the table
+        _, kernel, v, policy, _ = small_solve
+        pref = solver2d._PREF_OF_MASK[policy.actions & 7]
+        _assert_matches_reference(kernel, pref)
+        assert np.abs(_evaluate(kernel, pref) - v.values).max() <= 1e-9
 
 
 class TestStructuralChecks:
