@@ -3,11 +3,15 @@
 Paths are driven event by event: premium and reward streams between events
 are discounted in closed form, so the only discretization in a simulated
 path is the strategy's own grid.  Between claims a policy table moves a
-path along a fixed flow: lump to the chain anchor, drift the no-pay run
-(the uncontrolled drift is linear), lump to the next anchor.  Binary-lifting
-jump tables over that anchor graph (pointer jumping) cover 2^j segments at
-once, so each claim round costs one log-depth descent per live path, and a
-path riding the boundary (drift up, lump back) is just a loop in the graph.
+path along the flow the solver's policy evaluation reads
+(solver2d.policy_flow): lump to the chain anchor, then one diagonal cell
+at a time from no-pay node to no-pay node, each cell ending with the lump
+at its drift target, and past the outer edges the unit-slope extension the
+solver's value assumes.  Binary-lifting tables over that per-cell flow
+(pointer jumping) cover 2^j cells at once, so a claim round takes its
+whole cells by the bits of their count, and a path riding the boundary
+(drift up, lump back) is just a loop in the flow.  A path stops at the
+horizon: a claim after it is not simulated.
 
 All draws use a counter-based Philox generator and are made in full-size
 arrays per claim round, indexed by path, so results are bit-identical for a
@@ -28,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import ClaimLaw, ModelParams, SurplusPoint, validate_params
-from .solver2d import PolicyField, policy_flow
+from .solver2d import _PREF_OF_MASK, PolicyField, policy_flow
 
 __all__ = [
     "PolicyTable",
@@ -55,8 +59,9 @@ class PolicyTable:
 
     @cached_property
     def flow(self):
-        """The policy-flow tables, built on first use and shared by every run."""
-        return policy_flow(self.policy)
+        """The policy's flow (solver2d.policy_flow), built on first use and
+        shared by every run."""
+        return policy_flow(_PREF_OF_MASK[self.policy.actions & 7], self.policy.grid)
 
     def runner(self, params, law, x0: SurplusPoint):
         """run(n_paths, seed, horizon) -> (values, final times, ruined, rounds)
@@ -64,18 +69,20 @@ class PolicyTable:
         g = self.policy.grid
         if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
             raise ValueError("initial surplus outside the solved grid")
-        flow = self.flow
-        _, anchor_n, anchor_m, paid, exit_k = flow
+        nopay, anchor, succ, paid = self.flow
+        m_pts = g.shape[1]
         dx1, dx2, delta = g.dx1, g.dx2, g.delta
         c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
         q, lam = params.q, params.lam
-        jumps = _AnchorJumps(flow, delta, q)
+        # level j: the no-pay node 2^j cells on, the dividends of those cells
+        # discounted to their start, and the discount factor of 2^j cells;
+        # levels are added as the rounds need them
+        levels = [(succ, paid * math.exp(-q * delta), math.exp(-q * delta))]
         n0 = int(math.floor(x0.x1 / dx1 + 1e-12))
         m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
         pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
 
         def run(n_paths, seed, horizon):
-            jumps.cover(horizon)
             rng = np.random.Generator(np.random.Philox(key=seed))
             vals = np.empty(n_paths)
             t_final = np.empty(n_paths)
@@ -93,48 +100,44 @@ class PolicyTable:
                 # claims whichever other paths are still live
                 togo = rng.exponential(1.0 / lam, n_paths)[ids]
                 claim = law.sample(rng, n_paths)[ids]
-                # instant lump payouts down to the chain anchor (paid is 0 on
-                # no-pay nodes, which are their own anchors)
-                acc += paid[n, m] * np.exp(-q * t)
-                n, m = anchor_n[n, m], anchor_m[n, m]
-                # cum: cells drifted this round before the node the round ends
-                # at; cells: cum plus the drift run from that node
-                cum = np.zeros(ids.size, dtype=np.int64)
-                cells = exit_k[n, m]
-                go = np.flatnonzero((cells * delta < togo) & (t + cells * delta < horizon))
-                if go.size:
-                    # the first drift run lands every path on an anchor, the
-                    # descent takes the rest of the round's whole segments
-                    k, a, gain = jumps.segment(n[go], m[go])
-                    gain *= np.exp(-q * (t[go] + delta * k))
-                    n[go], m[go], cum[go] = jumps.descend(a, k, gain, t[go], togo[go], horizon)
-                    acc[go] += gain
-                    cells[go] = cum[go] + exit_k[n[go], m[go]]
-                # the next segment ends at or after the claim, or else at or
-                # after the horizon, where the path stops with no more payouts
-                hit = np.flatnonzero(cells * delta >= togo)
-                cut = np.ones(ids.size, dtype=bool)
-                cut[hit] = False
-                t[cut] += delta * cells[cut]
-                s = togo[hit] - delta * cum[hit]
-                t[hit] += togo[hit]
-                y1 = n[hit] * dx1 + c1 * s - b1 * claim[hit]
-                y2 = m[hit] * dx2 + c2 * s - b2 * claim[hit]
-                broke = (y1 < 0) | (y2 < 0)
-                ok = hit[~broke]
-                k1 = np.floor(y1[~broke] / dx1 + 1e-12).astype(np.int64)
-                k2 = np.floor(y2[~broke] / dx2 + 1e-12).astype(np.int64)
-                rem = (y1[~broke] - k1 * dx1) + (y2[~broke] - k2 * dx2)
-                acc[ok] += rem * np.exp(-q * t[ok])
-                n[ok], m[ok] = k1, k2
-                ruined[ids[hit[broke]]] = True
-                keep = np.zeros(ids.size, dtype=bool)
-                keep[ok] = t[ok] < horizon
-                if not np.all(keep):
-                    done = np.flatnonzero(~keep)
-                    vals[ids[done]], t_final[ids[done]] = acc[done], t[done]
-                    keep = np.flatnonzero(keep)
-                    ids, n, m, t, acc = ids[keep], n[keep], m[keep], t[keep], acc[keep]
+                # instant lump payout down to the chain anchor (none on no-pay nodes)
+                r = anchor[n * m_pts + m]
+                an, am = np.divmod(nopay[r], m_pts)
+                disc = np.exp(-q * t)
+                acc += ((n - an) * dx1 + (m - am) * dx2) * disc
+                # the whole cells that end before the claim and the horizon,
+                # taken by the bits of their count
+                cells = np.maximum(np.ceil(np.minimum(togo, horizon - t) / delta) - 1, 0)
+                cells = cells.astype(np.int64)
+                for j in range(int(cells.max()).bit_length()):
+                    if j == len(levels):
+                        nxt, pay, d = levels[-1]
+                        levels.append((nxt[nxt], pay + d * pay[nxt], d * d))
+                    nxt, pay, d = levels[j]
+                    take = np.flatnonzero((cells >> j) & 1)
+                    at = r[take]
+                    acc[take] += pay[at] * disc[take]
+                    disc[take] *= d
+                    r[take] = nxt[at]
+                # a claim before the horizon ruins the path or lands it by
+                # floor rounding, the excess past the outer edges paid with the
+                # remainder; a path whose claim falls after the horizon stops there
+                hit = togo <= horizon - t
+                t = np.where(hit, t + togo, horizon)
+                s = togo - delta * cells
+                n, m = np.divmod(nopay[r], m_pts)
+                y1 = n * dx1 + c1 * s - b1 * claim
+                y2 = m * dx2 + c2 * s - b2 * claim
+                broke = hit & ((y1 < 0) | (y2 < 0))
+                ruined[ids[broke]] = True
+                n = np.minimum(np.floor(y1 / dx1 + 1e-12).astype(np.int64), g.n_max)
+                m = np.minimum(np.floor(y2 / dx2 + 1e-12).astype(np.int64), g.m_max)
+                lands = hit & ~broke
+                acc[lands] += ((y1 - n * dx1) + (y2 - m * dx2))[lands] * np.exp(-q * t[lands])
+                live = lands & (t < horizon)
+                done = ~live
+                vals[ids[done]], t_final[ids[done]] = acc[done], t[done]
+                ids, n, m, t, acc = ids[live], n[live], m[live], t[live], acc[live]
             return vals, t_final, ruined, rounds
 
         return run
@@ -209,62 +212,3 @@ def _wrap(vals, horizon, seed, rounds, ruined):
         mean=float(np.mean(vals)), stderr=stderr, n_paths=n, horizon=horizon, seed=seed,
         rounds=rounds, ruined=n_ruined, horizon_cut=n - n_ruined,
     )
-
-
-class _AnchorJumps:
-    """Binary-lifting tables over the anchor graph of a policy flow.
-
-    The anchors are the no-pay nodes where the lump chains at the end of
-    no-pay runs come to rest.  From anchor a the flow drifts exit_k cells,
-    then lumps to the next anchor; level j holds, for 2^j such segments,
-    the anchor reached (nxt), the cells drifted (dur) and the dividends
-    discounted to the start (pay).  Levels are added until the shortest 2^j
-    span reaches the horizon, so a greedy descent over them finds any
-    number of segments a claim round can take.  The tables have one row per
-    anchor, never one per grid node.
-    """
-
-    def __init__(self, flow, delta, q):
-        self.flow, self.delta, self.q = flow, delta, q
-        self.cols = flow.pref.shape[1]
-        self.nodes = np.unique(self._run_end(*np.nonzero(flow.pref == 0))[1])
-        self.an, self.am = np.divmod(self.nodes, self.cols)
-        k, nxt, paid = self.segment(self.an, self.am)
-        self.levels = [(nxt, k, paid * np.exp(-q * delta * k))]
-
-    def _run_end(self, n, m):
-        """From no-pay nodes (n, m): the cells of the drift run, the flat
-        index of the anchor the lump at its end reaches, and its dividend."""
-        f = self.flow
-        k = f.exit_k[n, m]
-        en, em = n + k, m + k
-        return k, f.anchor_n[en, em] * self.cols + f.anchor_m[en, em], f.paid[en, em]
-
-    def segment(self, n, m):
-        """As _run_end, with the anchor as an index into the tables."""
-        k, node, paid = self._run_end(n, m)
-        return k, np.searchsorted(self.nodes, node), paid
-
-    def cover(self, horizon):
-        """Add levels until the shortest span of the top one reaches horizon."""
-        while self.levels[-1][1].min() * self.delta < horizon:
-            nxt, dur, pay = self.levels[-1]
-            self.levels.append(
-                (nxt[nxt], dur + dur[nxt], pay + np.exp(-self.q * self.delta * dur) * pay[nxt])
-            )
-
-    def descend(self, a, cum, gain, t0, togo, horizon):
-        """From anchors a, reached after cum cells since the round start at
-        t0, take the most whole segments that end before both the claim,
-        togo from t0, and the horizon.  Adds their dividends, discounted to
-        time 0, to gain; returns the anchor nodes reached and the cells."""
-        # the top level spans the horizon from every anchor: it is never taken
-        for nxt, dur, pay in reversed(self.levels[:-1]):
-            span = cum + dur[a]
-            end = span * self.delta
-            take = np.flatnonzero((end < togo) & (t0 + end < horizon))
-            at = a[take]
-            gain[take] += pay[at] * np.exp(-self.q * (t0[take] + self.delta * cum[take]))
-            cum[take] = span[take]
-            a[take] = nxt[at]
-        return self.an[a], self.am[a], cum

@@ -98,37 +98,43 @@ class PolicyField:
 
 
 class PolicyFlow(NamedTuple):
-    """The grid strategy as a flow between claims.
+    """A grid strategy as a flow on its no-pay nodes, in rank space.
 
-    pref is the action taken at each node (0 no-pay, 1 or 2 the branch to
-    lump; lumps are preferred over no-pay).  A lump chain from a node ends
-    at the no-pay node (anchor_n, anchor_m), paying paid on the way.  A
-    no-pay node drifts exit_k cells diagonally before it meets a lump node
-    (0 on lump nodes).
+    Every node lumps, one cell at a time down its branch, to the no-pay
+    node at the end of its lump chain: its anchor.  A no-pay node drifts
+    one cell diagonally, to (min(n+1, n_max), min(m+1, m_max)), and lumps
+    on to that target's anchor; past the outer edges the drift pays dx1
+    (dx2) instead, shift_up_diag's unit-slope rule.  Ranks number the
+    no-pay nodes in flat (C) order.
+
+    nopay is the flat index of each no-pay node, in rank order; anchor
+    (int32, flat) the rank of each node's anchor; succ the anchor rank of
+    each no-pay node's drift target; paid the dividends of that step.  A
+    lump node's own payout is s[node] - s[anchor], s = n*dx1 + m*dx2.
     """
 
-    pref: np.ndarray
-    anchor_n: np.ndarray
-    anchor_m: np.ndarray
+    nopay: np.ndarray
+    anchor: np.ndarray
+    succ: np.ndarray
     paid: np.ndarray
-    exit_k: np.ndarray
 
 
-def _anchor_ranks(pref, out, scratch):
+def _anchor_ranks(pref):
     """Rank of the no-pay node at the end of each node's lump chain.
 
     pref holds each node's action (0 no-pay, 1 or 2 the branch to lump);
-    the rank counts the no-pay nodes in flat (C) order.  out and scratch
-    are distinct flat integer buffers of pref.size, and the ranks are
-    written into out.  Pointer jumping: each lump node points at its lump
-    target, one cell down in its branch, and a no-pay node holds -1 - its
-    rank; every pass replaces each pointer by its target's entry, which
-    doubles the chain length covered, until no pointer is left.  Every
-    chain ends on a no-pay node as long as no node lumps off the grid
-    (branch 1 at n = 0, branch 2 at m = 0), which PolicyField and the
+    the rank counts the no-pay nodes in flat (C) order, and the ranks come
+    back as a flat int32 array.  Pointer jumping: each lump node points at
+    its lump target, one cell down in its branch, and a no-pay node holds
+    -1 - its rank; every pass replaces each pointer by its target's entry,
+    which doubles the chain length covered, until no pointer is left.
+    Every chain ends on a no-pay node as long as no node lumps off the
+    grid (branch 1 at n = 0, branch 2 at m = 0), which PolicyField and the
     greedy step both rule out.
     """
     flat = pref.ravel()
+    out = np.empty(flat.size, dtype=np.int32)
+    scratch = np.empty(flat.size, dtype=np.int32)
     np.take(np.array([0, pref.shape[1], 1], dtype=out.dtype), flat, out=scratch, mode="clip")
     np.subtract(np.arange(flat.size, dtype=out.dtype), scratch, out=out)
     nopay = flat == 0
@@ -141,30 +147,20 @@ def _anchor_ranks(pref, out, scratch):
     return np.subtract(-1, out, out=out)
 
 
-def policy_flow(policy: PolicyField) -> PolicyFlow:
-    """The policy-flow tables of a converged grid policy."""
-    g = policy.grid
-    pref = _PREF_OF_MASK[policy.actions & 7]
-    # outer edges follow the unit-slope extension: treat residual no-pay
-    # nodes there as lump nodes so drift never leaves the table
-    edge = pref[g.n_max, :] == 0
-    pref[g.n_max, edge] = 1
-    edge = pref[:, g.m_max] == 0
-    pref[1:, g.m_max][edge[1:]] = 1
-    pref[0, g.m_max] = 2 if pref[0, g.m_max] == 0 else pref[0, g.m_max]
-
-    n_pts, m_pts = g.shape
-    ranks = _anchor_ranks(pref, np.empty(pref.size, np.int64), np.empty(pref.size, np.int64))
-    anchor_n, anchor_m = np.divmod(np.flatnonzero(pref == 0)[ranks].reshape(g.shape), m_pts)
-    cols = np.arange(n_pts)
-    paid = (cols[:, None] - anchor_n) * g.dx1 + (np.arange(m_pts)[None, :] - anchor_m) * g.dx2
-
-    exit_k = np.zeros(g.shape, dtype=np.int64)
-    for m in range(m_pts - 2, -1, -1):
-        up = np.zeros(n_pts, dtype=np.int64)
-        up[:-1] = exit_k[1:, m + 1]
-        exit_k[:, m] = np.where(pref[:, m] == 0, 1 + up, 0)
-    return PolicyFlow(pref, anchor_n, anchor_m, paid, exit_k)
+def policy_flow(pref, grid: GridSpec) -> PolicyFlow:
+    """The flow of the grid policy pref (0 no-pay, 1 or 2 the branch to
+    lump at each node); the solver's policy evaluation and the Monte Carlo
+    runner both read it."""
+    m_pts = grid.shape[1]
+    nopay = np.flatnonzero(pref == 0)
+    anchor = _anchor_ranks(pref)
+    nn, mm = np.divmod(nopay, m_pts)
+    tn, tm = np.minimum(nn + 1, grid.n_max), np.minimum(mm + 1, grid.m_max)
+    succ = anchor[tn * m_pts + tm]
+    an, am = np.divmod(nopay[succ], m_pts)
+    paid = ((tn - an) * grid.dx1 + (tm - am) * grid.dx2
+            + (nn == grid.n_max) * grid.dx1 + (mm == grid.m_max) * grid.dx2)
+    return PolicyFlow(nopay, anchor, succ, paid)
 
 
 @dataclass
@@ -389,26 +385,20 @@ class _NoPayEvaluation:
     """The exact value V^pi of a grid policy, solved for on its no-pay nodes.
 
     A lump node's value is the payout down its lump chain plus the value
-    at the chain's anchor, a no-pay node (_anchor_ranks), so the unknowns
-    are the values x at the K no-pay nodes.  They solve
+    at the chain's anchor, a no-pay node, so the unknowns are the values x
+    at the K no-pay nodes.  With the policy's flow (policy_flow) they solve
 
-        x = disc * (x[succ] + a) + (claim field of the expanded table)[no-pay],
+        x = disc * (x[succ] + paid) + (claim field of the expanded table)[no-pay].
 
-    where succ is the anchor of each no-pay node's diagonal drift target
-    (shift_up_diag's edge rule, not policy_flow's edge-to-lump conversion)
-    and a the payout on the way.  The drift part x -> disc * x[succ] is a
-    functional graph on the no-pay nodes, inverted exactly by pointer
-    doubling; that inverse right-preconditions a restarted GMRES whose
-    matvec is one claim correlation.  The grid-sized index tables are
-    allocated once, for all the policies of a solve.
+    The drift part x -> disc * x[succ] is a functional graph on the no-pay
+    nodes, inverted exactly by pointer doubling; that inverse
+    right-preconditions a restarted GMRES whose matvec is one claim
+    correlation.
     """
 
     def __init__(self, kernel):
         g = kernel.grid
         self.kernel, self.disc = kernel, kernel.discount_step
-        size = g.shape[0] * g.shape[1]
-        self._scratch = np.empty(size, dtype=np.int32)
-        self._expand = np.empty(size, dtype=np.int32)  # no-pay rank of each node's anchor
         self._s1 = np.arange(g.shape[0]) * g.dx1
         self._s2 = np.arange(g.shape[1]) * g.dx2
         self.matvecs = 0
@@ -416,42 +406,31 @@ class _NoPayEvaluation:
 
     def evaluate(self, pref, v, out):
         """Write V^pi of the policy pref into out, starting GMRES from v."""
-        g = self.kernel.grid
-        m_pts = g.shape[1]
-        nopay = np.flatnonzero(pref == 0)
-        _anchor_ranks(pref, self._expand, self._scratch)
-        nn, mm = np.divmod(nopay, m_pts)
-        tn, tm = np.minimum(nn + 1, g.n_max), np.minimum(mm + 1, g.m_max)
-        self._nn, self._mm = nn, mm
-        self._succ = self._expand[tn * m_pts + tm]
-        an, am = np.divmod(nopay[self._succ], m_pts)
-        # lump payout from the drift target to its anchor, plus the unit
-        # slope past the outer edges
-        self._a = ((tn - an) * g.dx1 + (tm - am) * g.dx2
-                   + (nn == g.n_max) * g.dx1 + (mm == g.m_max) * g.dx2)
-        self._s = self._s1[nn] + self._s2[mm]
-        x = self._gmres(v.ravel()[nopay], out)
+        self._flow = flow = policy_flow(pref, self.kernel.grid)
+        self._nn, self._mm = np.divmod(flow.nopay, pref.shape[1])
+        self._s = self._s1[self._nn] + self._s2[self._mm]
+        x = self._gmres(v.ravel()[flow.nopay], out)
         self._expand_into(x, out)
-        out.ravel()[nopay] = x
+        out.ravel()[flow.nopay] = x
         return out
 
     def _expand_into(self, x, out):
         """The table of no-pay values x: x at the anchor plus the payout on
         the way, n*dx1 + m*dx2 less the anchor's."""
-        np.take(x - self._s, self._expand, out=out.ravel(), mode="clip")
+        np.take(x - self._s, self._flow.anchor, out=out.ravel(), mode="clip")
         out += self._s1[:, None]
         out += self._s2[None, :]
 
     def _residual(self, x, full):
         self._expand_into(x, full)
         cf = claim_field(self.kernel, full)
-        return self.disc * (x[self._succ] + self._a) + cf[self._nn, self._mm] - x
+        return self.disc * (x[self._flow.succ] + self._flow.paid) + cf[self._nn, self._mm] - x
 
     def _drift_inverse(self, y):
         """x = y + disc * x[succ], solved by pointer doubling: after j
         passes x sums the first 2^j terms of y + disc*y[succ] + ..., and
         the passes end when disc^(2^j) underflows."""
-        x, succ, d = y.copy(), self._succ, self.disc
+        x, succ, d = y.copy(), self._flow.succ, self.disc
         while d > 0.0:
             x += d * x[succ]
             succ = succ[succ]
@@ -461,7 +440,7 @@ class _NoPayEvaluation:
     def _apply(self, z, full):
         """The right-preconditioned operator: z less the claim part of the
         expansion of the drift inverse of z."""
-        np.take(self._drift_inverse(z), self._expand, out=full.ravel(), mode="clip")
+        np.take(self._drift_inverse(z), self._flow.anchor, out=full.ravel(), mode="clip")
         self.matvecs += 1
         return z - correlate(full, self.kernel._fk, self.kernel.fshape)[self._nn, self._mm]
 

@@ -24,7 +24,7 @@ evaluation reference solves for a policy's value over the full grid with
 a sparse LU, where the solver works on the no-pay nodes only; and the
 band reference walks the 1D labels node by node.  The policy
 runner reference walks the grid strategy one drift-and-lump segment at a
-time instead of jumping over the anchor graph.  The Jacobi
+time instead of jumping over the per-cell flow.  The Jacobi
 iteration applies T0, T1 and T2 to the previous iterate only; the in-place
 sweeps of the solver stay between it and the fixed point.
 
@@ -37,6 +37,7 @@ it through the same pilot and horizon as a policy table.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,11 +180,25 @@ def drift_scan_reference(a, c, d, top):
     return y
 
 
+class FlowReference(NamedTuple):
+    """A grid strategy as grid-sized tables: the action at each node (0
+    no-pay, 1 or 2 the branch to lump), the no-pay node (anchor_n,
+    anchor_m) its lump chain ends at, the payout paid on the way, and the
+    cells a no-pay node drifts before it meets a lump node (exit_k)."""
+
+    pref: np.ndarray
+    anchor_n: np.ndarray
+    anchor_m: np.ndarray
+    paid: np.ndarray
+    exit_k: np.ndarray
+
+
 def policy_flow_reference(policy):
-    """solver2d.policy_flow with masked assignments for the lump preference
+    """The flow of a policy with masked assignments for the lump preference
     and a loop over the grid rows for the chain anchors: the branch-2 lumps
     take the previous row's anchors, then a prefix-max scan carries each
-    branch-1 chain down to its first non-branch-1 node."""
+    branch-1 chain down to its first non-branch-1 node.  No-pay nodes on
+    the outer edges become lump nodes, so drift never leaves the table."""
     g = policy.grid
     acts = policy.actions
     pref = np.zeros(g.shape, dtype=np.int8)
@@ -221,7 +236,7 @@ def policy_flow_reference(policy):
         up = np.zeros(n_pts, dtype=np.int64)
         up[:-1] = exit_k[1:, m + 1]
         exit_k[:, m] = np.where(pref[:, m] == 0, 1 + up, 0)
-    return solver2d.PolicyFlow(pref, anchor_n, anchor_m, paid, exit_k)
+    return FlowReference(pref, anchor_n, anchor_m, paid, exit_k)
 
 
 def evaluate_policy_reference(kernel, pref):
@@ -299,14 +314,16 @@ def policy_runner_reference(params, law, strat, x0):
     """Policy-table runner that walks one drift-and-lump segment at a time.
 
     Boundary-riding cycles (an anchor that drifts and is lumped back to
-    itself) are batched as geometric sums once seen twice in a round.  The
-    draws are the production runner's; run() returns the dividends, final
-    times and the mask of ruined paths.
+    itself) are batched as geometric sums once seen twice in a round.  A
+    claim after the horizon is not simulated.  The draws are the
+    production runner's; it reads policy_flow_reference, whose edge rule
+    matches the runner's only where no no-pay node lies on an outer edge.
+    run() returns the dividends, final times and the mask of ruined paths.
     """
     g = strat.policy.grid
     if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
         raise ValueError("initial surplus outside the solved grid")
-    pref, anchor_n, anchor_m, paid, exit_k = solver2d.policy_flow(strat.policy)
+    pref, anchor_n, anchor_m, paid, exit_k = policy_flow_reference(strat.policy)
     dx1, dx2, delta = g.dx1, g.dx2, g.delta
     c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
     q, lam = params.q, params.lam
@@ -370,7 +387,7 @@ def policy_runner_reference(params, law, strat, x0):
                     k = exit_k[ni, mi]
                     kd = k * delta
                 last_n[idx], last_m[idx] = ni, mi
-                claims_now = togo[idx] <= kd
+                claims_now = (togo[idx] <= kd) & (togo[idx] <= horizon - t[idx])
                 ci = idx[claims_now]
                 if ci.size:
                     s = togo[ci]

@@ -314,6 +314,22 @@ class TestTruncated1dBands:
         assert not (out / "merger_compare.csv").exists()
 
 
+class TestNoPayEdge:
+    def test_validate_passes_with_no_pay_nodes_on_the_edge(self, tmp_path):
+        # x2_max = 4 cuts the no-pay band (top near x2 = 6.4): no-pay nodes
+        # on the top edge drift along it, valued by the unit-slope extension,
+        # and the Monte Carlo runner must follow that same strategy
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(TINY_CFG + "x2_max = 4\npaths = 5000\n")
+        out = tmp_path / "o"
+        assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "policy.csv").read_text().splitlines()[1:]]
+        assert any(m == "40" and label == "C" for _, m, label, _ in rows)
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads((out / "validate.json").read_text())["checks"]}
+        assert checks["mc_policy_crosscheck"]["pass"]
+
+
 class TestSolveErrorExit:
     def test_nonconvergence_exits_3_in_every_solving_command(self, run_dir, tmp_path,
                                                               monkeypatch, capsys):

@@ -22,7 +22,7 @@ from divopt.simulate import (
     simulate_policy,
 )
 
-from oracles import MReflection, policy_runner_reference
+from oracles import MReflection, policy_flow_reference, policy_runner_reference
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 LAW = Exponential(0.6)
@@ -30,9 +30,19 @@ LAW = Exponential(0.6)
 
 @pytest.fixture(scope="module")
 def small_policy():
-    # the truncation must clear the band (top near x2 = 6.4) or the forced
-    # lump behavior at the boundary diverges from the solver's extension
+    # the truncation clears the band (top near x2 = 6.4), so no no-pay node
+    # lies on an outer edge and the segment-walk reference, which turns
+    # such nodes into lumps, follows the same strategy as the runner
     grid = GridSpec.make(PARAMS, delta=0.1, x1_max=9, x2_max=9)
+    v, policy, report = solver2d.solve(PARAMS, LAW, grid)
+    return grid, v, policy
+
+
+@pytest.fixture(scope="module")
+def edge_policy():
+    # the truncation cuts the band: no-pay nodes on the top edge drift
+    # along it, the excess paid out as the solver's unit-slope extension
+    grid = GridSpec.make(PARAMS, delta=0.1, x1_max=9, x2_max=5)
     v, policy, report = solver2d.solve(PARAMS, LAW, grid)
     return grid, v, policy
 
@@ -85,6 +95,16 @@ class TestPolicyTable:
         res = simulate_policy(PARAMS, LAW, PolicyTable(policy), x0, 30_000, seed=9)
         assert abs(estimate_gap(res, v.values[n, m])) <= 3.0
 
+    def test_cross_check_with_no_pay_edge(self, edge_policy):
+        grid, v, policy = edge_policy
+        pref = solver2d._PREF_OF_MASK[policy.actions & 7]
+        edge = np.flatnonzero(pref[:, grid.m_max] == 0)
+        assert edge.size == 7
+        for n, m in [(20, 30), (edge[3], grid.m_max)]:
+            x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)
+            res = simulate_policy(PARAMS, LAW, PolicyTable(policy), x0, 30_000, seed=9)
+            assert abs(estimate_gap(res, v.values[n, m])) <= 3.0
+
     def test_initial_rounding_payout(self, small_policy):
         grid, v, policy = small_policy
         # off-grid start: the immediate payout equals both remainders, so
@@ -94,11 +114,13 @@ class TestPolicyTable:
         assert abs(estimate_gap(res, v.extend(x0.x1, x0.x2))) <= 3.0
 
     def test_matches_segment_walk_reference(self, small_policy):
-        # the jump-table runner against the one-segment-at-a-time walk with
-        # the same draws, from a node deep in the no-pay region and from
-        # nodes in the branch-1 and branch-2 lump regions
+        # the per-cell jump runner against the one-segment-at-a-time walk
+        # with the same draws, from a node deep in the no-pay region and
+        # from nodes in the branch-1 and branch-2 lump regions
         grid, v, policy = small_policy
-        flow = solver2d.policy_flow(policy)
+        pref = solver2d._PREF_OF_MASK[policy.actions & 7]
+        assert np.all(pref[grid.n_max, :] != 0) and np.all(pref[:, grid.m_max] != 0)
+        flow = policy_flow_reference(policy)
         strat = PolicyTable(policy)
         inside = np.unravel_index(np.argmax(np.where(flow.pref == 0, flow.exit_k, 0)),
                                   grid.shape)
@@ -116,8 +138,8 @@ class TestPolicyTable:
             np.testing.assert_array_equal(ruined, ref_ruined)
             assert rounds > 1 and 0 < np.count_nonzero(~ruined) < 2000
             np.testing.assert_allclose(t_final[ruined], ref_t[ruined], rtol=0, atol=1e-9)
-            # a horizon-cut path may stop one drift run later than the
-            # reference's batched cycle, which halts short of the horizon
+            # a horizon-cut path stops at the horizon; the reference stops at
+            # the end of the drift run it is in, or halts a batched cycle short
             assert np.all(np.abs(t_final - ref_t)[~ruined] <= drift_run + 1e-9)
             assert np.all(t_final[~ruined] >= horizon)
 

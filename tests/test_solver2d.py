@@ -208,12 +208,26 @@ class TestPolicyFlow:
     @given(n_pts=st.integers(3, 40), m_pts=st.integers(3, 40),
            lump_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]), seed=st.integers(0, 10_000))
     def test_matches_row_loop_reference(self, n_pts, m_pts, lump_share, seed):
+        # on the reference's edge-converted actions, so no no-pay node
+        # drifts past an outer edge and the two edge rules agree
         policy = _random_policy(n_pts, m_pts, lump_share, seed)
-        flow = policy_flow(policy)
         ref = policy_flow_reference(policy)
-        for name, got, want in zip(flow._fields, flow, ref):
-            np.testing.assert_array_equal(got, want, err_msg=name)
-            assert got.dtype == want.dtype, name
+        flow = policy_flow(ref.pref, policy.grid)
+        g = policy.grid
+        nopay = np.flatnonzero(ref.pref == 0)
+        np.testing.assert_array_equal(flow.nopay, nopay)
+        assert flow.anchor.dtype == np.int32
+        anchor_n, anchor_m = np.divmod(flow.nopay[flow.anchor].reshape(g.shape), m_pts)
+        np.testing.assert_array_equal(anchor_n, ref.anchor_n)
+        np.testing.assert_array_equal(anchor_m, ref.anchor_m)
+        lump = ((np.arange(n_pts)[:, None] - anchor_n) * g.dx1
+                + (np.arange(m_pts)[None, :] - anchor_m) * g.dx2)
+        np.testing.assert_array_equal(lump, ref.paid)
+        # a no-pay node drifts to (n+1, m+1), then lumps to that node's anchor
+        target = np.unravel_index(nopay + m_pts + 1, g.shape)
+        np.testing.assert_array_equal(
+            flow.nopay[flow.succ], ref.anchor_n[target] * m_pts + ref.anchor_m[target])
+        np.testing.assert_array_equal(flow.paid, ref.paid[target])
 
 
 def _evaluate(kernel, pref):
