@@ -24,9 +24,11 @@ from .model import (
 from .hjb2d import (
     Action,
     ClaimKernel,
+    PolicyFlow,
     ValueField,
     build_claim_kernel,
     claim_field,
+    policy_flow,
 )
 from .solver1d import (
     BandStructure,
@@ -39,14 +41,12 @@ from .solver1d import (
 )
 from .solver2d import (
     PolicyField,
-    PolicyFlow,
     RegionMap,
     SolveReport,
     check_D1_identity,
     check_tilde_suboptimality,
     extract_regions,
     greedy_policy,
-    policy_flow,
     solve,
 )
 from .simulate import (

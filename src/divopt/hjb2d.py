@@ -17,17 +17,27 @@ claim ruining a branch is exactly a negative lookup index.  The whole
 claim operator is therefore one correlation of the value table with a
 fixed kernel (zero padding implements ruin), evaluated over the full grid
 by FFT.  The same cells on one axis, and the same FFT correlation, give
-the 1D solver's claim operator; the two solvers also share the stop loop,
-the argmax-set extraction and the exact ray integral defined here.
+the 1D solver's claim operator.
+
+The two solvers also share everything else defined here, on one axis or
+two: the fixed-point loop (fixed_point: value iteration to a loose
+hand-over, then policy iteration to the grid fixed point itself), the flow
+of a grid policy on its no-pay nodes (policy_flow, which the Monte Carlo
+runner reads too), the greedy step, the exact evaluation of a policy, the
+operator fields and their argmax sets, and the exact ray integral.  A
+solver supplies its claim field, its in-place sweep, its one-step discount
+and the payout of one cell down each axis.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as sfft
@@ -44,7 +54,10 @@ __all__ = [
     "build_claim_kernel",
     "claim_field",
     "NonConvergenceError",
-    "iterate",
+    "PolicyFlow",
+    "policy_flow",
+    "fixed_point",
+    "operator_fields",
     "argmax_sets",
     "set_fft_workers",
     "shift_up_diag",
@@ -112,15 +125,34 @@ class ValueField:
         return self.lookup(n, m) + (x1 - n * g.dx1) + (x2 - m * g.dx2)
 
 
-def shift_up_diag(values: np.ndarray, grid: GridSpec, out: np.ndarray = None) -> np.ndarray:
-    """Array of lookup(n+1, m+1), using the linear extension at the edges
-    (written into out, a buffer other than values, when given)."""
+def shift_up_diag(values: np.ndarray, dxs, out: np.ndarray = None) -> np.ndarray:
+    """Table of lookup(n+1, m+1) on one axis or two: past the last node of
+    axis i it adds dxs[i], in axis order (into out, not values, if given)."""
     up = np.empty_like(values) if out is None else out
-    up[:-1, :-1] = values[1:, 1:]
-    up[-1, :-1] = values[-1, 1:] + grid.dx1
-    up[:-1, -1] = values[1:, -1] + grid.dx2
-    up[-1, -1] = values[-1, -1] + grid.dx1 + grid.dx2
+    for edges in itertools.product((False, True), repeat=values.ndim):
+        up[tuple(-1 if e else np.s_[:-1] for e in edges)] = functools.reduce(
+            np.add, [dx for e, dx in zip(edges, dxs) if e],
+            values[tuple(-1 if e else np.s_[1:] for e in edges)])
     return up
+
+
+def _lumps(dxs):
+    """Each lump action: its code (axis + 1), the nodes it applies at, their
+    lump targets one cell down the axis, and the payout dxs[axis]."""
+    return [(axis + 1, (np.s_[:],) * axis + (np.s_[1:],), (np.s_[:],) * axis + (np.s_[:-1],), dx)
+            for axis, dx in enumerate(dxs)]
+
+
+def operator_fields(values, cf, disc, dxs):
+    """The operator fields at a table: T0 = disc * shift_up_diag + cf, with
+    cf its claim field (overwritten: T0 is cf), then one lump field per
+    axis (-inf where the lump would leave the grid)."""
+    fields = [np.add(cf, disc * shift_up_diag(values, dxs), out=cf)]
+    for _, to, frm, dx in _lumps(dxs):
+        lump = np.full_like(values, -np.inf)
+        lump[to] = values[frm] + dx
+        fields.append(lump)
+    return fields
 
 
 def _breakpoints(hs, a_cap: float) -> np.ndarray:
@@ -304,8 +336,8 @@ def claim_field(kernel: ClaimKernel, values: np.ndarray) -> np.ndarray:
 
 class NonConvergenceError(RuntimeError):
     """A solve cannot finish: value iteration hit its sweep cap before the
-    stop rule fired, or (with a message saying so) the 2D policy-iteration
-    finish hit its policy cap or its linear solve stalled."""
+    hand-over to policy iteration, or (with a message saying so) policy
+    iteration hit its policy cap or a policy evaluation stalled."""
 
     def __init__(self, sweeps, last_increment, message=None):
         super().__init__(
@@ -317,44 +349,313 @@ class NonConvergenceError(RuntimeError):
         self.last_increment = last_increment
 
 
-def iterate(claim, sweep, v, tol, iter_cap):
-    """Monotone value iteration from the table v, shared by both solvers.
+class PolicyFlow(NamedTuple):
+    """A grid strategy as a flow on its no-pay nodes, in rank space.
 
-    Each sweep freezes the claim field cf = claim(v) and takes sweep(copy
-    of v, cf) as the next iterate, until the sup increment of a sweep drops
-    below tol * (1 + sup v).  Returns (values, sweeps, last sup increment,
-    min increment, effective tol, seconds per phase).
+    Every node lumps, one cell at a time down its axis, to the no-pay node
+    at the end of its lump chain: its anchor.  A no-pay node drifts one
+    cell up every axis, to (min(n+1, n_max), min(m+1, m_max)) in 2D, and
+    lumps on to that target's anchor; past the last node of axis i the
+    drift pays dxs[i] instead, shift_up_diag's unit-slope rule.  Ranks
+    number the no-pay nodes in flat (C) order.
+
+    nopay is the flat index of each no-pay node, in rank order; anchor
+    (int32, flat) the rank of each node's anchor; succ the anchor rank of
+    each no-pay node's drift target; paid the dividends of that step.  A
+    lump node's own payout is s[node] - s[anchor], s = n*dxs[0] + m*dxs[1].
     """
-    phases = {"claim_field": 0.0, "sweeps": 0.0}
-    sup_inc = min_inc = math.inf
-    for sweeps in range(1, iter_cap + 1):
+
+    nopay: np.ndarray
+    anchor: np.ndarray
+    succ: np.ndarray
+    paid: np.ndarray
+
+
+def _anchor_ranks(pref):
+    """Rank of the no-pay node at the end of each node's lump chain.
+
+    pref holds each node's action (0 no-pay, i + 1 a lump down axis i); the
+    rank counts the no-pay nodes in flat (C) order, and the ranks come back
+    as a flat int32 array.  Pointer jumping: each lump node points at its
+    lump target, one cell down its axis, and a no-pay node holds -1 - its
+    rank; every pass replaces each pointer by its target's entry, which
+    doubles the chain length covered, until no pointer is left.  Every
+    chain ends on a no-pay node as long as no node lumps off the grid
+    (down axis i at index 0), which PolicyField and the greedy step both
+    rule out.
+    """
+    flat = pref.ravel()
+    out = np.empty(flat.size, dtype=np.int32)
+    scratch = np.empty(flat.size, dtype=np.int32)
+    strides = np.ravel_multi_index(np.eye(pref.ndim, dtype=np.intp), pref.shape)
+    np.take(np.append(0, strides).astype(out.dtype), flat, out=scratch, mode="clip")
+    np.subtract(np.arange(flat.size, dtype=out.dtype), scratch, out=out)
+    nopay = flat == 0
+    out[nopay] = -1 - np.arange(np.count_nonzero(nopay), dtype=out.dtype)
+    live = ~nopay
+    while live.any():
+        np.take(out, out, out=scratch, mode="clip")  # negative entries read junk, kept below
+        np.copyto(out, scratch, where=live)
+        np.greater_equal(out, 0, out=live)
+    return np.subtract(-1, out, out=out)
+
+
+def policy_flow(pref, dxs) -> PolicyFlow:
+    """The flow of the grid policy pref (0 no-pay, i + 1 a lump down axis i
+    at each node) on a grid of steps dxs; the policy evaluation of
+    fixed_point and the Monte Carlo runner both read it."""
+    shape = pref.shape
+    nopay = np.flatnonzero(pref == 0)
+    anchor = _anchor_ranks(pref)
+    at = np.unravel_index(nopay, shape)
+    to = tuple(np.minimum(i + 1, s - 1) for i, s in zip(at, shape))
+    succ = anchor[np.ravel_multi_index(to, shape)]
+    frm = np.unravel_index(nopay[succ], shape)
+    # one flat sum: the lumps after the drift, then the payouts past the edges
+    paid = sum([(t - a) * dx for t, a, dx in zip(to, frm, dxs)]
+               + [(i == s - 1) * dx for i, s, dx in zip(at, shape, dxs)])
+    return PolicyFlow(nopay, anchor, succ, paid)
+
+
+# The constants of fixed_point.  These are not options: tol only sets
+# the hand-over point, and policy iteration always runs to the fixed point.
+_WARMUP_TOL = 1e-5  # value iteration hands over at a relative increment of max(tol, this)
+_POLICY_CAP = 100  # greedy policies evaluated before fixed_point gives up
+_KEEP_REL = 1e-13  # a node keeps its action while within this (relative) of the best
+_GMRES_RESTART = 20
+_GMRES_CYCLES = 52  # restart cycles; each must halve the residual (2**52 > 1/_GMRES_RTOL)
+# evaluation residual target: root mean square over the no-pay nodes,
+# relative to 1 + sup |x|.  It sits 4.5x above the rounding floor where
+# GMRES stopped gaining on example 1 at delta/2 (6.6e-17); a looser target
+# leaves more near-tie nodes to flip, and took example 1 through 11
+# policies instead of 9 at 1e-15.
+_GMRES_RTOL = 3e-16
+
+
+def fixed_point(claim, sweep, v, tol, iter_cap, *, disc, dxs, fshape, fk):
+    """The grid fixed point by value then policy iteration (Howard), on a
+    grid of one axis or two; both solvers run it.
+
+    claim(u) is the claim field of a table u: its correlation with the
+    kernel of transform fk and FFT size fshape, plus a constant field.
+    sweep(v, cf) updates v in place by one monotone sweep with the claim
+    field cf frozen; disc is the one-step discount, dxs[i] the payout of
+    one cell down axis i.  From v, updated in place, sweeps run until the
+    sup increment of one drops below max(tol, 1e-5) * (1 + sup v), within
+    iter_cap sweeps.  Policy iteration then repeats one sweep; the greedy
+    policy of the swept table; and v <- max(v, V^pi), with V^pi the exact
+    value of that policy (_NoPayEvaluation), until the greedy policy
+    repeats.  V^pi is the value of an admissible grid strategy, so v stays
+    below the fixed point and its increments nonnegative.  The sweep's
+    prefix-max scans close in one step the lump improvements that policy
+    iteration alone would spread one grid row per policy.
+
+    Returns v and its statistics: the sweeps of both stages, the sup
+    increment of the last and the least of any; the policies evaluated,
+    their GMRES matvecs and the last one's sup residual; seconds per phase.
+    """
+    phases = {"claim_field": 0.0, "sweeps": 0.0, "evaluation": 0.0}
+    before = np.empty_like(v)  # v before a sweep, then the best of the operator fields
+    work = np.empty_like(v)  # the lump fields in the greedy step, then the tables of an evaluation
+    evaluation = pref = prev = None
+    min_inc = math.inf
+    for sweeps in itertools.count(1):
         t_cf = time.perf_counter()
         cf = claim(v)
         t_sweep = time.perf_counter()
-        w = sweep(v.copy(), cf)
-        inc = w - v
-        sup_inc = float(inc.max())
-        min_inc = min(min_inc, float(inc.min()))
-        v = w
-        tol_eff = tol * (1.0 + float(v.max()))
+        np.copyto(before, v)
+        sweep(v, cf)
+        np.subtract(v, before, out=before)
+        sup_inc = float(before.max())
+        min_inc = min(min_inc, float(before.min()))
+        t_eval = time.perf_counter()
         phases["claim_field"] += t_sweep - t_cf
-        phases["sweeps"] += time.perf_counter() - t_sweep
-        if sup_inc < tol_eff:
-            return v, sweeps, sup_inc, min_inc, tol_eff, phases
-    raise NonConvergenceError(iter_cap, sup_inc)
+        phases["sweeps"] += t_eval - t_sweep
+        if evaluation is None:
+            if sup_inc < max(tol, _WARMUP_TOL) * (1.0 + float(v.max())):
+                evaluation = _NoPayEvaluation(claim, fshape, fk, disc, dxs)
+                pref = np.empty(v.shape, dtype=np.int8)
+                prev = np.full(v.shape, -1, dtype=np.int8)
+            elif sweeps == iter_cap:
+                raise NonConvergenceError(iter_cap, sup_inc)
+            continue
+        _greedy_pref(v, claim(v), prev, pref, before, work, disc, dxs)
+        done = np.array_equal(pref, prev)
+        if not done:
+            if evaluation.policies == _POLICY_CAP:
+                raise NonConvergenceError(
+                    sweeps, sup_inc,
+                    f"policy iteration evaluated {_POLICY_CAP} policies without the greedy "
+                    f"policy repeating (last sweep's sup-increment {sup_inc:.3e})",
+                )
+            evaluation.evaluate(pref, v, work)
+            np.maximum(v, work, out=v)
+            pref, prev = prev, pref
+        phases["evaluation"] += time.perf_counter() - t_eval
+        if done:
+            return v, dict(iterations=sweeps, final_sup_increment=sup_inc, min_increment=min_inc,
+                           policies=evaluation.policies, gmres_matvecs=evaluation.matvecs,
+                           gmres_residual=evaluation.residual, phases=phases)
+
+
+def _greedy_pref(v, t0, prev, pref, best, work, disc, dxs):
+    """Write the greedy action at v into pref (0 no-pay, i + 1 a lump down
+    axis i).
+
+    t0 holds the claim field of v on entry and T0 - max(T0, lumps) on
+    exit; best and work are grid-sized scratch.  The action attains the
+    max, exact ties going to the lump down axis 0, then axis 1.  A node
+    keeps its previous action prev wherever that is within _KEEP_REL
+    (relative) of the max, so rounding cannot flip the policy back and
+    forth.
+    """
+    lumps = _lumps(dxs)
+    shift_up_diag(v, dxs, out=work)
+    work *= disc
+    t0 += work
+    np.copyto(best, t0)
+    for _, to, frm, dx in lumps:
+        np.add(v[frm], dx, out=work[to])
+        np.maximum(best[to], work[to], out=best[to])
+    eps = _KEEP_REL * (1.0 + abs(float(best.max())))
+    t0 -= best
+    pref[...] = 0
+    keep = (prev == 0) & (t0 >= -eps)
+    for code, to, frm, dx in reversed(lumps):  # the last axis first: axis 0 wins exact ties
+        np.add(v[frm], dx, out=work[to])
+        work[to] -= best[to]
+        pref[to][work[to] == 0.0] = code
+        keep[to] |= (prev[to] == code) & (work[to] >= -eps)
+    np.copyto(pref, prev, where=keep)
+
+
+class _NoPayEvaluation:
+    """The exact value V^pi of a grid policy, solved for on its no-pay nodes.
+
+    A lump node's value is the payout down its lump chain plus the value
+    at the chain's anchor, a no-pay node, so the unknowns are the values x
+    at the K no-pay nodes.  With the policy's flow (policy_flow) they solve
+
+        x = disc * (x[succ] + paid) + claim(expanded table)[no-pay].
+
+    The drift part x -> disc * x[succ] is a functional graph on the no-pay
+    nodes, inverted exactly by pointer doubling; that inverse
+    right-preconditions a restarted GMRES whose matvec is one correlation
+    with the kernel transform fk.
+    """
+
+    def __init__(self, claim, fshape, fk, disc, dxs):
+        self.claim, self.fshape, self.fk, self.disc, self.dxs = claim, fshape, fk, disc, dxs
+        self.policies = self.matvecs = 0
+        self.residual = 0.0
+
+    def evaluate(self, pref, v, out):
+        """Write V^pi of the policy pref into out, starting GMRES from v."""
+        self._flow = flow = policy_flow(pref, self.dxs)
+        self._at = np.unravel_index(flow.nopay, pref.shape)
+        # s = n*dxs[0] + m*dxs[1], per axis and at the no-pay nodes
+        self._axes = [np.arange(n) * dx for n, dx in zip(pref.shape, self.dxs)]
+        self._s = sum(s[i] for s, i in zip(self._axes, self._at))
+        x = self._gmres(v.ravel()[flow.nopay], out)
+        self._expand_into(x, out)
+        out.ravel()[flow.nopay] = x
+        self.policies += 1
+        return out
+
+    def _expand_into(self, x, out):
+        """The table of no-pay values x: x at the anchor plus the payout on
+        the way, s at the node less s at the anchor."""
+        np.take(x - self._s, self._flow.anchor, out=out.ravel(), mode="clip")
+        for axis, s in enumerate(self._axes):
+            out += s.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+
+    def _residual(self, x, full):
+        self._expand_into(x, full)
+        cf = self.claim(full)
+        return self.disc * (x[self._flow.succ] + self._flow.paid) + cf[self._at] - x
+
+    def _drift_inverse(self, y):
+        """x = y + disc * x[succ], solved by pointer doubling: after j
+        passes x sums the first 2^j terms of y + disc*y[succ] + ..., and
+        the passes end when disc^(2^j) underflows."""
+        x, succ, d = y.copy(), self._flow.succ, self.disc
+        while d > 0.0:
+            x += d * x[succ]
+            succ = succ[succ]
+            d *= d
+        return x
+
+    def _apply(self, z, full):
+        """The right-preconditioned operator: z less the claim part of the
+        expansion of the drift inverse of z."""
+        np.take(self._drift_inverse(z), self._flow.anchor, out=full.ravel(), mode="clip")
+        self.matvecs += 1
+        return z - correlate(full, self.fk, self.fshape)[self._at]
+
+    def _gmres(self, x, full):
+        """Restarted GMRES from x; each cycle ends on the true residual, and
+        a cycle that does not halve it is a stall, or the rounding floor if
+        one more halving would have reached the target."""
+        restart = _GMRES_RESTART
+        basis = np.empty((restart + 1, x.size))
+        r = self._residual(x, full)
+        beta = float(np.linalg.norm(r))
+        for cycle in range(_GMRES_CYCLES + 1):
+            target = _GMRES_RTOL * (1.0 + float(np.abs(x).max())) * math.sqrt(x.size)
+            stalled = cycle and not beta < 0.5 * last
+            if beta <= (2 * target if stalled else target):
+                self.residual = float(np.abs(r).max())
+                return x
+            if cycle == _GMRES_CYCLES or stalled:
+                break
+            hess = np.zeros((restart + 1, restart))
+            cs, sn = np.zeros(restart), np.zeros(restart)
+            g = np.zeros(restart + 1)
+            g[0] = beta
+            basis[0] = r / beta
+            for j in range(restart):
+                w = self._apply(basis[j], full)
+                for _ in range(2):  # classical Gram-Schmidt, done twice
+                    h = basis[: j + 1] @ w
+                    w -= h @ basis[: j + 1]
+                    hess[: j + 1, j] += h
+                hess[j + 1, j] = np.linalg.norm(w)
+                if hess[j + 1, j] > 0.0:
+                    basis[j + 1] = w / hess[j + 1, j]
+                for i in range(j):  # the earlier Givens rotations, on the new column
+                    hess[i, j], hess[i + 1, j] = (cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
+                                                  cs[i] * hess[i + 1, j] - sn[i] * hess[i, j])
+                rho = math.hypot(hess[j, j], hess[j + 1, j])
+                cs[j], sn[j] = hess[j, j] / rho, hess[j + 1, j] / rho
+                hess[j, j], hess[j + 1, j] = rho, 0.0
+                g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+                if abs(g[j + 1]) <= target:  # also on a breakdown, where sn[j] = 0
+                    break
+            k = j + 1
+            y = np.linalg.solve(np.triu(hess[:k, :k]), g[:k])
+            x = x + self._drift_inverse(y @ basis[:k])
+            r = self._residual(x, full)
+            last, beta = beta, float(np.linalg.norm(r))
+        raise NonConvergenceError(
+            0, beta,
+            f"policy evaluation stalled: GMRES residual {beta:.3e} against a target of "
+            f"{target:.3e} after {self.matvecs} matvecs",
+        )
 
 
 def tie_epsilon(max_value: float) -> float:
     return EPS_TIE_REL * (1.0 + abs(max_value))
 
 
-def argmax_sets(v: np.ndarray, fields):
-    """Argmax sets and residual of the operator fields T_i at the table v.
+def argmax_sets(v: np.ndarray, cf, disc, dxs):
+    """Argmax sets and residual of the operator fields at the table v, with
+    claim field cf (see operator_fields).
 
-    Returns one mask per field, true where T_i is within the tie tolerance
-    of max_i T_i; the tie tolerance; and |sup(max_i T_i - v)| over the
-    interior nodes (all but the last on each axis).
+    Returns one mask per field, T0 first, true where the field is within
+    the tie tolerance of the max of all; the tie tolerance; and
+    |sup(max - v)| over the interior nodes (all but the last on each axis).
     """
+    fields = operator_fields(v, cf, disc, dxs)
     best = functools.reduce(np.maximum, fields)
     eps = tie_epsilon(float(best.max()))
     resid = abs(float((best - v)[(slice(-1),) * v.ndim].max()))

@@ -4,7 +4,7 @@ Paths are driven event by event: premium and reward streams between events
 are discounted in closed form, so the only discretization in a simulated
 path is the strategy's own grid.  Between claims a policy table moves a
 path along the flow the solver's policy evaluation reads
-(solver2d.policy_flow): lump to the chain anchor, then one diagonal cell
+(hjb2d.policy_flow): lump to the chain anchor, then one diagonal cell
 at a time from no-pay node to no-pay node, each cell ending with the lump
 at its drift target, and past the outer edges the unit-slope extension the
 solver's value assumes.  Binary-lifting tables over that per-cell flow
@@ -32,7 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .model import ClaimLaw, ModelParams, SurplusPoint, validate_params
-from .solver2d import _PREF_OF_MASK, PolicyField, policy_flow
+from .hjb2d import policy_flow
+from .solver2d import _PREF_OF_MASK, PolicyField
 
 __all__ = [
     "PolicyTable",
@@ -59,9 +60,10 @@ class PolicyTable:
 
     @cached_property
     def flow(self):
-        """The policy's flow (solver2d.policy_flow), built on first use and
+        """The policy's flow (hjb2d.policy_flow), built on first use and
         shared by every run."""
-        return policy_flow(_PREF_OF_MASK[self.policy.actions & 7], self.policy.grid)
+        g = self.policy.grid
+        return policy_flow(_PREF_OF_MASK[self.policy.actions & 7], (g.dx1, g.dx2))
 
     def runner(self, params, law, x0: SurplusPoint):
         """run(n_paths, seed, horizon) -> (values, final times, ruined, rounds)

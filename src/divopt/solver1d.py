@@ -3,9 +3,12 @@
 Covers the on-ray auxiliary problem (premium c2, claims b2*U, reward for
 staying alive, dividends amplified by both branches paying together), the
 merged-company problem (pooled premiums, full claims), and the generic
-constant-reward case.  The scheme mirrors the 2D one: grid step c*delta,
-lump/no-pay/stop actions, exact claim-cell kernel, monotone sweeps from
-zero, and band extraction from the argmax sets.
+constant-reward case.  The scheme is the 2D one on one axis: grid step
+c*delta, lump/no-pay/stop actions, exact claim-cell kernel, and the same
+fixed-point loop (hjb2d.fixed_point: monotone sweeps from zero, then
+policy iteration to the grid fixed point), with a lump paying rho*dx and
+the reward for staying alive folded into the claim field.  The bands come
+from the argmax sets of the fixed point.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hjb2d import argmax_sets, claim_cells, correlate, iterate, kernel_fft
+from .hjb2d import argmax_sets, claim_cells, correlate, fixed_point, kernel_fft
 from .model import ClaimLaw, ModelParams, validate_params
 
 __all__ = [
@@ -88,7 +91,11 @@ class WbarSolution:
     tol_effective: float
     min_increment: float
     wall_time: float
-    phases: dict  # seconds in the claim field and in the drift-scan sweeps
+    # policy iteration's counts and seconds per phase, as in solver2d.SolveReport
+    policies: int
+    gmres_matvecs: int
+    gmres_residual: float
+    phases: dict
 
     @property
     def rho(self):
@@ -164,10 +171,13 @@ def solve_1d(
     tol: float = 1e-9,
     iter_cap: int = 200_000,
 ) -> WbarSolution:
-    """Monotone iteration to the 1D fixed point plus band extraction.
+    """The 1D grid fixed point plus band extraction.
 
-    Raises TruncationError when the final interval before x_max is not a
-    lump region (the truncation cut through the band).
+    tol sets the hand-over from value to policy iteration, which ends at
+    the fixed point itself (hjb2d.fixed_point); iter_cap bounds the value
+    iteration.  tol_effective is reported as tol * (1 + sup v).  Raises
+    TruncationError when the final interval before x_max is not a lump
+    region (the truncation cut through the band).
     """
     if delta <= 0 or x_max <= 0 or tol <= 0:
         raise ValueError("delta, x_max and tol must be positive")
@@ -183,21 +193,16 @@ def solve_1d(
 
     offs = np.arange(n_max + 1) * rho_dx
 
-    def sweep(nxt, cf):
-        y = drift_scan(nxt, cf, disc, nxt[-1] + rho_dx)
-        return np.maximum(y, np.maximum.accumulate(y - offs) + offs)
+    def sweep(v, cf):
+        y = drift_scan(v, cf, disc, v[-1] + rho_dx)
+        np.maximum(y, np.maximum.accumulate(y - offs) + offs, out=v)
 
+    # the claim field plus the reward accrued over the step
+    claim = lambda u: correlate(u, fk, fshape) + payout + r0
     t_start = time.perf_counter()
-    w, sweeps, sup_inc, min_inc, tol_eff, phases = iterate(
-        lambda u: correlate(u, fk, fshape) + payout + r0, sweep, np.zeros(n_max + 1),
-        tol, iter_cap,
-    )
-
-    up = np.append(w[1:], w[-1] + rho_dx)
-    t0f = disc * up + (correlate(w, fk, fshape) + payout) + r0
-    t1f = np.full_like(w, -np.inf)
-    t1f[1:] = w[:-1] + rho_dx
-    (is_c, is_b), _, resid = argmax_sets(w, (t0f, t1f))
+    w, stats = fixed_point(claim, sweep, np.zeros(n_max + 1), tol, iter_cap,
+                           disc=disc, dxs=(rho_dx,), fshape=fshape, fk=fk)
+    (is_c, is_b), _, resid = argmax_sets(w, claim(w), disc, (rho_dx,))
     band = _extract_band(is_b, is_c, dx)
 
     return WbarSolution(
@@ -206,13 +211,10 @@ def solve_1d(
         dx=dx,
         values=w,
         band=band,
-        iterations=sweeps,
-        final_sup_increment=sup_inc,
         residual_max=resid,
-        tol_effective=tol_eff,
-        min_increment=min_inc,
+        tol_effective=tol * (1.0 + float(w.max())),
         wall_time=time.perf_counter() - t_start,
-        phases=phases,
+        **stats,
     )
 
 

@@ -11,9 +11,10 @@ between the previous iterate and the fixed point, which keeps the squeeze
 v_jacobi <= v_inplace <= v_delta and hence the limit intact.  The strict
 Jacobi iteration is the test suite's reference (tests/oracles.py).
 
-Value iteration is only a warm-up: policy iteration (_finish) then
-reaches the fixed point itself, with each greedy policy's value solved
-exactly on its no-pay nodes (_NoPayEvaluation).
+The solve supplies this sweep and the 2D claim field to the fixed-point
+loop both solvers share (hjb2d.fixed_point), where value iteration is
+only a warm-up: policy iteration then reaches the fixed point itself, with
+each greedy policy's value solved exactly on its no-pay nodes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -35,17 +35,13 @@ from .hjb2d import (
     argmax_sets,
     build_claim_kernel,
     claim_field,
-    correlate,
-    iterate,
+    fixed_point,
     ray_integral,
-    shift_up_diag,
 )
 from .model import ClaimLaw, GridSpec, ModelParams, region_of, validate_params
 
 __all__ = [
     "PolicyField",
-    "PolicyFlow",
-    "policy_flow",
     "RegionMap",
     "SolveReport",
     "NonConvergenceError",
@@ -97,72 +93,6 @@ class PolicyField:
             raise ValueError("E2 cannot be optimal at m = 0")
 
 
-class PolicyFlow(NamedTuple):
-    """A grid strategy as a flow on its no-pay nodes, in rank space.
-
-    Every node lumps, one cell at a time down its branch, to the no-pay
-    node at the end of its lump chain: its anchor.  A no-pay node drifts
-    one cell diagonally, to (min(n+1, n_max), min(m+1, m_max)), and lumps
-    on to that target's anchor; past the outer edges the drift pays dx1
-    (dx2) instead, shift_up_diag's unit-slope rule.  Ranks number the
-    no-pay nodes in flat (C) order.
-
-    nopay is the flat index of each no-pay node, in rank order; anchor
-    (int32, flat) the rank of each node's anchor; succ the anchor rank of
-    each no-pay node's drift target; paid the dividends of that step.  A
-    lump node's own payout is s[node] - s[anchor], s = n*dx1 + m*dx2.
-    """
-
-    nopay: np.ndarray
-    anchor: np.ndarray
-    succ: np.ndarray
-    paid: np.ndarray
-
-
-def _anchor_ranks(pref):
-    """Rank of the no-pay node at the end of each node's lump chain.
-
-    pref holds each node's action (0 no-pay, 1 or 2 the branch to lump);
-    the rank counts the no-pay nodes in flat (C) order, and the ranks come
-    back as a flat int32 array.  Pointer jumping: each lump node points at
-    its lump target, one cell down in its branch, and a no-pay node holds
-    -1 - its rank; every pass replaces each pointer by its target's entry,
-    which doubles the chain length covered, until no pointer is left.
-    Every chain ends on a no-pay node as long as no node lumps off the
-    grid (branch 1 at n = 0, branch 2 at m = 0), which PolicyField and the
-    greedy step both rule out.
-    """
-    flat = pref.ravel()
-    out = np.empty(flat.size, dtype=np.int32)
-    scratch = np.empty(flat.size, dtype=np.int32)
-    np.take(np.array([0, pref.shape[1], 1], dtype=out.dtype), flat, out=scratch, mode="clip")
-    np.subtract(np.arange(flat.size, dtype=out.dtype), scratch, out=out)
-    nopay = flat == 0
-    out[nopay] = -1 - np.arange(np.count_nonzero(nopay), dtype=out.dtype)
-    live = ~nopay
-    while live.any():
-        np.take(out, out, out=scratch, mode="clip")  # negative entries read junk, kept below
-        np.copyto(out, scratch, where=live)
-        np.greater_equal(out, 0, out=live)
-    return np.subtract(-1, out, out=out)
-
-
-def policy_flow(pref, grid: GridSpec) -> PolicyFlow:
-    """The flow of the grid policy pref (0 no-pay, 1 or 2 the branch to
-    lump at each node); the solver's policy evaluation and the Monte Carlo
-    runner both read it."""
-    m_pts = grid.shape[1]
-    nopay = np.flatnonzero(pref == 0)
-    anchor = _anchor_ranks(pref)
-    nn, mm = np.divmod(nopay, m_pts)
-    tn, tm = np.minimum(nn + 1, grid.n_max), np.minimum(mm + 1, grid.m_max)
-    succ = anchor[tn * m_pts + tm]
-    an, am = np.divmod(nopay[succ], m_pts)
-    paid = ((tn - an) * grid.dx1 + (tm - am) * grid.dx2
-            + (nn == grid.n_max) * grid.dx1 + (mm == grid.m_max) * grid.dx2)
-    return PolicyFlow(nopay, anchor, succ, paid)
-
-
 @dataclass
 class SolveReport:
     iterations: int
@@ -172,13 +102,13 @@ class SolveReport:
     tol_effective: float
     min_increment: float
     converged: bool
-    # the policy-iteration finish: greedy policies evaluated, GMRES matvecs
-    # over all evaluations, and the sup residual of the last evaluation
+    # policy iteration: greedy policies evaluated, GMRES matvecs over all
+    # evaluations, and the sup residual of the last evaluation
     policies: int
     gmres_matvecs: int
     gmres_residual: float
-    # seconds spent in the claim field, in the sweeps, in the finish's
-    # greedy steps and policy evaluations, and in extracting the policy and
+    # seconds spent in the claim field, in the sweeps, in the greedy steps
+    # and policy evaluations, and in extracting the policy and
     # residual from the converged table
     phases: dict = field(default_factory=dict)
 
@@ -213,32 +143,6 @@ def _sweep_inplace(w, cf, grid, disc):
     return w
 
 
-def _operator_fields(kernel, values):
-    """T0, T1, T2 over the whole grid (lumps are -inf where inapplicable)."""
-    grid = kernel.grid
-    t0 = kernel.discount_step * shift_up_diag(values, grid) + claim_field(kernel, values)
-    t1 = np.full_like(values, -np.inf)
-    t1[1:, :] = values[:-1, :] + grid.dx1
-    t2 = np.full_like(values, -np.inf)
-    t2[:, 1:] = values[:, :-1] + grid.dx2
-    return t0, t1, t2
-
-
-# The policy-iteration finish of solve.  These are not options: tol only
-# sets the hand-over point, and the finish always runs to the fixed point.
-_WARMUP_TOL = 1e-5  # value iteration hands over at a relative increment of max(tol, this)
-_POLICY_CAP = 100  # greedy policies evaluated before the finish gives up
-_KEEP_REL = 1e-13  # a node keeps its action while within this (relative) of the best
-_GMRES_RESTART = 20
-_GMRES_CYCLES = 10  # restart cycles of one evaluation before it counts as stalled
-# evaluation residual target: root mean square over the no-pay nodes,
-# relative to 1 + sup |x|.  It sits 4.5x above the rounding floor where
-# GMRES stopped gaining on example 1 at delta/2 (6.6e-17); a looser target
-# leaves more near-tie nodes to flip, and took example 1 through 11
-# policies instead of 9 at 1e-15.
-_GMRES_RTOL = 3e-16
-
-
 def solve(
     params: ModelParams,
     law: ClaimLaw,
@@ -250,8 +154,9 @@ def solve(
     """Solve for the grid fixed point and extract the policy.
 
     Value iteration runs until the sup increment of a sweep drops below
-    max(tol, 1e-5) * (1 + sup v); policy iteration then finishes at the
-    fixed point itself (see _finish).  tol_effective is reported as
+    max(tol, 1e-5) * (1 + sup v), within iter_cap sweeps; policy iteration
+    then finishes at the fixed point itself (hjb2d.fixed_point).
+    tol_effective is reported as
     tol * (1 + sup v), the bound the residual checks read.  Returns
     (ValueField, PolicyField, SolveReport).
     """
@@ -261,236 +166,26 @@ def solve(
     if kernel is None:
         kernel = build_claim_kernel(params, law, grid)
     t_start = time.perf_counter()
-    # claim_field resolves in this module at each call, where tracers wrap it
-    claim = lambda u: claim_field(kernel, u)
-    v, sweeps, _, min_inc, _, phases = iterate(
-        claim,
+    v, stats = fixed_point(
+        # claim_field resolves in this module at each call, where tracers wrap it
+        lambda u: claim_field(kernel, u),
         lambda w, cf: _sweep_inplace(w, cf, grid, kernel.discount_step),
-        np.zeros(grid.shape), max(tol, _WARMUP_TOL), iter_cap,
+        np.zeros(grid.shape), tol, iter_cap, disc=kernel.discount_step,
+        dxs=(grid.dx1, grid.dx2), fshape=kernel.fshape, fk=kernel._fk,
     )
-    finish = _finish(kernel, v, claim, phases)
 
     t_policy = time.perf_counter()
     v = ValueField(grid, v)
     policy, resid = greedy_policy(kernel, v)
-    phases["policy"] = time.perf_counter() - t_policy
+    stats["phases"]["policy"] = time.perf_counter() - t_policy
     report = SolveReport(
-        iterations=sweeps + finish.sweeps,
-        final_sup_increment=finish.sup_increment,
         residual_max=resid,
         wall_time=time.perf_counter() - t_start,
         tol_effective=tol * (1.0 + float(v.values.max())),
-        min_increment=min(min_inc, finish.min_increment),
         converged=True,
-        policies=finish.policies,
-        gmres_matvecs=finish.matvecs,
-        gmres_residual=finish.gmres_residual,
-        phases=phases,
+        **stats,
     )
     return v, policy, report
-
-
-class _Finish(NamedTuple):
-    sweeps: int
-    sup_increment: float
-    min_increment: float
-    policies: int
-    matvecs: int
-    gmres_residual: float
-
-
-def _finish(kernel, v, claim, phases):
-    """Policy iteration (Howard) from the table v to the grid fixed point.
-
-    Repeats one in-place sweep; the greedy policy of the swept table; and
-    v <- max(v, V^pi), with V^pi the exact value of that policy
-    (_NoPayEvaluation), until the greedy policy repeats.  V^pi is the
-    value of an admissible grid strategy, so each step keeps v below the
-    fixed point and its increments nonnegative.  The sweep's prefix-max
-    scans close in one step the lump improvements that policy iteration
-    alone would spread one grid row per policy.  v is updated in place;
-    the seconds go to phases.
-    """
-    grid, disc = kernel.grid, kernel.discount_step
-    evaluation = _NoPayEvaluation(kernel)
-    before = np.empty_like(v)  # v before a sweep, then the best of T0, T1, T2
-    work = np.empty_like(v)  # T1 and T2 in the greedy step, then the tables of an evaluation
-    pref = np.empty(grid.shape, dtype=np.int8)
-    prev = np.full(grid.shape, -1, dtype=np.int8)
-    phases["evaluation"] = 0.0
-    min_inc = math.inf
-    for policies in range(_POLICY_CAP + 1):
-        t_cf = time.perf_counter()
-        cf = claim(v)
-        t_sweep = time.perf_counter()
-        np.copyto(before, v)
-        _sweep_inplace(v, cf, grid, disc)
-        np.subtract(v, before, out=before)
-        sup_inc = float(before.max())
-        min_inc = min(min_inc, float(before.min()))
-        t_eval = time.perf_counter()
-        phases["claim_field"] += t_sweep - t_cf
-        phases["sweeps"] += t_eval - t_sweep
-        _greedy_pref(v, claim(v), prev, pref, before, work, grid, disc)
-        done = np.array_equal(pref, prev)
-        if not done and policies < _POLICY_CAP:
-            evaluation.evaluate(pref, v, work)
-            np.maximum(v, work, out=v)
-            pref, prev = prev, pref
-        phases["evaluation"] += time.perf_counter() - t_eval
-        if done:
-            return _Finish(policies + 1, sup_inc, min_inc, policies, evaluation.matvecs,
-                           evaluation.residual)
-    raise NonConvergenceError(
-        policies + 1, sup_inc,
-        f"policy iteration evaluated {_POLICY_CAP} policies without the greedy policy "
-        f"repeating (last sweep's sup-increment {sup_inc:.3e})",
-    )
-
-
-def _greedy_pref(v, t0, prev, pref, best, work, grid, disc):
-    """Write the greedy action at v into pref (0 no-pay, 1 or 2 the branch
-    to lump).
-
-    t0 holds the claim field of v on entry and T0 - max(T0, T1, T2) on
-    exit; best and work are grid-sized scratch.  The action attains the
-    max, exact ties going to the branch-1 lump, then the branch-2 lump.  A
-    node keeps its previous action prev wherever that is within _KEEP_REL
-    (relative) of the max, so rounding cannot flip the policy back and
-    forth.
-    """
-    # each lump: its code, the nodes it applies at, their lump targets, the payout
-    lumps = ((1, np.s_[1:, :], np.s_[:-1, :], grid.dx1),
-             (2, np.s_[:, 1:], np.s_[:, :-1], grid.dx2))
-    shift_up_diag(v, grid, out=work)
-    work *= disc
-    t0 += work
-    np.copyto(best, t0)
-    for _, to, frm, dx in lumps:
-        np.add(v[frm], dx, out=work[to])
-        np.maximum(best[to], work[to], out=best[to])
-    eps = _KEEP_REL * (1.0 + abs(float(best.max())))
-    t0 -= best
-    pref[...] = 0
-    keep = (prev == 0) & (t0 >= -eps)
-    for code, to, frm, dx in reversed(lumps):  # branch 2 first: branch 1 wins exact ties
-        np.add(v[frm], dx, out=work[to])
-        work[to] -= best[to]
-        pref[to][work[to] == 0.0] = code
-        keep[to] |= (prev[to] == code) & (work[to] >= -eps)
-    np.copyto(pref, prev, where=keep)
-
-
-class _NoPayEvaluation:
-    """The exact value V^pi of a grid policy, solved for on its no-pay nodes.
-
-    A lump node's value is the payout down its lump chain plus the value
-    at the chain's anchor, a no-pay node, so the unknowns are the values x
-    at the K no-pay nodes.  With the policy's flow (policy_flow) they solve
-
-        x = disc * (x[succ] + paid) + (claim field of the expanded table)[no-pay].
-
-    The drift part x -> disc * x[succ] is a functional graph on the no-pay
-    nodes, inverted exactly by pointer doubling; that inverse
-    right-preconditions a restarted GMRES whose matvec is one claim
-    correlation.
-    """
-
-    def __init__(self, kernel):
-        g = kernel.grid
-        self.kernel, self.disc = kernel, kernel.discount_step
-        self._s1 = np.arange(g.shape[0]) * g.dx1
-        self._s2 = np.arange(g.shape[1]) * g.dx2
-        self.matvecs = 0
-        self.residual = 0.0
-
-    def evaluate(self, pref, v, out):
-        """Write V^pi of the policy pref into out, starting GMRES from v."""
-        self._flow = flow = policy_flow(pref, self.kernel.grid)
-        self._nn, self._mm = np.divmod(flow.nopay, pref.shape[1])
-        self._s = self._s1[self._nn] + self._s2[self._mm]
-        x = self._gmres(v.ravel()[flow.nopay], out)
-        self._expand_into(x, out)
-        out.ravel()[flow.nopay] = x
-        return out
-
-    def _expand_into(self, x, out):
-        """The table of no-pay values x: x at the anchor plus the payout on
-        the way, n*dx1 + m*dx2 less the anchor's."""
-        np.take(x - self._s, self._flow.anchor, out=out.ravel(), mode="clip")
-        out += self._s1[:, None]
-        out += self._s2[None, :]
-
-    def _residual(self, x, full):
-        self._expand_into(x, full)
-        cf = claim_field(self.kernel, full)
-        return self.disc * (x[self._flow.succ] + self._flow.paid) + cf[self._nn, self._mm] - x
-
-    def _drift_inverse(self, y):
-        """x = y + disc * x[succ], solved by pointer doubling: after j
-        passes x sums the first 2^j terms of y + disc*y[succ] + ..., and
-        the passes end when disc^(2^j) underflows."""
-        x, succ, d = y.copy(), self._flow.succ, self.disc
-        while d > 0.0:
-            x += d * x[succ]
-            succ = succ[succ]
-            d *= d
-        return x
-
-    def _apply(self, z, full):
-        """The right-preconditioned operator: z less the claim part of the
-        expansion of the drift inverse of z."""
-        np.take(self._drift_inverse(z), self._flow.anchor, out=full.ravel(), mode="clip")
-        self.matvecs += 1
-        return z - correlate(full, self.kernel._fk, self.kernel.fshape)[self._nn, self._mm]
-
-    def _gmres(self, x, full):
-        """Restarted GMRES from x; each cycle ends on the true residual, and
-        a cycle that does not halve it is a stall."""
-        restart = _GMRES_RESTART
-        basis = np.empty((restart + 1, x.size))
-        r = self._residual(x, full)
-        beta = float(np.linalg.norm(r))
-        for cycle in range(_GMRES_CYCLES + 1):
-            target = _GMRES_RTOL * (1.0 + float(np.abs(x).max())) * math.sqrt(x.size)
-            if beta <= target:
-                self.residual = float(np.abs(r).max())
-                return x
-            if cycle == _GMRES_CYCLES or (cycle and not beta < 0.5 * last):
-                break
-            hess = np.zeros((restart + 1, restart))
-            cs, sn = np.zeros(restart), np.zeros(restart)
-            g = np.zeros(restart + 1)
-            g[0] = beta
-            basis[0] = r / beta
-            for j in range(restart):
-                w = self._apply(basis[j], full)
-                for _ in range(2):  # classical Gram-Schmidt, done twice
-                    h = basis[: j + 1] @ w
-                    w -= h @ basis[: j + 1]
-                    hess[: j + 1, j] += h
-                hess[j + 1, j] = np.linalg.norm(w)
-                if hess[j + 1, j] > 0.0:
-                    basis[j + 1] = w / hess[j + 1, j]
-                for i in range(j):  # the earlier Givens rotations, on the new column
-                    hess[i, j], hess[i + 1, j] = (cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
-                                                  cs[i] * hess[i + 1, j] - sn[i] * hess[i, j])
-                rho = math.hypot(hess[j, j], hess[j + 1, j])
-                cs[j], sn[j] = hess[j, j] / rho, hess[j + 1, j] / rho
-                hess[j, j], hess[j + 1, j] = rho, 0.0
-                g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
-                if abs(g[j + 1]) <= target:  # also on a breakdown, where sn[j] = 0
-                    break
-            k = j + 1
-            y = np.linalg.solve(np.triu(hess[:k, :k]), g[:k])
-            x = x + self._drift_inverse(y @ basis[:k])
-            r = self._residual(x, full)
-            last, beta = beta, float(np.linalg.norm(r))
-        raise NonConvergenceError(
-            0, beta,
-            f"policy evaluation stalled: GMRES residual {beta:.3e} against a target of "
-            f"{target:.3e} after {self.matvecs} matvecs",
-        )
 
 
 def greedy_policy(kernel: ClaimKernel, v: ValueField):
@@ -501,7 +196,9 @@ def greedy_policy(kernel: ClaimKernel, v: ValueField):
     residual is zero at any fixed point (lump ties included); for an
     accepted solve it must stay below 10x the stopping tolerance.
     """
-    masks, eps, resid = argmax_sets(v.values, _operator_fields(kernel, v.values))
+    g = kernel.grid
+    masks, eps, resid = argmax_sets(v.values, claim_field(kernel, v.values),
+                                    kernel.discount_step, (g.dx1, g.dx2))
     acts = sum(mask * int(a) for mask, a in zip(masks, (Action.E0, Action.E1, Action.E2)))
     return PolicyField(grid=v.grid, actions=acts.astype(np.uint8), eps_tie=eps), resid
 

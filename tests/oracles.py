@@ -20,8 +20,9 @@ The sweep reference closes the branch-2 lumps one column at a time,
 re-closing each column under branch-1 lumps after every step; the 1D
 drift reference runs the drift recurrence one node at a time.  The
 policy-flow reference finds the lump-chain anchors row by row; the policy
-evaluation reference solves for a policy's value over the full grid with
-a sparse LU, where the solver works on the no-pay nodes only; and the
+evaluation reference solves for a policy's value over the full grid, on
+one axis or two, with a sparse LU, where the solvers work on the no-pay
+nodes only; and the
 band reference walks the 1D labels node by node.  The policy
 runner reference walks the grid strategy one drift-and-lump segment at a
 time instead of jumping over the per-cell flow.  The Jacobi
@@ -41,8 +42,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from divopt import solver2d
-from divopt.hjb2d import Action, ClaimKernel, ValueField, ray_integral, tie_epsilon
+from divopt.hjb2d import (
+    Action,
+    ClaimKernel,
+    ValueField,
+    claim_field,
+    operator_fields,
+    ray_integral,
+    tie_epsilon,
+)
 from divopt.model import (
     ClaimLaw,
     Deterministic,
@@ -139,7 +147,8 @@ def solve_jacobi(kernel, tol=1e-8, iter_cap=200_000):
     """Strict Jacobi value iteration from zero; returns (values, tol_eff)."""
     v = np.zeros(kernel.grid.shape)
     for _ in range(iter_cap):
-        t0, t1, t2 = solver2d._operator_fields(kernel, v)
+        t0, t1, t2 = operator_fields(v, claim_field(kernel, v), kernel.discount_step,
+                                     (kernel.grid.dx1, kernel.grid.dx2))
         w = np.maximum(v, np.maximum(t0, np.maximum(t1, t2)))
         sup_inc = float((w - v).max())
         v = w
@@ -239,44 +248,46 @@ def policy_flow_reference(policy):
     return FlowReference(pref, anchor_n, anchor_m, paid, exit_k)
 
 
-def evaluate_policy_reference(kernel, pref):
-    """Exact value of a grid policy by one sparse solve over the full grid.
+def evaluate_policy_reference(pref, disc, dxs, cells, weights, payout):
+    """Exact value of a grid policy by one sparse solve over the full grid,
+    on one axis or two.
 
-    pref is each node's action (0 no-pay, 1 or 2 the branch to lump).  The
+    pref is each node's action (0 no-pay, i + 1 a lump down axis i).  The
     system is (I - L_pi - P0 C) v = b_pi: a lump row ties v to the node one
-    cell down in its branch plus that cell's payout; a no-pay row to
-    disc * lookup(n+1, m+1) (shift_up_diag's edge rule) plus the claim
-    integral, gathered straight from the kernel cells.
+    cell down its axis plus that cell's payout dxs[i]; a no-pay row to disc
+    times the value one cell up every axis (past the last node of axis i,
+    the last node's plus dxs[i]: shift_up_diag's edge rule) plus the claim
+    integral, gathered straight from the kernel cells: weights[k] times the
+    value cells[:, k] nodes down, plus the payout field.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.linalg import spsolve
 
-    g = kernel.grid
-    n_pts, m_pts = g.shape
-    disc = kernel.discount_step
-    flat = np.arange(n_pts * m_pts).reshape(g.shape)
+    shape = pref.shape
+    flat = np.arange(pref.size).reshape(shape)
     rows, cols, vals = [flat.ravel()], [flat.ravel()], [np.ones(flat.size)]
     rhs = np.zeros(flat.size)
-    for code, step, dx in ((1, (1, 0), g.dx1), (2, (0, 1), g.dx2)):
-        ns, ms = np.nonzero(pref == code)
-        rows.append(flat[ns, ms])
-        cols.append(flat[ns - step[0], ms - step[1]])
-        vals.append(-np.ones(ns.size))
-        rhs[flat[ns, ms]] = dx
-    ns, ms = np.nonzero(pref == 0)
-    rows.append(flat[ns, ms])
-    cols.append(flat[np.minimum(ns + 1, g.n_max), np.minimum(ms + 1, g.m_max)])
-    vals.append(np.full(ns.size, -disc))
-    rhs[flat[ns, ms]] = (disc * (g.dx1 * (ns == g.n_max) + g.dx2 * (ms == g.m_max))
-                         + kernel.payout_field[ns, ms])
-    for i1, i2, wv in zip(kernel.cell_i1, kernel.cell_i2, kernel.cell_wv):
-        on = (ns >= i1) & (ms >= i2)
-        rows.append(flat[ns[on], ms[on]])
-        cols.append(flat[ns[on] - i1, ms[on] - i2])
+    for axis, dx in enumerate(dxs):
+        at = np.nonzero(pref == axis + 1)
+        down = tuple(i - (a == axis) for a, i in enumerate(at))
+        rows.append(flat[at])
+        cols.append(flat[down])
+        vals.append(-np.ones(at[0].size))
+        rhs[flat[at]] = dx
+    at = np.nonzero(pref == 0)
+    rows.append(flat[at])
+    cols.append(flat[tuple(np.minimum(i + 1, s - 1) for i, s in zip(at, shape))])
+    vals.append(np.full(at[0].size, -disc))
+    rhs[flat[at]] = (disc * sum(dx * (i == s - 1) for i, s, dx in zip(at, shape, dxs))
+                     + payout[at])
+    for offs, wv in zip(np.transpose(cells), weights):
+        on = np.all([i >= o for i, o in zip(at, offs)], axis=0)
+        rows.append(flat[at][on])
+        cols.append(flat[tuple(i[on] - o for i, o in zip(at, offs))])
         vals.append(np.full(int(on.sum()), -wv))
     a = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                    shape=(flat.size, flat.size)).tocsc()
-    return spsolve(a, rhs).reshape(g.shape)
+    return spsolve(a, rhs).reshape(shape)
 
 
 def extract_band_reference(is_b, is_c, dx):

@@ -90,6 +90,7 @@ class TestConfig:
         ("simulate", "paths", "2.5"), ("simulate", "paths", "0"), ("simulate", "seed", "2.7"),
         ("validate", "paths", "12.5"), ("validate", "paths", "-4"), ("validate", "seed", "2.7"),
         ("validate", "seed", "-1"), ("simulate", "paths", "1"),
+        ("simulate", "seed", "9007199254740993.5"), ("simulate", "paths", "1e400"),
     ])
     def test_count_must_be_integer_exit_2(self, tmp_path, capsys, command, key, value):
         # a fractional seed would otherwise run another seed without notice,
@@ -99,6 +100,19 @@ class TestConfig:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert key in err and len(err.strip().splitlines()) == 1
+
+    def test_count_is_read_exactly(self, run_dir, tmp_path):
+        # 2**53 + 1 has no float of its own: read through one, the seed
+        # would run and be recorded as 2**53.  An exponent that names an
+        # integer still counts.
+        out = tmp_path / "o"
+        out.mkdir()
+        shutil.copy(run_dir[0] / "value.csv", out)
+        cfg = tmp_path / "exact.cfg"
+        cfg.write_text(TINY_CFG + "seed = 9007199254740993\npaths = 5e2\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        sim = json.loads((out / "sim.json").read_text())
+        assert sim["seed"] == 9007199254740993 and sim["paths"] == 500
 
 
 @pytest.fixture(scope="module")
@@ -264,9 +278,14 @@ class TestSolve1dCommand:
                      "--kind", "wbar"]) == 0
         band = json.loads((out / "band_wbar.json").read_text())
         assert band["intervals"][-1][2] == "B"
-        # the claim field and the drift-scan sweeps, timed apart
+        # the claim field, the drift-scan sweeps, and the greedy steps and
+        # policy evaluations, timed apart
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["phases"]) == {"claim_field", "sweeps"}
+        assert set(manifest["phases"]) == {"claim_field", "sweeps", "evaluation"}
+        # policy iteration ends the solve at the grid fixed point, in both reports
+        for report in (band, manifest):
+            assert report["policies"] >= 1 and report["gmres_matvecs"] >= 1
+            assert report["residual_max"] < 1e-10 and report["gmres_residual"] < 1e-10
         assert all(t > 0 for t in manifest["phases"].values())
         assert sum(manifest["phases"].values()) <= manifest["wall_time"]
         assert main(["solve1d", "--config", str(cfg_file), "--out", str(out),
@@ -333,14 +352,14 @@ class TestNoPayEdge:
 class TestSolveErrorExit:
     def test_nonconvergence_exits_3_in_every_solving_command(self, run_dir, tmp_path,
                                                               monkeypatch, capsys):
-        # the iteration driver, as both solvers look it up, hits its cap
+        # the fixed-point loop, as both solvers look it up, hits its cap
         from divopt import hjb2d, solver1d, solver2d
 
         def capped(*args, **kwargs):
             raise hjb2d.NonConvergenceError(3, 0.5)
 
-        monkeypatch.setattr(solver2d, "iterate", capped)
-        monkeypatch.setattr(solver1d, "iterate", capped)
+        monkeypatch.setattr(solver2d, "fixed_point", capped)
+        monkeypatch.setattr(solver1d, "fixed_point", capped)
         out = tmp_path / "o"
         shutil.copytree(run_dir[0], out)
         capsys.readouterr()
@@ -388,10 +407,11 @@ class TestArtifactsOfAnotherGrid:
 class TestValidateNegativeControl:
     def test_early_stopped_solve_fails_residual(self, tmp_path, monkeypatch):
         # a deliberately loose solve leaves a residual far above 10x tol:
-        # value iteration stopped at tol = 1.0, without the policy-iteration
-        # finish that always takes solve2d to the fixed point
-        monkeypatch.setattr(solver2d, "_finish", lambda kernel, v, claim, phases:
-                            solver2d._Finish(0, math.inf, 0.0, 0, 0, math.inf))
+        # value iteration handed over at tol = 1.0, and a greedy step that
+        # returns the previous policy ends policy iteration after one sweep,
+        # before it could take solve2d to the fixed point
+        monkeypatch.setattr(hjb2d, "_greedy_pref",
+                            lambda v, t0, prev, pref, *scratch: np.copyto(pref, prev))
         cfg = tmp_path / "loose.cfg"
         cfg.write_text(TINY_CFG.replace("tol = 1e-8", "tol = 1.0"))
         out = tmp_path / "loose_out"

@@ -223,7 +223,7 @@ class TestBellmanOperators:
     def test_shift_up_diag_edges(self):
         g = small_grid()
         v = random_field(g, seed=8)
-        up = shift_up_diag(v.values, g)
+        up = shift_up_diag(v.values, (g.dx1, g.dx2))
         assert up[2, 3] == v.values[3, 4]
         assert up[g.n_max, 3] == pytest.approx(v.values[g.n_max, 4] + g.dx1)
         assert up[2, g.m_max] == pytest.approx(v.values[3, g.m_max] + g.dx2)

@@ -162,6 +162,15 @@ class TestSolve1d:
         with pytest.raises(TruncationError):
             solve_1d(prob, delta=0.01, x_max=2.0)
 
+    def test_fixed_point_whatever_tol(self):
+        # tol only sets the hand-over to policy iteration, which ends at the
+        # grid fixed point itself
+        prob = make_auxiliary_problem(EX1, Exponential(0.6), "wbar")
+        loose, tight = (solve_1d(prob, delta=0.01, x_max=20.0, tol=tol) for tol in (1e-6, 1e-12))
+        for sol in (loose, tight):
+            assert sol.residual_max <= 1e-12 and sol.policies >= 1
+        assert np.abs(loose.values - tight.values).max() <= 1e-12 * (1 + tight.values.max())
+
     def test_iteration_cap_raises(self):
         prob = make_auxiliary_problem(EX1, Exponential(0.6), "wbar")
         with pytest.raises(NonConvergenceError) as exc:

@@ -1,9 +1,22 @@
+import math
+from typing import NamedTuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divopt.hjb2d import Action, ValueField, build_claim_kernel
+from divopt import hjb2d
+from divopt.hjb2d import (
+    Action,
+    ValueField,
+    build_claim_kernel,
+    claim_cells,
+    claim_field,
+    correlate,
+    kernel_fft,
+    policy_flow,
+)
 from divopt.model import (
     Erlang2,
     Exponential,
@@ -21,7 +34,6 @@ from divopt.solver2d import (
     check_tilde_suboptimality,
     extract_regions,
     greedy_policy,
-    policy_flow,
     solve,
 )
 from oracles import (
@@ -96,13 +108,21 @@ class TestSolve:
         assert exc.value.last_increment > 0
 
     def test_policy_cap(self, monkeypatch):
-        monkeypatch.setattr(solver2d, "_POLICY_CAP", 1)
+        monkeypatch.setattr(hjb2d, "_POLICY_CAP", 1)
         grid = GridSpec.make(PARAMS, delta=0.1, x1_max=4, x2_max=4)
         with pytest.raises(NonConvergenceError, match="policy iteration"):
             solve(PARAMS, LAW, grid)
 
     def test_gmres_stall(self, monkeypatch):
-        monkeypatch.setattr(solver2d, "_GMRES_CYCLES", 0)
+        monkeypatch.setattr(hjb2d, "_GMRES_CYCLES", 0)
+        grid = GridSpec.make(PARAMS, delta=0.1, x1_max=4, x2_max=4)
+        with pytest.raises(NonConvergenceError, match="stalled"):
+            solve(PARAMS, LAW, grid)
+
+    def test_gmres_stall_far_above_the_target(self, monkeypatch):
+        # a restart cycle of one matvec does not halve the residual: far above
+        # the target that is a stall, not the rounding floor
+        monkeypatch.setattr(hjb2d, "_GMRES_RESTART", 1)
         grid = GridSpec.make(PARAMS, delta=0.1, x1_max=4, x2_max=4)
         with pytest.raises(NonConvergenceError, match="stalled"):
             solve(PARAMS, LAW, grid)
@@ -212,8 +232,8 @@ class TestPolicyFlow:
         # drifts past an outer edge and the two edge rules agree
         policy = _random_policy(n_pts, m_pts, lump_share, seed)
         ref = policy_flow_reference(policy)
-        flow = policy_flow(ref.pref, policy.grid)
         g = policy.grid
+        flow = policy_flow(ref.pref, (g.dx1, g.dx2))
         nopay = np.flatnonzero(ref.pref == 0)
         np.testing.assert_array_equal(flow.nopay, nopay)
         assert flow.anchor.dtype == np.int32
@@ -230,14 +250,54 @@ class TestPolicyFlow:
         np.testing.assert_array_equal(flow.paid, ref.paid[target])
 
 
-def _evaluate(kernel, pref):
-    out = np.empty(kernel.grid.shape)
-    return solver2d._NoPayEvaluation(kernel).evaluate(pref, np.zeros(kernel.grid.shape), out)
+class _Scheme(NamedTuple):
+    """What a policy evaluation and its reference read of a claim kernel:
+    the claim field, the kernel transform, the one-step discount, the
+    payout of one cell down each axis, and the kernel cells (offsets and
+    value weights) with the constant part of the claim field."""
+
+    claim: object
+    fshape: tuple
+    fk: np.ndarray
+    disc: float
+    dxs: tuple
+    cells: tuple
+    weights: np.ndarray
+    payout: np.ndarray
 
 
-def _assert_matches_reference(kernel, pref):
-    got = _evaluate(kernel, pref)
-    want = evaluate_policy_reference(kernel, pref)
+def _scheme_2d(kernel):
+    g = kernel.grid
+    return _Scheme(lambda u: claim_field(kernel, u), kernel.fshape, kernel._fk,
+                   kernel.discount_step, (g.dx1, g.dx2), (kernel.cell_i1, kernel.cell_i2),
+                   kernel.cell_wv, kernel.payout_field)
+
+
+def _scheme_1d(n_pts):
+    """Example 1's on-ray problem on n_pts nodes, as solve_1d sets it up: a
+    lump pays rho*dx, and the claim field carries a reward constant."""
+    prob = solver1d.make_auxiliary_problem(PARAMS, LAW, "wbar")
+    delta = 0.1
+    dx = prob.c * delta
+    kw, kp = claim_cells(prob.law, prob.lam, prob.q, delta, (dx,), (prob.b,), prob.c, (n_pts,))
+    fshape, fk, payout = kernel_fft(kw, prob.rho * kp, (n_pts,))
+    payout = payout + 0.3
+    cells = np.nonzero(kw)
+    return _Scheme(lambda u: correlate(u, fk, fshape) + payout, fshape, fk,
+                   math.exp(-(prob.lam + prob.q) * delta), (prob.rho * dx,), cells, kw[cells],
+                   payout)
+
+
+def _evaluate(scheme, pref):
+    evaluation = hjb2d._NoPayEvaluation(scheme.claim, scheme.fshape, scheme.fk, scheme.disc,
+                                        scheme.dxs)
+    return evaluation.evaluate(pref, np.zeros(pref.shape), np.empty(pref.shape))
+
+
+def _assert_matches_reference(scheme, pref):
+    got = _evaluate(scheme, pref)
+    want = evaluate_policy_reference(pref, scheme.disc, scheme.dxs, scheme.cells,
+                                     scheme.weights, scheme.payout)
     assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
 
 
@@ -245,14 +305,27 @@ class TestNoPayEvaluation:
     @settings(max_examples=60, deadline=None)
     @given(n_pts=st.integers(3, 40), m_pts=st.integers(3, 40),
            lump_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]), edge_nopay=st.booleans(),
-           seed=st.integers(0, 10_000))
-    def test_matches_full_grid_solve(self, n_pts, m_pts, lump_share, edge_nopay, seed):
+           one_axis=st.booleans(), seed=st.integers(0, 10_000))
+    # GMRES from zero needs 11 restart cycles here, and here its last cycle
+    # ends at the rounding floor, 1.007x the target
+    @example(n_pts=27, m_pts=32, lump_share=0.9, edge_nopay=False, one_axis=True, seed=2)
+    @example(n_pts=29, m_pts=33, lump_share=0.5, edge_nopay=False, one_axis=True, seed=1)
+    def test_matches_full_grid_solve(self, n_pts, m_pts, lump_share, edge_nopay, one_axis,
+                                     seed):
+        if one_axis:  # a 1D grid of n_pts * m_pts nodes; node 0 cannot lump
+            rng = np.random.default_rng(seed)
+            pref = (rng.random(n_pts * m_pts) < lump_share).astype(np.int8)
+            pref[0] = 0
+            if edge_nopay:  # the top node drifts along the edge
+                pref[-1] = 0
+            _assert_matches_reference(_scheme_1d(pref.size), pref)
+            return
         policy = _random_policy(n_pts, m_pts, lump_share, seed)
         pref = solver2d._PREF_OF_MASK[policy.actions & 7]
         if edge_nopay:  # no-pay nodes drift along the outer edges
             pref[-1, :] = 0
             pref[:, -1] = 0
-        _assert_matches_reference(build_claim_kernel(PARAMS, LAW, policy.grid), pref)
+        _assert_matches_reference(_scheme_2d(build_claim_kernel(PARAMS, LAW, policy.grid)), pref)
 
     @pytest.mark.parametrize("chain", [4, 5, 8, 9, 16, 17, 32, 33])
     @pytest.mark.parametrize("kind", ["branch1", "branch2", "staircase"])
@@ -278,14 +351,14 @@ class TestNoPayEvaluation:
         else:
             pref[1:, :] = 1
             pref[0, 1:] = 2
-        _assert_matches_reference(build_claim_kernel(PARAMS, LAW, grid), pref)
+        _assert_matches_reference(_scheme_2d(build_claim_kernel(PARAMS, LAW, grid)), pref)
 
     def test_greedy_policy_of_the_solve(self, small_solve):
         # at the fixed point the value of its greedy policy is the table
         _, kernel, v, policy, _ = small_solve
         pref = solver2d._PREF_OF_MASK[policy.actions & 7]
-        _assert_matches_reference(kernel, pref)
-        assert np.abs(_evaluate(kernel, pref) - v.values).max() <= 1e-9
+        _assert_matches_reference(_scheme_2d(kernel), pref)
+        assert np.abs(_evaluate(_scheme_2d(kernel), pref) - v.values).max() <= 1e-9
 
 
 class TestStructuralChecks:
