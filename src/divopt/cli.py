@@ -90,11 +90,20 @@ def _get_count(cfg, key, default, low):
     return int(val)
 
 
+def _get_seed(args, cfg):
+    """--seed if given, else the config's seed key; both in [0, 2**128)."""
+    if args.seed is None:
+        return _get_count(cfg, "seed", 1, 0)
+    if not 0 <= args.seed < 2**128:
+        raise ConfigError(f"--seed must be an integer in [0, 2**128): {args.seed}")
+    return args.seed
+
+
 def _report_fields(report):
     """What a solve reports of its fixed-point run, for the manifests."""
     return {key: getattr(report, key) for key in (
         "iterations", "residual_max", "tol_effective", "min_increment", "policies",
-        "gmres_matvecs", "gmres_residual", "phases")}
+        "gmres_matvecs", "gmres_residual", "phases", "correlation", "kernel_cells", "fshape")}
 
 
 def build_model(cfg):
@@ -271,7 +280,7 @@ def cmd_simulate(args):
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
     n_paths = _get_count(cfg, "paths", 10_000, 2)
-    seed = args.seed if args.seed is not None else _get_count(cfg, "seed", 1, 0)
+    seed = _get_seed(args, cfg)
     out = Path(args.out)
     value_path = out / "value.csv"
     if not value_path.is_file():
@@ -327,7 +336,7 @@ def cmd_validate(args):
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
     n_paths = _get_count(cfg, "paths", 20_000, 2)
-    seed = args.seed if args.seed is not None else _get_count(cfg, "seed", 1, 0)
+    seed = _get_seed(args, cfg)
     out = Path(args.out)
     needed = [out / "value.csv", out / "manifest.json"]
     if not all(p.is_file() for p in needed):

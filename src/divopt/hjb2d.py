@@ -15,9 +15,11 @@ forms.  Crucially the cells and their weights do not depend on the
 start node (n, m): only the lookup index (n + j1, m + j2) does, and a
 claim ruining a branch is exactly a negative lookup index.  The whole
 claim operator is therefore one correlation of the value table with a
-fixed kernel (zero padding implements ruin), evaluated over the full grid
-by FFT.  The same cells on one axis, and the same FFT correlation, give
-the 1D solver's claim operator.
+fixed kernel (zero padding implements ruin), built once per kernel and
+grid by the path that costs less: cell by cell for a kernel of a few live
+cells (a constant claim size), a pruned FFT for a dense one.  The same
+cells on one axis, and the same correlation, give the 1D solver's claim
+operator.
 
 The two solvers also share everything else defined here, on one axis or
 two: the fixed-point loop (fixed_point: value iteration to a loose
@@ -49,8 +51,10 @@ __all__ = [
     "ValueField",
     "ClaimKernel",
     "claim_cells",
-    "kernel_fft",
-    "correlate",
+    "DirectCorrelation",
+    "FFTCorrelation",
+    "build_correlation",
+    "claim_operator",
     "build_claim_kernel",
     "claim_field",
     "NonConvergenceError",
@@ -245,34 +249,113 @@ def claim_cells(law: ClaimLaw, lam: float, q: float, delta: float, dxs, bs, c: f
     return kw, kp
 
 
-def kernel_fft(kw: np.ndarray, kp: np.ndarray, shape):
-    """FFT set-up of a cell kernel on a grid of the given shape: (fshape,
-    transform of kw, payout field).
+# The correlation runs cell by cell when cells * nodes is at most this
+# many times F*log2(F), F the FFT size.  The pruned FFT's time per unit of
+# F*log2(F), over a direct cell-node multiply-add's, measured 0.2-1.3
+# (median about 0.5) on grids of 21x41 to 351x701 nodes and 1D grids of
+# 1,289-5,601 nodes, on a shared 2-core x86-64 machine with one FFT worker.
+_DIRECT_PER_FFT_UNIT = 0.5
 
-    fshape is sized to the kernel's reach, the table size less one, as
-    described in ClaimKernel.  The payout field, the correlation of kp
-    with the all-ones table, is the prefix sum of kp along every axis,
-    held constant past the reach; it does not depend on the value table,
-    so it is computed here once.
+
+def _fft_shape(shape, kernel_shape):
+    """next_fast_len(s_i + r_i) per axis: see FFTCorrelation."""
+    return tuple(sfft.next_fast_len(s + r - 1) for s, r in zip(shape, kernel_shape))
+
+
+class DirectCorrelation:
+    """Correlation of a table with a short kernel, one live cell at a time.
+
+    out[n] = sum_i kw[i] * values[n - i] over the nonzero cells i of kw,
+    with values zero at negative indices (ruin): each cell adds its
+    weight times the table shifted up by its offset.  The kernel's
+    transform is never computed.
     """
-    fshape = tuple(sfft.next_fast_len(s + r - 1) for s, r in zip(shape, kw.shape))
-    fk = sfft.rfftn(kw, s=fshape, axes=tuple(range(kw.ndim)), workers=_FFT_WORKERS)
+
+    kind = "direct"
+    fshape = None
+
+    def __init__(self, kw: np.ndarray):
+        nz = np.nonzero(kw)
+        self.offsets = np.transpose(nz).tolist()
+        self.weights = kw[nz].tolist()
+        self.cells = len(self.weights)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(values)
+        term = np.empty_like(values)
+        for offset, w in zip(self.offsets, self.weights):
+            to = tuple(np.s_[i:] for i in offset)
+            frm = tuple(np.s_[: s - i] for s, i in zip(values.shape, offset))
+            np.multiply(values[frm], w, out=term[to])
+            out[to] += term[to]
+        return out
+
+
+class FFTCorrelation:
+    """Correlation of a table with a dense kernel by a pruned FFT.
+
+    fshape, the FFT size, is next_fast_len(s_i + r_i) per axis, where s_i
+    is the grid size and r_i the reach: the largest live cell index along
+    that axis (0 for an empty kernel).  The linear correlation has
+    s_i + r_i points, so a cyclic one of at least that length wraps
+    nothing onto the first s_i outputs and is exact there.  Since
+    r_i <= s_i - 1 this never exceeds the full 2*s_i - 1 padding, and a
+    short-reach kernel (a constant claim size) gets a much smaller FFT.
+
+    The transforms skip what is known to be zero or not needed (FFT
+    pruning): the forward real transform runs along the last axis over the
+    table's own rows only, the padding rows being zero, before the full
+    transforms along the leading axes; the inverse keeps only the table's
+    rows after the leading axes, so the inverse real transform runs over
+    those rows alone.  Each skipped transform is one whose input is zero
+    or whose output is dropped, so the result is the full cyclic
+    correlation's, up to rounding.
+    """
+
+    kind = "fft"
+
+    def __init__(self, kw: np.ndarray, shape):
+        self.cells = int(np.count_nonzero(kw))
+        self.fshape = _fft_shape(shape, kw.shape)
+        self.fk = sfft.rfftn(kw, s=self.fshape, axes=tuple(range(kw.ndim)),
+                             workers=_FFT_WORKERS)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        lead = range(values.ndim - 1)
+        fv = sfft.rfft(values, n=self.fshape[-1], axis=-1, workers=_FFT_WORKERS)
+        for axis in lead:
+            fv = sfft.fft(fv, n=self.fshape[axis], axis=axis, workers=_FFT_WORKERS)
+        fv *= self.fk  # in place: one spectrum alive at a time bounds the peak memory
+        for axis in lead:
+            fv = sfft.ifft(fv, axis=axis, overwrite_x=True, workers=_FFT_WORKERS)
+        fv = fv[tuple(np.s_[:s] for s in values.shape[:-1])]
+        full = sfft.irfft(fv, n=self.fshape[-1], axis=-1, workers=_FFT_WORKERS)
+        return full[..., : values.shape[-1]]
+
+
+def build_correlation(kw: np.ndarray, shape):
+    """The correlation with kw on a grid of the given shape, by the path
+    that costs less: cell by cell while the live cells times the nodes stay
+    within _DIRECT_PER_FFT_UNIT * F*log2(F), F the FFT size, else by the
+    pruned FFT."""
+    cells = int(np.count_nonzero(kw))
+    fsize = math.prod(_fft_shape(shape, kw.shape))
+    if cells * math.prod(shape) <= _DIRECT_PER_FFT_UNIT * fsize * math.log2(fsize):
+        return DirectCorrelation(kw)
+    return FFTCorrelation(kw, shape)
+
+
+def claim_operator(kw: np.ndarray, kp: np.ndarray, shape):
+    """The claim operator of a cell kernel on a grid of the given shape: the
+    correlation with kw and the payout field.
+
+    The payout field, the correlation of kp with the all-ones table, is the
+    prefix sum of kp along every axis, held constant past the reach; it
+    does not depend on the value table, so it is computed here once.
+    """
     payout = functools.reduce(np.cumsum, range(kp.ndim), kp)
     pad = [(0, s - r) for s, r in zip(shape, kp.shape)]
-    return fshape, fk, np.pad(payout, pad, mode="edge")
-
-
-def correlate(values: np.ndarray, fk: np.ndarray, fshape) -> np.ndarray:
-    """Correlation of a table with a kernel given by its transform fk.
-
-    Zero padding beyond the table encodes ruin; the result is a view of the
-    first values.shape entries of the cyclic correlation.
-    """
-    axes = tuple(range(values.ndim))
-    fv = sfft.rfftn(values, s=fshape, axes=axes, workers=_FFT_WORKERS)
-    fv *= fk  # in place: one spectrum alive at a time bounds the peak memory
-    full = sfft.irfftn(fv, s=fshape, axes=axes, workers=_FFT_WORKERS)
-    return full[tuple(slice(0, s) for s in values.shape)]
+    return build_correlation(kw, shape), np.pad(payout, pad, mode="edge")
 
 
 @dataclass
@@ -283,15 +366,9 @@ class ClaimKernel:
     multiplies W(n - i1, m - i2), and cell_wp[k] carries the dividends paid
     at the claim instant.  payout_field is the sum of the cell_wp terms
     whose offset stays on the grid, the full payout contribution at every
-    node (zero-padding encodes ruin in both pieces).
-
-    fshape, the FFT size, is next_fast_len(s_i + r_i) per axis, where s_i
-    is the grid size and r_i the reach: the largest live cell index along
-    that axis (0 for an empty kernel).  The linear correlation has
-    s_i + r_i points, so a cyclic one of at least that length wraps
-    nothing onto the first s_i outputs and is exact there.  Since
-    r_i <= s_i - 1 this never exceeds the full 2*s_i - 1 padding, and a
-    short-reach kernel (a constant claim size) gets a much smaller FFT.
+    node (zero-padding encodes ruin in both pieces).  correlation applies
+    the cell_wv weights to a value table, cell by cell or by a pruned FFT
+    (build_correlation).
     """
 
     grid: GridSpec
@@ -300,8 +377,7 @@ class ClaimKernel:
     cell_i2: np.ndarray
     cell_wv: np.ndarray
     cell_wp: np.ndarray
-    fshape: tuple
-    _fk: np.ndarray = field(repr=False, default=None)
+    correlation: object = field(repr=False, default=None)
     payout_field: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -314,7 +390,7 @@ def build_claim_kernel(params: ModelParams, law: ClaimLaw, grid: GridSpec) -> Cl
         law, params.lam, params.q, grid.delta, (grid.dx1, grid.dx2),
         (params.b1, params.b2), params.c1 + params.c2, grid.shape,
     )
-    fshape, fk, payout = kernel_fft(kw, kp, grid.shape)
+    correlation, payout = claim_operator(kw, kp, grid.shape)
     nz = np.nonzero((kw != 0) | (kp != 0))
     return ClaimKernel(
         grid=grid,
@@ -323,15 +399,16 @@ def build_claim_kernel(params: ModelParams, law: ClaimLaw, grid: GridSpec) -> Cl
         cell_i2=nz[1].astype(np.int64),
         cell_wv=kw[nz],
         cell_wp=kp[nz],
-        fshape=fshape,
-        _fk=fk,
+        correlation=correlation,
         payout_field=payout,
     )
 
 
 def claim_field(kernel: ClaimKernel, values: np.ndarray) -> np.ndarray:
     """Claim integral at every grid node for the given value table."""
-    return correlate(values, kernel._fk, kernel.fshape) + kernel.payout_field
+    cf = kernel.correlation(values)  # a fresh table (or a view of one) each call
+    cf += kernel.payout_field
+    return cf
 
 
 class NonConvergenceError(RuntimeError):
@@ -432,12 +509,12 @@ _GMRES_CYCLES = 52  # restart cycles; each must halve the residual (2**52 > 1/_G
 _GMRES_RTOL = 3e-16
 
 
-def fixed_point(claim, sweep, v, tol, iter_cap, *, disc, dxs, fshape, fk):
+def fixed_point(claim, sweep, v, tol, iter_cap, *, disc, dxs, correlation):
     """The grid fixed point by value then policy iteration (Howard), on a
     grid of one axis or two; both solvers run it.
 
-    claim(u) is the claim field of a table u: its correlation with the
-    kernel of transform fk and FFT size fshape, plus a constant field.
+    claim(u) is the claim field of a table u: correlation(u), its
+    correlation with the claim kernel, plus a constant field.
     sweep(v, cf) updates v in place by one monotone sweep with the claim
     field cf frozen; disc is the one-step discount, dxs[i] the payout of
     one cell down axis i.  From v, updated in place, sweeps run until the
@@ -452,7 +529,9 @@ def fixed_point(claim, sweep, v, tol, iter_cap, *, disc, dxs, fshape, fk):
 
     Returns v and its statistics: the sweeps of both stages, the sup
     increment of the last and the least of any; the policies evaluated,
-    their GMRES matvecs and the last one's sup residual; seconds per phase.
+    their GMRES matvecs and the last one's sup residual; seconds per phase;
+    and the correlation's path ("direct" or "fft"), live cells and FFT
+    size (None on the direct path).
     """
     phases = {"claim_field": 0.0, "sweeps": 0.0, "evaluation": 0.0}
     before = np.empty_like(v)  # v before a sweep, then the best of the operator fields
@@ -473,7 +552,7 @@ def fixed_point(claim, sweep, v, tol, iter_cap, *, disc, dxs, fshape, fk):
         phases["sweeps"] += t_eval - t_sweep
         if evaluation is None:
             if sup_inc < max(tol, _WARMUP_TOL) * (1.0 + float(v.max())):
-                evaluation = _NoPayEvaluation(claim, fshape, fk, disc, dxs)
+                evaluation = _NoPayEvaluation(claim, correlation, disc, dxs)
                 pref = np.empty(v.shape, dtype=np.int8)
                 prev = np.full(v.shape, -1, dtype=np.int8)
             elif sweeps == iter_cap:
@@ -495,7 +574,9 @@ def fixed_point(claim, sweep, v, tol, iter_cap, *, disc, dxs, fshape, fk):
         if done:
             return v, dict(iterations=sweeps, final_sup_increment=sup_inc, min_increment=min_inc,
                            policies=evaluation.policies, gmres_matvecs=evaluation.matvecs,
-                           gmres_residual=evaluation.residual, phases=phases)
+                           gmres_residual=evaluation.residual, phases=phases,
+                           correlation=correlation.kind, kernel_cells=correlation.cells,
+                           fshape=correlation.fshape)
 
 
 def _greedy_pref(v, t0, prev, pref, best, work, disc, dxs):
@@ -541,11 +622,11 @@ class _NoPayEvaluation:
     The drift part x -> disc * x[succ] is a functional graph on the no-pay
     nodes, inverted exactly by pointer doubling; that inverse
     right-preconditions a restarted GMRES whose matvec is one correlation
-    with the kernel transform fk.
+    with the claim kernel.
     """
 
-    def __init__(self, claim, fshape, fk, disc, dxs):
-        self.claim, self.fshape, self.fk, self.disc, self.dxs = claim, fshape, fk, disc, dxs
+    def __init__(self, claim, correlation, disc, dxs):
+        self.claim, self.correlation, self.disc, self.dxs = claim, correlation, disc, dxs
         self.policies = self.matvecs = 0
         self.residual = 0.0
 
@@ -590,7 +671,7 @@ class _NoPayEvaluation:
         expansion of the drift inverse of z."""
         np.take(self._drift_inverse(z), self._flow.anchor, out=full.ravel(), mode="clip")
         self.matvecs += 1
-        return z - correlate(full, self.fk, self.fshape)[self._at]
+        return z - self.correlation(full)[self._at]
 
     def _gmres(self, x, full):
         """Restarted GMRES from x; each cycle ends on the true residual, and

@@ -198,7 +198,8 @@ def simulate_policy(
     runner = strat.runner(params, law, x0)
     pilot_n = max(min(max(n_paths // 50, 200), 2000, n_paths), 2)
     pilot_T = math.log(1e4) / params.q
-    pilot = runner(pilot_n, seed + 1, pilot_T)[0]
+    # Philox keys lie in [0, 2**128): the pilot's key wraps at the top
+    pilot = runner(pilot_n, (seed + 1) % 2**128, pilot_T)[0]
     target = 0.1 * max(np.std(pilot, ddof=1) / math.sqrt(n_paths), 1e-8)
     ub = x0.x1 + x0.x2 + (params.c1 + params.c2) / params.q
     horizon = math.log(max(ub / target, 10.0)) / params.q

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hjb2d import argmax_sets, claim_cells, correlate, fixed_point, kernel_fft
+from .hjb2d import argmax_sets, claim_cells, claim_operator, fixed_point
 from .model import ClaimLaw, ModelParams, validate_params
 
 __all__ = [
@@ -91,11 +91,15 @@ class WbarSolution:
     tol_effective: float
     min_increment: float
     wall_time: float
-    # policy iteration's counts and seconds per phase, as in solver2d.SolveReport
+    # policy iteration's counts and seconds per phase, and the claim
+    # correlation's path, as in solver2d.SolveReport
     policies: int
     gmres_matvecs: int
     gmres_residual: float
     phases: dict
+    correlation: str
+    kernel_cells: int
+    fshape: tuple
 
     @property
     def rho(self):
@@ -137,11 +141,12 @@ def make_auxiliary_problem(params: ModelParams, law: ClaimLaw, kind: str) -> One
 
 
 def _claim_kernel(prob: OneDimProblem, delta: float, n_pts: int):
-    """FFT set-up of the claim operator on n_pts nodes: the exact cells of
-    the 2D kernel on one axis, with claim-instant payouts scaled by rho."""
+    """The claim operator on n_pts nodes, its correlation and payout field
+    (hjb2d.claim_operator): the exact cells of the 2D kernel on one axis,
+    with claim-instant payouts scaled by rho."""
     dx = prob.c * delta
     kw, kp = claim_cells(prob.law, prob.lam, prob.q, delta, (dx,), (prob.b,), prob.c, (n_pts,))
-    return kernel_fft(kw, prob.rho * kp, (n_pts,))
+    return claim_operator(kw, prob.rho * kp, (n_pts,))
 
 
 def drift_scan(a, c, d, top):
@@ -189,7 +194,7 @@ def solve_1d(
     disc = math.exp(-beta * delta)
     r0 = prob.rho * prob.kappa * (1.0 - disc) / beta
     rho_dx = prob.rho * dx
-    fshape, fk, payout = _claim_kernel(prob, delta, n_max + 1)
+    correlation, payout = _claim_kernel(prob, delta, n_max + 1)
 
     offs = np.arange(n_max + 1) * rho_dx
 
@@ -198,10 +203,10 @@ def solve_1d(
         np.maximum(y, np.maximum.accumulate(y - offs) + offs, out=v)
 
     # the claim field plus the reward accrued over the step
-    claim = lambda u: correlate(u, fk, fshape) + payout + r0
+    claim = lambda u: correlation(u) + payout + r0
     t_start = time.perf_counter()
     w, stats = fixed_point(claim, sweep, np.zeros(n_max + 1), tol, iter_cap,
-                           disc=disc, dxs=(rho_dx,), fshape=fshape, fk=fk)
+                           disc=disc, dxs=(rho_dx,), correlation=correlation)
     (is_c, is_b), _, resid = argmax_sets(w, claim(w), disc, (rho_dx,))
     band = _extract_band(is_b, is_c, dx)
 

@@ -4,7 +4,7 @@ The iteration starts from the all-zero table (the value of never paying
 again) and applies monotone sweeps; every iterate is the value of an
 admissible grid strategy, so the sequence increases pointwise to the
 smallest fixed point.  Each in-place sweep freezes the claim field (one
-FFT correlation), then resolves the diagonal continuation row by row
+claim correlation), then resolves the diagonal continuation row by row
 downward and finishes with lump-closure scans in both axes; each partial
 update is a restriction of the Bellman operator evaluated on values
 between the previous iterate and the fixed point, which keeps the squeeze
@@ -107,6 +107,11 @@ class SolveReport:
     policies: int
     gmres_matvecs: int
     gmres_residual: float
+    # the claim correlation's path ("direct" or "fft"), its live cells and
+    # its FFT size (None on the direct path)
+    correlation: str
+    kernel_cells: int
+    fshape: tuple
     # seconds spent in the claim field, in the sweeps, in the greedy steps
     # and policy evaluations, and in extracting the policy and
     # residual from the converged table
@@ -128,13 +133,23 @@ def _sweep_inplace(w, cf, grid, disc):
     n_pts, m_pts = w.shape
     dx1, dx2 = grid.dx1, grid.dx2
     offs = np.arange(n_pts) * dx1
-    cont = np.empty(n_pts)
+    # column buffers: the continuation, the no-pay-or-stay row, the scan
+    cont, row, scan = np.empty(n_pts), np.empty(n_pts), np.empty(n_pts)
     for m in range(m_pts - 1, -1, -1):
-        up = w[:, m] + dx2 if m == m_pts - 1 else w[:, m + 1]
-        cont[:-1] = up[1:]
-        cont[-1] = up[-1] + dx1
-        row = np.maximum(w[:, m], disc * cont + cf[:, m])
-        w[:, m] = np.maximum(row, np.maximum.accumulate(row - offs) + offs)
+        col = w[:, m]
+        if m == m_pts - 1:
+            np.add(col[1:], dx2, out=cont[:-1])
+            cont[-1] = (col[-1] + dx2) + dx1
+        else:
+            cont[:-1] = w[1:, m + 1]
+            cont[-1] = w[-1, m + 1] + dx1
+        cont *= disc
+        cont += cf[:, m]
+        np.maximum(col, cont, out=row)
+        np.subtract(row, offs, out=scan)
+        np.maximum.accumulate(scan, out=scan)
+        scan += offs
+        np.maximum(row, scan, out=col)
     # Every column is now closed under branch-1 lumps, and a max of closed
     # columns stays closed, so the branch-2 lump closure needs no further
     # branch-1 pass: it is one prefix-max scan along axis 1.
@@ -171,7 +186,7 @@ def solve(
         lambda u: claim_field(kernel, u),
         lambda w, cf: _sweep_inplace(w, cf, grid, kernel.discount_step),
         np.zeros(grid.shape), tol, iter_cap, disc=kernel.discount_step,
-        dxs=(grid.dx1, grid.dx2), fshape=kernel.fshape, fk=kernel._fk,
+        dxs=(grid.dx1, grid.dx2), correlation=kernel.correlation,
     )
 
     t_policy = time.perf_counter()

@@ -30,7 +30,10 @@ iteration applies T0, T1 and T2 to the previous iterate only; the in-place
 sweeps of the solver stay between it and the fixed point.
 
 The per-point operators gather the claim integral at one node straight
-from the kernel cells, the form the FFT claim field is checked against.
+from the kernel cells, the form the claim field is checked against; the
+correlation reference sums a kernel table against a value table node by
+node and cell by cell, the form both correlation paths are checked
+against.
 MReflection projects a start point onto the proportional ray and follows
 the 1D band strategy there, event by event; simulate.simulate_policy runs
 it through the same pilot and horizon as a policy table.
@@ -429,6 +432,18 @@ def policy_runner_reference(params, law, strat, x0):
         return acc, t, broke
 
     return run
+
+
+def correlate_reference(values, kw):
+    """out[n] = sum of kw[i] * values[n - i] over the cells i of the kernel
+    table kw, on one axis or two, one node and one cell at a time; a cell
+    that reaches below the grid (ruin) adds nothing."""
+    out = np.zeros(np.shape(values))
+    for n in np.ndindex(out.shape):
+        for i in np.ndindex(kw.shape):
+            if all(ik <= nk for ik, nk in zip(i, n)):
+                out[n] += kw[i] * values[tuple(nk - ik for nk, ik in zip(n, i))]
+    return out
 
 
 def integral_I_delta(kernel: ClaimKernel, v: ValueField, n: int, m: int) -> float:

@@ -115,6 +115,59 @@ class TestConfig:
         assert sim["seed"] == 9007199254740993 and sim["paths"] == 500
 
 
+class TestSeed:
+    def test_top_config_seed_runs(self, run_dir, tmp_path):
+        # the pilot run keys its generator with seed + 1, which wraps to 0 at
+        # the top of Philox's key range instead of overflowing it
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("value.csv", "manifest.json"):
+            shutil.copy(run_dir[0] / name, out)
+        cfg = tmp_path / "top.cfg"
+        cfg.write_text(TINY_CFG + f"seed = {2**128 - 1}\npaths = 500\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "sim.json").read_text())["seed"] == 2**128 - 1
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_flag_out_of_range_exit_2(self, run_dir, tmp_path, capsys, command, seed):
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("value.csv", "manifest.json"):
+            shutil.copy(run_dir[0] / name, out)
+        assert main([command, "--config", str(run_dir[1]), "--out", str(out),
+                     "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and len(err.strip().splitlines()) == 1
+
+
+class TestCorrelationPath:
+    # a dense kernel takes the pruned FFT, a constant claim size (example
+    # 3's) the direct cell sums, in both solvers
+    @pytest.mark.parametrize("claim, path, cells_2d, fshape_2d, cells_1d, fshape_1d", [
+        ("claim.kind = exponential\nclaim.rate = 0.6", "fft", 136, [96, 189], 2501, [5040]),
+        ("claim.kind = deterministic\nclaim.atom = 2.4166666666666665", "direct", 3, None,
+         2, None),
+    ])
+    def test_reports_record_the_path(self, tmp_path, claim, path, cells_2d, fshape_2d,
+                                     cells_1d, fshape_1d):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY_CFG.replace("claim.kind = exponential\nclaim.rate = 0.6", claim))
+        out = tmp_path / "o"
+        assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["correlation"], manifest["kernel_cells"], manifest["fshape"]) == (
+            path, cells_2d, fshape_2d)
+        assert manifest["residual_max"] < 1e-10
+        assert main(["solve1d", "--config", str(cfg), "--out", str(out)]) == 0
+        for report in (json.loads((out / "manifest.json").read_text()),
+                       json.loads((out / "band_wbar.json").read_text())):
+            assert (report["correlation"], report["kernel_cells"], report["fshape"]) == (
+                path, cells_1d, fshape_1d)
+            assert report["residual_max"] < 1e-10
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")

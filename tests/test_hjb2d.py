@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divopt.hjb2d import (
     Action,
+    DirectCorrelation,
+    FFTCorrelation,
     ValueField,
     build_claim_kernel,
     claim_field,
@@ -25,6 +28,7 @@ from oracles import (
     brute_force_t_slices,
     brute_force_tensor,
     continuous_L,
+    correlate_reference,
     integral_I_delta,
     op_T,
     op_T0,
@@ -129,21 +133,27 @@ class TestClaimIntegral:
     def test_fft_field_matches_gather(self):
         # Deterministic(0.9) reaches only a few cells, so its FFT is far
         # shorter than 2*s - 1: the case a wrongly sized FFT would wrap around.
-        # On the all-zero table the field is the payout field alone.
+        # On the all-zero table the field is the payout field alone.  Both
+        # correlation paths run on every kernel.
         g = small_grid(delta=0.1, x1_max=3.0, x2_max=2.0)
         for law in LAW_CASES + [Deterministic(0.9)]:
             kern = build_claim_kernel(PARAMS, law, g)
             reach = (int(kern.cell_i1.max()), int(kern.cell_i2.max()))
-            for s, r, f in zip(g.shape, reach, kern.fshape):
+            kw = np.zeros(np.add(reach, 1))
+            kw[kern.cell_i1, kern.cell_i2] = kern.cell_wv
+            fft = FFTCorrelation(kw, g.shape)
+            for s, r, f in zip(g.shape, reach, fft.fshape):
                 assert f == sfft.next_fast_len(s + r)
                 assert f <= sfft.next_fast_len(2 * s - 1)
-            for v in (random_field(g, seed=9), ValueField(g, np.zeros(g.shape))):
-                cf = claim_field(kern, v.values)
-                gather = np.array(
-                    [[integral_I_delta(kern, v, n, m) for m in range(g.m_max + 1)]
-                     for n in range(g.n_max + 1)]
-                )
-                np.testing.assert_allclose(cf, gather, rtol=0, atol=1e-12)
+            for path in (DirectCorrelation(kw), fft):
+                on_path = dataclasses.replace(kern, correlation=path)
+                for v in (random_field(g, seed=9), ValueField(g, np.zeros(g.shape))):
+                    cf = claim_field(on_path, v.values)
+                    gather = np.array(
+                        [[integral_I_delta(kern, v, n, m) for m in range(g.m_max + 1)]
+                         for n in range(g.n_max + 1)]
+                    )
+                    np.testing.assert_allclose(cf, gather, rtol=0, atol=1e-12)
 
     def test_zero_intensity_gives_zero(self):
         p0 = ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=0.0, q=0.05)
@@ -172,6 +182,54 @@ class TestClaimIntegral:
         cf_hi = claim_field(kern, hi.values)
         assert np.all(cf_lo >= -1e-12)
         assert np.all(cf_hi >= cf_lo - 1e-12)
+
+
+def _rounding_bound(path, kw, values):
+    """Worst-case float64 rounding of a correlation path, fixed before any
+    run.  Direct: each output is a recursive sum of at most `cells`
+    products, within (cells + 1) * eps * sum|kw| * max|values| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).
+    FFT: each transform is within 7 * log2(F) * eps of its result in the
+    2-norm (ibid., Theorem 24.2, with exactly rounded twiddles); carried
+    through the product with the kernel's transform and the inverse, that
+    bounds the 2-norm of the error, and so every entry, by
+    3 * 7 * log2(F) * eps * (2 * ||kw||_1 + sqrt(F) * ||kw||_2) * ||values||_2.
+    """
+    eps = np.finfo(float).eps
+    if path.fshape is None:
+        return (path.cells + 1) * eps * np.abs(kw).sum() * np.abs(values).max()
+    f = math.prod(path.fshape)
+    norm_kw = 2 * np.abs(kw).sum() + math.sqrt(f) * np.linalg.norm(kw)
+    return 21 * math.log2(f) * eps * norm_kw * np.linalg.norm(values)
+
+
+class TestCorrelation:
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.one_of(st.tuples(st.integers(1, 90)),
+                           st.tuples(st.integers(1, 13), st.integers(1, 13))),
+           reach=st.floats(0.0, 1.0), density=st.sampled_from([0.0, 0.3, 1.0]),
+           corner=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(11, 13), reach=1.0, density=0.3, corner=True, seed=1)  # a cell at shape - 1
+    @example(shape=(11, 13), reach=1.0, density=0.0, corner=True, seed=2)  # one cell
+    @example(shape=(40,), reach=1.0, density=0.0, corner=True, seed=3)  # one cell, one axis
+    @example(shape=(11, 13), reach=0.5, density=0.0, corner=False, seed=4)  # an all-zero kernel
+    # short reach: the FFT is shorter than 2*s - 1, and a wrongly sized one wraps
+    @example(shape=(13, 13), reach=0.2, density=1.0, corner=True, seed=5)
+    @example(shape=(90,), reach=0.05, density=1.0, corner=True, seed=6)
+    def test_each_path_matches_the_node_loop(self, shape, reach, density, corner, seed):
+        rng = np.random.default_rng(seed)
+        size = tuple(1 + round(reach * (s - 1)) for s in shape)
+        kw = np.where(rng.random(size) < density, rng.uniform(-1.0, 1.0, size), 0.0)
+        if corner:
+            kw[tuple(r - 1 for r in size)] = rng.uniform(0.5, 1.0)
+        values = rng.uniform(-1.0, 1.0, shape)
+        want = correlate_reference(values, kw)
+        for path in (DirectCorrelation(kw), FFTCorrelation(kw, shape)):
+            assert path.cells == np.count_nonzero(kw)
+            got = path(values)
+            assert got.shape == shape
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=_rounding_bound(path, kw, values))
 
 
 class TestBellmanOperators:

@@ -6,7 +6,13 @@ import scipy.fft as sfft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divopt.hjb2d import NonConvergenceError, correlate, ray_integral
+from divopt.hjb2d import (
+    DirectCorrelation,
+    FFTCorrelation,
+    NonConvergenceError,
+    claim_cells,
+    ray_integral,
+)
 from divopt.model import Deterministic, Erlang2, Exponential, ModelParams, validate_params
 from divopt import solver1d
 from divopt.solver1d import (
@@ -63,16 +69,21 @@ class TestClaimField1d:
         (Deterministic(0.35), 2),  # short reach: a wrongly sized FFT wraps
     ])
     def test_matches_t_slice_oracle(self, law, reach):
+        # both correlation paths, beside the one _claim_kernel picks
         prob = OneDimProblem(c=1.5, b=0.6, law=law, lam=1, q=0.05, kappa=0.3, rho=1.7)
         delta, n_pts = 0.1, 41
-        fshape, fk, payout = _claim_kernel(prob, delta, n_pts)
+        picked, payout = _claim_kernel(prob, delta, n_pts)
+        kw, _ = claim_cells(law, prob.lam, prob.q, delta, (prob.c * delta,), (prob.b,), prob.c,
+                            (n_pts,))
         reach = n_pts - 1 if reach is None else reach
-        assert fshape == (sfft.next_fast_len(n_pts + reach),)
+        fft = FFTCorrelation(kw, (n_pts,))
+        assert fft.fshape == (sfft.next_fast_len(n_pts + reach),)
         rng = np.random.default_rng(5)
         values = np.cumsum(rng.uniform(0.0, 0.6, n_pts))
-        field = correlate(values, fk, fshape) + payout
         ref = [brute_force_t_slices_1d(prob, delta, values, n, nt=3000) for n in range(n_pts)]
-        np.testing.assert_allclose(field, ref, rtol=1e-6, atol=1e-12)
+        for path in (picked, DirectCorrelation(kw), fft):
+            field = path(values) + payout
+            np.testing.assert_allclose(field, ref, rtol=1e-6, atol=1e-12)
 
 
 class TestDriftScan:

@@ -13,8 +13,7 @@ from divopt.hjb2d import (
     build_claim_kernel,
     claim_cells,
     claim_field,
-    correlate,
-    kernel_fft,
+    claim_operator,
     policy_flow,
 )
 from divopt.model import (
@@ -252,13 +251,12 @@ class TestPolicyFlow:
 
 class _Scheme(NamedTuple):
     """What a policy evaluation and its reference read of a claim kernel:
-    the claim field, the kernel transform, the one-step discount, the
+    the claim field, the kernel correlation, the one-step discount, the
     payout of one cell down each axis, and the kernel cells (offsets and
     value weights) with the constant part of the claim field."""
 
     claim: object
-    fshape: tuple
-    fk: np.ndarray
+    correlation: object
     disc: float
     dxs: tuple
     cells: tuple
@@ -268,7 +266,7 @@ class _Scheme(NamedTuple):
 
 def _scheme_2d(kernel):
     g = kernel.grid
-    return _Scheme(lambda u: claim_field(kernel, u), kernel.fshape, kernel._fk,
+    return _Scheme(lambda u: claim_field(kernel, u), kernel.correlation,
                    kernel.discount_step, (g.dx1, g.dx2), (kernel.cell_i1, kernel.cell_i2),
                    kernel.cell_wv, kernel.payout_field)
 
@@ -280,16 +278,16 @@ def _scheme_1d(n_pts):
     delta = 0.1
     dx = prob.c * delta
     kw, kp = claim_cells(prob.law, prob.lam, prob.q, delta, (dx,), (prob.b,), prob.c, (n_pts,))
-    fshape, fk, payout = kernel_fft(kw, prob.rho * kp, (n_pts,))
+    correlation, payout = claim_operator(kw, prob.rho * kp, (n_pts,))
     payout = payout + 0.3
     cells = np.nonzero(kw)
-    return _Scheme(lambda u: correlate(u, fk, fshape) + payout, fshape, fk,
+    return _Scheme(lambda u: correlation(u) + payout, correlation,
                    math.exp(-(prob.lam + prob.q) * delta), (prob.rho * dx,), cells, kw[cells],
                    payout)
 
 
 def _evaluate(scheme, pref):
-    evaluation = hjb2d._NoPayEvaluation(scheme.claim, scheme.fshape, scheme.fk, scheme.disc,
+    evaluation = hjb2d._NoPayEvaluation(scheme.claim, scheme.correlation, scheme.disc,
                                         scheme.dxs)
     return evaluation.evaluate(pref, np.zeros(pref.shape), np.empty(pref.shape))
 
