@@ -29,8 +29,8 @@ print(f"auxiliary problem: premium {prob.c}, claim scale {prob.b}, "
       f"reward rate {prob.kappa}, payout multiplier {prob.rho}")
 
 sol = solve_1d(prob, delta=0.001, x_max=40.0)
-print(f"\nconverged in {sol.iterations} sweeps "
-      f"(residual {sol.residual_max:.2e}, {sol.wall_time:.1f}s)")
+print(f"\nfixed point on {len(sol.levels)} grids: {sol.policies} policies, "
+      f"{sol.iterations} sweeps (residual {sol.residual_max:.2e}, {sol.wall_time:.1f}s)")
 
 print("\nband decomposition of [0, 40]:")
 for lo, hi, lab in sol.band.intervals:

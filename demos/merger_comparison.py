@@ -24,7 +24,8 @@ params = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 law = Exponential(0.6)
 grid = GridSpec.make(params, delta=0.06, x1_max=14, x2_max=14)
 v, policy, rep = solve(params, law, grid)
-print(f"two-branch solve: {rep.iterations} sweeps, residual {rep.residual_max:.1e}")
+print(f"two-branch solve: {len(rep.levels)} grids, {rep.policies} policies, "
+      f"residual {rep.residual_max:.1e}")
 
 samples = [(5.0, 5.0), (6.0, 7.0), (4.0, 5.0), (12.0, 1.0), (1.0, 12.0), (13.0, 2.0)]
 

@@ -24,7 +24,8 @@ params = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 law = Exponential(0.6)
 grid = GridSpec.make(params, delta=0.06, x1_max=14, x2_max=14)
 v, policy, rep = solve(params, law, grid)
-print(f"solver: {rep.iterations} sweeps, residual {rep.residual_max:.1e}")
+print(f"solver: {len(rep.levels)} grids, {rep.policies} policies, "
+      f"residual {rep.residual_max:.1e}")
 
 n_paths = 50_000
 print(f"\npolicy evaluation with {n_paths} paths per point:")

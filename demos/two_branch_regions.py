@@ -31,8 +31,9 @@ print(f"grid: {grid.shape[0]} x {grid.shape[1]} nodes, "
       f"spacings ({grid.dx1:.3f}, {grid.dx2:.3f})")
 
 v, policy, rep = solve(params, law, grid)
-print(f"converged in {rep.iterations} sweeps ({rep.wall_time:.1f}s), "
-      f"residual {rep.residual_max:.2e}")
+print(f"fixed point on {len(rep.levels)} grids: {rep.policies} policies, "
+      f"{rep.iterations} sweeps ({rep.wall_time:.1f}s), residual {rep.residual_max:.2e}")
+print(f"estimated discretisation error V_delta - V_2delta: {rep.disc_error_est:.3f}")
 
 region = extract_regions(policy, v)
 counts = {name: int((region.labels == code).sum()) for code, name in LABEL_NAMES.items()}

@@ -103,7 +103,8 @@ def _report_fields(report):
     """What a solve reports of its fixed-point run, for the manifests."""
     return {key: getattr(report, key) for key in (
         "iterations", "residual_max", "tol_effective", "min_increment", "policies",
-        "gmres_matvecs", "gmres_residual", "phases", "correlation", "kernel_cells", "fshape")}
+        "gmres_matvecs", "gmres_residual", "phases", "levels", "disc_error_est", "correlation",
+        "kernel_cells", "fshape")}
 
 
 def build_model(cfg):
@@ -206,8 +207,8 @@ def cmd_solve2d(args):
         {**_report_fields(report), "eps_tie": policy.eps_tie,
          "wall_time": time.perf_counter() - t0},
     )
-    print(f"solve2d: {report.iterations} sweeps, {report.policies} policies, "
-          f"residual {report.residual_max:.3e}")
+    print(f"solve2d: {len(report.levels)} levels, {report.iterations} sweeps, "
+          f"{report.policies} policies, residual {report.residual_max:.3e}")
     return 0
 
 

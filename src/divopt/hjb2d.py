@@ -22,13 +22,15 @@ cells on one axis, and the same correlation, give the 1D solver's claim
 operator.
 
 The two solvers also share everything else defined here, on one axis or
-two: the fixed-point loop (fixed_point: value iteration to a loose
-hand-over, then policy iteration to the grid fixed point itself), the flow
-of a grid policy on its no-pay nodes (policy_flow, which the Monte Carlo
-runner reads too), the greedy step, the exact evaluation of a policy, the
-operator fields and their argmax sets, and the exact ray integral.  A
-solver supplies its claim field, its in-place sweep, its one-step discount
-and the payout of one cell down each axis.
+two: the fixed-point loop (fixed_point: policy iteration on a cascade of
+grids, each seeded by the next coarser one, to the grid fixed point
+itself), its vectorised sweep, the flow of a grid policy on its no-pay
+nodes (policy_flow, which the Monte Carlo runner reads too), the greedy
+step, the exact evaluation of a policy, the operator fields and their
+argmax sets, and the exact ray integral.  A solver supplies only a way to
+set up the problem on the grid of step 2^k*delta and a given shape: its
+claim field and correlation, its one-step discount and the payout of one
+cell down each axis.
 """
 
 from __future__ import annotations
@@ -412,18 +414,8 @@ def claim_field(kernel: ClaimKernel, values: np.ndarray) -> np.ndarray:
 
 
 class NonConvergenceError(RuntimeError):
-    """A solve cannot finish: value iteration hit its sweep cap before the
-    hand-over to policy iteration, or (with a message saying so) policy
-    iteration hit its policy cap or a policy evaluation stalled."""
-
-    def __init__(self, sweeps, last_increment, message=None):
-        super().__init__(
-            message
-            or f"value iteration hit the sweep cap ({sweeps}) with sup-increment "
-            f"{last_increment:.3e}"
-        )
-        self.sweeps = sweeps
-        self.last_increment = last_increment
+    """A solve cannot finish: policy iteration hit its policy cap on some
+    level of the cascade, or a policy evaluation stalled."""
 
 
 class PolicyFlow(NamedTuple):
@@ -494,10 +486,13 @@ def policy_flow(pref, dxs) -> PolicyFlow:
     return PolicyFlow(nopay, anchor, succ, paid)
 
 
-# The constants of fixed_point.  These are not options: tol only sets
-# the hand-over point, and policy iteration always runs to the fixed point.
-_WARMUP_TOL = 1e-5  # value iteration hands over at a relative increment of max(tol, this)
-_POLICY_CAP = 100  # greedy policies evaluated before fixed_point gives up
+# The constants of fixed_point.  These are not options: policy iteration
+# always runs to the fixed point.  The cascade coarsens while the next grid
+# keeps this many nodes on its shorter axis: example 1 solved in 1.0-1.7 s
+# with 12 or 20, 1.8-2.8 s with 45, 3.3-3.7 s with 64 and 12.9-14.4 s on one
+# grid (shared 2-core x86-64 machine, one FFT worker).
+_MIN_LEVEL_NODES = 20
+_POLICY_CAP = 100  # greedy policies evaluated on one level before fixed_point gives up
 _KEEP_REL = 1e-13  # a node keeps its action while within this (relative) of the best
 _GMRES_RESTART = 20
 _GMRES_CYCLES = 52  # restart cycles; each must halve the residual (2**52 > 1/_GMRES_RTOL)
@@ -509,74 +504,122 @@ _GMRES_CYCLES = 52  # restart cycles; each must halve the residual (2**52 > 1/_G
 _GMRES_RTOL = 3e-16
 
 
-def fixed_point(claim, sweep, v, tol, iter_cap, *, disc, dxs, correlation):
-    """The grid fixed point by value then policy iteration (Howard), on a
+def _sweep(v, cf, disc, dxs, work):
+    """One monotone sweep of v in place, with the claim field cf frozen and
+    work as scratch, on one axis or two: v <- max(v, T0(v)) with
+    T0 = disc * shift_up_diag(v) + cf, then one prefix-max scan per axis,
+    v_n <- n*dx + max over j <= n of (v_j - j*dx), the closure under lumps
+    down that axis.  A max of tables closed under axis-0 lumps stays
+    closed, so the axis-1 scan keeps the axis-0 closure.  cf is left
+    holding v as it was before the sweep, so no table is allocated for
+    the increments."""
+    np.multiply(shift_up_diag(v, dxs, out=work), disc, out=work)
+    work += cf
+    np.copyto(cf, v)
+    np.maximum(v, work, out=v)
+    for axis, dx in enumerate(dxs):
+        offs = (np.arange(v.shape[axis]) * dx).reshape((-1,) + (1,) * (v.ndim - 1 - axis))
+        np.subtract(v, offs, out=work)
+        np.maximum.accumulate(work, axis=axis, out=work)
+        work += offs
+        np.maximum(v, work, out=v)
+    return v
+
+
+def _prolong(coarse, fine):
+    """fine[n, m] = coarse[n // 2, m // 2] on one axis or two, in place: one
+    strided copy per parity of the indices, so no index table is built."""
+    for parity in itertools.product((0, 1), repeat=fine.ndim):
+        part = fine[tuple(np.s_[p::2] for p in parity)]
+        part[...] = coarse[tuple(np.s_[:s] for s in part.shape)]
+    return fine
+
+
+def fixed_point(level, shape):
+    """The grid fixed point by coarse-to-fine policy iteration (Howard), on a
     grid of one axis or two; both solvers run it.
 
-    claim(u) is the claim field of a table u: correlation(u), its
-    correlation with the claim kernel, plus a constant field.
-    sweep(v, cf) updates v in place by one monotone sweep with the claim
-    field cf frozen; disc is the one-step discount, dxs[i] the payout of
-    one cell down axis i.  From v, updated in place, sweeps run until the
-    sup increment of one drops below max(tol, 1e-5) * (1 + sup v), within
-    iter_cap sweeps.  Policy iteration then repeats one sweep; the greedy
-    policy of the swept table; and v <- max(v, V^pi), with V^pi the exact
-    value of that policy (_NoPayEvaluation), until the greedy policy
-    repeats.  V^pi is the value of an admissible grid strategy, so v stays
-    below the fixed point and its increments nonnegative.  The sweep's
-    prefix-max scans close in one step the lump improvements that policy
-    iteration alone would spread one grid row per policy.
+    level(scale, shape) returns (claim, correlation, disc, dxs) on the grid
+    of step scale*delta and that shape: claim(u) is the claim field of a
+    table u, correlation(u) plus a constant field; disc is the one-step
+    discount and dxs[i] the payout of one cell down axis i.
 
-    Returns v and its statistics: the sweeps of both stages, the sup
-    increment of the last and the least of any; the policies evaluated,
-    their GMRES matvecs and the last one's sup residual; seconds per phase;
-    and the correlation's path ("direct" or "fft"), live cells and FFT
-    size (None on the direct path).
+    The grids have steps 2^k*delta, k = K, ..., 0.  Each coarser one has
+    n_max // 2 on each axis (its node i is node 2i of the next finer one)
+    while its shorter axis keeps _MIN_LEVEL_NODES nodes.  The coarsest
+    starts from zero with no policy; each finer one from V^pi0, the exact
+    value of the coarser one's final policy prolonged (_prolong: node n
+    takes coarse node n // 2's action, and GMRES starts from its value).
+    That policy lumps off no grid: index 0 takes coarse index 0's action,
+    and no greedy step lumps down an axis there.  Policy iteration then
+    repeats one sweep (_sweep); the greedy policy of the swept table; and
+    v <- max(v, V^pi), V^pi that policy's exact value (_NoPayEvaluation),
+    until the greedy policy repeats.  V^pi0 and every V^pi are values of
+    admissible grid strategies, so v stays below the fixed point and its
+    increments nonnegative.
+
+    Returns the finest table and its statistics: over all levels the total
+    sweeps, policies and GMRES matvecs, and the least increment of a sweep;
+    the last sweep's sup increment and evaluation's sup residual; seconds
+    per phase; per level, coarsest first, its shape, sweeps, policies,
+    matvecs and seconds; disc_error_est, the sup of V_delta - V_2delta over
+    the nodes of the 2*delta grid (None with one level); and the finest
+    correlation's path ("direct" or "fft"), live cells and FFT size.
     """
+    shapes = [tuple(shape)]
+    while min(coarser := tuple((s - 1) // 2 + 1 for s in shapes[-1])) >= _MIN_LEVEL_NODES:
+        shapes.append(coarser)
     phases = {"claim_field": 0.0, "sweeps": 0.0, "evaluation": 0.0}
-    before = np.empty_like(v)  # v before a sweep, then the best of the operator fields
-    work = np.empty_like(v)  # the lump fields in the greedy step, then the tables of an evaluation
-    evaluation = pref = prev = None
+    levels, coarse = [], None
     min_inc = math.inf
-    for sweeps in itertools.count(1):
-        t_cf = time.perf_counter()
-        cf = claim(v)
-        t_sweep = time.perf_counter()
-        np.copyto(before, v)
-        sweep(v, cf)
-        np.subtract(v, before, out=before)
-        sup_inc = float(before.max())
-        min_inc = min(min_inc, float(before.min()))
-        t_eval = time.perf_counter()
-        phases["claim_field"] += t_sweep - t_cf
-        phases["sweeps"] += t_eval - t_sweep
-        if evaluation is None:
-            if sup_inc < max(tol, _WARMUP_TOL) * (1.0 + float(v.max())):
-                evaluation = _NoPayEvaluation(claim, correlation, disc, dxs)
-                pref = np.empty(v.shape, dtype=np.int8)
-                prev = np.full(v.shape, -1, dtype=np.int8)
-            elif sweeps == iter_cap:
-                raise NonConvergenceError(iter_cap, sup_inc)
-            continue
-        _greedy_pref(v, claim(v), prev, pref, before, work, disc, dxs)
-        done = np.array_equal(pref, prev)
-        if not done:
-            if evaluation.policies == _POLICY_CAP:
-                raise NonConvergenceError(
-                    sweeps, sup_inc,
-                    f"policy iteration evaluated {_POLICY_CAP} policies without the greedy "
-                    f"policy repeating (last sweep's sup-increment {sup_inc:.3e})",
-                )
-            evaluation.evaluate(pref, v, work)
-            np.maximum(v, work, out=v)
-            pref, prev = prev, pref
-        phases["evaluation"] += time.perf_counter() - t_eval
-        if done:
-            return v, dict(iterations=sweeps, final_sup_increment=sup_inc, min_increment=min_inc,
-                           policies=evaluation.policies, gmres_matvecs=evaluation.matvecs,
-                           gmres_residual=evaluation.residual, phases=phases,
-                           correlation=correlation.kind, kernel_cells=correlation.cells,
-                           fshape=correlation.fshape)
+    for k in reversed(range(len(shapes))):
+        t_level = time.perf_counter()
+        claim, correlation, disc, dxs = level(2**k, shapes[k])
+        evaluation = _NoPayEvaluation(claim, correlation, disc, dxs)
+        v = np.zeros(shapes[k])
+        pref = np.empty(v.shape, dtype=np.int8)
+        prev = np.full(v.shape, -1, dtype=np.int8)
+        if coarse is not None:
+            # the prolonged values are only GMRES's start: V^pi0 overwrites them
+            evaluation.evaluate(_prolong(coarse[1], prev), _prolong(coarse[0], v), v)
+        work = np.empty_like(v)  # sweep and greedy-step scratch, then the tables of an evaluation
+        for sweeps in itertools.count(1):
+            t_cf = time.perf_counter()
+            before = claim(v)  # the claim field, then v before the sweep, then the best field
+            t_sweep = time.perf_counter()
+            _sweep(v, before, disc, dxs, work)
+            np.subtract(v, before, out=before)
+            sup_inc = float(before.max())
+            min_inc = min(min_inc, float(before.min()))
+            t_eval = time.perf_counter()
+            phases["claim_field"] += t_sweep - t_cf
+            phases["sweeps"] += t_eval - t_sweep
+            _greedy_pref(v, claim(v), prev, pref, before, work, disc, dxs)
+            done = np.array_equal(pref, prev)
+            if not done:
+                if evaluation.policies == _POLICY_CAP:
+                    raise NonConvergenceError(
+                        f"policy iteration evaluated {_POLICY_CAP} policies on the "
+                        f"{'x'.join(map(str, v.shape))}-node grid without the greedy policy "
+                        f"repeating (last sweep's sup-increment {sup_inc:.3e})")
+                evaluation.evaluate(pref, v, work)
+                np.maximum(v, work, out=v)
+                pref, prev = prev, pref
+            phases["evaluation"] += time.perf_counter() - t_eval
+            if done:
+                break
+        levels.append(dict(shape=list(v.shape), sweeps=sweeps, policies=evaluation.policies,
+                           matvecs=evaluation.matvecs, seconds=time.perf_counter() - t_level))
+        if k:
+            coarse = v, pref
+    shared = v[(np.s_[::2],) * v.ndim]
+    return v, dict(
+        iterations=sum(lv["sweeps"] for lv in levels), final_sup_increment=sup_inc,
+        min_increment=min_inc, policies=sum(lv["policies"] for lv in levels),
+        gmres_matvecs=sum(lv["matvecs"] for lv in levels), gmres_residual=evaluation.residual,
+        phases=phases, levels=levels,
+        disc_error_est=None if coarse is None else float((shared - coarse[0]).max()),
+        correlation=correlation.kind, kernel_cells=correlation.cells, fshape=correlation.fshape)
 
 
 def _greedy_pref(v, t0, prev, pref, best, work, disc, dxs):
@@ -718,7 +761,6 @@ class _NoPayEvaluation:
             r = self._residual(x, full)
             last, beta = beta, float(np.linalg.norm(r))
         raise NonConvergenceError(
-            0, beta,
             f"policy evaluation stalled: GMRES residual {beta:.3e} against a target of "
             f"{target:.3e} after {self.matvecs} matvecs",
         )

@@ -5,14 +5,16 @@ staying alive, dividends amplified by both branches paying together), the
 merged-company problem (pooled premiums, full claims), and the generic
 constant-reward case.  The scheme is the 2D one on one axis: grid step
 c*delta, lump/no-pay/stop actions, exact claim-cell kernel, and the same
-fixed-point loop (hjb2d.fixed_point: monotone sweeps from zero, then
-policy iteration to the grid fixed point), with a lump paying rho*dx and
-the reward for staying alive folded into the claim field.  The bands come
-from the argmax sets of the fixed point.
+fixed-point loop (hjb2d.fixed_point: coarse-to-fine policy iteration to
+the grid fixed point), with a lump paying rho*dx and the reward for
+staying alive folded into the claim field.  The solve supplies that loop
+the claim field, discount and lump payout on the grid of step
+2^k*delta.  The bands come from the argmax sets of the fixed point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -28,7 +30,6 @@ __all__ = [
     "WbarSolution",
     "TruncationError",
     "make_auxiliary_problem",
-    "drift_scan",
     "solve_1d",
     "tilde_V_eval",
     "merger_compare",
@@ -91,12 +92,14 @@ class WbarSolution:
     tol_effective: float
     min_increment: float
     wall_time: float
-    # policy iteration's counts and seconds per phase, and the claim
-    # correlation's path, as in solver2d.SolveReport
+    # policy iteration's counts, seconds per phase, levels and error
+    # estimate, and the claim correlation's path, as in solver2d.SolveReport
     policies: int
     gmres_matvecs: int
     gmres_residual: float
     phases: dict
+    levels: list
+    disc_error_est: float
     correlation: str
     kernel_cells: int
     fshape: tuple
@@ -149,40 +152,19 @@ def _claim_kernel(prob: OneDimProblem, delta: float, n_pts: int):
     return claim_operator(kw, prob.rho * kp, (n_pts,))
 
 
-def drift_scan(a, c, d, top):
-    """y_n = max(a_n, d*y_{n+1} + c_n) from n = N down to 0, y_{N+1} = top.
-
-    A reverse doubling scan over the maps y -> max(A, D*y + C), which are
-    closed under composition: at stride s node n takes in node n+s, in
-    ceil(log2(N+1)) vector steps.  Only the right map's A enters the new
-    A, so one scalar D = d**s serves every node.  The scan multiplies by
-    D <= 1 and never divides.
-    """
-    y, c = a.copy(), c.copy()
-    y[-1] = max(a[-1], d * top + c[-1])
-    s = 1
-    while s < len(y):
-        np.maximum(y[:-s], d * y[s:] + c[:-s], out=y[:-s])
-        c[:-s] += d * c[s:]
-        d *= d
-        s *= 2
-    return y
-
-
 def solve_1d(
     prob: OneDimProblem,
     delta: float,
     x_max: float,
     tol: float = 1e-9,
-    iter_cap: int = 200_000,
 ) -> WbarSolution:
     """The 1D grid fixed point plus band extraction.
 
-    tol sets the hand-over from value to policy iteration, which ends at
-    the fixed point itself (hjb2d.fixed_point); iter_cap bounds the value
-    iteration.  tol_effective is reported as tol * (1 + sup v).  Raises
-    TruncationError when the final interval before x_max is not a lump
-    region (the truncation cut through the band).
+    Policy iteration reaches the fixed point itself, seeded on each grid by
+    the solve on the grid of twice the step (hjb2d.fixed_point).  tol only
+    sets tol_effective = tol * (1 + sup v).  Raises TruncationError when
+    the final interval before x_max is not a lump region (the truncation
+    cut through the band).
     """
     if delta <= 0 or x_max <= 0 or tol <= 0:
         raise ValueError("delta, x_max and tol must be positive")
@@ -191,23 +173,21 @@ def solve_1d(
     if n_max < 4:
         raise ValueError("truncation too coarse: fewer than 5 grid nodes")
     beta = prob.lam + prob.q
-    disc = math.exp(-beta * delta)
-    r0 = prob.rho * prob.kappa * (1.0 - disc) / beta
-    rho_dx = prob.rho * dx
-    correlation, payout = _claim_kernel(prob, delta, n_max + 1)
 
-    offs = np.arange(n_max + 1) * rho_dx
+    @functools.cache  # the finest level serves the band extraction too
+    def level(scale, shape):
+        step = delta * scale
+        disc = math.exp(-beta * step)
+        r0 = prob.rho * prob.kappa * (1.0 - disc) / beta
+        correlation, payout = _claim_kernel(prob, step, shape[0])
+        # the claim field plus the reward accrued over the step
+        claim = lambda u: correlation(u) + payout + r0
+        return claim, correlation, disc, (prob.rho * (prob.c * step),)
 
-    def sweep(v, cf):
-        y = drift_scan(v, cf, disc, v[-1] + rho_dx)
-        np.maximum(y, np.maximum.accumulate(y - offs) + offs, out=v)
-
-    # the claim field plus the reward accrued over the step
-    claim = lambda u: correlation(u) + payout + r0
     t_start = time.perf_counter()
-    w, stats = fixed_point(claim, sweep, np.zeros(n_max + 1), tol, iter_cap,
-                           disc=disc, dxs=(rho_dx,), correlation=correlation)
-    (is_c, is_b), _, resid = argmax_sets(w, claim(w), disc, (rho_dx,))
+    w, stats = fixed_point(level, (n_max + 1,))
+    claim, _, disc, dxs = level(1, w.shape)
+    (is_c, is_b), _, resid = argmax_sets(w, claim(w), disc, dxs)
     band = _extract_band(is_b, is_c, dx)
 
     return WbarSolution(

@@ -1,20 +1,17 @@
-"""The grid fixed point by value then policy iteration, policy and region maps.
+"""The grid fixed point by coarse-to-fine policy iteration, policy and region maps.
 
-The iteration starts from the all-zero table (the value of never paying
-again) and applies monotone sweeps; every iterate is the value of an
-admissible grid strategy, so the sequence increases pointwise to the
-smallest fixed point.  Each in-place sweep freezes the claim field (one
-claim correlation), then resolves the diagonal continuation row by row
-downward and finishes with lump-closure scans in both axes; each partial
-update is a restriction of the Bellman operator evaluated on values
-between the previous iterate and the fixed point, which keeps the squeeze
-v_jacobi <= v_inplace <= v_delta and hence the limit intact.  The strict
-Jacobi iteration is the test suite's reference (tests/oracles.py).
-
-The solve supplies this sweep and the 2D claim field to the fixed-point
-loop both solvers share (hjb2d.fixed_point), where value iteration is
-only a warm-up: policy iteration then reaches the fixed point itself, with
-each greedy policy's value solved exactly on its no-pay nodes.
+The solve hands the fixed-point loop both solvers share (hjb2d.fixed_point)
+a way to set up the problem on the grid of step 2^k*delta: its claim
+kernel, built by build_claim_kernel and applied by claim_field, its
+one-step discount and its cell payouts.  That loop solves the coarsest
+grid from zero and seeds each finer one with the exact value of the
+coarser grid's final policy; policy iteration, each greedy policy's value
+solved exactly on its no-pay nodes, then ends every grid at its fixed
+point.  Every iterate is the value of an admissible grid strategy, so the
+sequence increases pointwise to the smallest fixed point.  Strict Jacobi
+value iteration from zero is the test suite's reference
+(tests/oracles.py).  The values of the two finest grids also give the
+report's estimate of the discretisation error, disc_error_est.
 """
 
 from __future__ import annotations
@@ -112,6 +109,12 @@ class SolveReport:
     correlation: str
     kernel_cells: int
     fshape: tuple
+    # per grid of the cascade, coarsest first: shape, sweeps, policies,
+    # matvecs and seconds (iterations, policies and gmres_matvecs total them);
+    # and V_delta - V_2delta, sup over the 2*delta grid's nodes (None without
+    # one), an estimate of the discretisation error that tol does not bound
+    levels: list
+    disc_error_est: float
     # seconds spent in the claim field, in the sweeps, in the greedy steps
     # and policy evaluations, and in extracting the policy and
     # residual from the converged table
@@ -129,50 +132,19 @@ class RegionMap:
     slope_runs: list = field(default_factory=list)
 
 
-def _sweep_inplace(w, cf, grid, disc):
-    n_pts, m_pts = w.shape
-    dx1, dx2 = grid.dx1, grid.dx2
-    offs = np.arange(n_pts) * dx1
-    # column buffers: the continuation, the no-pay-or-stay row, the scan
-    cont, row, scan = np.empty(n_pts), np.empty(n_pts), np.empty(n_pts)
-    for m in range(m_pts - 1, -1, -1):
-        col = w[:, m]
-        if m == m_pts - 1:
-            np.add(col[1:], dx2, out=cont[:-1])
-            cont[-1] = (col[-1] + dx2) + dx1
-        else:
-            cont[:-1] = w[1:, m + 1]
-            cont[-1] = w[-1, m + 1] + dx1
-        cont *= disc
-        cont += cf[:, m]
-        np.maximum(col, cont, out=row)
-        np.subtract(row, offs, out=scan)
-        np.maximum.accumulate(scan, out=scan)
-        scan += offs
-        np.maximum(row, scan, out=col)
-    # Every column is now closed under branch-1 lumps, and a max of closed
-    # columns stays closed, so the branch-2 lump closure needs no further
-    # branch-1 pass: it is one prefix-max scan along axis 1.
-    offs2 = np.arange(m_pts) * dx2
-    np.maximum(w, np.maximum.accumulate(w - offs2, axis=1) + offs2, out=w)
-    return w
-
-
 def solve(
     params: ModelParams,
     law: ClaimLaw,
     grid: GridSpec,
     tol: float = 1e-8,
-    iter_cap: int = 200_000,
     kernel: ClaimKernel = None,
 ):
     """Solve for the grid fixed point and extract the policy.
 
-    Value iteration runs until the sup increment of a sweep drops below
-    max(tol, 1e-5) * (1 + sup v), within iter_cap sweeps; policy iteration
-    then finishes at the fixed point itself (hjb2d.fixed_point).
-    tol_effective is reported as
-    tol * (1 + sup v), the bound the residual checks read.  Returns
+    Policy iteration reaches the fixed point itself, seeded on each grid by
+    the solve on the grid of twice the step (hjb2d.fixed_point).  tol only
+    sets tol_effective = tol * (1 + sup v), the bound the residual checks
+    read.  kernel, if given, is the claim kernel of grid.  Returns
     (ValueField, PolicyField, SolveReport).
     """
     params = validate_params(params)
@@ -180,14 +152,17 @@ def solve(
         raise ValueError("tol must be positive")
     if kernel is None:
         kernel = build_claim_kernel(params, law, grid)
+
+    def level(scale, shape):
+        g = grid if scale == 1 else GridSpec(grid.delta * scale, grid.dx1 * scale,
+                                             grid.dx2 * scale, shape[0] - 1, shape[1] - 1)
+        # both names resolve in this module at each call, where tracers wrap them
+        kern = kernel if scale == 1 else build_claim_kernel(params, law, g)
+        claim = lambda u: claim_field(kern, u)
+        return claim, kern.correlation, kern.discount_step, (g.dx1, g.dx2)
+
     t_start = time.perf_counter()
-    v, stats = fixed_point(
-        # claim_field resolves in this module at each call, where tracers wrap it
-        lambda u: claim_field(kernel, u),
-        lambda w, cf: _sweep_inplace(w, cf, grid, kernel.discount_step),
-        np.zeros(grid.shape), tol, iter_cap, disc=kernel.discount_step,
-        dxs=(grid.dx1, grid.dx2), correlation=kernel.correlation,
-    )
+    v, stats = fixed_point(level, grid.shape)
 
     t_policy = time.perf_counter()
     v = ValueField(grid, v)
@@ -473,6 +448,7 @@ def write_summary_json(path, region: RegionMap, report: SolveReport):
         "component_counts": region.component_counts,
         "residual_max": report.residual_max,
         "iterations": report.iterations,
+        "disc_error_est": report.disc_error_est,
         "policies": report.policies,
         "gmres_matvecs": report.gmres_matvecs,
         "gmres_residual": report.gmres_residual,

@@ -1,8 +1,9 @@
 """Independent reference implementations for the tests.
 
 Brute-force quadrature oracles for the claim integral in 2D and 1D, the
-column-by-column form of the in-place sweep, strict Jacobi value
-iteration, the per-point Bellman operators, the generator residual of the
+node-by-node form of the solvers' sweep, two earlier sweeps (a
+column-by-column in-place sweep and a 1D drift recurrence), strict Jacobi
+value iteration, the per-point Bellman operators, the generator residual of the
 continuous extension, and a Monte Carlo runner for the ray-reflection
 strategy.  None of them is part of the divopt pipeline.
 
@@ -16,9 +17,11 @@ closed-form time integration over exact claim cells):
   integrand is continuous, so this one converges fast and certifies tight
   tolerances while still slicing time numerically.
 
-The sweep reference closes the branch-2 lumps one column at a time,
-re-closing each column under branch-1 lumps after every step; the 1D
-drift reference runs the drift recurrence one node at a time.  The
+The sweep reference updates one node at a time and closes the lumps one
+node at a time down each axis.  The in-place sweep reference resolves the
+diagonal continuation column by column and closes the branch-2 lumps one
+column at a time, re-closing each column under branch-1 lumps after every
+step; the 1D drift reference runs the drift recurrence one node at a time.  The
 policy-flow reference finds the lump-chain anchors row by row; the policy
 evaluation reference solves for a policy's value over the full grid, on
 one axis or two, with a sparse LU, where the solvers work on the no-pay
@@ -26,8 +29,7 @@ nodes only; and the
 band reference walks the 1D labels node by node.  The policy
 runner reference walks the grid strategy one drift-and-lump segment at a
 time instead of jumping over the per-cell flow.  The Jacobi
-iteration applies T0, T1 and T2 to the previous iterate only; the in-place
-sweeps of the solver stay between it and the fixed point.
+iteration applies T0, T1 and T2 to the previous iterate only.
 
 The per-point operators gather the claim integral at one node straight
 from the kernel cells, the form the claim field is checked against; the
@@ -159,6 +161,27 @@ def solve_jacobi(kernel, tol=1e-8, iter_cap=200_000):
         if sup_inc < tol_eff:
             return v, tol_eff
     raise RuntimeError("Jacobi iteration hit the sweep cap")
+
+
+def sweep_reference(v, cf, disc, dxs):
+    """hjb2d's vectorised sweep node by node, on one axis or two: every
+    node takes max(v, disc * lookup(n+1, m+1) + cf) from the table as it
+    was before the sweep (past the last node of axis i the lookup adds
+    dxs[i]), then the lump closure runs down each axis in turn, one node at
+    a time: v[n] <- max(v[n], v[n-1] + dx).  Like the sweep, it leaves the
+    table as it was before the sweep in cf."""
+    old = v.copy()
+    for idx in np.ndindex(v.shape):
+        up = tuple(min(i + 1, s - 1) for i, s in zip(idx, v.shape))
+        edge = sum(dx for i, s, dx in zip(idx, v.shape, dxs) if i == s - 1)
+        v[idx] = max(old[idx], disc * (old[up] + edge) + cf[idx])
+    for axis, dx in enumerate(dxs):
+        for idx in np.ndindex(v.shape):  # C order: node n-1 of the axis comes first
+            if idx[axis] > 0:
+                below = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1:]
+                v[idx] = max(v[idx], v[below] + dx)
+    cf[...] = old
+    return v
 
 
 def sweep_inplace_reference(w, cf, grid, disc):

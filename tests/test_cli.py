@@ -150,12 +150,13 @@ class TestCorrelationPath:
         ("claim.kind = deterministic\nclaim.atom = 2.4166666666666665", "direct", 3, None,
          2, None),
     ])
-    def test_reports_record_the_path(self, tmp_path, claim, path, cells_2d, fshape_2d,
+    def test_reports_record_the_path(self, tmp_path, capsys, claim, path, cells_2d, fshape_2d,
                                      cells_1d, fshape_1d):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY_CFG.replace("claim.kind = exponential\nclaim.rate = 0.6", claim))
         out = tmp_path / "o"
         assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("solve2d: 2 levels, ")
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["correlation"], manifest["kernel_cells"], manifest["fshape"]) == (
             path, cells_2d, fshape_2d)
@@ -222,6 +223,24 @@ class TestSolve2dCommand:
             assert report["policies"] >= 1 and report["gmres_matvecs"] >= 1
             assert report["residual_max"] < 1e-10 and report["gmres_residual"] < 1e-10
         assert isinstance(summary["a0_points"], list)
+
+    def test_levels_and_error_estimate(self, run_dir):
+        # the 46x91 grid coarsens once, to 23x46 (twice the step)
+        out, _ = run_dir
+        summary = json.loads((out / "summary.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        levels = manifest["levels"]
+        assert [lv["shape"] for lv in levels] == [[23, 46], [46, 91]]
+        for lv in levels:
+            assert set(lv) == {"shape", "sweeps", "policies", "matvecs", "seconds"}
+            assert lv["sweeps"] >= 1 and lv["policies"] >= 1 and lv["matvecs"] >= 1
+        assert sum(lv["seconds"] for lv in levels) <= manifest["wall_time"]
+        for key, per_level in (("iterations", "sweeps"), ("policies", "policies"),
+                               ("gmres_matvecs", "matvecs")):
+            assert manifest[key] == summary[key] == sum(lv[per_level] for lv in levels)
+        # V_delta - V_2delta at the shared nodes: the values rise under refinement
+        assert summary["disc_error_est"] == manifest["disc_error_est"]
+        assert 0.0 < summary["disc_error_est"] < 1.0
 
     def test_simulate_command(self, run_dir):
         out, cfg = run_dir
@@ -339,6 +358,11 @@ class TestSolve1dCommand:
         for report in (band, manifest):
             assert report["policies"] >= 1 and report["gmres_matvecs"] >= 1
             assert report["residual_max"] < 1e-10 and report["gmres_residual"] < 1e-10
+            # 2501 nodes coarsen down to 20, each grid's n_max half the next's
+            shapes = [[20], [40], [79], [157], [313], [626], [1251], [2501]]
+            assert [lv["shape"] for lv in report["levels"]] == shapes
+            assert report["policies"] == sum(lv["policies"] for lv in report["levels"])
+            assert 0.0 < report["disc_error_est"] < 1.0
         assert all(t > 0 for t in manifest["phases"].values())
         assert sum(manifest["phases"].values()) <= manifest["wall_time"]
         assert main(["solve1d", "--config", str(cfg_file), "--out", str(out),
@@ -377,7 +401,12 @@ class TestTruncated1dBands:
                        .replace("x2_max = 9", "x2_max = 1.5"))
         out = tmp_path / "o"
         assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
-        capsys.readouterr()
+        # a 9x16 grid has no coarser level, so no error estimate
+        assert capsys.readouterr().out.startswith("solve2d: 1 levels, ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [lv["shape"] for lv in manifest["levels"]] == [[9, 16]]
+        assert manifest["disc_error_est"] is None
+        assert json.loads((out / "summary.json").read_text())["disc_error_est"] is None
         for command in ("validate", "merger-compare"):
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
             err = capsys.readouterr().err
@@ -459,12 +488,20 @@ class TestArtifactsOfAnotherGrid:
 
 class TestValidateNegativeControl:
     def test_early_stopped_solve_fails_residual(self, tmp_path, monkeypatch):
-        # a deliberately loose solve leaves a residual far above 10x tol:
-        # value iteration handed over at tol = 1.0, and a greedy step that
-        # returns the previous policy ends policy iteration after one sweep,
-        # before it could take solve2d to the fixed point
-        monkeypatch.setattr(hjb2d, "_greedy_pref",
-                            lambda v, t0, prev, pref, *scratch: np.copyto(pref, prev))
+        # a deliberately loose solve leaves a residual far above 10x tol: a
+        # greedy step that returns the previous policy, once there is one,
+        # ends policy iteration after the coarsest grid's first policy and
+        # each finer grid's first sweep, before it could take solve2d to the
+        # fixed point
+        greedy = hjb2d._greedy_pref
+
+        def stale(v, t0, prev, pref, *scratch):
+            if prev.min() < 0:  # no policy yet
+                greedy(v, t0, prev, pref, *scratch)
+            else:
+                np.copyto(pref, prev)
+
+        monkeypatch.setattr(hjb2d, "_greedy_pref", stale)
         cfg = tmp_path / "loose.cfg"
         cfg.write_text(TINY_CFG.replace("tol = 1e-8", "tol = 1.0"))
         out = tmp_path / "loose_out"

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.fft as sfft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from divopt import hjb2d
 from divopt.hjb2d import (
     DirectCorrelation,
     FFTCorrelation,
@@ -19,13 +21,12 @@ from divopt.solver1d import (
     OneDimProblem,
     TruncationError,
     _claim_kernel,
-    drift_scan,
     make_auxiliary_problem,
     merger_compare,
     solve_1d,
     tilde_V_eval,
 )
-from oracles import brute_force_t_slices_1d, drift_scan_reference, extract_band_reference
+from oracles import brute_force_t_slices_1d, extract_band_reference, sweep_reference
 
 EX1 = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
 SYM = validate_params(ModelParams(c1=21.4, c2=21.4, b1=0.5, b2=0.5, lam=10, q=0.1))
@@ -86,7 +87,7 @@ class TestClaimField1d:
             np.testing.assert_allclose(field, ref, rtol=1e-6, atol=1e-12)
 
 
-class TestDriftScan:
+class TestSweep:
     @settings(max_examples=60, deadline=None)
     @given(
         n_pts=st.integers(1, 20_000),
@@ -94,38 +95,54 @@ class TestDriftScan:
         scale=st.floats(1e-3, 1e3),
         seed=st.integers(0, 2**32 - 1),
     )
-    # d**(2**k) underflows to 0 before the scan ends
     @example(n_pts=20_000, d=math.exp(-0.06), scale=1.0, seed=0)
     @example(n_pts=20_000, d=math.exp(-0.06), scale=30.0, seed=1)
     def test_matches_node_loop(self, n_pts, d, scale, seed):
         rng = np.random.default_rng(seed)
         a = np.cumsum(rng.uniform(0.0, 1.0, n_pts)) * scale
         c = rng.uniform(-1.0, 1.0, n_pts) * scale
-        top = a[-1] + rng.uniform(-1.0, 2.0) * scale
-        a0, c0 = a.copy(), c.copy()
-        y = drift_scan(a, c, d, top)
-        ref = drift_scan_reference(a, c, d, top)
-        assert np.array_equal(a, a0) and np.array_equal(c, c0)
+        dx = rng.uniform(0.0, 2.0) * scale
+        got_c = c.copy()
+        y = hjb2d._sweep(a.copy(), got_c, d, (dx,), np.empty(n_pts))
+        ref = sweep_reference(a.copy(), c, d, (dx,))
+        # the table as it was before the sweep, in place of the claim field
+        assert np.array_equal(got_c, a) and np.array_equal(c, a)
         assert np.all(np.isfinite(y))
         assert np.all(y >= a)
-        # the node loop sums a chain of min(N, 1/(1-d)) terms one at a time,
-        # so its own rounding error grows with that length: at d = 1 - 1e-16
-        # and N = 16377 it is 8.5e-9 off an extended-precision run, the
-        # scan 4.3e-12
-        chain = min(n_pts, 1.0 / (1.0 - d))
-        atol = max(1e-12, np.finfo(float).eps * chain) * (1.0 + np.abs(y).max())
+        # the node loop adds dx once per node of a lump chain, so its own
+        # rounding error grows with the chain's length
+        atol = max(1e-12, np.finfo(float).eps * n_pts) * (1.0 + np.abs(y).max())
         np.testing.assert_allclose(y, ref, rtol=0, atol=atol)
 
     def test_solve_with_node_loop_sweep(self, monkeypatch):
-        # the same iteration driver with the drift pass run node by node
+        # the same cascade (401 nodes down to 26) with the sweep run node by node
         prob = make_auxiliary_problem(EX1, Exponential(0.6), "wbar")
         sol = solve_1d(prob, delta=0.05, x_max=20.0)
-        monkeypatch.setattr(solver1d, "drift_scan", drift_scan_reference)
+        monkeypatch.setattr(hjb2d, "_sweep",
+                            lambda v, cf, disc, dxs, work: sweep_reference(v, cf, disc, dxs))
         ref = solve_1d(prob, delta=0.05, x_max=20.0)
+        assert [lv["shape"] for lv in sol.levels] == [[26], [51], [101], [201], [401]]
         assert sol.iterations == ref.iterations
         assert sol.band.intervals == ref.band.intervals
         assert sol.band.a_points == ref.band.a_points
         np.testing.assert_allclose(sol.values, ref.values, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_max=st.integers(15, 400), kind=st.sampled_from(["wbar", "merger"]))
+    @example(n_max=38, kind="wbar")  # one coarser grid, of 20 nodes
+    def test_cascade_matches_single_grid_solve(self, n_max, kind):
+        prob = make_auxiliary_problem(EX1, Exponential(0.6), kind)
+        delta = 12.0 / (prob.c * n_max)
+        sol = solve_1d(prob, delta, 12.0)
+        with mock.patch.object(hjb2d, "_MIN_LEVEL_NODES", math.inf):
+            alone = solve_1d(prob, delta, 12.0)
+        assert len(sol.values) == n_max + 1 and len(alone.levels) == 1
+        assert (sol.disc_error_est is None) == (n_max < 38)
+        top = 1.0 + alone.values.max()
+        np.testing.assert_allclose(sol.values, alone.values, rtol=0, atol=1e-12 * top)
+        assert sol.band.intervals == alone.band.intervals
+        assert sol.residual_max <= 1e-12 * top and sol.min_increment >= 0.0
+        assert np.all(np.diff(sol.values) >= sol.rho * sol.dx - 1e-10)
 
 
 class TestSolve1d:
@@ -174,19 +191,20 @@ class TestSolve1d:
             solve_1d(prob, delta=0.01, x_max=2.0)
 
     def test_fixed_point_whatever_tol(self):
-        # tol only sets the hand-over to policy iteration, which ends at the
-        # grid fixed point itself
+        # tol only sets tol_effective: policy iteration ends at the grid
+        # fixed point itself
         prob = make_auxiliary_problem(EX1, Exponential(0.6), "wbar")
         loose, tight = (solve_1d(prob, delta=0.01, x_max=20.0, tol=tol) for tol in (1e-6, 1e-12))
         for sol in (loose, tight):
             assert sol.residual_max <= 1e-12 and sol.policies >= 1
         assert np.abs(loose.values - tight.values).max() <= 1e-12 * (1 + tight.values.max())
 
-    def test_iteration_cap_raises(self):
+    def test_policy_cap_raises(self, monkeypatch):
+        # 1201 nodes coarsen five times, to 38, where the cascade starts
+        monkeypatch.setattr(hjb2d, "_POLICY_CAP", 1)
         prob = make_auxiliary_problem(EX1, Exponential(0.6), "wbar")
-        with pytest.raises(NonConvergenceError) as exc:
-            solve_1d(prob, delta=0.01, x_max=12.0, iter_cap=3)
-        assert exc.value.last_increment > 0
+        with pytest.raises(NonConvergenceError, match="on the 38-node grid"):
+            solve_1d(prob, delta=0.01, x_max=12.0)
 
     def test_symmetric_band_breakpoints(self):
         prob = make_auxiliary_problem(SYM, Erlang2(0.5), "wbar")

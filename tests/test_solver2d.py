@@ -1,5 +1,7 @@
+import functools
 import math
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from divopt.hjb2d import (
     policy_flow,
 )
 from divopt.model import (
+    Deterministic,
     Erlang2,
     Exponential,
     GridSpec,
@@ -39,7 +42,7 @@ from oracles import (
     evaluate_policy_reference,
     policy_flow_reference,
     solve_jacobi,
-    sweep_inplace_reference,
+    sweep_reference,
 )
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
@@ -100,11 +103,12 @@ class TestSolve:
         u = ValueField(grid, vals)
         assert greedy_policy(kernel, u)[1] <= 1e-10
 
-    def test_iteration_cap(self):
-        grid = GridSpec.make(PARAMS, delta=0.1, x1_max=4, x2_max=4)
-        with pytest.raises(NonConvergenceError) as exc:
-            solve(PARAMS, LAW, grid, iter_cap=2)
-        assert exc.value.last_increment > 0
+    def test_policy_cap_on_the_coarsest_grid(self, monkeypatch):
+        # 41x41 nodes coarsen once, to 21x21, where the cascade starts
+        monkeypatch.setattr(hjb2d, "_POLICY_CAP", 1)
+        grid = GridSpec.make(PARAMS, delta=0.1, x1_max=8, x2_max=4)
+        with pytest.raises(NonConvergenceError, match="on the 21x21-node grid"):
+            solve(PARAMS, LAW, grid)
 
     def test_policy_cap(self, monkeypatch):
         monkeypatch.setattr(hjb2d, "_POLICY_CAP", 1)
@@ -140,16 +144,97 @@ class TestSolve:
 
 
 class TestSweep:
-    def test_matches_column_loop_reference(self, small_solve):
-        grid, kernel, _, _, _ = small_solve
+    @pytest.mark.parametrize("shape", [(1,), (2,), (57,), (1, 1), (2, 3), (21, 41), (30, 17)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_matches_node_loop_reference(self, shape):
         rng = np.random.default_rng(11)
+        dxs = (0.2, 0.1)[: len(shape)]
         for _ in range(5):
-            # nondecreasing in both axes, with random claim fields
-            w = np.cumsum(np.cumsum(rng.uniform(0, 0.5, grid.shape), axis=0), axis=1)
-            cf = rng.uniform(0, 2.0, grid.shape)
-            got = solver2d._sweep_inplace(w.copy(), cf, grid, kernel.discount_step)
-            ref = sweep_inplace_reference(w.copy(), cf, grid, kernel.discount_step)
+            # nondecreasing along every axis, with random claim fields
+            v = functools.reduce(np.cumsum, range(len(shape)), rng.uniform(0, 0.5, shape))
+            cf = rng.uniform(0, 2.0, shape)
+            got_cf, ref_cf = cf.copy(), cf.copy()
+            got = hjb2d._sweep(v.copy(), got_cf, 0.9, dxs, np.empty(shape))
+            ref = sweep_reference(v.copy(), ref_cf, 0.9, dxs)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            # both leave the table as it was before the sweep in cf
+            assert np.array_equal(got_cf, v) and np.array_equal(ref_cf, v)
+
+    def test_solve_with_node_loop_sweep(self, monkeypatch):
+        # the same cascade (41x41 nodes, then 21x21) with the sweep run node by node
+        grid = GridSpec.make(PARAMS, delta=0.1, x1_max=8, x2_max=4)
+        v, policy, report = solve(PARAMS, LAW, grid)
+        monkeypatch.setattr(hjb2d, "_sweep",
+                            lambda v, cf, disc, dxs, work: sweep_reference(v, cf, disc, dxs))
+        ref_v, ref_policy, ref_report = solve(PARAMS, LAW, grid)
+        assert len(report.levels) == len(ref_report.levels) == 2
+        assert report.iterations == ref_report.iterations
+        np.testing.assert_array_equal(policy.actions, ref_policy.actions)
+        np.testing.assert_allclose(v.values, ref_v.values, rtol=0, atol=1e-12)
+
+
+class TestCascade:
+    @settings(max_examples=25, deadline=None)
+    @given(n_max=st.integers(12, 48), m_max=st.integers(12, 48),
+           law=st.sampled_from([LAW, Deterministic(29 / 12)]),
+           q=st.sampled_from([0.05, 5.0]))
+    # q = 5 empties the no-pay set: every node but the origin lumps, down to
+    # index 0 of its axis and then along it, on each grid
+    @example(n_max=39, m_max=38, law=LAW, q=5.0)
+    @example(n_max=38, m_max=47, law=LAW, q=0.05)
+    @example(n_max=79, m_max=78, law=Deterministic(29 / 12), q=0.05)  # three grids
+    def test_matches_single_grid_solve(self, n_max, m_max, law, q):
+        params = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=q))
+        grid = GridSpec(delta=0.1, dx1=0.2, dx2=0.1, n_max=n_max, m_max=m_max)
+        kernel = build_claim_kernel(params, law, grid)
+        v, policy, report = solve(params, law, grid, kernel=kernel)
+        with mock.patch.object(hjb2d, "_MIN_LEVEL_NODES", math.inf):
+            alone, alone_policy, alone_report = solve(params, law, grid, kernel=kernel)
+        # a coarser grid has n_max // 2 on each axis, kept while both axes have 20 nodes
+        levels = 1 + (min(n_max, m_max) >= 38) + (min(n_max, m_max) >= 78)
+        assert [lv["shape"] for lv in report.levels][-1] == [n_max + 1, m_max + 1]
+        assert len(report.levels) == levels and len(alone_report.levels) == 1
+        assert (report.disc_error_est is None) == (levels == 1)
+        assert alone_report.disc_error_est is None
+        assert report.iterations == sum(lv["sweeps"] for lv in report.levels)
+        assert report.policies == sum(lv["policies"] for lv in report.levels)
+        assert report.gmres_matvecs == sum(lv["matvecs"] for lv in report.levels)
+        top = 1 + v.values.max()
+        np.testing.assert_allclose(v.values, alone.values, rtol=0, atol=1e-12 * top)
+        np.testing.assert_array_equal(policy.actions, alone_policy.actions)
+        assert report.residual_max <= 1e-12 * top
+        # the table is the exact value of its greedy policy
+        pref = solver2d._PREF_OF_MASK[policy.actions & 7]
+        ref = evaluate_policy_reference(pref, kernel.discount_step, (grid.dx1, grid.dx2),
+                                        (kernel.cell_i1, kernel.cell_i2), kernel.cell_wv,
+                                        kernel.payout_field)
+        np.testing.assert_allclose(v.values, ref, rtol=0, atol=1e-9 * top)
+        # bounds, increments of at least one cell's payout, monotone iterates
+        ns = np.arange(n_max + 1)[:, None] * grid.dx1
+        ms = np.arange(m_max + 1)[None, :] * grid.dx2
+        assert np.all(v.values >= ns + ms - 1e-12)
+        assert np.all(v.values <= ns + ms + (params.c1 + params.c2) / params.q + 1e-9)
+        assert np.all(np.diff(v.values, axis=0) >= grid.dx1 - 1e-10)
+        assert np.all(np.diff(v.values, axis=1) >= grid.dx2 - 1e-10)
+        assert report.min_increment >= 0.0
+
+    @pytest.mark.parametrize("shape", [(5,), (6,), (5, 8), (6, 7)])
+    def test_prolongation(self, shape):
+        # fine node n takes coarse node n // 2's entry; a policy that lumps
+        # at every node it may keeps every lump on the grid
+        coarse_shape = tuple((s - 1) // 2 + 1 for s in shape)
+        coarse = np.arange(math.prod(coarse_shape)).reshape(coarse_shape)
+        fine = hjb2d._prolong(coarse, np.empty(shape, dtype=coarse.dtype))
+        want = functools.reduce(lambda a, ax: np.repeat(a, 2, axis=ax), range(len(shape)), coarse)
+        np.testing.assert_array_equal(fine, want[tuple(np.s_[:s] for s in shape)])
+        lumps = np.ones(coarse_shape, dtype=np.int8)
+        lumps[0] = 0
+        if len(shape) == 2:
+            lumps[0, 1:] = 2
+        fine = hjb2d._prolong(lumps, np.empty(shape, dtype=np.int8))
+        assert not np.any(fine[0] == 1)
+        if len(shape) == 2:
+            assert not np.any(fine[:, 0] == 2)
 
 
 class TestExtendValue:
