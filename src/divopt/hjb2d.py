@@ -27,10 +27,15 @@ grids, each seeded by the next coarser one, to the grid fixed point
 itself), its vectorised sweep, the flow of a grid policy on its no-pay
 nodes (policy_flow, which the Monte Carlo runner reads too), the greedy
 step, the exact evaluation of a policy, the operator fields and their
-argmax sets, and the exact ray integral.  A solver supplies only a way to
-set up the problem on the grid of step 2^k*delta and a given shape: its
-claim field and correlation, its one-step discount and the payout of one
-cell down each axis.
+argmax sets, and the exact ray integral.  A policy is evaluated on the
+leading box its no-pay nodes span, a corner of the grid for the optimal
+strategy, which pays no dividend only near the origin, below the dividend
+curve: claims move the surplus down, lumps move it down an axis and every
+drift ends at a no-pay node, so nothing the no-pay nodes read lies outside
+the box.  A solver supplies only a way to set up the problem on the grid
+of step 2^k*delta and a given shape: its claim field, its correlation and
+the constant part of the claim field, its one-step discount and the
+payout of one cell down each axis.
 """
 
 from __future__ import annotations
@@ -264,7 +269,28 @@ def _fft_shape(shape, kernel_shape):
     return tuple(sfft.next_fast_len(s + r - 1) for s, r in zip(shape, kernel_shape))
 
 
-class DirectCorrelation:
+class _Correlation:
+    """A correlation keeps its kernel's live cells: their indices (one
+    array per axis) and weights."""
+
+    def __init__(self, kw: np.ndarray):
+        self.at = np.nonzero(kw)
+        self.kw_at = kw[self.at]
+        self.cells = self.kw_at.size
+
+    def on_box(self, shape):
+        """This correlation on the leading box of the given shape, built by
+        build_correlation from the cells inside it: out[n] for n in the box
+        reads only nodes n - i of the box, and a cell past the box on some
+        axis reads only negative (ruined) indices there."""
+        live = np.all([i < s for i, s in zip(self.at, shape)], axis=0)
+        at = tuple(i[live] for i in self.at)
+        kw = np.zeros([i.max(initial=0) + 1 for i in at])
+        kw[at] = self.kw_at[live]
+        return build_correlation(kw, shape)
+
+
+class DirectCorrelation(_Correlation):
     """Correlation of a table with a short kernel, one live cell at a time.
 
     out[n] = sum_i kw[i] * values[n - i] over the nonzero cells i of kw,
@@ -277,10 +303,9 @@ class DirectCorrelation:
     fshape = None
 
     def __init__(self, kw: np.ndarray):
-        nz = np.nonzero(kw)
-        self.offsets = np.transpose(nz).tolist()
-        self.weights = kw[nz].tolist()
-        self.cells = len(self.weights)
+        super().__init__(kw)
+        self.offsets = np.transpose(self.at).tolist()
+        self.weights = self.kw_at.tolist()
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values)
@@ -293,7 +318,7 @@ class DirectCorrelation:
         return out
 
 
-class FFTCorrelation:
+class FFTCorrelation(_Correlation):
     """Correlation of a table with a dense kernel by a pruned FFT.
 
     fshape, the FFT size, is next_fast_len(s_i + r_i) per axis, where s_i
@@ -317,7 +342,7 @@ class FFTCorrelation:
     kind = "fft"
 
     def __init__(self, kw: np.ndarray, shape):
-        self.cells = int(np.count_nonzero(kw))
+        super().__init__(kw)
         self.fshape = _fft_shape(shape, kw.shape)
         self.fk = sfft.rfftn(kw, s=self.fshape, axes=tuple(range(kw.ndim)),
                              workers=_FFT_WORKERS)
@@ -497,10 +522,12 @@ _KEEP_REL = 1e-13  # a node keeps its action while within this (relative) of the
 _GMRES_RESTART = 20
 _GMRES_CYCLES = 52  # restart cycles; each must halve the residual (2**52 > 1/_GMRES_RTOL)
 # evaluation residual target: root mean square over the no-pay nodes,
-# relative to 1 + sup |x|.  It sits 4.5x above the rounding floor where
-# GMRES stopped gaining on example 1 at delta/2 (6.6e-17); a looser target
-# leaves more near-tie nodes to flip, and took example 1 through 11
-# policies instead of 9 at 1e-15.
+# relative to 1 + sup |x|.  It sits 3.6-6.5x above the rounding floor where
+# GMRES stops gaining, 4.6e-17 to 8.4e-17 over the evaluations of example
+# 1's finest grid at delta/2 (correlations on the no-pay box); in the 1D
+# solves of validate on the bundled configs, the restart cycles ended at
+# 0.05-0.22 of it at the least.  A looser target leaves more near-tie nodes
+# to flip, and took example 1 through 11 policies instead of 9 at 1e-15.
 _GMRES_RTOL = 3e-16
 
 
@@ -539,10 +566,10 @@ def fixed_point(level, shape):
     """The grid fixed point by coarse-to-fine policy iteration (Howard), on a
     grid of one axis or two; both solvers run it.
 
-    level(scale, shape) returns (claim, correlation, disc, dxs) on the grid
-    of step scale*delta and that shape: claim(u) is the claim field of a
-    table u, correlation(u) plus a constant field; disc is the one-step
-    discount and dxs[i] the payout of one cell down axis i.
+    level(scale, shape) returns (claim, correlation, const, disc, dxs) on the
+    grid of step scale*delta and that shape: claim(u) is the claim field of
+    a table u, correlation(u) plus the constant field const; disc is the
+    one-step discount and dxs[i] the payout of one cell down axis i.
 
     The grids have steps 2^k*delta, k = K, ..., 0.  Each coarser one has
     n_max // 2 on each axis (its node i is node 2i of the next finer one)
@@ -562,9 +589,11 @@ def fixed_point(level, shape):
     sweeps, policies and GMRES matvecs, and the least increment of a sweep;
     the last sweep's sup increment and evaluation's sup residual; seconds
     per phase; per level, coarsest first, its shape, sweeps, policies,
-    matvecs and seconds; disc_error_est, the sup of V_delta - V_2delta over
-    the nodes of the 2*delta grid (None with one level); and the finest
-    correlation's path ("direct" or "fft"), live cells and FFT size.
+    matvecs, eval_box (the per-axis largest box an evaluation ran on,
+    _NoPayEvaluation) and seconds; disc_error_est, the sup of
+    V_delta - V_2delta over the nodes of the 2*delta grid (None with one
+    level); and the finest correlation's path ("direct" or "fft"), live
+    cells and FFT size.
     """
     shapes = [tuple(shape)]
     while min(coarser := tuple((s - 1) // 2 + 1 for s in shapes[-1])) >= _MIN_LEVEL_NODES:
@@ -574,8 +603,8 @@ def fixed_point(level, shape):
     min_inc = math.inf
     for k in reversed(range(len(shapes))):
         t_level = time.perf_counter()
-        claim, correlation, disc, dxs = level(2**k, shapes[k])
-        evaluation = _NoPayEvaluation(claim, correlation, disc, dxs)
+        claim, correlation, const, disc, dxs = level(2**k, shapes[k])
+        evaluation = _NoPayEvaluation(correlation, const, disc, dxs)
         v = np.zeros(shapes[k])
         pref = np.empty(v.shape, dtype=np.int8)
         prev = np.full(v.shape, -1, dtype=np.int8)
@@ -609,7 +638,8 @@ def fixed_point(level, shape):
             if done:
                 break
         levels.append(dict(shape=list(v.shape), sweeps=sweeps, policies=evaluation.policies,
-                           matvecs=evaluation.matvecs, seconds=time.perf_counter() - t_level))
+                           matvecs=evaluation.matvecs, eval_box=evaluation.box,
+                           seconds=time.perf_counter() - t_level))
         if k:
             coarse = v, pref
     shared = v[(np.s_[::2],) * v.ndim]
@@ -666,37 +696,61 @@ class _NoPayEvaluation:
     nodes, inverted exactly by pointer doubling; that inverse
     right-preconditions a restarted GMRES whose matvec is one correlation
     with the claim kernel.
+
+    The system lives on the leading box [0, n_hi] x [0, m_hi] that the
+    no-pay nodes span, so the matvecs expand x and correlate on that box
+    only (the correlation's on_box), and the result is expanded onto the
+    whole grid once.  That is exact, for three reasons: the kernel's
+    offsets are nonnegative (claims only lower the surplus), so the claim
+    field at a no-pay node reads only box nodes; lumps go down an axis, so
+    every box node's anchor lies in the box; and each drift target's
+    anchor is a no-pay node.  The flow itself comes from the whole grid: a
+    no-pay node on the box edge drifts onto a lump node past it, which a
+    cropped grid would replace by its edge rule.
     """
 
-    def __init__(self, claim, correlation, disc, dxs):
-        self.claim, self.correlation, self.disc, self.dxs = claim, correlation, disc, dxs
+    def __init__(self, correlation, const, disc, dxs):
+        self.correlation, self.const, self.disc, self.dxs = correlation, const, disc, dxs
         self.policies = self.matvecs = 0
         self.residual = 0.0
+        self.box = [0] * len(dxs)
 
     def evaluate(self, pref, v, out):
         """Write V^pi of the policy pref into out, starting GMRES from v."""
         self._flow = flow = policy_flow(pref, self.dxs)
         self._at = np.unravel_index(flow.nopay, pref.shape)
+        box = tuple(int(i.max()) + 1 for i in self._at)
+        self.box = list(map(max, self.box, box))
+        self._box_correlation = self.correlation.on_box(box)
+        self._anchor = flow.anchor.reshape(pref.shape)[tuple(np.s_[:s] for s in box)].ravel()
         # s = n*dxs[0] + m*dxs[1], per axis and at the no-pay nodes
         self._axes = [np.arange(n) * dx for n, dx in zip(pref.shape, self.dxs)]
         self._s = sum(s[i] for s, i in zip(self._axes, self._at))
-        x = self._gmres(v.ravel()[flow.nopay], out)
-        self._expand_into(x, out)
+        self._const = self.const[self._at]
+        # out's leading entries serve as the box's scratch table
+        x = self._gmres(v.ravel()[flow.nopay], out.ravel()[: self._anchor.size].reshape(box))
+        self._expand_into(x, flow.anchor, out)
         out.ravel()[flow.nopay] = x
+        # no table of this policy outlives its evaluation: held between the
+        # claim fields' temporaries, they made the heap grow
+        del self._flow, self._at, self._box_correlation, self._anchor
+        del self._axes, self._s, self._const
         self.policies += 1
         return out
 
-    def _expand_into(self, x, out):
-        """The table of no-pay values x: x at the anchor plus the payout on
-        the way, s at the node less s at the anchor."""
-        np.take(x - self._s, self._flow.anchor, out=out.ravel(), mode="clip")
+    def _expand_into(self, x, anchor, out):
+        """The table of no-pay values x on out's nodes (the box's or the
+        grid's, with their anchors): x at the anchor plus the payout on the
+        way, s at the node less s at the anchor."""
+        np.take(x - self._s, anchor, out=out.ravel(), mode="clip")
         for axis, s in enumerate(self._axes):
-            out += s.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+            out += s[: out.shape[axis]].reshape((-1,) + (1,) * (out.ndim - 1 - axis))
 
-    def _residual(self, x, full):
-        self._expand_into(x, full)
-        cf = self.claim(full)
-        return self.disc * (x[self._flow.succ] + self._flow.paid) + cf[self._at] - x
+    def _residual(self, x, box):
+        self._expand_into(x, self._anchor, box)
+        cf = self._box_correlation(box)[self._at]
+        cf += self._const
+        return self.disc * (x[self._flow.succ] + self._flow.paid) + cf - x
 
     def _drift_inverse(self, y):
         """x = y + disc * x[succ], solved by pointer doubling: after j
@@ -709,20 +763,20 @@ class _NoPayEvaluation:
             d *= d
         return x
 
-    def _apply(self, z, full):
+    def _apply(self, z, box):
         """The right-preconditioned operator: z less the claim part of the
         expansion of the drift inverse of z."""
-        np.take(self._drift_inverse(z), self._flow.anchor, out=full.ravel(), mode="clip")
+        np.take(self._drift_inverse(z), self._anchor, out=box.ravel(), mode="clip")
         self.matvecs += 1
-        return z - self.correlation(full)[self._at]
+        return z - self._box_correlation(box)[self._at]
 
-    def _gmres(self, x, full):
+    def _gmres(self, x, box):
         """Restarted GMRES from x; each cycle ends on the true residual, and
         a cycle that does not halve it is a stall, or the rounding floor if
         one more halving would have reached the target."""
         restart = _GMRES_RESTART
         basis = np.empty((restart + 1, x.size))
-        r = self._residual(x, full)
+        r = self._residual(x, box)
         beta = float(np.linalg.norm(r))
         for cycle in range(_GMRES_CYCLES + 1):
             target = _GMRES_RTOL * (1.0 + float(np.abs(x).max())) * math.sqrt(x.size)
@@ -738,7 +792,7 @@ class _NoPayEvaluation:
             g[0] = beta
             basis[0] = r / beta
             for j in range(restart):
-                w = self._apply(basis[j], full)
+                w = self._apply(basis[j], box)
                 for _ in range(2):  # classical Gram-Schmidt, done twice
                     h = basis[: j + 1] @ w
                     w -= h @ basis[: j + 1]
@@ -758,7 +812,7 @@ class _NoPayEvaluation:
             k = j + 1
             y = np.linalg.solve(np.triu(hess[:k, :k]), g[:k])
             x = x + self._drift_inverse(y @ basis[:k])
-            r = self._residual(x, full)
+            r = self._residual(x, box)
             last, beta = beta, float(np.linalg.norm(r))
         raise NonConvergenceError(
             f"policy evaluation stalled: GMRES residual {beta:.3e} against a target of "

@@ -179,14 +179,14 @@ def solve_1d(
         step = delta * scale
         disc = math.exp(-beta * step)
         r0 = prob.rho * prob.kappa * (1.0 - disc) / beta
-        correlation, payout = _claim_kernel(prob, step, shape[0])
-        # the claim field plus the reward accrued over the step
-        claim = lambda u: correlation(u) + payout + r0
-        return claim, correlation, disc, (prob.rho * (prob.c * step),)
+        correlation, const = _claim_kernel(prob, step, shape[0])
+        const += r0  # the claim field's payout plus the reward accrued over the step
+        claim = lambda u: correlation(u) + const
+        return claim, correlation, const, disc, (prob.rho * (prob.c * step),)
 
     t_start = time.perf_counter()
     w, stats = fixed_point(level, (n_max + 1,))
-    claim, _, disc, dxs = level(1, w.shape)
+    claim, _, _, disc, dxs = level(1, w.shape)
     (is_c, is_b), _, resid = argmax_sets(w, claim(w), disc, dxs)
     band = _extract_band(is_b, is_c, dx)
 

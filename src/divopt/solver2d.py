@@ -110,7 +110,8 @@ class SolveReport:
     kernel_cells: int
     fshape: tuple
     # per grid of the cascade, coarsest first: shape, sweeps, policies,
-    # matvecs and seconds (iterations, policies and gmres_matvecs total them);
+    # matvecs, eval_box (the per-axis largest box its policy evaluations ran
+    # on) and seconds (iterations, policies and gmres_matvecs total them);
     # and V_delta - V_2delta, sup over the 2*delta grid's nodes (None without
     # one), an estimate of the discretisation error that tol does not bound
     levels: list
@@ -159,7 +160,7 @@ def solve(
         # both names resolve in this module at each call, where tracers wrap them
         kern = kernel if scale == 1 else build_claim_kernel(params, law, g)
         claim = lambda u: claim_field(kern, u)
-        return claim, kern.correlation, kern.discount_step, (g.dx1, g.dx2)
+        return claim, kern.correlation, kern.payout_field, kern.discount_step, (g.dx1, g.dx2)
 
     t_start = time.perf_counter()
     v, stats = fixed_point(level, grid.shape)

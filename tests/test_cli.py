@@ -232,8 +232,9 @@ class TestSolve2dCommand:
         levels = manifest["levels"]
         assert [lv["shape"] for lv in levels] == [[23, 46], [46, 91]]
         for lv in levels:
-            assert set(lv) == {"shape", "sweeps", "policies", "matvecs", "seconds"}
+            assert set(lv) == {"shape", "sweeps", "policies", "matvecs", "eval_box", "seconds"}
             assert lv["sweeps"] >= 1 and lv["policies"] >= 1 and lv["matvecs"] >= 1
+            assert all(1 <= b <= s for b, s in zip(lv["eval_box"], lv["shape"]))
         assert sum(lv["seconds"] for lv in levels) <= manifest["wall_time"]
         for key, per_level in (("iterations", "sweeps"), ("policies", "policies"),
                                ("gmres_matvecs", "matvecs")):

@@ -12,6 +12,7 @@ from divopt.hjb2d import (
     DirectCorrelation,
     FFTCorrelation,
     ValueField,
+    build_correlation,
     build_claim_kernel,
     claim_field,
     shift_up_diag,
@@ -230,6 +231,47 @@ class TestCorrelation:
             assert got.shape == shape
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=_rounding_bound(path, kw, values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.one_of(st.tuples(st.integers(1, 90)),
+                           st.tuples(st.integers(1, 13), st.integers(1, 13))),
+           reach=st.floats(0.0, 1.0), density=st.sampled_from([0.0, 0.3, 1.0]),
+           box=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(11, 13), reach=1.0, density=1.0, box=(0.5, 1.0), seed=1)
+    # a 3-node box inside a 5-cell reach: the cells past the box are dropped
+    @example(shape=(90,), reach=0.05, density=1.0, box=(0.02, 0.0), seed=2)
+    def test_on_a_leading_box_matches_the_full_grid(self, shape, reach, density, box, seed):
+        rng = np.random.default_rng(seed)
+        size = tuple(1 + round(reach * (s - 1)) for s in shape)
+        kw = np.where(rng.random(size) < density, rng.uniform(-1.0, 1.0, size), 0.0)
+        sub = tuple(1 + round(f * (s - 1)) for f, s in zip(box, shape))
+        for path in (DirectCorrelation(kw), FFTCorrelation(kw, shape)):
+            _assert_on_box_matches(path, kw, rng.uniform(-1.0, 1.0, shape), sub)
+
+    def test_a_crop_can_take_the_direct_path(self):
+        # three cells near the origin and a dense block past the box: the
+        # grid's correlation is an FFT, the box keeps the three cells only
+        rng = np.random.default_rng(7)
+        kw = np.zeros((40, 40))
+        kw[20:, 20:] = rng.uniform(0.0, 1.0, (20, 20))
+        kw[0, 0], kw[1, 0], kw[0, 2] = 0.5, 0.25, 0.125
+        full = build_correlation(kw, kw.shape)
+        assert full.kind == "fft" and full.on_box((20, 30)).kind == "direct"
+        _assert_on_box_matches(full, kw, rng.uniform(-1.0, 1.0, kw.shape), (20, 30))
+
+
+def _assert_on_box_matches(path, kw, values, sub):
+    """path.on_box(sub) on the leading box of values equals path on values
+    restricted there, within both paths' rounding bounds."""
+    box = tuple(np.s_[:s] for s in sub)
+    on_box = path.on_box(sub)
+    assert on_box.cells == np.count_nonzero(kw[box])
+    want = path(values)[box]
+    got = on_box(values[box])
+    assert got.shape == sub
+    np.testing.assert_allclose(got, want, rtol=0, atol=_rounding_bound(path, kw, values)
+                               + _rounding_bound(on_box, kw, values[box]))
 
 
 class TestBellmanOperators:

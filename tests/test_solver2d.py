@@ -14,7 +14,6 @@ from divopt.hjb2d import (
     ValueField,
     build_claim_kernel,
     claim_cells,
-    claim_field,
     claim_operator,
     policy_flow,
 )
@@ -336,11 +335,10 @@ class TestPolicyFlow:
 
 class _Scheme(NamedTuple):
     """What a policy evaluation and its reference read of a claim kernel:
-    the claim field, the kernel correlation, the one-step discount, the
-    payout of one cell down each axis, and the kernel cells (offsets and
-    value weights) with the constant part of the claim field."""
+    the kernel correlation, the one-step discount, the payout of one cell
+    down each axis, and the kernel cells (offsets and value weights) with
+    the constant part of the claim field."""
 
-    claim: object
     correlation: object
     disc: float
     dxs: tuple
@@ -351,37 +349,56 @@ class _Scheme(NamedTuple):
 
 def _scheme_2d(kernel):
     g = kernel.grid
-    return _Scheme(lambda u: claim_field(kernel, u), kernel.correlation,
-                   kernel.discount_step, (g.dx1, g.dx2), (kernel.cell_i1, kernel.cell_i2),
-                   kernel.cell_wv, kernel.payout_field)
+    return _Scheme(kernel.correlation, kernel.discount_step, (g.dx1, g.dx2),
+                   (kernel.cell_i1, kernel.cell_i2), kernel.cell_wv, kernel.payout_field)
 
 
-def _scheme_1d(n_pts):
+def _scheme_1d(n_pts, law=LAW):
     """Example 1's on-ray problem on n_pts nodes, as solve_1d sets it up: a
     lump pays rho*dx, and the claim field carries a reward constant."""
-    prob = solver1d.make_auxiliary_problem(PARAMS, LAW, "wbar")
+    prob = solver1d.make_auxiliary_problem(PARAMS, law, "wbar")
     delta = 0.1
     dx = prob.c * delta
     kw, kp = claim_cells(prob.law, prob.lam, prob.q, delta, (dx,), (prob.b,), prob.c, (n_pts,))
     correlation, payout = claim_operator(kw, prob.rho * kp, (n_pts,))
     payout = payout + 0.3
     cells = np.nonzero(kw)
-    return _Scheme(lambda u: correlation(u) + payout, correlation,
-                   math.exp(-(prob.lam + prob.q) * delta), (prob.rho * dx,), cells, kw[cells],
-                   payout)
+    return _Scheme(correlation, math.exp(-(prob.lam + prob.q) * delta), (prob.rho * dx,), cells,
+                   kw[cells], payout)
 
 
 def _evaluate(scheme, pref):
-    evaluation = hjb2d._NoPayEvaluation(scheme.claim, scheme.correlation, scheme.disc,
+    evaluation = hjb2d._NoPayEvaluation(scheme.correlation, scheme.payout, scheme.disc,
                                         scheme.dxs)
-    return evaluation.evaluate(pref, np.zeros(pref.shape), np.empty(pref.shape))
+    return evaluation.evaluate(pref, np.zeros(pref.shape), np.empty(pref.shape)), evaluation
 
 
 def _assert_matches_reference(scheme, pref):
-    got = _evaluate(scheme, pref)
+    got, evaluation = _evaluate(scheme, pref)
     want = evaluate_policy_reference(pref, scheme.disc, scheme.dxs, scheme.cells,
                                      scheme.weights, scheme.payout)
     assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
+    return evaluation
+
+
+def _rectangle_policy(shape, rect):
+    """No-pay at the origin and on the rectangle rect = ((n_lo, m_lo),
+    (n_hi, m_hi)), or at the origin alone if rect is None; every other node
+    lumps toward them.  In 2D a node at n >= n_lo above row m_lo lumps down
+    axis 1, onto the rectangle or onto row m_lo, and the rest lump down
+    axis 0, then down axis 1 at n = 0.  So a no-pay node (n_hi, m) drifts
+    onto (n_hi + 1, m + 1), whose anchor is (n_hi, m_lo): on the policy
+    cropped to the box it would take the edge rule to (n_hi, m + 1)."""
+    pref = np.ones(shape, dtype=np.int8)
+    if len(shape) == 2:
+        pref[0, :] = 2
+        if rect is not None:
+            n, m = np.indices(shape)
+            pref[(n >= rect[0][0]) & (m > rect[0][1])] = 2
+    if rect is not None:
+        pref[tuple(np.s_[lo : hi + 1] for lo, hi in zip(*rect))] = 0
+    pref[(0,) * len(shape)] = 0
+    return pref
 
 
 class TestNoPayEvaluation:
@@ -436,12 +453,32 @@ class TestNoPayEvaluation:
             pref[0, 1:] = 2
         _assert_matches_reference(_scheme_2d(build_claim_kernel(PARAMS, LAW, grid)), pref)
 
+    @pytest.mark.parametrize("path,law", [("fft", LAW), ("direct", Deterministic(0.9))])
+    @pytest.mark.parametrize("one_axis", [False, True])
+    @pytest.mark.parametrize("rect", [None, ((8, 10), (25, 40))])
+    def test_box_inside_the_grid(self, path, law, one_axis, rect):
+        # the no-pay nodes span a box strictly inside the grid (a 1x1 box
+        # with rect None), and every other node lumps toward them
+        if one_axis:
+            scheme = _scheme_1d(300, law)
+            rect = rect and tuple(corner[:1] for corner in rect)
+            pref = _rectangle_policy((300,), rect)
+        else:
+            grid = GridSpec(delta=0.1, dx1=0.2, dx2=0.1, n_max=39, m_max=59)
+            scheme = _scheme_2d(build_claim_kernel(PARAMS, law, grid))
+            pref = _rectangle_policy(grid.shape, rect)
+        assert scheme.correlation.kind == path
+        box = [1] * pref.ndim if rect is None else [hi + 1 for hi in rect[1]]
+        if rect is not None:
+            assert scheme.correlation.on_box(box).kind == path
+        assert _assert_matches_reference(scheme, pref).box == box
+
     def test_greedy_policy_of_the_solve(self, small_solve):
         # at the fixed point the value of its greedy policy is the table
         _, kernel, v, policy, _ = small_solve
         pref = solver2d._PREF_OF_MASK[policy.actions & 7]
         _assert_matches_reference(_scheme_2d(kernel), pref)
-        assert np.abs(_evaluate(_scheme_2d(kernel), pref) - v.values).max() <= 1e-9
+        assert np.abs(_evaluate(_scheme_2d(kernel), pref)[0] - v.values).max() <= 1e-9
 
 
 class TestStructuralChecks:
