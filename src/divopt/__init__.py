@@ -1,6 +1,6 @@
 """Optimal dividend payout for a two-branch insurer with proportional claims.
 
-A numpy/scipy library computing the optimal value function and grid-optimal
+A numpy library computing the optimal value function and grid-optimal
 payout strategy of a two-dimensional compound Poisson surplus process via
 monotone fixed-point iteration on a discrete dynamic-programming scheme,
 together with the one-dimensional band solver for on-ray and merged-company

@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .hjb2d import NonConvergenceError, ValueField, build_claim_kernel, set_fft_workers
@@ -146,7 +145,6 @@ def _write_manifest(out, name, cfg_text, extra):
         "versions": {
             "divopt": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "rng": sim_mod.RNG_ALGORITHM,
     }
@@ -437,7 +435,7 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="out")
     parser.add_argument("--threads", type=int, default=0,
-                        help="FFT worker threads (0 = all cores)")
+                        help="accepted, no effect: the FFT runs on one thread")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--kind", choices=["wbar", "merger"], default="wbar",
                         help="solve1d problem kind")

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft as sfft
 
 from .model import ClaimLaw, GridSpec, ModelParams, integrate_affine
 
@@ -78,13 +77,10 @@ __all__ = [
 
 EPS_TIE_REL = 1e-9
 
-_FFT_WORKERS = -1
-
 
 def set_fft_workers(n: int):
-    """Cap FFT worker threads (-1 or 0 = all cores)."""
-    global _FFT_WORKERS
-    _FFT_WORKERS = -1 if n in (0, -1) else int(n)
+    """Accepted for the CLI's --threads; has no effect, since numpy's FFT
+    runs on one thread."""
 
 
 class Action(enum.IntFlag):
@@ -183,8 +179,10 @@ def _breakpoints(hs, a_cap: float) -> np.ndarray:
         pts.append(h * np.arange(1, k + 1))
     bp = np.concatenate(pts)
     bp = bp[(bp >= 0.0) & (bp <= a_cap * (1 + 1e-12))]
-    bp = np.unique(bp)
-    # merge near-duplicates (h3 often coincides with an h_i lattice)
+    # sort, then merge near-duplicates (h3 often coincides with an h_i
+    # lattice) and exact ones with them; np.unique would also load
+    # numpy.ma (12-16 ms) on its first call
+    bp = np.sort(bp)
     keep = np.concatenate([[True], np.diff(bp) > 1e-9 * min(hs)])
     bp = bp[keep]
     bp[-1] = min(bp[-1], a_cap)
@@ -264,9 +262,21 @@ def claim_cells(law: ClaimLaw, lam: float, q: float, delta: float, dxs, bs, c: f
 _DIRECT_PER_FFT_UNIT = 0.5
 
 
+def _next_fast_len(n):
+    """The least 11-smooth length >= n, scipy.fft.next_fast_len's answer: a
+    length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()  # the least power of two >= n
+    odd = [1]  # the odd 11-smooth numbers below it
+    for p in (3, 5, 7, 11):
+        for f in odd[:]:
+            while (f := f * p) < best:
+                odd.append(f)
+    return min(f << (-(-n // f) - 1).bit_length() for f in odd)
+
+
 def _fft_shape(shape, kernel_shape):
-    """next_fast_len(s_i + r_i) per axis: see FFTCorrelation."""
-    return tuple(sfft.next_fast_len(s + r - 1) for s, r in zip(shape, kernel_shape))
+    """_next_fast_len(s_i + r_i) per axis: see FFTCorrelation."""
+    return tuple(_next_fast_len(s + r - 1) for s, r in zip(shape, kernel_shape))
 
 
 class _Correlation:
@@ -321,7 +331,7 @@ class DirectCorrelation(_Correlation):
 class FFTCorrelation(_Correlation):
     """Correlation of a table with a dense kernel by a pruned FFT.
 
-    fshape, the FFT size, is next_fast_len(s_i + r_i) per axis, where s_i
+    fshape, the FFT size, is _next_fast_len(s_i + r_i) per axis, where s_i
     is the grid size and r_i the reach: the largest live cell index along
     that axis (0 for an empty kernel).  The linear correlation has
     s_i + r_i points, so a cyclic one of at least that length wraps
@@ -336,7 +346,9 @@ class FFTCorrelation(_Correlation):
     rows after the leading axes, so the inverse real transform runs over
     those rows alone.  Each skipped transform is one whose input is zero
     or whose output is dropped, so the result is the full cyclic
-    correlation's, up to rounding.
+    correlation's, up to rounding.  numpy.fft runs the transforms (the C++
+    pocketfft, on one thread), the inverse ones along the leading axes in
+    place.
     """
 
     kind = "fft"
@@ -344,19 +356,18 @@ class FFTCorrelation(_Correlation):
     def __init__(self, kw: np.ndarray, shape):
         super().__init__(kw)
         self.fshape = _fft_shape(shape, kw.shape)
-        self.fk = sfft.rfftn(kw, s=self.fshape, axes=tuple(range(kw.ndim)),
-                             workers=_FFT_WORKERS)
+        self.fk = np.fft.rfftn(kw, s=self.fshape, axes=tuple(range(kw.ndim)))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         lead = range(values.ndim - 1)
-        fv = sfft.rfft(values, n=self.fshape[-1], axis=-1, workers=_FFT_WORKERS)
+        fv = np.fft.rfft(values, n=self.fshape[-1], axis=-1)
         for axis in lead:
-            fv = sfft.fft(fv, n=self.fshape[axis], axis=axis, workers=_FFT_WORKERS)
+            fv = np.fft.fft(fv, n=self.fshape[axis], axis=axis)
         fv *= self.fk  # in place: one spectrum alive at a time bounds the peak memory
         for axis in lead:
-            fv = sfft.ifft(fv, axis=axis, overwrite_x=True, workers=_FFT_WORKERS)
+            np.fft.ifft(fv, axis=axis, out=fv)
         fv = fv[tuple(np.s_[:s] for s in values.shape[:-1])]
-        full = sfft.irfft(fv, n=self.fshape[-1], axis=-1, workers=_FFT_WORKERS)
+        full = np.fft.irfft(fv, n=self.fshape[-1], axis=-1)
         return full[..., : values.shape[-1]]
 
 
@@ -481,8 +492,8 @@ def _anchor_ranks(pref):
     flat = pref.ravel()
     out = np.empty(flat.size, dtype=np.int32)
     scratch = np.empty(flat.size, dtype=np.int32)
-    strides = np.ravel_multi_index(np.eye(pref.ndim, dtype=np.intp), pref.shape)
-    np.take(np.append(0, strides).astype(out.dtype), flat, out=scratch, mode="clip")
+    strides = [math.prod(pref.shape[i + 1:]) for i in range(pref.ndim)]  # C order
+    np.take(np.array([0, *strides], dtype=out.dtype), flat, out=scratch, mode="clip")
     np.subtract(np.arange(flat.size, dtype=out.dtype), scratch, out=out)
     nopay = flat == 0
     out[nopay] = -1 - np.arange(np.count_nonzero(nopay), dtype=out.dtype)
@@ -853,7 +864,7 @@ def ray_integral(values: np.ndarray, xs, bs, dxs, slopes, ub: float, law: ClaimL
     for x, b, dx in zip(xs, bs, dxs):
         alphas = (x - np.arange(int(math.floor(x / dx)) + 1) * dx) / b
         cuts.append(alphas[(alphas > 0) & (alphas < ub)])
-    bp = np.unique(np.concatenate(cuts))
+    bp = np.sort(np.concatenate(cuts))  # the merge drops duplicates, see _breakpoints
     keep = np.concatenate([[True], np.diff(bp) > 1e-13 * max(1.0, ub)])
     bp = bp[keep]
     slope = -sum(r * b for r, b in zip(slopes, bs))

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .hjb2d import (
     Action,
@@ -194,7 +193,56 @@ def greedy_policy(kernel: ClaimKernel, v: ValueField):
     return PolicyField(grid=v.grid, actions=acts.astype(np.uint8), eps_tie=eps), resid
 
 
-_BOX = np.ones((3, 3), dtype=bool)
+_CORNERS = [(i, j) for i in (np.s_[:-1], np.s_[1:]) for j in (np.s_[:-1], np.s_[1:])]
+
+
+def _opened(mask):
+    """The union of the 2x2 squares inside mask: its morphological opening
+    with a 2x2 square."""
+    fits = np.logical_and.reduce([mask[c] for c in _CORNERS])
+    out = np.zeros_like(mask)
+    for c in _CORNERS:
+        out[c] |= fits
+    return out
+
+
+def _label(mask):
+    """The 8-connected components of a 2D mask: (labels, k), labels 1..k
+    numbered in raster order of each component's first node and 0 off the
+    mask, as ndimage.label numbers them with a 3x3 box.
+
+    Union-find over the runs of each row: a run joins the runs of the next
+    row that overlap it or touch it at a corner.  Each round hooks the
+    larger root of every edge still joining two trees onto the smaller one,
+    then compresses the paths, so every run ends on its component's first
+    run in raster order.
+    """
+    cols = mask.shape[1]
+    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    row, start = np.nonzero(edges == 1)  # the runs in raster order
+    stop = np.nonzero(edges == -1)[1]  # one past each run's last node
+    # run [s, e) of row r meets each run [s', e') of row r + 1 with s' <= e
+    # and e' >= s; the keys row * width + column are sorted along the runs
+    width = cols + 1
+    lo = np.searchsorted(row * width + stop, (row + 1) * width + start)
+    hi = np.searchsorted(row * width + start, (row + 1) * width + stop, side="right")
+    meets = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(row.size), meets)
+    b = np.arange(a.size) - np.repeat(np.cumsum(meets) - meets - lo, meets)
+    root = np.arange(row.size)
+    while a.size:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        low = np.minimum(ra, rb)
+        np.minimum.at(root, ra, low)
+        np.minimum.at(root, rb, low)
+        while not np.array_equal(root, hop := root[root]):
+            root = hop
+    first = root == np.arange(row.size)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = np.repeat(np.cumsum(first, dtype=np.int32)[root], stop - start)
+    return labels, int(np.count_nonzero(first))
 
 
 def _component_count(mask):
@@ -204,9 +252,7 @@ def _component_count(mask):
     filaments of either label flip with the tie noise; a morphological
     opening with a 2x2 square drops them before counting.
     """
-    opened = ndimage.binary_opening(mask, structure=np.ones((2, 2), dtype=bool))
-    _, k = ndimage.label(opened, structure=_BOX)
-    return int(k)
+    return _label(_opened(mask))[1]
 
 
 def _lens_tips(labels, grid):
@@ -219,7 +265,7 @@ def _lens_tips(labels, grid):
     of each qualifying component.
     """
     pts = []
-    comp, k = ndimage.label(labels == LABEL_C, structure=_BOX)
+    comp, k = _label(labels == LABEL_C)
     for idx in range(1, k + 1):
         ns, ms = np.nonzero(comp == idx)
         if ns.size < 3:
@@ -255,7 +301,7 @@ def extract_regions(policy: PolicyField, v: ValueField) -> RegionMap:
     counts = {name: _component_count(labels == code) for code, name in LABEL_NAMES.items()}
 
     a0_points = _lens_tips(labels, grid)
-    tie_lab, tie_k = ndimage.label(labels == LABEL_A0, structure=_BOX)
+    tie_lab, tie_k = _label(labels == LABEL_A0)
     for idx in range(1, tie_k + 1):
         ns, ms = np.nonzero(tie_lab == idx)
         cand = (float(ns.mean() * grid.dx1), float(ms.mean() * grid.dx2))
@@ -285,10 +331,10 @@ def _slope_runs(labels, grid):
     """Maximal straight runs of the lower boundary of the largest no-pay
     component with one diagonal step per column (slope dx2/dx1 = c2/c1 in
     surplus units)."""
-    comp, k = ndimage.label(labels == LABEL_C, structure=_BOX)
+    comp, k = _label(labels == LABEL_C)
     if k == 0:
         return []
-    sizes = ndimage.sum_labels(np.ones_like(comp), comp, index=np.arange(1, k + 1))
+    sizes = np.bincount(comp.ravel())[1:]
     main = int(np.argmax(sizes)) + 1
     mask = comp == main
     cols = np.nonzero(mask.any(axis=1))[0]

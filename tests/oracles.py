@@ -31,7 +31,9 @@ runner reference walks the grid strategy one drift-and-lump segment at a
 time instead of jumping over the per-cell flow.  The Jacobi
 iteration applies T0, T1 and T2 to the previous iterate only.
 
-The per-point operators gather the claim integral at one node straight
+The region references label and open masks with scipy.ndimage, where
+the region maps run their own labeller and opening.  The per-point
+operators gather the claim integral at one node straight
 from the kernel cells, the form the claim field is checked against; the
 correlation reference sums a kernel table against a value table node by
 node and cell by cell, the form both correlation paths are checked
@@ -228,22 +230,26 @@ class FlowReference(NamedTuple):
     exit_k: np.ndarray
 
 
-def policy_flow_reference(policy):
+def policy_flow_reference(policy, edge_lumps=True):
     """The flow of a policy with masked assignments for the lump preference
     and a loop over the grid rows for the chain anchors: the branch-2 lumps
     take the previous row's anchors, then a prefix-max scan carries each
     branch-1 chain down to its first non-branch-1 node.  No-pay nodes on
-    the outer edges become lump nodes, so drift never leaves the table."""
+    the outer edges become lump nodes, so drift never leaves the table.
+    edge_lumps=False keeps them, for a grid with a one-node axis, where
+    such a lump would leave the grid; policy and policy.grid then need
+    only the fields read here."""
     g = policy.grid
     acts = policy.actions
     pref = np.zeros(g.shape, dtype=np.int8)
     pref[(acts & Action.E1) > 0] = 1
     pref[((acts & Action.E2) > 0) & (pref == 0)] = 2
-    edge = pref[g.n_max, :] == 0
-    pref[g.n_max, edge] = 1
-    edge = pref[:, g.m_max] == 0
-    pref[1:, g.m_max][edge[1:]] = 1
-    pref[0, g.m_max] = 2 if pref[0, g.m_max] == 0 else pref[0, g.m_max]
+    if edge_lumps:
+        edge = pref[g.n_max, :] == 0
+        pref[g.n_max, edge] = 1
+        edge = pref[:, g.m_max] == 0
+        pref[1:, g.m_max][edge[1:]] = 1
+        pref[0, g.m_max] = 2 if pref[0, g.m_max] == 0 else pref[0, g.m_max]
 
     n_pts, m_pts = g.shape
     anchor_n = np.empty(g.shape, dtype=np.int64)
@@ -455,6 +461,21 @@ def policy_runner_reference(params, law, strat, x0):
         return acc, t, broke
 
     return run
+
+
+def label_reference(mask):
+    """The 8-connected components of a 2D mask by ndimage.label with a 3x3
+    box: (labels, count)."""
+    from scipy import ndimage
+
+    return ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+
+
+def opening_reference(mask):
+    """The opening of a 2D mask with a 2x2 square by ndimage.binary_opening."""
+    from scipy import ndimage
+
+    return ndimage.binary_opening(mask, structure=np.ones((2, 2), dtype=bool))
 
 
 def correlate_reference(values, kw):

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divopt
 from divopt import hjb2d, solver2d
 from divopt.cli import (
     ConfigError,
@@ -278,15 +282,11 @@ class TestSolve2dCommand:
             written[int(n), int(m)] = masks[argmax]
         eps_tie = json.loads((out / "manifest.json").read_text())["eps_tie"]
         v = _read_value_csv(out / "value.csv", grid)
-        before = hjb2d._FFT_WORKERS
-        try:
-            for workers in (1, 2):
-                hjb2d.set_fft_workers(workers)
-                policy, _ = solver2d.greedy_policy(hjb2d.build_claim_kernel(params, law, grid), v)
-                assert np.array_equal(policy.actions, written)
-                assert policy.eps_tie == eps_tie
-        finally:
-            hjb2d.set_fft_workers(before)
+        for workers in (1, 2):  # accepted, no effect: the FFT runs on one thread
+            hjb2d.set_fft_workers(workers)
+            policy, _ = solver2d.greedy_policy(hjb2d.build_claim_kernel(params, law, grid), v)
+            assert np.array_equal(policy.actions, written)
+            assert policy.eps_tie == eps_tie
 
     def test_merger_compare_command(self, run_dir):
         out, cfg = run_dir
@@ -342,6 +342,27 @@ class TestSolve2dCommand:
     def test_simulate_missing_artifacts_exit_2(self, tmp_path, cfg_file):
         rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "no")])
         assert rc == 2
+
+
+class TestStartup:
+    def test_commands_load_no_scipy_subpackage(self, cfg_file, tmp_path):
+        # in a fresh interpreter: numpy's FFT and the region maps' own
+        # labeller keep these subpackages, and their start-up time and
+        # memory, off the path of every command
+        code = """
+import sys
+from divopt.cli import main
+for command in ("solve2d", "validate"):
+    assert main([command, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0, command
+heavy = ("scipy.fft", "scipy.ndimage", "scipy.special", "scipy.sparse")
+loaded = [m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in heavy)]
+assert not loaded, loaded
+"""
+        src = str(Path(divopt.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code, str(cfg_file), str(tmp_path / "out")],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0, run.stderr
 
 
 class TestSolve1dCommand:

@@ -1,5 +1,6 @@
 import functools
 import math
+import types
 from typing import NamedTuple
 from unittest import mock
 
@@ -39,6 +40,8 @@ from divopt.solver2d import (
 )
 from oracles import (
     evaluate_policy_reference,
+    label_reference,
+    opening_reference,
     policy_flow_reference,
     solve_jacobi,
     sweep_reference,
@@ -291,6 +294,43 @@ class TestPolicyAndRegions:
             assert LABEL_NAMES[int(lab)] == expected[ARGMAX_NAMES[mask]]
 
 
+def _assert_regions_match_ndimage(mask):
+    labels, count = solver2d._label(mask)
+    ref_labels, ref_count = label_reference(mask)
+    assert count == ref_count
+    np.testing.assert_array_equal(labels, ref_labels)
+    np.testing.assert_array_equal(solver2d._opened(mask), opening_reference(mask))
+
+
+def _diagonal_chains(n):
+    """Masks whose nodes join only at corners: the two diagonals of an n x n
+    square, and a V of two chains that start apart on the top row and meet
+    on the bottom one, so their components merge late."""
+    eye = np.eye(n, dtype=bool)
+    v_shape = np.zeros((n, 2 * n - 1), dtype=bool)
+    v_shape[np.arange(n), np.arange(n)] = True
+    v_shape[np.arange(n), 2 * n - 2 - np.arange(n)] = True
+    return [eye, eye[::-1], v_shape, v_shape[::-1], (np.indices((n, n)).sum(axis=0) % 2) == 0]
+
+
+class TestRegionMasks:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 30), cols=st.integers(1, 30),
+           fill=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @example(rows=1, cols=23, fill=0.5, seed=1)
+    @example(rows=23, cols=1, fill=0.5, seed=1)
+    @example(rows=1, cols=1, fill=1.0, seed=0)
+    def test_random_masks_match_ndimage(self, rows, cols, fill, seed):
+        # fill 0 and 1 give the all-false and all-true masks
+        _assert_regions_match_ndimage(np.random.default_rng(seed).random((rows, cols)) < fill)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_diagonal_chains_match_ndimage(self, n):
+        for mask in _diagonal_chains(n):
+            _assert_regions_match_ndimage(mask)
+            _assert_regions_match_ndimage(mask.T.copy())
+
+
 def _random_policy(n_pts, m_pts, lump_share, seed):
     """Random argmax sets on an n_pts x m_pts grid that obey the PolicyField
     invariants; lump_share of the nodes hold a lump only, which makes long
@@ -331,6 +371,36 @@ class TestPolicyFlow:
         np.testing.assert_array_equal(
             flow.nopay[flow.succ], ref.anchor_n[target] * m_pts + ref.anchor_m[target])
         np.testing.assert_array_equal(flow.paid, ref.paid[target])
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1,), (1, 1)])
+    def test_one_node_axis(self, shape):
+        # a node lumps only down an axis of more than one node; the
+        # reference keeps the edge no-pay nodes, whose drift stops at the
+        # edge and pays one cell past it.  A 1D grid of k nodes is the
+        # reference's k x 1 grid with axis 1 dropped.
+        n_pts, m_pts = shape2 = shape + (1,) * (2 - len(shape))
+        dxs = (0.2, 0.1)
+        grid = types.SimpleNamespace(shape=shape2, n_max=n_pts - 1, m_max=m_pts - 1,
+                                     dx1=dxs[0], dx2=dxs[1])
+        rng = np.random.default_rng(n_pts * 10 + len(shape))
+        lump = Action.E2 if n_pts == 1 else Action.E1
+        for _ in range(10):
+            actions = np.where(rng.random(shape2) < 0.6, lump, Action.E0).astype(np.uint8)
+            actions[0, 0] = Action.E0
+            ref = policy_flow_reference(types.SimpleNamespace(grid=grid, actions=actions),
+                                        edge_lumps=False)
+            flow = policy_flow(ref.pref.reshape(shape), dxs[: len(shape)])
+            nopay = np.flatnonzero(ref.pref == 0)
+            np.testing.assert_array_equal(flow.nopay, nopay)
+            at_n, at_m = np.unravel_index(flow.nopay[flow.anchor], shape2)
+            np.testing.assert_array_equal(at_n.reshape(shape2), ref.anchor_n)
+            np.testing.assert_array_equal(at_m.reshape(shape2), ref.anchor_m)
+            n, m = np.unravel_index(nopay, shape2)
+            target = (np.minimum(n + 1, n_pts - 1), np.minimum(m + 1, m_pts - 1))
+            np.testing.assert_array_equal(
+                flow.nopay[flow.succ], ref.anchor_n[target] * m_pts + ref.anchor_m[target])
+            past = (n == n_pts - 1) * dxs[0] + (m == m_pts - 1) * dxs[1] * (len(shape) == 2)
+            np.testing.assert_allclose(flow.paid, ref.paid[target] + past, rtol=0, atol=1e-12)
 
 
 class _Scheme(NamedTuple):
