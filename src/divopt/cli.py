@@ -184,6 +184,23 @@ def _read_value_csv(path, grid):
     return ValueField(grid, values)
 
 
+def _load_solve(args, paths=None, needs=()):
+    """(cfg, params, law, grid, v, n_paths, seed) of a reading command: v is
+    the value table in --out, n_paths (default paths) and seed are None if
+    paths is.  The config is read first; then value.csv and each file in
+    needs must be in --out, or FileNotFoundError names the first missing."""
+    cfg, _ = load_config(args.config)
+    params, law = build_model(cfg)
+    grid = build_grid(cfg, params)
+    n_paths, seed = (None, None) if paths is None else (_get_count(cfg, "paths", paths, 2),
+                                                        _get_seed(args, cfg))
+    for name in ("value.csv", *needs):
+        if not (Path(args.out) / name).is_file():
+            raise FileNotFoundError(f"missing {name}")
+    v = _read_value_csv(Path(args.out) / "value.csv", grid)
+    return cfg, params, law, grid, v, n_paths, seed
+
+
 def cmd_solve2d(args):
     cfg, cfg_text = load_config(args.config)
     params, law = build_model(cfg)
@@ -275,17 +292,7 @@ def _sample_points(cfg, grid):
 
 
 def cmd_simulate(args):
-    cfg, cfg_text = load_config(args.config)
-    params, law = build_model(cfg)
-    grid = build_grid(cfg, params)
-    n_paths = _get_count(cfg, "paths", 10_000, 2)
-    seed = _get_seed(args, cfg)
-    out = Path(args.out)
-    value_path = out / "value.csv"
-    if not value_path.is_file():
-        print("simulate: missing value.csv", file=sys.stderr)
-        return 2
-    v = _read_value_csv(value_path, grid)
+    cfg, params, law, grid, v, n_paths, seed = _load_solve(args, paths=10_000)
     policy, _ = solver2d.greedy_policy(build_claim_kernel(params, law, grid), v)
     table = sim_mod.PolicyTable(policy)
     rows = []
@@ -299,7 +306,7 @@ def cmd_simulate(args):
                 "rounds": res.rounds, "ruined": res.ruined, "horizon_cut": res.horizon_cut,
             }
         )
-    with open(out / "sim.json", "w") as fh:
+    with open(Path(args.out) / "sim.json", "w") as fh:
         json.dump({"paths": n_paths, "seed": seed, "rng": sim_mod.RNG_ALGORITHM,
                    "results": rows}, fh, indent=2)
         fh.write("\n")
@@ -309,19 +316,11 @@ def cmd_simulate(args):
 
 
 def cmd_merger_compare(args):
-    cfg, cfg_text = load_config(args.config)
-    params, law = build_model(cfg)
-    grid = build_grid(cfg, params)
-    out = Path(args.out)
-    value_path = out / "value.csv"
-    if not value_path.is_file():
-        print("merger-compare: missing value.csv", file=sys.stderr)
-        return 2
-    v = _read_value_csv(value_path, grid)
+    cfg, params, law, grid, v, _, _ = _load_solve(args)
     m_cost = args.m_cost if args.m_cost is not None else _get_float(cfg, "merger.cost", 0.0)
     samples = _sample_points(cfg, grid)
     rows, merger = solver1d.merger_compare(params, law, m_cost, samples, v)
-    with open(out / "merger_compare.csv", "w") as fh:
+    with open(Path(args.out) / "merger_compare.csv", "w") as fh:
         fh.write("x1,x2,merger_reduced,v2d_reduced\n")
         for x1, x2, vm, vd in rows:
             vm_s = "nan" if vm is None else f"{vm:.17g}"
@@ -331,18 +330,10 @@ def cmd_merger_compare(args):
 
 
 def cmd_validate(args):
-    cfg, cfg_text = load_config(args.config)
-    params, law = build_model(cfg)
-    grid = build_grid(cfg, params)
-    n_paths = _get_count(cfg, "paths", 20_000, 2)
-    seed = _get_seed(args, cfg)
+    cfg, params, law, grid, v, n_paths, seed = _load_solve(args, paths=20_000,
+                                                           needs=("manifest.json",))
     out = Path(args.out)
-    needed = [out / "value.csv", out / "manifest.json"]
-    if not all(p.is_file() for p in needed):
-        print("validate: missing solve artifacts (value.csv/manifest.json)", file=sys.stderr)
-        return 2
     manifest = json.loads((out / "manifest.json").read_text())
-    v = _read_value_csv(out / "value.csv", grid)
     policy, resid = solver2d.greedy_policy(build_claim_kernel(params, law, grid), v)
     tol_eff = manifest.get("tol_effective", 1e-8)
     checks = []
@@ -447,6 +438,9 @@ def main(argv=None):
         return commands[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:  # a solve artifact a reading command needs
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, solver1d.TruncationError) as exc:
         # a solve that cannot finish: one line on stderr, exit 3

@@ -18,7 +18,7 @@ claim operator is therefore one correlation of the value table with a
 fixed kernel (zero padding implements ruin), built once per kernel and
 grid by the path that costs less: cell by cell for a kernel of a few live
 cells (a constant claim size), a pruned FFT for a dense one.  The same
-cells on one axis, and the same correlation, give the 1D solver's claim
+cells on one axis, and the same builder, give the 1D solver's claim
 operator.
 
 The two solvers also share everything else defined here, on one axis or
@@ -32,10 +32,9 @@ leading box its no-pay nodes span, a corner of the grid for the optimal
 strategy, which pays no dividend only near the origin, below the dividend
 curve: claims move the surplus down, lumps move it down an axis and every
 drift ends at a no-pay node, so nothing the no-pay nodes read lies outside
-the box.  A solver supplies only a way to set up the problem on the grid
-of step 2^k*delta and a given shape: its claim field, its correlation and
-the constant part of the claim field, its one-step discount and the
-payout of one cell down each axis.
+the box.  A solver supplies only the Scheme of the grid of step
+2^k*delta and a given shape, which build_scheme makes from the claim cells
+on one axis and two alike, and both report in one SolveReport.
 """
 
 from __future__ import annotations
@@ -60,12 +59,14 @@ __all__ = [
     "DirectCorrelation",
     "FFTCorrelation",
     "build_correlation",
-    "claim_operator",
+    "Scheme",
+    "build_scheme",
     "build_claim_kernel",
     "claim_field",
     "NonConvergenceError",
     "PolicyFlow",
     "policy_flow",
+    "SolveReport",
     "fixed_point",
     "operator_fields",
     "argmax_sets",
@@ -150,12 +151,13 @@ def _lumps(dxs):
             for axis, dx in enumerate(dxs)]
 
 
-def operator_fields(values, cf, disc, dxs):
-    """The operator fields at a table: T0 = disc * shift_up_diag + cf, with
-    cf its claim field (overwritten: T0 is cf), then one lump field per
-    axis (-inf where the lump would leave the grid)."""
-    fields = [np.add(cf, disc * shift_up_diag(values, dxs), out=cf)]
-    for _, to, frm, dx in _lumps(dxs):
+def operator_fields(values, scheme):
+    """The operator fields of a Scheme at a table: T0 = disc * shift_up_diag
+    + the claim field, then one lump field per axis (-inf where the lump
+    would leave the grid)."""
+    cf = scheme.claim(values)
+    fields = [np.add(cf, scheme.disc * shift_up_diag(values, scheme.dxs), out=cf)]
+    for _, to, frm, dx in _lumps(scheme.dxs):
         lump = np.full_like(values, -np.inf)
         lump[to] = values[frm] + dx
         fields.append(lump)
@@ -383,17 +385,36 @@ def build_correlation(kw: np.ndarray, shape):
     return FFTCorrelation(kw, shape)
 
 
-def claim_operator(kw: np.ndarray, kp: np.ndarray, shape):
-    """The claim operator of a cell kernel on a grid of the given shape: the
-    correlation with kw and the payout field.
+class Scheme(NamedTuple):
+    """The discrete scheme on a grid of one axis or two: claim(u), the claim
+    field of a table u, is correlation(u) plus const (the dividends paid at
+    the claim instant, and any reward accrued over the step); disc is the
+    one-step discount and dxs[i] the payout of one cell down axis i."""
 
-    The payout field, the correlation of kp with the all-ones table, is the
-    prefix sum of kp along every axis, held constant past the reach; it
-    does not depend on the value table, so it is computed here once.
-    """
+    claim: object
+    correlation: object
+    const: np.ndarray
+    disc: float
+    dxs: tuple
+
+
+def build_scheme(kw: np.ndarray, kp: np.ndarray, shape, disc: float, dxs) -> Scheme:
+    """The Scheme of a claim-cell kernel (claim_cells) on a grid of the given
+    shape: the correlation with kw, and as const the payout field (kp
+    correlated with the all-ones table: its prefix sum along every axis,
+    held past the reach), which a caller may add to in place."""
     payout = functools.reduce(np.cumsum, range(kp.ndim), kp)
     pad = [(0, s - r) for s, r in zip(shape, kp.shape)]
-    return build_correlation(kw, shape), np.pad(payout, pad, mode="edge")
+    correlation = build_correlation(kw, shape)
+    const = np.pad(payout, pad, mode="edge")
+    return Scheme(functools.partial(_claim_field, correlation, const), correlation, const, disc,
+                  tuple(dxs))
+
+
+def _claim_field(correlation, const, values):
+    cf = correlation(values)  # a fresh table (or a view of one) each call
+    cf += const
+    return cf
 
 
 @dataclass
@@ -402,25 +423,16 @@ class ClaimKernel:
 
     Live cell k sits at offset (cell_i1[k], cell_i2[k]): its weight cell_wv[k]
     multiplies W(n - i1, m - i2), and cell_wp[k] carries the dividends paid
-    at the claim instant.  payout_field is the sum of the cell_wp terms
-    whose offset stays on the grid, the full payout contribution at every
-    node (zero-padding encodes ruin in both pieces).  correlation applies
-    the cell_wv weights to a value table, cell by cell or by a pruned FFT
-    (build_correlation).
+    at the claim instant.  scheme is the grid's Scheme (build_scheme), whose
+    const, the payout field, sums the cell_wp terms that stay on the grid.
     """
 
     grid: GridSpec
-    params: ModelParams
     cell_i1: np.ndarray
     cell_i2: np.ndarray
     cell_wv: np.ndarray
     cell_wp: np.ndarray
-    correlation: object = field(repr=False, default=None)
-    payout_field: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def discount_step(self) -> float:
-        return math.exp(-(self.params.q + self.params.lam) * self.grid.delta)
+    scheme: Scheme = field(repr=False)
 
 
 def build_claim_kernel(params: ModelParams, law: ClaimLaw, grid: GridSpec) -> ClaimKernel:
@@ -428,25 +440,22 @@ def build_claim_kernel(params: ModelParams, law: ClaimLaw, grid: GridSpec) -> Cl
         law, params.lam, params.q, grid.delta, (grid.dx1, grid.dx2),
         (params.b1, params.b2), params.c1 + params.c2, grid.shape,
     )
-    correlation, payout = claim_operator(kw, kp, grid.shape)
+    scheme = build_scheme(kw, kp, grid.shape, math.exp(-(params.q + params.lam) * grid.delta),
+                          (grid.dx1, grid.dx2))
     nz = np.nonzero((kw != 0) | (kp != 0))
     return ClaimKernel(
         grid=grid,
-        params=params,
         cell_i1=nz[0].astype(np.int64),
         cell_i2=nz[1].astype(np.int64),
         cell_wv=kw[nz],
         cell_wp=kp[nz],
-        correlation=correlation,
-        payout_field=payout,
+        scheme=scheme,
     )
 
 
 def claim_field(kernel: ClaimKernel, values: np.ndarray) -> np.ndarray:
     """Claim integral at every grid node for the given value table."""
-    cf = kernel.correlation(values)  # a fresh table (or a view of one) each call
-    cf += kernel.payout_field
-    return cf
+    return _claim_field(kernel.scheme.correlation, kernel.scheme.const, values)
 
 
 class NonConvergenceError(RuntimeError):
@@ -573,14 +582,50 @@ def _prolong(coarse, fine):
     return fine
 
 
+@dataclass(kw_only=True)
+class SolveReport:
+    """What a solve reports of its run to the grid fixed point."""
+
+    # from fixed_point, over all levels: the total sweeps, the last one's sup
+    # increment and the least increment of any
+    iterations: int
+    final_sup_increment: float
+    min_increment: float
+    # policy iteration: greedy policies evaluated, GMRES matvecs over all
+    # evaluations, and the sup residual of the last evaluation
+    policies: int
+    gmres_matvecs: int
+    gmres_residual: float
+    # the claim correlation's path ("direct" or "fft"), its live cells and
+    # its FFT size (None on the direct path)
+    correlation: str
+    kernel_cells: int
+    fshape: tuple
+    # per grid of the cascade, coarsest first: shape, sweeps, policies,
+    # matvecs, eval_box (the per-axis largest box its policy evaluations ran
+    # on) and seconds (iterations, policies and gmres_matvecs total them);
+    # and V_delta - V_2delta, sup over the 2*delta grid's nodes (None without
+    # one), an estimate of the discretisation error that tol does not bound
+    levels: list
+    disc_error_est: float
+    # seconds spent in the claim field, in the sweeps, in the greedy steps
+    # and policy evaluations, and (2D) in extracting the policy and residual
+    # from the converged table
+    phases: dict
+    # from the solver: the greedy policy's residual at the final table, the
+    # bound tol * (1 + sup v) the residual checks read, and the wall time
+    residual_max: float
+    tol_effective: float
+    wall_time: float
+    converged: bool = True  # a solve that cannot reach its fixed point raises
+
+
 def fixed_point(level, shape):
     """The grid fixed point by coarse-to-fine policy iteration (Howard), on a
     grid of one axis or two; both solvers run it.
 
-    level(scale, shape) returns (claim, correlation, const, disc, dxs) on the
-    grid of step scale*delta and that shape: claim(u) is the claim field of
-    a table u, correlation(u) plus the constant field const; disc is the
-    one-step discount and dxs[i] the payout of one cell down axis i.
+    level(scale, shape) returns the Scheme on the grid of step scale*delta
+    and that shape.
 
     The grids have steps 2^k*delta, k = K, ..., 0.  Each coarser one has
     n_max // 2 on each axis (its node i is node 2i of the next finer one)
@@ -596,15 +641,8 @@ def fixed_point(level, shape):
     admissible grid strategies, so v stays below the fixed point and its
     increments nonnegative.
 
-    Returns the finest table and its statistics: over all levels the total
-    sweeps, policies and GMRES matvecs, and the least increment of a sweep;
-    the last sweep's sup increment and evaluation's sup residual; seconds
-    per phase; per level, coarsest first, its shape, sweeps, policies,
-    matvecs, eval_box (the per-axis largest box an evaluation ran on,
-    _NoPayEvaluation) and seconds; disc_error_est, the sup of
-    V_delta - V_2delta over the nodes of the 2*delta grid (None with one
-    level); and the finest correlation's path ("direct" or "fft"), live
-    cells and FFT size.
+    Returns the finest table and, as a dict, the SolveReport fields it
+    gives (the correlation is the finest grid's).
     """
     shapes = [tuple(shape)]
     while min(coarser := tuple((s - 1) // 2 + 1 for s in shapes[-1])) >= _MIN_LEVEL_NODES:
@@ -614,8 +652,8 @@ def fixed_point(level, shape):
     min_inc = math.inf
     for k in reversed(range(len(shapes))):
         t_level = time.perf_counter()
-        claim, correlation, const, disc, dxs = level(2**k, shapes[k])
-        evaluation = _NoPayEvaluation(correlation, const, disc, dxs)
+        scheme = level(2**k, shapes[k])
+        evaluation = _NoPayEvaluation(scheme)
         v = np.zeros(shapes[k])
         pref = np.empty(v.shape, dtype=np.int8)
         prev = np.full(v.shape, -1, dtype=np.int8)
@@ -625,16 +663,16 @@ def fixed_point(level, shape):
         work = np.empty_like(v)  # sweep and greedy-step scratch, then the tables of an evaluation
         for sweeps in itertools.count(1):
             t_cf = time.perf_counter()
-            before = claim(v)  # the claim field, then v before the sweep, then the best field
+            before = scheme.claim(v)  # claim field, then v before the sweep, then the best field
             t_sweep = time.perf_counter()
-            _sweep(v, before, disc, dxs, work)
+            _sweep(v, before, scheme.disc, scheme.dxs, work)
             np.subtract(v, before, out=before)
             sup_inc = float(before.max())
             min_inc = min(min_inc, float(before.min()))
             t_eval = time.perf_counter()
             phases["claim_field"] += t_sweep - t_cf
             phases["sweeps"] += t_eval - t_sweep
-            _greedy_pref(v, claim(v), prev, pref, before, work, disc, dxs)
+            _greedy_pref(scheme, v, prev, pref, before, work)
             done = np.array_equal(pref, prev)
             if not done:
                 if evaluation.policies == _POLICY_CAP:
@@ -660,23 +698,23 @@ def fixed_point(level, shape):
         gmres_matvecs=sum(lv["matvecs"] for lv in levels), gmres_residual=evaluation.residual,
         phases=phases, levels=levels,
         disc_error_est=None if coarse is None else float((shared - coarse[0]).max()),
-        correlation=correlation.kind, kernel_cells=correlation.cells, fshape=correlation.fshape)
+        correlation=scheme.correlation.kind, kernel_cells=scheme.correlation.cells,
+        fshape=scheme.correlation.fshape)
 
 
-def _greedy_pref(v, t0, prev, pref, best, work, disc, dxs):
-    """Write the greedy action at v into pref (0 no-pay, i + 1 a lump down
-    axis i).
+def _greedy_pref(scheme, v, prev, pref, best, work):
+    """Write the greedy action of the Scheme at v into pref (0 no-pay, i + 1
+    a lump down axis i), with best and work as grid-sized scratch.
 
-    t0 holds the claim field of v on entry and T0 - max(T0, lumps) on
-    exit; best and work are grid-sized scratch.  The action attains the
-    max, exact ties going to the lump down axis 0, then axis 1.  A node
-    keeps its previous action prev wherever that is within _KEEP_REL
-    (relative) of the max, so rounding cannot flip the policy back and
-    forth.
+    The action attains the max, exact ties going to the lump down axis 0,
+    then axis 1.  A node keeps its previous action prev wherever that is
+    within _KEEP_REL (relative) of the max, so rounding cannot flip the
+    policy back and forth.
     """
-    lumps = _lumps(dxs)
-    shift_up_diag(v, dxs, out=work)
-    work *= disc
+    t0 = scheme.claim(v)  # the claim field, then T0, then T0 - max(T0, lumps)
+    lumps = _lumps(scheme.dxs)
+    shift_up_diag(v, scheme.dxs, out=work)
+    work *= scheme.disc
     t0 += work
     np.copyto(best, t0)
     for _, to, frm, dx in lumps:
@@ -720,24 +758,24 @@ class _NoPayEvaluation:
     cropped grid would replace by its edge rule.
     """
 
-    def __init__(self, correlation, const, disc, dxs):
-        self.correlation, self.const, self.disc, self.dxs = correlation, const, disc, dxs
+    def __init__(self, scheme):
+        self.scheme = scheme
         self.policies = self.matvecs = 0
         self.residual = 0.0
-        self.box = [0] * len(dxs)
+        self.box = [0] * len(scheme.dxs)
 
     def evaluate(self, pref, v, out):
         """Write V^pi of the policy pref into out, starting GMRES from v."""
-        self._flow = flow = policy_flow(pref, self.dxs)
+        self._flow = flow = policy_flow(pref, self.scheme.dxs)
         self._at = np.unravel_index(flow.nopay, pref.shape)
         box = tuple(int(i.max()) + 1 for i in self._at)
         self.box = list(map(max, self.box, box))
-        self._box_correlation = self.correlation.on_box(box)
+        self._box_correlation = self.scheme.correlation.on_box(box)
         self._anchor = flow.anchor.reshape(pref.shape)[tuple(np.s_[:s] for s in box)].ravel()
         # s = n*dxs[0] + m*dxs[1], per axis and at the no-pay nodes
-        self._axes = [np.arange(n) * dx for n, dx in zip(pref.shape, self.dxs)]
+        self._axes = [np.arange(n) * dx for n, dx in zip(pref.shape, self.scheme.dxs)]
         self._s = sum(s[i] for s, i in zip(self._axes, self._at))
-        self._const = self.const[self._at]
+        self._const = self.scheme.const[self._at]
         # out's leading entries serve as the box's scratch table
         x = self._gmres(v.ravel()[flow.nopay], out.ravel()[: self._anchor.size].reshape(box))
         self._expand_into(x, flow.anchor, out)
@@ -761,13 +799,13 @@ class _NoPayEvaluation:
         self._expand_into(x, self._anchor, box)
         cf = self._box_correlation(box)[self._at]
         cf += self._const
-        return self.disc * (x[self._flow.succ] + self._flow.paid) + cf - x
+        return self.scheme.disc * (x[self._flow.succ] + self._flow.paid) + cf - x
 
     def _drift_inverse(self, y):
         """x = y + disc * x[succ], solved by pointer doubling: after j
         passes x sums the first 2^j terms of y + disc*y[succ] + ..., and
         the passes end when disc^(2^j) underflows."""
-        x, succ, d = y.copy(), self._flow.succ, self.disc
+        x, succ, d = y.copy(), self._flow.succ, self.scheme.disc
         while d > 0.0:
             x += d * x[succ]
             succ = succ[succ]
@@ -835,15 +873,15 @@ def tie_epsilon(max_value: float) -> float:
     return EPS_TIE_REL * (1.0 + abs(max_value))
 
 
-def argmax_sets(v: np.ndarray, cf, disc, dxs):
-    """Argmax sets and residual of the operator fields at the table v, with
-    claim field cf (see operator_fields).
+def argmax_sets(v: np.ndarray, scheme):
+    """Argmax sets and residual of the operator fields of a Scheme at the
+    table v (see operator_fields).
 
     Returns one mask per field, T0 first, true where the field is within
     the tie tolerance of the max of all; the tie tolerance; and
     |sup(max - v)| over the interior nodes (all but the last on each axis).
     """
-    fields = operator_fields(v, cf, disc, dxs)
+    fields = operator_fields(v, scheme)
     best = functools.reduce(np.maximum, fields)
     eps = tie_epsilon(float(best.max()))
     resid = abs(float((best - v)[(slice(-1),) * v.ndim].max()))

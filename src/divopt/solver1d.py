@@ -8,8 +8,8 @@ c*delta, lump/no-pay/stop actions, exact claim-cell kernel, and the same
 fixed-point loop (hjb2d.fixed_point: coarse-to-fine policy iteration to
 the grid fixed point), with a lump paying rho*dx and the reward for
 staying alive folded into the claim field.  The solve supplies that loop
-the claim field, discount and lump payout on the grid of step
-2^k*delta.  The bands come from the argmax sets of the fixed point.
+the Scheme of the grid of step 2^k*delta (hjb2d.build_scheme on one
+axis).  The bands come from the argmax sets of the fixed point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hjb2d import argmax_sets, claim_cells, claim_operator, fixed_point
+from .hjb2d import SolveReport, argmax_sets, build_scheme, claim_cells, fixed_point
 from .model import ClaimLaw, ModelParams, validate_params
 
 __all__ = [
@@ -79,30 +79,15 @@ class BandStructure:
         raise ValueError("x outside the solved range")
 
 
-@dataclass
-class WbarSolution:
+@dataclass(kw_only=True)
+class WbarSolution(SolveReport):
+    """A 1D solve's SolveReport, with its problem, grid, values and band."""
+
     problem: OneDimProblem
     delta: float
     dx: float
     values: np.ndarray
     band: BandStructure
-    iterations: int
-    final_sup_increment: float
-    residual_max: float
-    tol_effective: float
-    min_increment: float
-    wall_time: float
-    # policy iteration's counts, seconds per phase, levels and error
-    # estimate, and the claim correlation's path, as in solver2d.SolveReport
-    policies: int
-    gmres_matvecs: int
-    gmres_residual: float
-    phases: dict
-    levels: list
-    disc_error_est: float
-    correlation: str
-    kernel_cells: int
-    fshape: tuple
 
     @property
     def rho(self):
@@ -143,13 +128,16 @@ def make_auxiliary_problem(params: ModelParams, law: ClaimLaw, kind: str) -> One
     raise ValueError("kind must be 'wbar' or 'merger'")
 
 
-def _claim_kernel(prob: OneDimProblem, delta: float, n_pts: int):
-    """The claim operator on n_pts nodes, its correlation and payout field
-    (hjb2d.claim_operator): the exact cells of the 2D kernel on one axis,
-    with claim-instant payouts scaled by rho."""
+def _scheme(prob: OneDimProblem, delta: float, n_pts: int):
+    """The Scheme of prob on n_pts nodes of step c*delta: the 2D cells on one
+    axis, claim-instant and lump payouts scaled by rho, and the reward
+    accrued over the step added to the claim field's constant."""
+    beta = prob.lam + prob.q
     dx = prob.c * delta
     kw, kp = claim_cells(prob.law, prob.lam, prob.q, delta, (dx,), (prob.b,), prob.c, (n_pts,))
-    return claim_operator(kw, prob.rho * kp, (n_pts,))
+    scheme = build_scheme(kw, prob.rho * kp, (n_pts,), math.exp(-beta * delta), (prob.rho * dx,))
+    scheme.const[...] += prob.rho * prob.kappa * (1.0 - scheme.disc) / beta
+    return scheme
 
 
 def solve_1d(
@@ -172,22 +160,14 @@ def solve_1d(
     n_max = int(round(x_max / dx))
     if n_max < 4:
         raise ValueError("truncation too coarse: fewer than 5 grid nodes")
-    beta = prob.lam + prob.q
 
     @functools.cache  # the finest level serves the band extraction too
     def level(scale, shape):
-        step = delta * scale
-        disc = math.exp(-beta * step)
-        r0 = prob.rho * prob.kappa * (1.0 - disc) / beta
-        correlation, const = _claim_kernel(prob, step, shape[0])
-        const += r0  # the claim field's payout plus the reward accrued over the step
-        claim = lambda u: correlation(u) + const
-        return claim, correlation, const, disc, (prob.rho * (prob.c * step),)
+        return _scheme(prob, delta * scale, shape[0])
 
     t_start = time.perf_counter()
     w, stats = fixed_point(level, (n_max + 1,))
-    claim, _, _, disc, dxs = level(1, w.shape)
-    (is_c, is_b), _, resid = argmax_sets(w, claim(w), disc, dxs)
+    (is_c, is_b), _, resid = argmax_sets(w, level(1, w.shape))
     band = _extract_band(is_b, is_c, dx)
 
     return WbarSolution(

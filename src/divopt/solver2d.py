@@ -1,17 +1,15 @@
 """The grid fixed point by coarse-to-fine policy iteration, policy and region maps.
 
 The solve hands the fixed-point loop both solvers share (hjb2d.fixed_point)
-a way to set up the problem on the grid of step 2^k*delta: its claim
-kernel, built by build_claim_kernel and applied by claim_field, its
-one-step discount and its cell payouts.  That loop solves the coarsest
-grid from zero and seeds each finer one with the exact value of the
-coarser grid's final policy; policy iteration, each greedy policy's value
-solved exactly on its no-pay nodes, then ends every grid at its fixed
-point.  Every iterate is the value of an admissible grid strategy, so the
-sequence increases pointwise to the smallest fixed point.  Strict Jacobi
-value iteration from zero is the test suite's reference
-(tests/oracles.py).  The values of the two finest grids also give the
-report's estimate of the discretisation error, disc_error_est.
+the Scheme of the claim kernel (build_claim_kernel) of the grid of step
+2^k*delta.  That loop solves the coarsest grid from zero and seeds each
+finer one with the exact value of the coarser grid's final policy; policy
+iteration, each greedy policy's value solved exactly on its no-pay nodes,
+then ends every grid at its fixed point.  Every iterate is the value of an
+admissible grid strategy, so the sequence increases pointwise to the
+smallest fixed point.  Strict Jacobi value iteration from zero is the test
+suite's reference (tests/oracles.py).  The values of the two finest grids
+also give the report's discretisation error estimate, disc_error_est.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from .hjb2d import (
     Action,
     ClaimKernel,
     NonConvergenceError,
+    SolveReport,
     ValueField,
     argmax_sets,
     build_claim_kernel,
@@ -90,38 +89,6 @@ class PolicyField:
 
 
 @dataclass
-class SolveReport:
-    iterations: int
-    final_sup_increment: float
-    residual_max: float
-    wall_time: float
-    tol_effective: float
-    min_increment: float
-    converged: bool
-    # policy iteration: greedy policies evaluated, GMRES matvecs over all
-    # evaluations, and the sup residual of the last evaluation
-    policies: int
-    gmres_matvecs: int
-    gmres_residual: float
-    # the claim correlation's path ("direct" or "fft"), its live cells and
-    # its FFT size (None on the direct path)
-    correlation: str
-    kernel_cells: int
-    fshape: tuple
-    # per grid of the cascade, coarsest first: shape, sweeps, policies,
-    # matvecs, eval_box (the per-axis largest box its policy evaluations ran
-    # on) and seconds (iterations, policies and gmres_matvecs total them);
-    # and V_delta - V_2delta, sup over the 2*delta grid's nodes (None without
-    # one), an estimate of the discretisation error that tol does not bound
-    levels: list
-    disc_error_est: float
-    # seconds spent in the claim field, in the sweeps, in the greedy steps
-    # and policy evaluations, and in extracting the policy and
-    # residual from the converged table
-    phases: dict = field(default_factory=dict)
-
-
-@dataclass
 class RegionMap:
     """Region labels derived from the argmax sets, plus derived geometry."""
 
@@ -156,10 +123,8 @@ def solve(
     def level(scale, shape):
         g = grid if scale == 1 else GridSpec(grid.delta * scale, grid.dx1 * scale,
                                              grid.dx2 * scale, shape[0] - 1, shape[1] - 1)
-        # both names resolve in this module at each call, where tracers wrap them
-        kern = kernel if scale == 1 else build_claim_kernel(params, law, g)
-        claim = lambda u: claim_field(kern, u)
-        return claim, kern.correlation, kern.payout_field, kern.discount_step, (g.dx1, g.dx2)
+        # build_claim_kernel resolves in this module at each call, as in _scheme
+        return _scheme(kernel if scale == 1 else build_claim_kernel(params, law, g))
 
     t_start = time.perf_counter()
     v, stats = fixed_point(level, grid.shape)
@@ -172,7 +137,6 @@ def solve(
         residual_max=resid,
         wall_time=time.perf_counter() - t_start,
         tol_effective=tol * (1.0 + float(v.values.max())),
-        converged=True,
         **stats,
     )
     return v, policy, report
@@ -186,11 +150,15 @@ def greedy_policy(kernel: ClaimKernel, v: ValueField):
     residual is zero at any fixed point (lump ties included); for an
     accepted solve it must stay below 10x the stopping tolerance.
     """
-    g = kernel.grid
-    masks, eps, resid = argmax_sets(v.values, claim_field(kernel, v.values),
-                                    kernel.discount_step, (g.dx1, g.dx2))
+    masks, eps, resid = argmax_sets(v.values, _scheme(kernel))
     acts = sum(mask * int(a) for mask, a in zip(masks, (Action.E0, Action.E1, Action.E2)))
     return PolicyField(grid=v.grid, actions=acts.astype(np.uint8), eps_tie=eps), resid
+
+
+def _scheme(kernel: ClaimKernel):
+    """The kernel's Scheme, its claim field taken through claim_field, which
+    resolves in this module at each call, where tracers wrap it."""
+    return kernel.scheme._replace(claim=lambda u: claim_field(kernel, u))
 
 
 _CORNERS = [(i, j) for i in (np.s_[:-1], np.s_[1:]) for j in (np.s_[:-1], np.s_[1:])]
@@ -245,18 +213,9 @@ def _label(mask):
     return labels, int(np.count_nonzero(first))
 
 
-def _component_count(mask):
-    """Connected components after removing structures thinner than one cell.
-
-    Region boundaries sit exactly where two operators tie, so single-cell
-    filaments of either label flip with the tie noise; a morphological
-    opening with a 2x2 square drops them before counting.
-    """
-    return _label(_opened(mask))[1]
-
-
-def _lens_tips(labels, grid):
-    """Corner point of each no-pay component where both lump regions meet.
+def _lens_tips(labels, nopay, grid):
+    """Corner point of each no-pay component where both lump regions meet;
+    nopay is the labelling of the no-pay mask (_label).
 
     The no-pay region ends, going up-right, at the point toward which the
     boundary-riding strategy drives the surplus; at grid level it is the
@@ -265,7 +224,7 @@ def _lens_tips(labels, grid):
     of each qualifying component.
     """
     pts = []
-    comp, k = _label(labels == LABEL_C)
+    comp, k = nopay
     for idx in range(1, k + 1):
         ns, ms = np.nonzero(comp == idx)
         if ns.size < 3:
@@ -298,9 +257,13 @@ def extract_regions(policy: PolicyField, v: ValueField) -> RegionMap:
     grid = policy.grid
     labels = _LABEL_OF_MASK[policy.actions & 7]
 
-    counts = {name: _component_count(labels == code) for code, name in LABEL_NAMES.items()}
+    # components per label after an opening with a 2x2 square: region
+    # boundaries sit exactly where two operators tie, so single-cell
+    # filaments of either label flip with the tie noise
+    counts = {name: _label(_opened(labels == code))[1] for code, name in LABEL_NAMES.items()}
 
-    a0_points = _lens_tips(labels, grid)
+    nopay = _label(labels == LABEL_C)
+    a0_points = _lens_tips(labels, nopay, grid)
     tie_lab, tie_k = _label(labels == LABEL_A0)
     for idx in range(1, tie_k + 1):
         ns, ms = np.nonzero(tie_lab == idx)
@@ -323,15 +286,15 @@ def extract_regions(policy: PolicyField, v: ValueField) -> RegionMap:
         labels=labels,
         a0_points=a0_points,
         component_counts=counts,
-        slope_runs=_slope_runs(labels, grid),
+        slope_runs=_slope_runs(nopay, grid),
     )
 
 
-def _slope_runs(labels, grid):
+def _slope_runs(nopay, grid):
     """Maximal straight runs of the lower boundary of the largest no-pay
-    component with one diagonal step per column (slope dx2/dx1 = c2/c1 in
-    surplus units)."""
-    comp, k = _label(labels == LABEL_C)
+    component, nopay the labelling of the no-pay mask (_label), with one
+    diagonal step per column (slope dx2/dx1 = c2/c1 in surplus units)."""
+    comp, k = nopay
     if k == 0:
         return []
     sizes = np.bincount(comp.ravel())[1:]

@@ -53,7 +53,6 @@ from divopt.hjb2d import (
     Action,
     ClaimKernel,
     ValueField,
-    claim_field,
     operator_fields,
     ray_integral,
     tie_epsilon,
@@ -154,8 +153,7 @@ def solve_jacobi(kernel, tol=1e-8, iter_cap=200_000):
     """Strict Jacobi value iteration from zero; returns (values, tol_eff)."""
     v = np.zeros(kernel.grid.shape)
     for _ in range(iter_cap):
-        t0, t1, t2 = operator_fields(v, claim_field(kernel, v), kernel.discount_step,
-                                     (kernel.grid.dx1, kernel.grid.dx2))
+        t0, t1, t2 = operator_fields(v, kernel.scheme)
         w = np.maximum(v, np.maximum(t0, np.maximum(t1, t2)))
         sup_inc = float((w - v).max())
         v = w
@@ -517,7 +515,7 @@ def op_lump(v: ValueField, n: int, m: int, axis: int) -> float:
 
 def op_T0(kernel: ClaimKernel, v: ValueField, n: int, m: int) -> float:
     """No-dividend continuation over one step (or until the first claim)."""
-    return kernel.discount_step * v.lookup(n + 1, m + 1) + integral_I_delta(kernel, v, n, m)
+    return kernel.scheme.disc * v.lookup(n + 1, m + 1) + integral_I_delta(kernel, v, n, m)
 
 
 def op_T(kernel: ClaimKernel, v: ValueField, n: int, m: int, eps_tie: float = None):

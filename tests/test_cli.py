@@ -339,9 +339,26 @@ class TestSolve2dCommand:
             assert len(err.strip().splitlines()) == 1
             assert not (out / artifact).exists()
 
-    def test_simulate_missing_artifacts_exit_2(self, tmp_path, cfg_file):
-        rc = main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "no")])
-        assert rc == 2
+    @pytest.mark.parametrize("command, artifact", [("simulate", "sim.json"),
+                                                   ("merger-compare", "merger_compare.csv"),
+                                                   ("validate", "validate.json")])
+    def test_missing_artifacts_exit_2(self, tmp_path, cfg_file, capsys, command, artifact):
+        out = tmp_path / "no"
+        out.mkdir()
+        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"{command}: missing value.csv"]
+        assert not (out / artifact).exists()
+
+    def test_validate_missing_manifest_exit_2(self, tmp_path, cfg_file, run_dir, capsys):
+        # value.csv alone: validate also reads the solve's manifest
+        out = tmp_path / "no_manifest"
+        out.mkdir()
+        shutil.copy(run_dir[0] / "value.csv", out)
+        assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["validate: missing manifest.json"]
+        assert not (out / "validate.json").exists()
 
 
 class TestStartup:
@@ -517,9 +534,9 @@ class TestValidateNegativeControl:
         # fixed point
         greedy = hjb2d._greedy_pref
 
-        def stale(v, t0, prev, pref, *scratch):
+        def stale(scheme, v, prev, pref, *scratch):
             if prev.min() < 0:  # no policy yet
-                greedy(v, t0, prev, pref, *scratch)
+                greedy(scheme, v, prev, pref, *scratch)
             else:
                 np.copyto(pref, prev)
 

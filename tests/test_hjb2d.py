@@ -147,7 +147,7 @@ class TestClaimIntegral:
                 assert f == sfft.next_fast_len(s + r)
                 assert f <= sfft.next_fast_len(2 * s - 1)
             for path in (DirectCorrelation(kw), fft):
-                on_path = dataclasses.replace(kern, correlation=path)
+                on_path = dataclasses.replace(kern, scheme=kern.scheme._replace(correlation=path))
                 for v in (random_field(g, seed=9), ValueField(g, np.zeros(g.shape))):
                     cf = claim_field(on_path, v.values)
                     gather = np.array(

@@ -20,7 +20,6 @@ from divopt import solver1d
 from divopt.solver1d import (
     OneDimProblem,
     TruncationError,
-    _claim_kernel,
     make_auxiliary_problem,
     merger_compare,
     solve_1d,
@@ -70,10 +69,14 @@ class TestClaimField1d:
         (Deterministic(0.35), 2),  # short reach: a wrongly sized FFT wraps
     ])
     def test_matches_t_slice_oracle(self, law, reach):
-        # both correlation paths, beside the one _claim_kernel picks
+        # the claim field of the solve's scheme, and its constant beside both
+        # correlation paths.  The constant carries the reward accrued until
+        # the claim or the step's end, rho*kappa * int_0^delta e^(-(lam+q)t) dt
         prob = OneDimProblem(c=1.5, b=0.6, law=law, lam=1, q=0.05, kappa=0.3, rho=1.7)
         delta, n_pts = 0.1, 41
-        picked, payout = _claim_kernel(prob, delta, n_pts)
+        scheme = solver1d._scheme(prob, delta, n_pts)
+        beta = prob.lam + prob.q
+        reward = prob.rho * prob.kappa * (1.0 - math.exp(-beta * delta)) / beta
         kw, _ = claim_cells(law, prob.lam, prob.q, delta, (prob.c * delta,), (prob.b,), prob.c,
                             (n_pts,))
         reach = n_pts - 1 if reach is None else reach
@@ -81,9 +84,10 @@ class TestClaimField1d:
         assert fft.fshape == (sfft.next_fast_len(n_pts + reach),)
         rng = np.random.default_rng(5)
         values = np.cumsum(rng.uniform(0.0, 0.6, n_pts))
-        ref = [brute_force_t_slices_1d(prob, delta, values, n, nt=3000) for n in range(n_pts)]
-        for path in (picked, DirectCorrelation(kw), fft):
-            field = path(values) + payout
+        ref = [brute_force_t_slices_1d(prob, delta, values, n, nt=3000) + reward
+               for n in range(n_pts)]
+        for field in (scheme.claim(values), DirectCorrelation(kw)(values) + scheme.const,
+                      fft(values) + scheme.const):
             np.testing.assert_allclose(field, ref, rtol=1e-6, atol=1e-12)
 
 

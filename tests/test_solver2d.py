@@ -1,7 +1,6 @@
 import functools
 import math
 import types
-from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -14,8 +13,6 @@ from divopt.hjb2d import (
     Action,
     ValueField,
     build_claim_kernel,
-    claim_cells,
-    claim_operator,
     policy_flow,
 )
 from divopt.model import (
@@ -207,9 +204,9 @@ class TestCascade:
         assert report.residual_max <= 1e-12 * top
         # the table is the exact value of its greedy policy
         pref = solver2d._PREF_OF_MASK[policy.actions & 7]
-        ref = evaluate_policy_reference(pref, kernel.discount_step, (grid.dx1, grid.dx2),
+        ref = evaluate_policy_reference(pref, kernel.scheme.disc, kernel.scheme.dxs,
                                         (kernel.cell_i1, kernel.cell_i2), kernel.cell_wv,
-                                        kernel.payout_field)
+                                        kernel.scheme.const)
         np.testing.assert_allclose(v.values, ref, rtol=0, atol=1e-9 * top)
         # bounds, increments of at least one cell's payout, monotone iterates
         ns = np.arange(n_max + 1)[:, None] * grid.dx1
@@ -403,50 +400,24 @@ class TestPolicyFlow:
             np.testing.assert_allclose(flow.paid, ref.paid[target] + past, rtol=0, atol=1e-12)
 
 
-class _Scheme(NamedTuple):
-    """What a policy evaluation and its reference read of a claim kernel:
-    the kernel correlation, the one-step discount, the payout of one cell
-    down each axis, and the kernel cells (offsets and value weights) with
-    the constant part of the claim field."""
-
-    correlation: object
-    disc: float
-    dxs: tuple
-    cells: tuple
-    weights: np.ndarray
-    payout: np.ndarray
-
-
-def _scheme_2d(kernel):
-    g = kernel.grid
-    return _Scheme(kernel.correlation, kernel.discount_step, (g.dx1, g.dx2),
-                   (kernel.cell_i1, kernel.cell_i2), kernel.cell_wv, kernel.payout_field)
-
-
 def _scheme_1d(n_pts, law=LAW):
     """Example 1's on-ray problem on n_pts nodes, as solve_1d sets it up: a
-    lump pays rho*dx, and the claim field carries a reward constant."""
-    prob = solver1d.make_auxiliary_problem(PARAMS, law, "wbar")
-    delta = 0.1
-    dx = prob.c * delta
-    kw, kp = claim_cells(prob.law, prob.lam, prob.q, delta, (dx,), (prob.b,), prob.c, (n_pts,))
-    correlation, payout = claim_operator(kw, prob.rho * kp, (n_pts,))
-    payout = payout + 0.3
-    cells = np.nonzero(kw)
-    return _Scheme(correlation, math.exp(-(prob.lam + prob.q) * delta), (prob.rho * dx,), cells,
-                   kw[cells], payout)
+    lump pays rho*dx, and the claim field carries the reward."""
+    return solver1d._scheme(solver1d.make_auxiliary_problem(PARAMS, law, "wbar"), 0.1, n_pts)
 
 
 def _evaluate(scheme, pref):
-    evaluation = hjb2d._NoPayEvaluation(scheme.correlation, scheme.payout, scheme.disc,
-                                        scheme.dxs)
+    evaluation = hjb2d._NoPayEvaluation(scheme)
     return evaluation.evaluate(pref, np.zeros(pref.shape), np.empty(pref.shape)), evaluation
 
 
 def _assert_matches_reference(scheme, pref):
+    """The evaluation of pref on the scheme against the reference's sparse
+    solve, which reads the live cells of the scheme's correlation on the
+    whole grid."""
     got, evaluation = _evaluate(scheme, pref)
-    want = evaluate_policy_reference(pref, scheme.disc, scheme.dxs, scheme.cells,
-                                     scheme.weights, scheme.payout)
+    want = evaluate_policy_reference(pref, scheme.disc, scheme.dxs, scheme.correlation.at,
+                                     scheme.correlation.kw_at, scheme.const)
     assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
     return evaluation
 
@@ -495,7 +466,7 @@ class TestNoPayEvaluation:
         if edge_nopay:  # no-pay nodes drift along the outer edges
             pref[-1, :] = 0
             pref[:, -1] = 0
-        _assert_matches_reference(_scheme_2d(build_claim_kernel(PARAMS, LAW, policy.grid)), pref)
+        _assert_matches_reference(build_claim_kernel(PARAMS, LAW, policy.grid).scheme, pref)
 
     @pytest.mark.parametrize("chain", [4, 5, 8, 9, 16, 17, 32, 33])
     @pytest.mark.parametrize("kind", ["branch1", "branch2", "staircase"])
@@ -521,7 +492,7 @@ class TestNoPayEvaluation:
         else:
             pref[1:, :] = 1
             pref[0, 1:] = 2
-        _assert_matches_reference(_scheme_2d(build_claim_kernel(PARAMS, LAW, grid)), pref)
+        _assert_matches_reference(build_claim_kernel(PARAMS, LAW, grid).scheme, pref)
 
     @pytest.mark.parametrize("path,law", [("fft", LAW), ("direct", Deterministic(0.9))])
     @pytest.mark.parametrize("one_axis", [False, True])
@@ -535,7 +506,7 @@ class TestNoPayEvaluation:
             pref = _rectangle_policy((300,), rect)
         else:
             grid = GridSpec(delta=0.1, dx1=0.2, dx2=0.1, n_max=39, m_max=59)
-            scheme = _scheme_2d(build_claim_kernel(PARAMS, law, grid))
+            scheme = build_claim_kernel(PARAMS, law, grid).scheme
             pref = _rectangle_policy(grid.shape, rect)
         assert scheme.correlation.kind == path
         box = [1] * pref.ndim if rect is None else [hi + 1 for hi in rect[1]]
@@ -547,8 +518,8 @@ class TestNoPayEvaluation:
         # at the fixed point the value of its greedy policy is the table
         _, kernel, v, policy, _ = small_solve
         pref = solver2d._PREF_OF_MASK[policy.actions & 7]
-        _assert_matches_reference(_scheme_2d(kernel), pref)
-        assert np.abs(_evaluate(_scheme_2d(kernel), pref)[0] - v.values).max() <= 1e-9
+        _assert_matches_reference(kernel.scheme, pref)
+        assert np.abs(_evaluate(kernel.scheme, pref)[0] - v.values).max() <= 1e-9
 
 
 class TestStructuralChecks:
