@@ -334,6 +334,8 @@ def cmd_validate(args):
                                                            needs=("manifest.json",))
     out = Path(args.out)
     manifest = json.loads((out / "manifest.json").read_text())
+    if manifest.get("command") != "solve2d":  # solve1d writes to the same manifest.json
+        raise ValueError(f"manifest.json is from {manifest.get('command')!r}, not solve2d")
     policy, resid = solver2d.greedy_policy(build_claim_kernel(params, law, grid), v)
     tol_eff = manifest.get("tol_effective", 1e-8)
     checks = []

@@ -32,9 +32,10 @@ leading box its no-pay nodes span, a corner of the grid for the optimal
 strategy, which pays no dividend only near the origin, below the dividend
 curve: claims move the surplus down, lumps move it down an axis and every
 drift ends at a no-pay node, so nothing the no-pay nodes read lies outside
-the box.  A solver supplies only the Scheme of the grid of step
-2^k*delta and a given shape, which build_scheme makes from the claim cells
-on one axis and two alike, and both report in one SolveReport.
+the box.  fixed_point is the whole solve, finish included: a solver
+supplies only the Scheme of the grid of step 2^k*delta and a given shape,
+which build_scheme makes from the claim cells on one axis and two alike,
+and gets back the finest table, its argmax sets and the one SolveReport.
 """
 
 from __future__ import annotations
@@ -586,7 +587,7 @@ def _prolong(coarse, fine):
 class SolveReport:
     """What a solve reports of its run to the grid fixed point."""
 
-    # from fixed_point, over all levels: the total sweeps, the last one's sup
+    # over all levels: the total sweeps, the last one's sup
     # increment and the least increment of any
     iterations: int
     final_sup_increment: float
@@ -609,10 +610,10 @@ class SolveReport:
     levels: list
     disc_error_est: float
     # seconds spent in the claim field, in the sweeps, in the greedy steps
-    # and policy evaluations, and (2D) in extracting the policy and residual
-    # from the converged table
+    # and policy evaluations, and in the argmax sets and residual of the
+    # final table
     phases: dict
-    # from the solver: the greedy policy's residual at the final table, the
+    # from the finish: the greedy policy's residual at the final table, the
     # bound tol * (1 + sup v) the residual checks read, and the wall time
     residual_max: float
     tol_effective: float
@@ -620,13 +621,13 @@ class SolveReport:
     converged: bool = True  # a solve that cannot reach its fixed point raises
 
 
-def fixed_point(level, shape):
-    """The grid fixed point by coarse-to-fine policy iteration (Howard), on a
-    grid of one axis or two; both solvers run it.
+def fixed_point(level, shape, tol):
+    """The whole solve of both solvers, on a grid of one axis or two: the
+    grid fixed point by coarse-to-fine policy iteration (Howard), then the
+    argmax sets and residual of the finest table (argmax_sets).
 
     level(scale, shape) returns the Scheme on the grid of step scale*delta
-    and that shape.
-
+    and that shape; tol > 0 only sets tol_effective = tol * (1 + sup v).
     The grids have steps 2^k*delta, k = K, ..., 0.  Each coarser one has
     n_max // 2 on each axis (its node i is node 2i of the next finer one)
     while its shorter axis keeps _MIN_LEVEL_NODES nodes.  The coarsest
@@ -634,72 +635,91 @@ def fixed_point(level, shape):
     value of the coarser one's final policy prolonged (_prolong: node n
     takes coarse node n // 2's action, and GMRES starts from its value).
     That policy lumps off no grid: index 0 takes coarse index 0's action,
-    and no greedy step lumps down an axis there.  Policy iteration then
-    repeats one sweep (_sweep); the greedy policy of the swept table; and
-    v <- max(v, V^pi), V^pi that policy's exact value (_NoPayEvaluation),
-    until the greedy policy repeats.  V^pi0 and every V^pi are values of
-    admissible grid strategies, so v stays below the fixed point and its
-    increments nonnegative.
-
-    Returns the finest table and, as a dict, the SolveReport fields it
-    gives (the correlation is the finest grid's).
+    and no greedy step lumps down an axis there.  Each grid then runs
+    _policy_iteration.  The argmax sets run once the grids' tables are
+    freed.  Returns the finest table, its argmax sets (T0 first), their
+    tie tolerance and the SolveReport (the correlation is the finest
+    grid's).
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    t_start = time.perf_counter()
     shapes = [tuple(shape)]
     while min(coarser := tuple((s - 1) // 2 + 1 for s in shapes[-1])) >= _MIN_LEVEL_NODES:
         shapes.append(coarser)
     phases = {"claim_field": 0.0, "sweeps": 0.0, "evaluation": 0.0}
-    levels, coarse = [], None
-    min_inc = math.inf
+    levels, coarse, min_inc, disc_error_est = [], None, math.inf, None
     for k in reversed(range(len(shapes))):
         t_level = time.perf_counter()
         scheme = level(2**k, shapes[k])
-        evaluation = _NoPayEvaluation(scheme)
-        v = np.zeros(shapes[k])
-        pref = np.empty(v.shape, dtype=np.int8)
-        prev = np.full(v.shape, -1, dtype=np.int8)
-        if coarse is not None:
-            # the prolonged values are only GMRES's start: V^pi0 overwrites them
-            evaluation.evaluate(_prolong(coarse[1], prev), _prolong(coarse[0], v), v)
-        work = np.empty_like(v)  # sweep and greedy-step scratch, then the tables of an evaluation
-        for sweeps in itertools.count(1):
-            t_cf = time.perf_counter()
-            before = scheme.claim(v)  # claim field, then v before the sweep, then the best field
-            t_sweep = time.perf_counter()
-            _sweep(v, before, scheme.disc, scheme.dxs, work)
-            np.subtract(v, before, out=before)
-            sup_inc = float(before.max())
-            min_inc = min(min_inc, float(before.min()))
-            t_eval = time.perf_counter()
-            phases["claim_field"] += t_sweep - t_cf
-            phases["sweeps"] += t_eval - t_sweep
-            _greedy_pref(scheme, v, prev, pref, before, work)
-            done = np.array_equal(pref, prev)
-            if not done:
-                if evaluation.policies == _POLICY_CAP:
-                    raise NonConvergenceError(
-                        f"policy iteration evaluated {_POLICY_CAP} policies on the "
-                        f"{'x'.join(map(str, v.shape))}-node grid without the greedy policy "
-                        f"repeating (last sweep's sup-increment {sup_inc:.3e})")
-                evaluation.evaluate(pref, v, work)
-                np.maximum(v, work, out=v)
-                pref, prev = prev, pref
-            phases["evaluation"] += time.perf_counter() - t_eval
-            if done:
-                break
-        levels.append(dict(shape=list(v.shape), sweeps=sweeps, policies=evaluation.policies,
-                           matvecs=evaluation.matvecs, eval_box=evaluation.box,
-                           seconds=time.perf_counter() - t_level))
+        counts = dict(shape=list(shapes[k]), sweeps=0, policies=0, matvecs=0,
+                      eval_box=[0] * len(shape))
+        v, pref, sup_inc, inc, gmres_residual = _policy_iteration(scheme, coarse, phases, counts)
+        min_inc = min(min_inc, inc)
+        counts["seconds"] = time.perf_counter() - t_level
+        levels.append(counts)
         if k:
             coarse = v, pref
-    shared = v[(np.s_[::2],) * v.ndim]
-    return v, dict(
+        elif coarse is not None:
+            disc_error_est = float((v[(np.s_[::2],) * v.ndim] - coarse[0]).max())
+    coarse = pref = None  # freed before the finish: its fields set a peak of their own
+    t_policy = time.perf_counter()
+    masks, eps, resid = argmax_sets(v, scheme)
+    phases["policy"] = time.perf_counter() - t_policy
+    return v, masks, eps, SolveReport(
         iterations=sum(lv["sweeps"] for lv in levels), final_sup_increment=sup_inc,
         min_increment=min_inc, policies=sum(lv["policies"] for lv in levels),
-        gmres_matvecs=sum(lv["matvecs"] for lv in levels), gmres_residual=evaluation.residual,
-        phases=phases, levels=levels,
-        disc_error_est=None if coarse is None else float((shared - coarse[0]).max()),
+        gmres_matvecs=sum(lv["matvecs"] for lv in levels), gmres_residual=gmres_residual,
         correlation=scheme.correlation.kind, kernel_cells=scheme.correlation.cells,
-        fshape=scheme.correlation.fshape)
+        fshape=scheme.correlation.fshape, levels=levels, disc_error_est=disc_error_est,
+        phases=phases, residual_max=resid, tol_effective=tol * (1.0 + float(v.max())),
+        wall_time=time.perf_counter() - t_start)
+
+
+def _policy_iteration(scheme, coarse, phases, counts):
+    """Policy iteration on the grid of a Scheme, from V^pi0 of the coarser
+    grid's final (table, policy) coarse, or from zero if None: one sweep
+    (_sweep); the greedy policy of the swept table; and v <- max(v, V^pi),
+    V^pi its exact value (_evaluate), until the greedy policy repeats.
+    V^pi0 and every V^pi are values of admissible grid strategies, so v
+    stays below the fixed point and its increments nonnegative.  Adds up
+    phases and counts (the grid's levels entry); returns the table, its
+    greedy policy, the last sweep's sup increment, the least increment and
+    the last evaluation's sup residual."""
+    v = np.zeros(counts["shape"])
+    pref = np.empty(v.shape, dtype=np.int8)
+    prev = np.full(v.shape, -1, dtype=np.int8)
+    min_inc = math.inf
+    if coarse is not None:
+        # the prolonged values are only GMRES's start: V^pi0 overwrites them
+        residual = _evaluate(scheme, _prolong(coarse[1], prev), _prolong(coarse[0], v), v,
+                             counts)
+    work = np.empty_like(v)  # sweep and greedy-step scratch, then the tables of an evaluation
+    while True:
+        counts["sweeps"] += 1
+        t_cf = time.perf_counter()
+        before = scheme.claim(v)  # claim field, then v before the sweep, then the best field
+        t_sweep = time.perf_counter()
+        _sweep(v, before, scheme.disc, scheme.dxs, work)
+        np.subtract(v, before, out=before)
+        sup_inc = float(before.max())
+        min_inc = min(min_inc, float(before.min()))
+        t_eval = time.perf_counter()
+        phases["claim_field"] += t_sweep - t_cf
+        phases["sweeps"] += t_eval - t_sweep
+        _greedy_pref(scheme, v, prev, pref, before, work)
+        if np.array_equal(pref, prev):
+            phases["evaluation"] += time.perf_counter() - t_eval
+            return v, pref, sup_inc, min_inc, residual
+        if counts["policies"] == _POLICY_CAP:
+            raise NonConvergenceError(
+                f"policy iteration evaluated {_POLICY_CAP} policies on the "
+                f"{'x'.join(map(str, v.shape))}-node grid without the greedy policy "
+                f"repeating (last sweep's sup-increment {sup_inc:.3e})")
+        residual = _evaluate(scheme, pref, v, work, counts)
+        np.maximum(v, work, out=v)
+        pref, prev = prev, pref
+        phases["evaluation"] += time.perf_counter() - t_eval
 
 
 def _greedy_pref(scheme, v, prev, pref, best, work):
@@ -732,8 +752,9 @@ def _greedy_pref(scheme, v, prev, pref, best, work):
     np.copyto(pref, prev, where=keep)
 
 
-class _NoPayEvaluation:
-    """The exact value V^pi of a grid policy, solved for on its no-pay nodes.
+def _evaluate(scheme, pref, v, out, counts):
+    """Write V^pi of the grid policy pref into out, starting GMRES from v;
+    add up counts (a levels entry) and return GMRES's sup residual.
 
     A lump node's value is the payout down its lump chain plus the value
     at the chain's anchor, a no-pay node, so the unknowns are the values x
@@ -743,8 +764,8 @@ class _NoPayEvaluation:
 
     The drift part x -> disc * x[succ] is a functional graph on the no-pay
     nodes, inverted exactly by pointer doubling; that inverse
-    right-preconditions a restarted GMRES whose matvec is one correlation
-    with the claim kernel.
+    right-preconditions a restarted GMRES (_gmres) whose matvec is one
+    correlation with the claim kernel.
 
     The system lives on the leading box [0, n_hi] x [0, m_hi] that the
     no-pay nodes span, so the matvecs expand x and correlate on that box
@@ -757,116 +778,108 @@ class _NoPayEvaluation:
     no-pay node on the box edge drifts onto a lump node past it, which a
     cropped grid would replace by its edge rule.
     """
+    flow = policy_flow(pref, scheme.dxs)
+    at = np.unravel_index(flow.nopay, pref.shape)
+    box = tuple(int(i.max()) + 1 for i in at)
+    counts["eval_box"] = list(map(max, counts["eval_box"], box))
+    correlation = scheme.correlation.on_box(box)
+    anchor = flow.anchor.reshape(pref.shape)[tuple(np.s_[:s] for s in box)].ravel()
+    # s = n*dxs[0] + m*dxs[1], per axis and at the no-pay nodes
+    axes = [np.arange(n) * dx for n, dx in zip(pref.shape, scheme.dxs)]
+    s = sum(a[i] for a, i in zip(axes, at))
+    const = scheme.const[at]
+    table = out.ravel()[: anchor.size].reshape(box)  # out's leading entries: the box's scratch
 
-    def __init__(self, scheme):
-        self.scheme = scheme
-        self.policies = self.matvecs = 0
-        self.residual = 0.0
-        self.box = [0] * len(scheme.dxs)
-
-    def evaluate(self, pref, v, out):
-        """Write V^pi of the policy pref into out, starting GMRES from v."""
-        self._flow = flow = policy_flow(pref, self.scheme.dxs)
-        self._at = np.unravel_index(flow.nopay, pref.shape)
-        box = tuple(int(i.max()) + 1 for i in self._at)
-        self.box = list(map(max, self.box, box))
-        self._box_correlation = self.scheme.correlation.on_box(box)
-        self._anchor = flow.anchor.reshape(pref.shape)[tuple(np.s_[:s] for s in box)].ravel()
-        # s = n*dxs[0] + m*dxs[1], per axis and at the no-pay nodes
-        self._axes = [np.arange(n) * dx for n, dx in zip(pref.shape, self.scheme.dxs)]
-        self._s = sum(s[i] for s, i in zip(self._axes, self._at))
-        self._const = self.scheme.const[self._at]
-        # out's leading entries serve as the box's scratch table
-        x = self._gmres(v.ravel()[flow.nopay], out.ravel()[: self._anchor.size].reshape(box))
-        self._expand_into(x, flow.anchor, out)
-        out.ravel()[flow.nopay] = x
-        # no table of this policy outlives its evaluation: held between the
-        # claim fields' temporaries, they made the heap grow
-        del self._flow, self._at, self._box_correlation, self._anchor
-        del self._axes, self._s, self._const
-        self.policies += 1
-        return out
-
-    def _expand_into(self, x, anchor, out):
+    def expand_into(x, anchor, out):
         """The table of no-pay values x on out's nodes (the box's or the
         grid's, with their anchors): x at the anchor plus the payout on the
         way, s at the node less s at the anchor."""
-        np.take(x - self._s, anchor, out=out.ravel(), mode="clip")
-        for axis, s in enumerate(self._axes):
-            out += s[: out.shape[axis]].reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+        np.take(x - s, anchor, out=out.ravel(), mode="clip")
+        for axis, a in enumerate(axes):
+            out += a[: out.shape[axis]].reshape((-1,) + (1,) * (out.ndim - 1 - axis))
 
-    def _residual(self, x, box):
-        self._expand_into(x, self._anchor, box)
-        cf = self._box_correlation(box)[self._at]
-        cf += self._const
-        return self.scheme.disc * (x[self._flow.succ] + self._flow.paid) + cf - x
+    def residual(x):
+        expand_into(x, anchor, table)
+        cf = correlation(table)[at]
+        cf += const
+        return scheme.disc * (x[flow.succ] + flow.paid) + cf - x
 
-    def _drift_inverse(self, y):
+    def drift_inverse(y):
         """x = y + disc * x[succ], solved by pointer doubling: after j
         passes x sums the first 2^j terms of y + disc*y[succ] + ..., and
         the passes end when disc^(2^j) underflows."""
-        x, succ, d = y.copy(), self._flow.succ, self.scheme.disc
+        x, succ, d = y.copy(), flow.succ, scheme.disc
         while d > 0.0:
             x += d * x[succ]
             succ = succ[succ]
             d *= d
         return x
 
-    def _apply(self, z, box):
+    def apply(z):
         """The right-preconditioned operator: z less the claim part of the
         expansion of the drift inverse of z."""
-        np.take(self._drift_inverse(z), self._anchor, out=box.ravel(), mode="clip")
-        self.matvecs += 1
-        return z - self._box_correlation(box)[self._at]
+        np.take(drift_inverse(z), anchor, out=table.ravel(), mode="clip")
+        return z - correlation(table)[at]
 
-    def _gmres(self, x, box):
-        """Restarted GMRES from x; each cycle ends on the true residual, and
-        a cycle that does not halve it is a stall, or the rounding floor if
-        one more halving would have reached the target."""
-        restart = _GMRES_RESTART
-        basis = np.empty((restart + 1, x.size))
-        r = self._residual(x, box)
-        beta = float(np.linalg.norm(r))
-        for cycle in range(_GMRES_CYCLES + 1):
-            target = _GMRES_RTOL * (1.0 + float(np.abs(x).max())) * math.sqrt(x.size)
-            stalled = cycle and not beta < 0.5 * last
-            if beta <= (2 * target if stalled else target):
-                self.residual = float(np.abs(r).max())
-                return x
-            if cycle == _GMRES_CYCLES or stalled:
+    x, resid, matvecs = _gmres(apply, residual, drift_inverse, v.ravel()[flow.nopay])
+    expand_into(x, flow.anchor, out)
+    out.ravel()[flow.nopay] = x
+    counts["policies"] += 1
+    counts["matvecs"] += matvecs
+    return resid
+
+
+def _gmres(apply, residual, precondition, x):
+    """Restarted GMRES from x on the right-preconditioned operator apply,
+    with the true residual and the preconditioner; returns x, its sup
+    residual and the matvecs.  Each cycle ends on the true residual, and a
+    cycle that does not halve it is a stall, or the rounding floor if one
+    more halving would have reached the target."""
+    restart = _GMRES_RESTART
+    basis = np.empty((restart + 1, x.size))
+    r = residual(x)
+    beta = float(np.linalg.norm(r))
+    matvecs = 0
+    for cycle in range(_GMRES_CYCLES + 1):
+        target = _GMRES_RTOL * (1.0 + float(np.abs(x).max())) * math.sqrt(x.size)
+        stalled = cycle and not beta < 0.5 * last
+        if beta <= (2 * target if stalled else target):
+            return x, float(np.abs(r).max()), matvecs
+        if cycle == _GMRES_CYCLES or stalled:
+            break
+        hess = np.zeros((restart + 1, restart))
+        cs, sn = np.zeros(restart), np.zeros(restart)
+        g = np.zeros(restart + 1)
+        g[0] = beta
+        basis[0] = r / beta
+        for j in range(restart):
+            w = apply(basis[j])
+            for _ in range(2):  # classical Gram-Schmidt, done twice
+                h = basis[: j + 1] @ w
+                w -= h @ basis[: j + 1]
+                hess[: j + 1, j] += h
+            hess[j + 1, j] = np.linalg.norm(w)
+            if hess[j + 1, j] > 0.0:
+                basis[j + 1] = w / hess[j + 1, j]
+            for i in range(j):  # the earlier Givens rotations, on the new column
+                hess[i, j], hess[i + 1, j] = (cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
+                                              cs[i] * hess[i + 1, j] - sn[i] * hess[i, j])
+            rho = math.hypot(hess[j, j], hess[j + 1, j])
+            cs[j], sn[j] = hess[j, j] / rho, hess[j + 1, j] / rho
+            hess[j, j], hess[j + 1, j] = rho, 0.0
+            g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+            if abs(g[j + 1]) <= target:  # also on a breakdown, where sn[j] = 0
                 break
-            hess = np.zeros((restart + 1, restart))
-            cs, sn = np.zeros(restart), np.zeros(restart)
-            g = np.zeros(restart + 1)
-            g[0] = beta
-            basis[0] = r / beta
-            for j in range(restart):
-                w = self._apply(basis[j], box)
-                for _ in range(2):  # classical Gram-Schmidt, done twice
-                    h = basis[: j + 1] @ w
-                    w -= h @ basis[: j + 1]
-                    hess[: j + 1, j] += h
-                hess[j + 1, j] = np.linalg.norm(w)
-                if hess[j + 1, j] > 0.0:
-                    basis[j + 1] = w / hess[j + 1, j]
-                for i in range(j):  # the earlier Givens rotations, on the new column
-                    hess[i, j], hess[i + 1, j] = (cs[i] * hess[i, j] + sn[i] * hess[i + 1, j],
-                                                  cs[i] * hess[i + 1, j] - sn[i] * hess[i, j])
-                rho = math.hypot(hess[j, j], hess[j + 1, j])
-                cs[j], sn[j] = hess[j, j] / rho, hess[j + 1, j] / rho
-                hess[j, j], hess[j + 1, j] = rho, 0.0
-                g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
-                if abs(g[j + 1]) <= target:  # also on a breakdown, where sn[j] = 0
-                    break
-            k = j + 1
-            y = np.linalg.solve(np.triu(hess[:k, :k]), g[:k])
-            x = x + self._drift_inverse(y @ basis[:k])
-            r = self._residual(x, box)
-            last, beta = beta, float(np.linalg.norm(r))
-        raise NonConvergenceError(
-            f"policy evaluation stalled: GMRES residual {beta:.3e} against a target of "
-            f"{target:.3e} after {self.matvecs} matvecs",
-        )
+        k = j + 1
+        matvecs += k
+        y = np.linalg.solve(np.triu(hess[:k, :k]), g[:k])
+        x = x + precondition(y @ basis[:k])
+        r = residual(x)
+        last, beta = beta, float(np.linalg.norm(r))
+    raise NonConvergenceError(
+        f"policy evaluation stalled: GMRES residual {beta:.3e} against a target of "
+        f"{target:.3e} after {matvecs} matvecs",
+    )
 
 
 def tie_epsilon(max_value: float) -> float:

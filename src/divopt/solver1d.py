@@ -9,19 +9,19 @@ fixed-point loop (hjb2d.fixed_point: coarse-to-fine policy iteration to
 the grid fixed point), with a lump paying rho*dx and the reward for
 staying alive folded into the claim field.  The solve supplies that loop
 the Scheme of the grid of step 2^k*delta (hjb2d.build_scheme on one
-axis).  The bands come from the argmax sets of the fixed point.
+axis); the bands come from the argmax sets that fixed_point returns with
+the fixed point, and the solution is its SolveReport with the problem,
+grid, values and band.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hjb2d import SolveReport, argmax_sets, build_scheme, claim_cells, fixed_point
+from .hjb2d import SolveReport, build_scheme, claim_cells, fixed_point
 from .model import ClaimLaw, ModelParams, validate_params
 
 __all__ = [
@@ -146,41 +146,21 @@ def solve_1d(
     x_max: float,
     tol: float = 1e-9,
 ) -> WbarSolution:
-    """The 1D grid fixed point plus band extraction.
-
-    Policy iteration reaches the fixed point itself, seeded on each grid by
-    the solve on the grid of twice the step (hjb2d.fixed_point).  tol only
-    sets tol_effective = tol * (1 + sup v).  Raises TruncationError when
-    the final interval before x_max is not a lump region (the truncation
-    cut through the band).
+    """The 1D grid fixed point, solved by hjb2d.fixed_point (tol only sets
+    tol_effective), and its band.  Raises TruncationError when the final
+    interval before x_max is not a lump region (the truncation cut through
+    the band).
     """
-    if delta <= 0 or x_max <= 0 or tol <= 0:
-        raise ValueError("delta, x_max and tol must be positive")
+    if delta <= 0 or x_max <= 0:
+        raise ValueError("delta and x_max must be positive")
     dx = prob.c * delta
     n_max = int(round(x_max / dx))
     if n_max < 4:
         raise ValueError("truncation too coarse: fewer than 5 grid nodes")
-
-    @functools.cache  # the finest level serves the band extraction too
-    def level(scale, shape):
-        return _scheme(prob, delta * scale, shape[0])
-
-    t_start = time.perf_counter()
-    w, stats = fixed_point(level, (n_max + 1,))
-    (is_c, is_b), _, resid = argmax_sets(w, level(1, w.shape))
-    band = _extract_band(is_b, is_c, dx)
-
-    return WbarSolution(
-        problem=prob,
-        delta=delta,
-        dx=dx,
-        values=w,
-        band=band,
-        residual_max=resid,
-        tol_effective=tol * (1.0 + float(w.max())),
-        wall_time=time.perf_counter() - t_start,
-        **stats,
-    )
+    w, (is_c, is_b), _, report = fixed_point(
+        lambda scale, shape: _scheme(prob, delta * scale, shape[0]), (n_max + 1,), tol)
+    return WbarSolution(**vars(report), problem=prob, delta=delta, dx=dx, values=w,
+                        band=_extract_band(is_b, is_c, dx))
 
 
 def _extract_band(is_b, is_c, dx):

@@ -1,22 +1,22 @@
 """The grid fixed point by coarse-to-fine policy iteration, policy and region maps.
 
-The solve hands the fixed-point loop both solvers share (hjb2d.fixed_point)
-the Scheme of the claim kernel (build_claim_kernel) of the grid of step
-2^k*delta.  That loop solves the coarsest grid from zero and seeds each
-finer one with the exact value of the coarser grid's final policy; policy
-iteration, each greedy policy's value solved exactly on its no-pay nodes,
-then ends every grid at its fixed point.  Every iterate is the value of an
+solve hands hjb2d.fixed_point, the solve both solvers share, the Scheme
+of the claim kernel (build_claim_kernel) of the grid of step 2^k*delta.
+Its loop solves the coarsest grid from zero and seeds each finer one with
+the exact value of the coarser grid's final policy; policy iteration,
+each greedy policy's value solved exactly on its no-pay nodes, then ends
+every grid at its fixed point.  Every iterate is the value of an
 admissible grid strategy, so the sequence increases pointwise to the
 smallest fixed point.  Strict Jacobi value iteration from zero is the test
-suite's reference (tests/oracles.py).  The values of the two finest grids
-also give the report's discretisation error estimate, disc_error_est.
+suite's reference (tests/oracles.py).  fixed_point also returns the final
+table's argmax sets, which solve packs into its PolicyField as
+greedy_policy does for the reading commands, and the SolveReport.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,17 +106,11 @@ def solve(
     tol: float = 1e-8,
     kernel: ClaimKernel = None,
 ):
-    """Solve for the grid fixed point and extract the policy.
-
-    Policy iteration reaches the fixed point itself, seeded on each grid by
-    the solve on the grid of twice the step (hjb2d.fixed_point).  tol only
-    sets tol_effective = tol * (1 + sup v), the bound the residual checks
-    read.  kernel, if given, is the claim kernel of grid.  Returns
-    (ValueField, PolicyField, SolveReport).
+    """The grid fixed point and its policy, solved by hjb2d.fixed_point on
+    the claim kernel of each grid (kernel, if given, is grid's; tol only
+    sets tol_effective).  Returns (ValueField, PolicyField, SolveReport).
     """
     params = validate_params(params)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if kernel is None:
         kernel = build_claim_kernel(params, law, grid)
 
@@ -126,33 +120,24 @@ def solve(
         # build_claim_kernel resolves in this module at each call, as in _scheme
         return _scheme(kernel if scale == 1 else build_claim_kernel(params, law, g))
 
-    t_start = time.perf_counter()
-    v, stats = fixed_point(level, grid.shape)
-
-    t_policy = time.perf_counter()
-    v = ValueField(grid, v)
-    policy, resid = greedy_policy(kernel, v)
-    stats["phases"]["policy"] = time.perf_counter() - t_policy
-    report = SolveReport(
-        residual_max=resid,
-        wall_time=time.perf_counter() - t_start,
-        tol_effective=tol * (1.0 + float(v.values.max())),
-        **stats,
-    )
-    return v, policy, report
+    v, masks, eps, report = fixed_point(level, grid.shape, tol)
+    return ValueField(grid, v), _policy_field(grid, masks, eps), report
 
 
 def greedy_policy(kernel: ClaimKernel, v: ValueField):
-    """The greedy policy of a value table and its residual.
-
-    Returns (PolicyField, residual): the argmax sets of T0, T1, T2 at v,
-    and |sup over interior nodes of max(T0 - v, T1 - v, T2 - v)|.  The
-    residual is zero at any fixed point (lump ties included); for an
-    accepted solve it must stay below 10x the stopping tolerance.
-    """
+    """The greedy policy of a value table, as solve packs it, for the reading
+    commands: (PolicyField, residual), the argmax sets of T0, T1, T2 at v
+    and |sup over interior nodes of max(T0 - v, T1 - v, T2 - v)|, zero at
+    any fixed point (lump ties included); validate requires it to stay
+    within 10 * tol_effective."""
     masks, eps, resid = argmax_sets(v.values, _scheme(kernel))
+    return _policy_field(v.grid, masks, eps), resid
+
+
+def _policy_field(grid, masks, eps):
+    """The argmax sets of T0, T1, T2 (argmax_sets) packed as a PolicyField."""
     acts = sum(mask * int(a) for mask, a in zip(masks, (Action.E0, Action.E1, Action.E2)))
-    return PolicyField(grid=v.grid, actions=acts.astype(np.uint8), eps_tie=eps), resid
+    return PolicyField(grid=grid, actions=acts.astype(np.uint8), eps_tie=eps)
 
 
 def _scheme(kernel: ClaimKernel):

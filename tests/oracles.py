@@ -1,11 +1,9 @@
 """Independent reference implementations for the tests.
 
 Brute-force quadrature oracles for the claim integral in 2D and 1D, the
-node-by-node form of the solvers' sweep, two earlier sweeps (a
-column-by-column in-place sweep and a 1D drift recurrence), strict Jacobi
-value iteration, the per-point Bellman operators, the generator residual of the
-continuous extension, and a Monte Carlo runner for the ray-reflection
-strategy.  None of them is part of the divopt pipeline.
+node-by-node form of the solvers' sweep, strict Jacobi value iteration,
+the per-point Bellman operators, the generator residual of the continuous
+extension, and a Monte Carlo runner for the ray-reflection strategy.  None of them is part of the divopt pipeline.
 
 Two decompositions, both independent of the production path (which uses
 closed-form time integration over exact claim cells):
@@ -18,15 +16,11 @@ closed-form time integration over exact claim cells):
   tolerances while still slicing time numerically.
 
 The sweep reference updates one node at a time and closes the lumps one
-node at a time down each axis.  The in-place sweep reference resolves the
-diagonal continuation column by column and closes the branch-2 lumps one
-column at a time, re-closing each column under branch-1 lumps after every
-step; the 1D drift reference runs the drift recurrence one node at a time.  The
-policy-flow reference finds the lump-chain anchors row by row; the policy
-evaluation reference solves for a policy's value over the full grid, on
-one axis or two, with a sparse LU, where the solvers work on the no-pay
-nodes only; and the
-band reference walks the 1D labels node by node.  The policy
+node at a time down each axis.  The policy-flow reference finds the
+lump-chain anchors row by row; the policy evaluation reference solves for
+a policy's value over the full grid, on one axis or two, with a sparse
+LU, where the solvers work on the no-pay nodes only; and the band
+reference walks the 1D labels node by node.  The policy
 runner reference walks the grid strategy one drift-and-lump segment at a
 time instead of jumping over the per-cell flow.  The Jacobi
 iteration applies T0, T1 and T2 to the previous iterate only.
@@ -182,37 +176,6 @@ def sweep_reference(v, cf, disc, dxs):
                 v[idx] = max(v[idx], v[below] + dx)
     cf[...] = old
     return v
-
-
-def sweep_inplace_reference(w, cf, grid, disc):
-    """In-place sweep with the branch-2 lump closure as a column loop."""
-    n_pts, m_pts = w.shape
-    dx1, dx2 = grid.dx1, grid.dx2
-    offs = np.arange(n_pts) * dx1
-
-    def t1_closure(row):
-        return np.maximum(row, np.maximum.accumulate(row - offs) + offs)
-
-    cont = np.empty(n_pts)
-    for m in range(m_pts - 1, -1, -1):
-        up = w[:, m] + dx2 if m == m_pts - 1 else w[:, m + 1]
-        cont[:-1] = up[1:]
-        cont[-1] = up[-1] + dx1
-        w[:, m] = t1_closure(np.maximum(w[:, m], disc * cont + cf[:, m]))
-    for m in range(1, m_pts):
-        w[:, m] = t1_closure(np.maximum(w[:, m], w[:, m - 1] + dx2))
-    return w
-
-
-def drift_scan_reference(a, c, d, top):
-    """The 1D drift pass node by node: y_n = max(a_n, d*y_{n+1} + c_n) from
-    the top node down, with y_{N+1} = top."""
-    y = np.array(a, dtype=float)
-    up = top
-    for n in range(len(y) - 1, -1, -1):
-        y[n] = max(y[n], d * up + c[n])
-        up = y[n]
-    return y
 
 
 class FlowReference(NamedTuple):

@@ -360,6 +360,25 @@ class TestSolve2dCommand:
         assert err.strip().splitlines() == ["validate: missing manifest.json"]
         assert not (out / "validate.json").exists()
 
+    def test_validate_after_solve1d_exit_2(self, tmp_path, cfg_file, capsys):
+        # solve1d into the solve's directory overwrites its manifest, whose
+        # tol_effective and min_increment validate must not take for the 2D solve's
+        out = tmp_path / "o"
+        assert main(["solve2d", "--config", str(cfg_file), "--out", str(out)]) == 0
+        solve2d = json.loads((out / "manifest.json").read_text())
+        assert main(["solve1d", "--config", str(cfg_file), "--out", str(out),
+                     "--kind", "merger"]) == 0
+        solve1d = json.loads((out / "manifest.json").read_text())
+        # one fixed_point finish reports both solves alike
+        assert set(solve1d["phases"]) == set(solve2d["phases"])
+        assert [list(lv) for lv in solve1d["levels"]] == [list(solve2d["levels"][0])] * len(
+            solve1d["levels"])
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "manifest.json" in err[0] and "solve1d:merger" in err[0]
+        assert not (out / "validate.json").exists()
+
 
 class TestStartup:
     def test_commands_load_no_scipy_subpackage(self, cfg_file, tmp_path):
@@ -389,10 +408,11 @@ class TestSolve1dCommand:
                      "--kind", "wbar"]) == 0
         band = json.loads((out / "band_wbar.json").read_text())
         assert band["intervals"][-1][2] == "B"
-        # the claim field, the drift-scan sweeps, and the greedy steps and
-        # policy evaluations, timed apart
+        # the claim field, the sweeps, the greedy steps and policy
+        # evaluations, and the argmax sets of the final table, timed apart
+        # as in the 2D solve
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["phases"]) == {"claim_field", "sweeps", "evaluation"}
+        assert set(manifest["phases"]) == {"claim_field", "sweeps", "evaluation", "policy"}
         # policy iteration ends the solve at the grid fixed point, in both reports
         for report in (band, manifest):
             assert report["policies"] >= 1 and report["gmres_matvecs"] >= 1
