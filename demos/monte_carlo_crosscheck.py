@@ -7,6 +7,8 @@ the solver's value at the same node.  Also checks the pay-everything
 strategy against its closed form x1 + x2 + (c1 + c2)/(q + lambda).
 """
 
+import numpy as np
+
 from divopt import (
     Exponential,
     GridSpec,
@@ -31,10 +33,12 @@ n_paths = 50_000
 print(f"\npolicy evaluation with {n_paths} paths per point:")
 print(f"{'start':>14} {'solver':>9} {'simulated':>16} {'z':>6} {'horizon':>8}")
 table = PolicyTable(policy)
-for x1, x2 in [(5.4, 6.36), (2.04, 3.0), (8.04, 3.0)]:
+starts = [(5.4, 6.36), (2.04, 3.0), (8.04, 3.0)]
+# one independent stream per start point, as the simulate command does
+for (x1, x2), stream in zip(starts, np.random.SeedSequence(99).spawn(len(starts))):
     n, m = round(x1 / grid.dx1), round(x2 / grid.dx2)
     x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)
-    res = simulate_policy(params, law, table, x0, n_paths, seed=99)
+    res = simulate_policy(params, law, table, x0, n_paths, stream)
     z = estimate_gap(res, v.values[n, m])
     print(f"({x0.x1:5.2f},{x0.x2:5.2f}) {v.values[n, m]:9.4f} "
           f"{res.mean:9.4f}+-{res.stderr:.4f} {z:+6.2f} {res.horizon:8.1f}")

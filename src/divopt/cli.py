@@ -295,15 +295,20 @@ def cmd_simulate(args):
     cfg, params, law, grid, v, n_paths, seed = _load_solve(args, paths=10_000)
     policy, _ = solver2d.greedy_policy(build_claim_kernel(params, law, grid), v)
     table = sim_mod.PolicyTable(policy)
+    points = _sample_points(cfg, grid)
     rows = []
-    for x1, x2 in _sample_points(cfg, grid):
-        res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, seed)
+    # one independent stream per start point: child i of the seed
+    for (x1, x2), stream in zip(points, np.random.SeedSequence(seed).spawn(len(points))):
+        t0 = time.perf_counter()
+        res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, stream)
+        wall = time.perf_counter() - t0
         z = sim_mod.estimate_gap(res, v.extend(x1, x2))
         rows.append(
             {
                 "x1": x1, "x2": x2, "mean": res.mean, "stderr": res.stderr,
                 "solver_value": v.extend(x1, x2), "z": z, "horizon": res.horizon,
                 "rounds": res.rounds, "ruined": res.ruined, "horizon_cut": res.horizon_cut,
+                "spawn_key": list(res.spawn_key), "wall_s": wall, "tail_bound": res.tail_bound,
             }
         )
     with open(Path(args.out) / "sim.json", "w") as fh:
@@ -399,14 +404,17 @@ def cmd_validate(args):
           worst_gap, -100 * tol_eff)
 
     table = sim_mod.PolicyTable(policy)
+    points = _sample_points(cfg, grid)[:3]
+    # child i of the seed for point i, as in simulate, and the next for TakeAndRun
+    *streams, tr_stream = np.random.SeedSequence(seed).spawn(len(points) + 1)
     worst_z = 0.0
-    for x1, x2 in _sample_points(cfg, grid)[:3]:
-        res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, seed)
+    for (x1, x2), stream in zip(points, streams):
+        res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, stream)
         worst_z = max(worst_z, abs(sim_mod.estimate_gap(res, v.extend(x1, x2))))
     check("mc_policy_crosscheck", worst_z <= 3.0, f"max |z| = {worst_z:.2f}", worst_z, 3.0)
 
     x0 = SurplusPoint(grid.x1_max / 3, grid.x2_max / 3)
-    res = sim_mod.simulate_policy(params, law, sim_mod.TakeAndRun(), x0, n_paths, seed)
+    res = sim_mod.simulate_policy(params, law, sim_mod.TakeAndRun(), x0, n_paths, tr_stream)
     target = x0.x1 + x0.x2 + (params.c1 + params.c2) / (params.q + params.lam)
     z = sim_mod.estimate_gap(res, target)
     check("mc_take_and_run", abs(z) <= 3.0, f"z = {z:.2f}", z, 3.0)

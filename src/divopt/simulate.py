@@ -7,15 +7,20 @@ path along the flow the solver's policy evaluation reads
 (hjb2d.policy_flow): lump to the chain anchor, then one diagonal cell
 at a time from no-pay node to no-pay node, each cell ending with the lump
 at its drift target, and past the outer edges the unit-slope extension the
-solver's value assumes.  Binary-lifting tables over that per-cell flow
-(pointer jumping) cover 2^j cells at once, so a claim round takes its
-whole cells by the bits of their count, and a path riding the boundary
-(drift up, lump back) is just a loop in the flow.  A path stops at the
-horizon: a claim after it is not simulated.
+solver's value assumes.  Base-4 lifting tables over that per-cell flow
+(pointer jumping), built once per policy table and shared by every run,
+cover digit*4^k cells at once, so a claim round takes its whole cells by
+the base-4 digits of their count, and a path riding the boundary (drift
+up, lump back) is just a loop in the flow.  A path stops at the horizon:
+a claim after it is not simulated.
 
-All draws use a counter-based Philox generator and are made in full-size
-arrays per claim round, indexed by path, so results are bit-identical for a
-given seed whichever paths are still live.
+All draws use a counter-based Philox generator keyed by a
+np.random.SeedSequence.  Each claim round draws the inter-arrival times,
+then the claim sizes, of the paths still live, in ascending path order,
+so the numbers a path draws depend on which other paths are still live;
+a run is reproducible from its stream alone.  A run and its pilot take children 0
+and 1 of the stream they are given, and the commands give each start
+point a child of its own, so the points of one run are independent.
 
 Two strategies ship: a grid policy table and pay-everything (TakeAndRun).
 simulate_policy runs any other strategy that provides the same runner
@@ -43,7 +48,7 @@ __all__ = [
     "estimate_gap",
 ]
 
-RNG_ALGORITHM = "philox4x64"
+RNG_ALGORITHM = "philox4x64/seedsequence-spawn"
 
 
 @dataclass(frozen=True)
@@ -65,27 +70,34 @@ class PolicyTable:
         g = self.policy.grid
         return policy_flow(_PREF_OF_MASK[self.policy.actions & 7], (g.dx1, g.dx2))
 
+    @cached_property
+    def lifts(self):
+        """The base-4 lifting tables of the flow (see _lift_level), one list
+        of levels per discount factor of a cell; built level by level as the
+        runs need them and shared by every run."""
+        return {}
+
     def runner(self, params, law, x0: SurplusPoint):
         """run(n_paths, seed, horizon) -> (values, final times, ruined, rounds)
-        of this table's paths from x0."""
+        of this table's paths from x0; seed is anything np.random.Philox
+        takes, a SeedSequence in simulate_policy."""
         g = self.policy.grid
         if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
             raise ValueError("initial surplus outside the solved grid")
         nopay, anchor, succ, paid = self.flow
         m_pts = g.shape[1]
+        node_n, node_m = np.divmod(nopay, m_pts)  # each no-pay node's grid indices
         dx1, dx2, delta = g.dx1, g.dx2, g.delta
         c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
         q, lam = params.q, params.lam
-        # level j: the no-pay node 2^j cells on, the dividends of those cells
-        # discounted to their start, and the discount factor of 2^j cells;
-        # levels are added as the rounds need them
-        levels = [(succ, paid * math.exp(-q * delta), math.exp(-q * delta))]
+        d_cell = math.exp(-q * delta)
+        levels = self.lifts.setdefault(d_cell, [])
         n0 = int(math.floor(x0.x1 / dx1 + 1e-12))
         m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
         pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
 
         def run(n_paths, seed, horizon):
-            rng = np.random.Generator(np.random.Philox(key=seed))
+            rng = np.random.Generator(np.random.Philox(seed))
             vals = np.empty(n_paths)
             t_final = np.empty(n_paths)
             ruined = np.zeros(n_paths, dtype=bool)
@@ -98,44 +110,37 @@ class PolicyTable:
             rounds = 0
             while ids.size:
                 rounds += 1
-                # full-size draws indexed by path id: every path sees the same
-                # claims whichever other paths are still live
-                togo = rng.exponential(1.0 / lam, n_paths)[ids]
-                claim = law.sample(rng, n_paths)[ids]
+                togo = rng.exponential(1.0 / lam, ids.size)
+                claim = law.sample(rng, ids.size)
                 # instant lump payout down to the chain anchor (none on no-pay nodes)
                 r = anchor[n * m_pts + m]
-                an, am = np.divmod(nopay[r], m_pts)
                 disc = np.exp(-q * t)
-                acc += ((n - an) * dx1 + (m - am) * dx2) * disc
+                acc += ((n - node_n[r]) * dx1 + (m - node_m[r]) * dx2) * disc
                 # the whole cells that end before the claim and the horizon,
-                # taken by the bits of their count
+                # taken by the base-4 digits of their count
                 cells = np.maximum(np.ceil(np.minimum(togo, horizon - t) / delta) - 1, 0)
                 cells = cells.astype(np.int64)
-                for j in range(int(cells.max()).bit_length()):
-                    if j == len(levels):
-                        nxt, pay, d = levels[-1]
-                        levels.append((nxt[nxt], pay + d * pay[nxt], d * d))
-                    nxt, pay, d = levels[j]
-                    take = np.flatnonzero((cells >> j) & 1)
-                    at = r[take]
-                    acc[take] += pay[at] * disc[take]
-                    disc[take] *= d
-                    r[take] = nxt[at]
+                for k in range((int(cells.max()).bit_length() + 1) // 2):
+                    nxt, pay, d = _lift_level(levels, k, succ, paid, d_cell)
+                    digit = (cells >> 2 * k) & 3
+                    at = digit * succ.size + r
+                    acc += pay[at] * disc
+                    disc *= d[digit]
+                    r = nxt[at]
                 # a claim before the horizon ruins the path or lands it by
                 # floor rounding, the excess past the outer edges paid with the
                 # remainder; a path whose claim falls after the horizon stops there
                 hit = togo <= horizon - t
                 t = np.where(hit, t + togo, horizon)
                 s = togo - delta * cells
-                n, m = np.divmod(nopay[r], m_pts)
-                y1 = n * dx1 + c1 * s - b1 * claim
-                y2 = m * dx2 + c2 * s - b2 * claim
+                y1 = node_n[r] * dx1 + c1 * s - b1 * claim
+                y2 = node_m[r] * dx2 + c2 * s - b2 * claim
                 broke = hit & ((y1 < 0) | (y2 < 0))
                 ruined[ids[broke]] = True
                 n = np.minimum(np.floor(y1 / dx1 + 1e-12).astype(np.int64), g.n_max)
                 m = np.minimum(np.floor(y2 / dx2 + 1e-12).astype(np.int64), g.m_max)
                 lands = hit & ~broke
-                acc[lands] += ((y1 - n * dx1) + (y2 - m * dx2))[lands] * np.exp(-q * t[lands])
+                acc += np.where(lands, (y1 - n * dx1) + (y2 - m * dx2), 0.0) * np.exp(-q * t)
                 live = lands & (t < horizon)
                 done = ~live
                 vals[ids[done]], t_final[ids[done]] = acc[done], t[done]
@@ -143,6 +148,33 @@ class PolicyTable:
             return vals, t_final, ruined, rounds
 
         return run
+
+
+def _lift_level(levels, k, succ, paid, d_cell):
+    """Level k of the base-4 lifting tables of the per-cell flow succ, whose
+    cells pay paid at their end and discount by d_cell, appending levels
+    to levels until it is there.
+
+    For digit j in 0..3 and no-pay node r, nxt[j*N + r] is the no-pay node
+    j*4^k cells on (N = succ.size), pay[j*N + r] the dividends of those
+    cells discounted to their start, and d[j] their discount factor; digit
+    0 is the identity, with pay 0 and factor 1.
+    """
+    while len(levels) <= k:
+        if levels:
+            # one step of the new level: the last level's digit 3, then its digit 1
+            nxt, pay, d = levels[-1]
+            three, one = slice(3 * succ.size, None), slice(succ.size, 2 * succ.size)
+            step = (nxt[one][nxt[three]], pay[three] + d[3] * pay[one][nxt[three]], d[3] * d[1])
+        else:
+            step = (succ, paid * d_cell, d_cell)
+        nxts, pays, ds = [np.arange(succ.size, dtype=np.int32)], [np.zeros(succ.size)], [1.0]
+        for _ in range(3):
+            nxts.append(step[0][nxts[-1]])
+            pays.append(pays[-1] + ds[-1] * step[1][nxts[-2]])
+            ds.append(ds[-1] * step[2])
+        levels.append((np.concatenate(nxts), np.concatenate(pays), np.array(ds)))
+    return levels[k]
 
 
 @dataclass(frozen=True)
@@ -158,6 +190,11 @@ class SimResult:
     rounds: int = 0
     ruined: int = 0
     horizon_cut: int = 0
+    # the stream the run was given: SeedSequence(seed, spawn_key=spawn_key)
+    spawn_key: tuple = ()
+    # e^{-q*horizon} times the global upper bound: the most the tail cut
+    # at the horizon can add to the mean
+    tail_bound: float = 0.0
 
 
 def estimate_gap(sim: SimResult, solver_value: float) -> float:
@@ -175,43 +212,55 @@ def simulate_policy(
     strat,
     x0: SurplusPoint,
     n_paths: int,
-    seed: int,
+    seed: int | np.random.SeedSequence,
 ) -> SimResult:
     """Sample mean and standard error of discounted dividends until ruin.
 
+    seed is a np.random.SeedSequence, or an int read as SeedSequence(seed).
+    The run draws from its child 0 and the pilot from its child 1, the
+    children seed.spawn(2) would give; seed itself is left as it was.
+
     The horizon is picked in a pilot run so the discarded tail is below a
     tenth of the reported standard error (the discounted value beyond T is
-    at most e^{-qT} times the global upper bound).  The pilot takes at
-    least two paths, so its standard deviation is defined.  Any strategy
-    but TakeAndRun supplies its runner as strat.runner(params, law, x0).
+    at most e^{-qT} times the global upper bound: tail_bound).  It aims at
+    half that, because the pilot only estimates the standard deviation:
+    aimed at the full tenth, tail_bound came to 0.90-1.12 tenths of the
+    run's standard error on example 1 (pilots of 200 paths).  The pilot
+    takes at least two paths, so its standard deviation is defined.  Any
+    strategy but TakeAndRun supplies its runner as
+    strat.runner(params, law, x0).
     """
     params = validate_params(params)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    main, pilot_ss = (np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i),
+                                             pool_size=ss.pool_size) for i in range(2))
+    stream = {"seed": ss.entropy, "spawn_key": tuple(ss.spawn_key)}
     if isinstance(strat, TakeAndRun):
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = np.random.Generator(np.random.Philox(main))
         tau = rng.exponential(1.0 / params.lam, n_paths)
         ctot = params.c1 + params.c2
         vals = x0.x1 + x0.x2 + ctot * (1.0 - np.exp(-params.q * tau)) / params.q
         # everything is paid at once, so the first claim ruins every path
-        return _wrap(vals, math.inf, seed, 1, np.ones(n_paths, dtype=bool))
+        return _wrap(vals, math.inf, 0.0, 1, np.ones(n_paths, dtype=bool), stream)
     runner = strat.runner(params, law, x0)
     pilot_n = max(min(max(n_paths // 50, 200), 2000, n_paths), 2)
     pilot_T = math.log(1e4) / params.q
-    # Philox keys lie in [0, 2**128): the pilot's key wraps at the top
-    pilot = runner(pilot_n, (seed + 1) % 2**128, pilot_T)[0]
-    target = 0.1 * max(np.std(pilot, ddof=1) / math.sqrt(n_paths), 1e-8)
+    pilot = runner(pilot_n, pilot_ss, pilot_T)[0]
+    target = 0.05 * max(np.std(pilot, ddof=1) / math.sqrt(n_paths), 1e-8)
     ub = x0.x1 + x0.x2 + (params.c1 + params.c2) / params.q
     horizon = math.log(max(ub / target, 10.0)) / params.q
-    vals, _, ruined, rounds = runner(n_paths, seed, horizon)
-    return _wrap(vals, horizon, seed, rounds, ruined)
+    vals, _, ruined, rounds = runner(n_paths, main, horizon)
+    return _wrap(vals, horizon, ub * math.exp(-params.q * horizon), rounds, ruined, stream)
 
 
-def _wrap(vals, horizon, seed, rounds, ruined):
+def _wrap(vals, horizon, tail_bound, rounds, ruined, stream):
     n = len(vals)
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     n_ruined = int(np.count_nonzero(ruined))
     return SimResult(
-        mean=float(np.mean(vals)), stderr=stderr, n_paths=n, horizon=horizon, seed=seed,
-        rounds=rounds, ruined=n_ruined, horizon_cut=n - n_ruined,
+        mean=float(np.mean(vals)), stderr=stderr, n_paths=n, horizon=horizon,
+        rounds=rounds, ruined=n_ruined, horizon_cut=n - n_ruined, tail_bound=tail_bound,
+        **stream,
     )

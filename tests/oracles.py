@@ -320,8 +320,10 @@ def policy_runner_reference(params, law, strat, x0):
     Boundary-riding cycles (an anchor that drifts and is lumped back to
     itself) are batched as geometric sums once seen twice in a round.  A
     claim after the horizon is not simulated.  The draws are the
-    production runner's; it reads policy_flow_reference, whose edge rule
-    matches the runner's only where no no-pay node lies on an outer edge.
+    production runner's: each round, the running paths' inter-arrival
+    times, then their claims, in path order.  It reads
+    policy_flow_reference, whose edge rule matches the runner's only where
+    no no-pay node lies on an outer edge.
     run() returns the dividends, final times and the mask of ruined paths.
     """
     g = strat.policy.grid
@@ -336,7 +338,7 @@ def policy_runner_reference(params, law, strat, x0):
     pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
 
     def run(n_paths, seed, horizon):
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = np.random.Generator(np.random.Philox(seed))
         n = np.full(n_paths, n0, dtype=np.int64)
         m = np.full(n_paths, m0, dtype=np.int64)
         t = np.zeros(n_paths)
@@ -344,8 +346,9 @@ def policy_runner_reference(params, law, strat, x0):
         running = np.ones(n_paths, dtype=bool)
         broke = np.zeros(n_paths, dtype=bool)
         while np.any(running):
-            togo = rng.exponential(1.0 / lam, n_paths)
-            claim = law.sample(rng, n_paths)
+            togo, claim = np.zeros(n_paths), np.zeros(n_paths)
+            togo[running] = rng.exponential(1.0 / lam, running.sum())
+            claim[running] = law.sample(rng, running.sum())
             ph = running.copy()
             last_n = np.full(n_paths, -1, dtype=np.int64)
             last_m = np.full(n_paths, -1, dtype=np.int64)
@@ -563,7 +566,7 @@ class MReflection:
             return ivl_lab[np.clip(i, 0, len(ivl_lab) - 1)]
 
         def run(n_paths, seed, horizon):
-            rng = np.random.Generator(np.random.Philox(key=seed))
+            rng = np.random.Generator(np.random.Philox(seed))
             z = np.full(n_paths, z0)
             t = np.zeros(n_paths)
             acc = np.full(n_paths, pay0)
@@ -573,8 +576,9 @@ class MReflection:
             snap = 1e-9 * (1.0 + wbar.x_max)
             while np.any(running):
                 rounds += 1
-                togo = rng.exponential(1.0 / lam, n_paths)
-                claim = law.sample(rng, n_paths)
+                togo, claim = np.zeros(n_paths), np.zeros(n_paths)
+                togo[running] = rng.exponential(1.0 / lam, running.sum())
+                claim[running] = law.sample(rng, running.sum())
                 ph = running.copy()
                 while np.any(ph):
                     idx = np.nonzero(ph)[0]

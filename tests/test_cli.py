@@ -11,6 +11,7 @@ import pytest
 
 import divopt
 from divopt import hjb2d, solver2d
+from divopt import simulate as sim_mod
 from divopt.cli import (
     ConfigError,
     _read_value_csv,
@@ -121,8 +122,7 @@ class TestConfig:
 
 class TestSeed:
     def test_top_config_seed_runs(self, run_dir, tmp_path):
-        # the pilot run keys its generator with seed + 1, which wraps to 0 at
-        # the top of Philox's key range instead of overflowing it
+        # the top seed still spawns the per-point streams and their pilots
         out = tmp_path / "o"
         out.mkdir()
         for name in ("value.csv", "manifest.json"):
@@ -132,6 +132,54 @@ class TestSeed:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "sim.json").read_text())["seed"] == 2**128 - 1
         assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_validate_point_runs_as_alone(self, run_dir, tmp_path, monkeypatch):
+        # validate gives point i child i of the seed's spawn(4), TakeAndRun
+        # child 3; each result is the one its child gives run by itself,
+        # whatever the other points draw
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("value.csv", "manifest.json"):
+            shutil.copy(run_dir[0] / name, out)
+        real = sim_mod.simulate_policy
+        calls = []
+
+        def spy(params, law, strat, x0, n_paths, seed):
+            res = real(params, law, strat, x0, n_paths, seed)
+            calls.append((params, law, strat, x0, n_paths, res))
+            return res
+
+        monkeypatch.setattr(sim_mod, "simulate_policy", spy)
+        assert main(["validate", "--config", str(run_dir[1]), "--out", str(out)]) == 0
+        assert [c[-1].spawn_key for c in calls] == [(0,), (1,), (2,), (3,)]
+        assert isinstance(calls[-1][2], sim_mod.TakeAndRun)
+        for i, (params, law, strat, x0, n_paths, res) in enumerate(calls):
+            alone = real(params, law, strat, x0, n_paths, np.random.SeedSequence(7).spawn(i + 1)[i])
+            assert alone == res and res.seed == 7
+
+    def test_points_draw_from_distinct_streams(self, run_dir, tmp_path, monkeypatch):
+        # the first-round inter-arrival times of every point's run and pilot,
+        # drawn as the policy table's runner draws them, all differ
+        out = tmp_path / "o"
+        out.mkdir()
+        shutil.copy(run_dir[0] / "value.csv", out)
+        first = []
+
+        class Recording(sim_mod.PolicyTable):
+            def runner(self, params, law, x0):
+                run = super().runner(params, law, x0)
+
+                def recorded(n_paths, seed, horizon):
+                    rng = np.random.Generator(np.random.Philox(seed))
+                    first.append(rng.exponential(1.0 / params.lam, n_paths)[:8].tolist())
+                    return run(n_paths, seed, horizon)
+
+                return recorded
+
+        monkeypatch.setattr(sim_mod, "PolicyTable", Recording)
+        assert main(["simulate", "--config", str(run_dir[1]), "--out", str(out)]) == 0
+        assert len(first) == 10  # a pilot and a run per point
+        assert len({draws[0] for draws in first}) == 10
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("seed", [-1, 2**128])
@@ -206,7 +254,7 @@ class TestSolve2dCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_echo"] == cfg.read_text()
         assert manifest["iterations"] > 0
-        assert manifest["rng"] == "philox4x64"
+        assert manifest["rng"] == "philox4x64/seedsequence-spawn"
 
     def test_manifest_phases(self, run_dir):
         out, _ = run_dir
@@ -257,6 +305,9 @@ class TestSolve2dCommand:
         for row in sim["results"]:
             assert row["rounds"] > 0
             assert row["ruined"] + row["horizon_cut"] == sim["paths"]
+            assert row["wall_s"] > 0 and 0 < row["tail_bound"] < 0.1 * row["stderr"]
+        # point i runs on child i of the seed
+        assert [row["spawn_key"] for row in sim["results"]] == [[i] for i in range(5)]
 
     def test_simulate_reads_only_value_csv(self, run_dir, tmp_path):
         out = tmp_path / "o"

@@ -18,6 +18,7 @@ from divopt.simulate import (
     PolicyTable,
     SimResult,
     TakeAndRun,
+    _lift_level,
     estimate_gap,
     simulate_policy,
 )
@@ -143,6 +144,39 @@ class TestPolicyTable:
             assert np.all(np.abs(t_final - ref_t)[~ruined] <= drift_run + 1e-9)
             assert np.all(t_final[~ruined] >= horizon)
 
+    @pytest.mark.parametrize("policy_name", ["small_policy", "edge_policy"])
+    def test_lifting_tables_match_stepping(self, policy_name, request):
+        # the base-4 digits of c taken from the tables send every no-pay
+        # node to the node, dividends and discount of c single cells
+        grid, v, policy = request.getfixturevalue(policy_name)
+        nopay, anchor, succ, paid = PolicyTable(policy).flow
+        d_cell = math.exp(-PARAMS.q * grid.delta)
+        levels = []
+        for c in (0, 1, 3, 4, 15, 16, 17, 255, 256, 1000):
+            r, acc, disc = np.arange(succ.size), np.zeros(succ.size), np.ones(succ.size)
+            for k in range(6):
+                nxt, pay, d = _lift_level(levels, k, succ, paid, d_cell)
+                at = (c >> 2 * k) % 4 * succ.size + r
+                acc, disc, r = acc + pay[at] * disc, disc * d[(c >> 2 * k) % 4], nxt[at]
+            r_ref, acc_ref, disc_ref = np.arange(succ.size), np.zeros(succ.size), 1.0
+            for _ in range(c):
+                disc_ref *= d_cell
+                acc_ref += paid[r_ref] * disc_ref
+                r_ref = succ[r_ref]
+            np.testing.assert_array_equal(r, r_ref)
+            np.testing.assert_allclose(acc, acc_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(disc, disc_ref, rtol=1e-12, atol=0)
+        assert len(levels) == 6
+
+    def test_lifting_tables_built_once_per_table(self, small_policy):
+        grid, v, policy = small_policy
+        table = PolicyTable(policy)
+        simulate_policy(PARAMS, LAW, table, SurplusPoint(2.0, 3.0), 500, seed=1)
+        levels = table.lifts[math.exp(-PARAMS.q * grid.delta)]
+        built = [id(level[0]) for level in levels]
+        simulate_policy(PARAMS, LAW, table, SurplusPoint(4.0, 1.0), 500, seed=2)
+        assert len(table.lifts) == 1 and [id(level[0]) for level in levels[:len(built)]] == built
+
     def test_diagnostics_count_every_path(self, small_policy):
         grid, v, policy = small_policy
         res = simulate_policy(PARAMS, LAW, PolicyTable(policy), SurplusPoint(2.0, 3.0),
@@ -186,7 +220,8 @@ class TestPolicyTable:
         res = simulate_policy(PARAMS, LAW, PolicyTable(policy),
                               SurplusPoint(1.0, 1.0), 5000, seed=2)
         ub = 1.0 + 1.0 + (PARAMS.c1 + PARAMS.c2) / PARAMS.q
-        assert np.exp(-PARAMS.q * res.horizon) * ub < 0.1 * res.stderr * 1.5
+        assert res.tail_bound == pytest.approx(np.exp(-PARAMS.q * res.horizon) * ub, rel=1e-12)
+        assert res.tail_bound < 0.1 * res.stderr
 
 
 class TestMReflection:
