@@ -321,13 +321,20 @@ class DirectCorrelation(_Correlation):
         self.weights = self.kw_at.tolist()
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
-        term = np.empty_like(values)
-        for offset, w in zip(self.offsets, self.weights):
+        """The first cell multiplies straight into out, zeroing only the
+        strips its shift leaves uncovered; each later cell adds its term."""
+        if not self.weights:
+            return np.zeros_like(values)
+        out = np.empty_like(values)
+        for c, (offset, w) in enumerate(zip(self.offsets, self.weights)):
             to = tuple(np.s_[i:] for i in offset)
             frm = tuple(np.s_[: s - i] for s, i in zip(values.shape, offset))
-            np.multiply(values[frm], w, out=term[to])
-            out[to] += term[to]
+            if c:
+                out[to] += values[frm] * w
+                continue
+            np.multiply(values[frm], w, out=out[to])
+            for axis, i in enumerate(offset):
+                out[(np.s_[:],) * axis + (np.s_[:i],)] = 0.0
         return out
 
 
@@ -804,15 +811,19 @@ def _evaluate(scheme, pref, v, out, counts):
         cf += const
         return scheme.disc * (x[flow.succ] + flow.paid) + cf - x
 
+    # the doubling tables of drift_inverse, (succ^(2^j), disc^(2^j)) until
+    # disc^(2^j) underflows, built once per evaluation
+    doubling, succ, d = [], flow.succ, scheme.disc
+    while d > 0.0:
+        doubling.append((succ, d))
+        succ, d = succ[succ], d * d
+
     def drift_inverse(y):
         """x = y + disc * x[succ], solved by pointer doubling: after j
-        passes x sums the first 2^j terms of y + disc*y[succ] + ..., and
-        the passes end when disc^(2^j) underflows."""
-        x, succ, d = y.copy(), flow.succ, scheme.disc
-        while d > 0.0:
+        passes x sums the first 2^j terms of y + disc*y[succ] + ..."""
+        x = y.copy()
+        for succ, d in doubling:
             x += d * x[succ]
-            succ = succ[succ]
-            d *= d
         return x
 
     def apply(z):

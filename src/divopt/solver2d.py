@@ -10,11 +10,14 @@ admissible grid strategy, so the sequence increases pointwise to the
 smallest fixed point.  Strict Jacobi value iteration from zero is the test
 suite's reference (tests/oracles.py).  fixed_point also returns the final
 table's argmax sets, which solve packs into its PolicyField as
-greedy_policy does for the reading commands, and the SolveReport.
+greedy_policy does for the reading commands, and the SolveReport.  The
+artifact writers build their lines with numpy, the values through an exact
+integer %.17g (_g17), byte for byte what per-node f-strings would write.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -409,31 +412,144 @@ def _tilde_L(params, law, wbar, x1, x2):
     )
 
 
+# The artifact writers build their lines with numpy, about _BLOCK nodes at a
+# time, from byte columns; the files are byte for byte what the per-node
+# f-strings f"{n},{m},{x1:.17g},{x2:.17g},{v:.17g}\n",
+# f"{n},{m},{label},{argmax}\n" and f"{x1:.6f} {x2:.6f} {code}\n" give.
+_BLOCK = 1 << 13
+
+
+def _texts(strings, width=None):
+    """The strings as the rows of a uint8 array, NUL-padded to one width."""
+    a = np.array([s.encode() for s in strings], dtype=f"S{width}" if width else bytes)
+    return a.view(np.uint8).reshape(a.size, -1)
+
+
+def _write_lines(path, head, shape, line, tail=b""):
+    """Write head, then one line per node of a grid of this shape in raster
+    order, and tail after each grid row.  line(rows), for a slice of grid
+    rows, gives the byte columns of their lines: uint8 arrays, (rows, 1, w)
+    per row, (1, cols, w) per column or (rows, cols, w) per node, joined in
+    order with their NUL bytes dropped."""
+    n, m = shape
+    step = max(1, _BLOCK // m)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for lo in range(0, n, step):
+            rows = slice(lo, min(lo + step, n))
+            r = rows.stop - lo
+            cols = [np.broadcast_to(c, (r, m, c.shape[-1])) for c in line(rows)]
+            block = np.concatenate(cols, axis=2).reshape(r, -1)
+            if tail:
+                block = np.concatenate([block, _texts([tail.decode()] * r)], axis=1)
+            flat = block.ravel()
+            fh.write(flat[flat != 0])
+
+
+@functools.cache
+def _g17_tables():
+    """The read-only tables of _g17, built at first use: '%04d' % c for
+    c < 10^4 as little-endian 4-byte words, and word 10^4 the point
+    (NUL NUL NUL '.'); the trailing zeros of each; per (k + 4) * 21 + t, the
+    word masks keeping the bytes of a value of decade k whose 20-digit
+    fraction ends in t zeros; and 5^p for p < 23."""
+    digits = np.minimum(np.arange(10_001), 9999)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    words = (digits + 48).astype(np.uint8)
+    words[-1] = 0, 0, 0, ord(".")
+    tz = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    k, t, j = np.ogrid[-4:15, 0:21, 0:20]
+    kept = np.stack([(j >= 15 - np.maximum(k, 0)) & (j < 20 - (t == 20)),
+                     (j >= 4 + k) & (j < 20 - t)], axis=2)
+    masks = (kept * np.uint8(255)).view("<u4").reshape(19 * 21, 10).T.copy()
+    tables = words.view("<u4").ravel(), tz, masks, 5 ** np.arange(23, dtype=np.uint64)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _scaled(m, e, k, pow5):
+    """(floor, round half to even) of m * 2^e * 10^p, p = 16 - k, exactly,
+    for m < 2^53 and 1 <= -(e + p) <= 63: the product m * 5^p is taken in
+    two 64-bit words from 32-bit limbs, then shifted right by -(e + p)."""
+    p = 16 - k
+    s = (-(e + p)).astype(np.uint64)
+    f = pow5[p]
+    m1, m0, f1, f0 = m >> 32, m & 0xFFFFFFFF, f >> 32, f & 0xFFFFFFFF
+    lo = m0 * f0
+    mid = m1 * f0 + m0 * f1 + (lo >> 32)
+    lo = (lo & 0xFFFFFFFF) | (mid << 32)
+    q = ((m1 * f1 + (mid >> 32)) << (64 - s)) | (lo >> s)
+    rem, half = lo & ((1 << s) - 1), 1 << (s - 1)
+    return q, q + ((rem > half) | ((rem == half) & (q & 1 == 1)))
+
+
+def _g17(x):
+    """f"{v:.17g}" for each v of x: an array of x.shape + (w,) uint8, each
+    value's text its bytes that are not NUL, w at most 40.
+
+    A finite v in [1e-4, 1e15) prints in fixed notation, exactly (Steele &
+    White, PLDI 1990): with v = m * 2^e and k = floor(log10 v), its 17
+    significant digits are d = round(v * 10^(16 - k)), half to even, taken
+    in integers (_scaled).  Bytes 0-15 hold the integer part d // 10^(16 - k)
+    and bytes 20-39 the fraction, its 16 - k digits right-aligned, both in
+    4-digit words; byte 19 holds the point, and a mask drops the integer
+    part's leading zeros, the padding and the fraction's trailing zeros (the
+    point too if no digit is left).  Every other value goes through Python.
+    """
+    shape, x = x.shape, np.asarray(x, dtype=float).ravel()
+    fast = (x >= 1e-4) & (x < 1e15)
+    v, slow = np.where(fast, x, 1.0), np.flatnonzero(~fast)
+    words, tz4, masks, pow5 = _g17_tables()
+    frac, e = np.frexp(v)
+    m, e = (frac * 2.0**53).astype(np.uint64), e.astype(np.int64) - 53
+    k = np.floor(np.log10(v)).astype(np.int64)
+    q, d = _scaled(m, e, k, pow5)
+    off = np.flatnonzero((q < 10**16) | (q >= 10**17))  # log10 missed the decade
+    k[off] += np.where(q[off] >= 10**17, 1, -1)
+    q[off], d[off] = _scaled(m[off], e[off], k[off], pow5)
+    # d < 10^17 without a carry: the largest double below each power of ten
+    # from 1e-4 to 1e15 lies more than 8 units of d below it
+    # the table entries of the ten words: the integer part in 0-3, the point
+    # in 4, and the fraction, right-aligned in 20 digits, in 5-9
+    whole, part = np.divmod(d, 10 ** (16 - k).astype(np.uint64))
+    g = np.empty((10, v.size), np.int64)
+    g[4] = 10_000
+    g[5], part = np.divmod(part, 10**16)
+    for at, val in ((0, whole), (6, part)):
+        hi, lo = np.divmod(val, 10**8)
+        np.divmod(hi, 10**4, out=(g[at], g[at + 1]))
+        np.divmod(lo, 10**4, out=(g[at + 2], g[at + 3]))
+    tz = tz4[g[9]]  # the fraction's trailing zeros, from its last word back
+    for i in (8, 7, 6, 5):
+        tz += (tz == 4 * (9 - i)) * tz4[g[i]]
+    text = np.take(words, g)
+    text &= np.take(masks, (k + 4) * 21 + tz, axis=1)
+    if not slow.size:  # only the 4-byte words some value uses
+        return text[text.any(axis=1)].T.copy().view(np.uint8).reshape(*shape, -1)
+    text = text.T.copy().view(np.uint8)
+    text[slow] = _texts([f"{val:.17g}" for val in x[slow].tolist()], 40)
+    return text.reshape(*shape, 40)
+
+
 def write_value_csv(path, v: ValueField):
     g = v.grid
-    x2s = [f"{m * g.dx2:.17g}" for m in range(g.m_max + 1)]
-    with open(path, "w") as fh:
-        fh.write("n,m,x1,x2,v\n")
-        for n in range(g.n_max + 1):
-            x1 = f"{n * g.dx1:.17g}"
-            fh.write("".join(
-                f"{n},{m},{x1},{x2},{val:.17g}\n"
-                for m, (x2, val) in enumerate(zip(x2s, v.values[n].tolist()))
-            ))
+    ns, ms = (_texts([f"{i}," for i in range(s)]) for s in g.shape)
+    x1s = _texts([f"{n * g.dx1:.17g}," for n in range(g.n_max + 1)])
+    x2s = _texts([f"{m * g.dx2:.17g}," for m in range(g.m_max + 1)])
+    newline = _texts(["\n"])[None]
+    _write_lines(path, b"n,m,x1,x2,v\n", g.shape, lambda rows: (
+        ns[rows, None], ms[None], x1s[rows, None], x2s[None],
+        _g17(v.values[rows]), newline))
 
 
 def write_policy_csv(path, policy: PolicyField, region: RegionMap):
     g = policy.grid
-    label_names = [LABEL_NAMES[code] for code in range(len(LABEL_NAMES))]
-    with open(path, "w") as fh:
-        fh.write("n,m,label,argmax\n")
-        for n in range(g.n_max + 1):
-            fh.write("".join(
-                f"{n},{m},{label_names[lab]},{ARGMAX_NAMES[mask]}\n"
-                for m, (lab, mask) in enumerate(
-                    zip(region.labels[n].tolist(), (policy.actions[n] & 7).tolist())
-                )
-            ))
+    ns, ms = (_texts([f"{i}," for i in range(s)]) for s in g.shape)
+    # one "label,argmax" line end per (label, E0|E1|E2 bitmask)
+    ends = _texts([f"{LABEL_NAMES[lab]},{name}\n" for lab in LABEL_NAMES for name in ARGMAX_NAMES])
+    _write_lines(path, b"n,m,label,argmax\n", g.shape, lambda rows: (
+        ns[rows, None], ms[None],
+        np.take(ends, 8 * region.labels[rows].astype(np.intp) + (policy.actions[rows] & 7), axis=0)))
 
 
 def write_summary_json(path, region: RegionMap, report: SolveReport):
@@ -460,15 +576,12 @@ def write_summary_json(path, region: RegionMap, report: SolveReport):
 def write_region_data(path, region: RegionMap, recipe_path=None):
     """Gnuplot-ready map: x1 x2 label_code, blank line per grid column."""
     g = region.grid
-    x2s = [f"{m * g.dx2:.6f}" for m in range(g.m_max + 1)]
-    with open(path, "w") as fh:
-        fh.write("# x1 x2 label (0=C 1=B1 2=B2 3=B0 4=A1 5=A2 6=A0)\n")
-        for n in range(g.n_max + 1):
-            x1 = f"{n * g.dx1:.6f}"
-            fh.write("".join(
-                f"{x1} {x2} {lab}\n" for x2, lab in zip(x2s, region.labels[n].tolist())
-            ))
-            fh.write("\n")
+    x1s = _texts([f"{n * g.dx1:.6f} " for n in range(g.n_max + 1)])
+    x2s = _texts([f"{m * g.dx2:.6f} " for m in range(g.m_max + 1)])
+    codes = _texts([f"{code}\n" for code in LABEL_NAMES])
+    _write_lines(path, b"# x1 x2 label (0=C 1=B1 2=B2 3=B0 4=A1 5=A2 6=A0)\n", g.shape,
+                 lambda rows: (x1s[rows, None], x2s[None], np.take(codes, region.labels[rows], axis=0)),
+                 tail=b"\n")
     if recipe_path:
         with open(recipe_path, "w") as fh:
             fh.write(

@@ -231,6 +231,8 @@ class TestCorrelation:
             assert got.shape == shape
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=_rounding_bound(path, kw, values))
+            if path.fshape is None:  # the same products, added in the same order
+                np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.one_of(st.tuples(st.integers(1, 90)),

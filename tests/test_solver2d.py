@@ -593,31 +593,97 @@ class TestWriters:
         grid, _, v, policy, _ = small_solve
         region = extract_regions(policy, v)
         solver2d.write_policy_csv(tmp_path / "policy.csv", policy, region)
-        lines = ["n,m,label,argmax\n"]
-        for n in range(grid.n_max + 1):
-            for m in range(grid.m_max + 1):
-                acts = "+".join(
-                    a.name for a in (Action.E0, Action.E1, Action.E2)
-                    if policy.actions[n, m] & a
-                )
-                lines.append(f"{n},{m},{LABEL_NAMES[int(region.labels[n, m])]},{acts}\n")
-        assert (tmp_path / "policy.csv").read_text() == "".join(lines)
+        assert (tmp_path / "policy.csv").read_text() == _policy_text(policy, region)
 
     def test_value_and_region_files_match_per_node_formatters(self, small_solve, tmp_path):
         grid, _, v, policy, _ = small_solve
         region = extract_regions(policy, v)
         solver2d.write_value_csv(tmp_path / "value.csv", v)
         solver2d.write_region_data(tmp_path / "regions.dat", region)
-        value_lines = ["n,m,x1,x2,v\n"]
-        region_lines = ["# x1 x2 label (0=C 1=B1 2=B2 3=B0 4=A1 5=A2 6=A0)\n"]
-        for n in range(grid.n_max + 1):
-            for m in range(grid.m_max + 1):
-                value_lines.append(
-                    f"{n},{m},{n * grid.dx1:.17g},{m * grid.dx2:.17g},{v.values[n, m]:.17g}\n"
-                )
-                region_lines.append(
-                    f"{n * grid.dx1:.6f} {m * grid.dx2:.6f} {int(region.labels[n, m])}\n"
-                )
-            region_lines.append("\n")
-        assert (tmp_path / "value.csv").read_text() == "".join(value_lines)
-        assert (tmp_path / "regions.dat").read_text() == "".join(region_lines)
+        assert (tmp_path / "value.csv").read_text() == _value_text(v)
+        assert (tmp_path / "regions.dat").read_text() == _region_text(region)
+
+    def test_example3_cascade_grid_files_match_per_node_formatters(self, tmp_path):
+        # example 3 at delta = 0.05: 81x161 nodes, a cascade of grids
+        grid = GridSpec.make(PARAMS, delta=0.05, x1_max=8, x2_max=8)
+        v, policy, _ = solve(PARAMS, Deterministic(29 / 12), grid)
+        region = extract_regions(policy, v)
+        solver2d.write_value_csv(tmp_path / "value.csv", v)
+        solver2d.write_policy_csv(tmp_path / "policy.csv", policy, region)
+        solver2d.write_region_data(tmp_path / "regions.dat", region)
+        assert grid.shape == (81, 161)
+        assert (tmp_path / "value.csv").read_text() == _value_text(v)
+        assert (tmp_path / "policy.csv").read_text() == _policy_text(policy, region)
+        assert (tmp_path / "regions.dat").read_text() == _region_text(region)
+
+    def test_value_csv_mixes_exact_and_python_formatted_values(self, tmp_path):
+        # 0, values below 1e-4 and from 1e15 on are formatted by Python, the
+        # rest by the integer kernel, in the same rows
+        grid = GridSpec.make(PARAMS, delta=0.5, x1_max=3, x2_max=3)
+        values = np.random.default_rng(3).uniform(0.0, 40.0, grid.shape)
+        values.flat[::5] = 0.0
+        values.flat[1::5] = 3e-5
+        values.flat[2::7] = 1e16
+        values[-1, -1], values[0, -1] = 5e-324, 1e300
+        v = ValueField(grid, values)
+        solver2d.write_value_csv(tmp_path / "value.csv", v)
+        assert (tmp_path / "value.csv").read_text() == _value_text(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0), min_size=1, max_size=40))
+    @example([5e-324, 2.2250738585072014e-308, 1e300, math.inf, 0.0])
+    @example([1e-4, 9.999999999999999e-05, 1e15, 999999999999999.9, 0.5, 12.5])
+    def test_g17_is_python_percent_17g(self, values):
+        _assert_g17(values)
+
+    def test_g17_on_ties_and_decade_edges(self):
+        # j / 65536 in [10, 12) has 18 significant digits, the last a 5 when
+        # j is odd: an exact tie at the 17th, rounded half to even
+        tens = 10.0 ** np.arange(-5, 18)
+        below_1e15 = np.nextafter(1e15, 0.0)
+        _assert_g17(np.arange(10 * 65536, 12 * 65536) / 65536)
+        _assert_g17(np.random.default_rng(5).integers(0, 40 * 65536, 50_000) / 65536)
+        _assert_g17([*tens, *np.nextafter(tens, np.inf), *np.nextafter(tens, -np.inf),
+                     1e15, below_1e15, 0.0])
+
+
+def _assert_g17(values):
+    """The text of solver2d._g17, its NULs dropped, is b"%.17g" % v per value."""
+    values = np.asarray(values, dtype=float)
+    text = solver2d._g17(values.reshape(-1, 1))
+    assert text.shape[:2] == (values.size, 1)
+    flat = np.concatenate([text.reshape(values.size, -1),
+                           np.full((values.size, 1), ord("\n"), np.uint8)], axis=1).ravel()
+    assert flat[flat != 0].tobytes() == b"".join(b"%.17g\n" % v for v in values.tolist())
+
+
+def _value_text(v):
+    g = v.grid
+    lines = ["n,m,x1,x2,v\n"]
+    for n in range(g.n_max + 1):
+        for m in range(g.m_max + 1):
+            lines.append(f"{n},{m},{n * g.dx1:.17g},{m * g.dx2:.17g},{v.values[n, m]:.17g}\n")
+    return "".join(lines)
+
+
+def _policy_text(policy, region):
+    g = policy.grid
+    lines = ["n,m,label,argmax\n"]
+    for n in range(g.n_max + 1):
+        for m in range(g.m_max + 1):
+            acts = "+".join(
+                a.name for a in (Action.E0, Action.E1, Action.E2)
+                if policy.actions[n, m] & a
+            )
+            lines.append(f"{n},{m},{LABEL_NAMES[int(region.labels[n, m])]},{acts}\n")
+    return "".join(lines)
+
+
+def _region_text(region):
+    g = region.grid
+    lines = ["# x1 x2 label (0=C 1=B1 2=B2 3=B0 4=A1 5=A2 6=A0)\n"]
+    for n in range(g.n_max + 1):
+        for m in range(g.m_max + 1):
+            lines.append(f"{n * g.dx1:.6f} {m * g.dx2:.6f} {int(region.labels[n, m])}\n")
+        lines.append("\n")
+    return "".join(lines)
