@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -154,50 +155,46 @@ def _write_manifest(out, name, cfg_text, extra):
         fh.write("\n")
 
 
-def _other_grid(path, grid):
-    return ValueError(f"{path}: does not hold each node of the config's "
-                      f"{grid.shape[0]}x{grid.shape[1]} grid exactly once; "
-                      "was it solved with another delta or truncation?")
+def _write_value_npz(path, v: ValueField):
+    """The value table as value.npz, uncompressed: v on the grid, and the
+    node coordinates x1 = n*dx1 and x2 = m*dx2, the doubles value.csv prints."""
+    g = v.grid
+    np.savez(path, v=v.values, x1=np.arange(g.n_max + 1) * g.dx1,
+             x2=np.arange(g.m_max + 1) * g.dx2)
 
 
-def _read_value_csv(path, grid):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 4), ndmin=2)
-    ns, ms = data[:, 0].astype(np.int64), data[:, 1].astype(np.int64)
-    # each node of the config's grid exactly once: one row per node, every
-    # row inside the grid, and every node marked
-    seen = np.zeros(grid.shape, dtype=bool)
-    if not (ns.size == seen.size and 0 <= ns.min() and ns.max() <= grid.n_max
-            and 0 <= ms.min() and ms.max() <= grid.m_max):
-        raise _other_grid(path, grid)
-    seen[ns, ms] = True
-    if not seen.all():
-        raise _other_grid(path, grid)
-    values = np.zeros(grid.shape)
-    values[ns, ms] = data[:, 2]
-    del data
-    # the coordinates in a second pass: one five-column table raised the
-    # peak memory of validate on example 1 by 4% (83.1 MB, not 79.8)
-    xs = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3), ndmin=2)
-    if not (np.allclose(xs[:, 0], ns * grid.dx1, rtol=1e-12, atol=0)
-            and np.allclose(xs[:, 1], ms * grid.dx2, rtol=1e-12, atol=0)):
-        raise _other_grid(path, grid)
-    return ValueField(grid, values)
+def _read_value_npz(path, grid):
+    """The value table of value.npz, checked to be float64 on the config's
+    grid: its shape, and its node coordinates to 1e-12 relative."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            v, x1, x2 = npz["v"], npz["x1"], npz["x2"]
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a value table: {exc}") from exc
+    if not (v.dtype == x1.dtype == x2.dtype == np.float64 and v.shape == grid.shape
+            and x1.shape == grid.shape[:1] and x2.shape == grid.shape[1:]
+            and np.allclose(x1, np.arange(grid.n_max + 1) * grid.dx1, rtol=1e-12, atol=0)
+            and np.allclose(x2, np.arange(grid.m_max + 1) * grid.dx2, rtol=1e-12, atol=0)):
+        raise ValueError(f"{path}: is not a value table of the config's "
+                         f"{grid.shape[0]}x{grid.shape[1]} grid; "
+                         "was it solved with another delta or truncation?")
+    return ValueField(grid, v)
 
 
 def _load_solve(args, paths=None, needs=()):
     """(cfg, params, law, grid, v, n_paths, seed) of a reading command: v is
     the value table in --out, n_paths (default paths) and seed are None if
-    paths is.  The config is read first; then value.csv and each file in
+    paths is.  The config is read first; then value.npz and each file in
     needs must be in --out, or FileNotFoundError names the first missing."""
     cfg, _ = load_config(args.config)
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
     n_paths, seed = (None, None) if paths is None else (_get_count(cfg, "paths", paths, 2),
                                                         _get_seed(args, cfg))
-    for name in ("value.csv", *needs):
+    for name in ("value.npz", *needs):
         if not (Path(args.out) / name).is_file():
             raise FileNotFoundError(f"missing {name}")
-    v = _read_value_csv(Path(args.out) / "value.csv", grid)
+    v = _read_value_npz(Path(args.out) / "value.npz", grid)
     return cfg, params, law, grid, v, n_paths, seed
 
 
@@ -212,6 +209,7 @@ def cmd_solve2d(args):
     v, policy, report = solver2d.solve(params, law, grid, tol=tol)
     region = solver2d.extract_regions(policy, v)
     solver2d.write_value_csv(out / "value.csv", v)
+    _write_value_npz(out / "value.npz", v)
     solver2d.write_policy_csv(out / "policy.csv", policy, region)
     solver2d.write_summary_json(out / "summary.json", region, report)
     solver2d.write_region_data(out / "regions.dat", region, out / "regions.gp")

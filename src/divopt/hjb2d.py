@@ -265,9 +265,11 @@ def claim_cells(law: ClaimLaw, lam: float, q: float, delta: float, dxs, bs, c: f
 _DIRECT_PER_FFT_UNIT = 0.5
 
 
+@functools.cache
 def _next_fast_len(n):
     """The least 11-smooth length >= n, scipy.fft.next_fast_len's answer: a
-    length pocketfft transforms fast."""
+    length pocketfft transforms fast.  Memoised: every box correlation
+    asks for its lengths, and the enumeration runs in Python."""
     best = 1 << (n - 1).bit_length()  # the least power of two >= n
     odd = [1]  # the odd 11-smooth numbers below it
     for p in (3, 5, 7, 11):
@@ -930,12 +932,12 @@ def ray_integral(values: np.ndarray, xs, bs, dxs, slopes, ub: float, law: ClaimL
     keep = np.concatenate([[True], np.diff(bp) > 1e-13 * max(1.0, ub)])
     bp = bp[keep]
     slope = -sum(r * b for r, b in zip(slopes, bs))
-    total = 0.0
-    for a_lo, a_hi in zip(bp[:-1], bp[1:]):
-        amid = 0.5 * (a_lo + a_hi)
-        ks = [int(math.floor((x - b * amid) / dx)) for x, b, dx in zip(xs, bs, dxs)]
-        p = values[tuple(ks)]
-        for x, k, dx, r in zip(xs, ks, dxs, slopes):
-            p += r * (x - k * dx)
-        total += integrate_affine(law, a_lo, a_hi, p, slope)
-    return total
+    # every segment at once: its floor node at the midpoint, the affine
+    # integrand's intercept there, and one integrate_affine call
+    a_lo, a_hi = bp[:-1], bp[1:]
+    amid = 0.5 * (a_lo + a_hi)
+    ks = [np.floor((x - b * amid) / dx).astype(np.intp) for x, b, dx in zip(xs, bs, dxs)]
+    p = values[tuple(ks)]
+    for x, k, dx, r in zip(xs, ks, dxs, slopes):
+        p = p + r * (x - k * dx)
+    return float(np.sum(integrate_affine(law, a_lo, a_hi, p, slope)))

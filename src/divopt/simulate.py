@@ -7,12 +7,15 @@ path along the flow the solver's policy evaluation reads
 (hjb2d.policy_flow): lump to the chain anchor, then one diagonal cell
 at a time from no-pay node to no-pay node, each cell ending with the lump
 at its drift target, and past the outer edges the unit-slope extension the
-solver's value assumes.  Base-4 lifting tables over that per-cell flow
+solver's value assumes.  Base-8 lifting tables over that per-cell flow
 (pointer jumping), built once per policy table and shared by every run,
-cover digit*4^k cells at once, so a claim round takes its whole cells by
-the base-4 digits of their count, and a path riding the boundary (drift
-up, lump back) is just a loop in the flow.  A path stops at the horizon:
-a claim after it is not simulated.
+cover digit*8^k cells at once, so a claim round takes its whole cells by
+the base-8 digits of their count, the digits worth 64 cells and up only
+on the paths that have one, and a path riding the boundary (drift up,
+lump back) is just a loop in the flow.  A path carries its flat grid
+index and its discount factor from round to round, and the lump to its
+anchor comes from a per-node table.  A path stops at the horizon: a
+claim after it is not simulated.
 
 All draws use a counter-based Philox generator keyed by a
 np.random.SeedSequence.  Each claim round draws the inter-arrival times,
@@ -65,14 +68,28 @@ class PolicyTable:
 
     @cached_property
     def flow(self):
-        """The policy's flow (hjb2d.policy_flow), built on first use and
-        shared by every run."""
+        """The policy's flow (hjb2d.policy_flow), its anchor ranks as
+        np.intp, which numpy gathers with no conversion; built on first use
+        and shared by every run."""
         g = self.policy.grid
-        return policy_flow(_PREF_OF_MASK[self.policy.actions & 7], (g.dx1, g.dx2))
+        flow = policy_flow(_PREF_OF_MASK[self.policy.actions & 7], (g.dx1, g.dx2))
+        return flow._replace(anchor=flow.anchor.astype(np.intp))
+
+    @cached_property
+    def nodes(self):
+        """The runner's tables of the flow, built on first use and shared by
+        every run: each grid node's lump payout down to its anchor, then
+        each no-pay node's coordinates x1 and x2."""
+        g = self.policy.grid
+        nopay, anchor, _, _ = self.flow
+        node_n, node_m = np.divmod(nopay, g.shape[1])
+        n, m = np.divmod(np.arange(anchor.size), g.shape[1])
+        lump = (n - node_n[anchor]) * g.dx1 + (m - node_m[anchor]) * g.dx2
+        return lump, node_n * g.dx1, node_m * g.dx2
 
     @cached_property
     def lifts(self):
-        """The base-4 lifting tables of the flow (see _lift_level), one list
+        """The base-8 lifting tables of the flow (see _lift_level), one list
         of levels per discount factor of a cell; built level by level as the
         runs need them and shared by every run."""
         return {}
@@ -84,9 +101,9 @@ class PolicyTable:
         g = self.policy.grid
         if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
             raise ValueError("initial surplus outside the solved grid")
-        nopay, anchor, succ, paid = self.flow
+        _, anchor, succ, paid = self.flow
+        lump, node_x1, node_x2 = self.nodes
         m_pts = g.shape[1]
-        node_n, node_m = np.divmod(nopay, m_pts)  # each no-pay node's grid indices
         dx1, dx2, delta = g.dx1, g.dx2, g.delta
         c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
         q, lam = params.q, params.lam
@@ -96,80 +113,144 @@ class PolicyTable:
         m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
         pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
 
+        def lift(ks, digits, cells, r, acc, disc):
+            """Take the base-8 digits ks of cells, of digits in all, from the
+            tables, shifting cells down as they are taken: r and acc move
+            on in place, and disc while digits follow."""
+            digit, at, buf = np.empty_like(cells), np.empty_like(cells), np.empty_like(acc)
+            for k in ks:
+                nxt, pay, d = _lift_level(levels, k, succ, paid, d_cell)
+                np.bitwise_and(cells, 7, out=digit)
+                cells >>= 3
+                np.multiply(digit, succ.size, out=at)
+                at += r
+                pay.take(at, out=buf, mode="clip")
+                buf *= disc
+                acc += buf
+                if k + 1 < digits:
+                    disc *= d.take(digit, out=buf, mode="clip")
+                nxt.take(at, out=r, mode="clip")
+
         def run(n_paths, seed, horizon):
             rng = np.random.Generator(np.random.Philox(seed))
             vals = np.empty(n_paths)
             t_final = np.empty(n_paths)
-            ruined = np.zeros(n_paths, dtype=bool)
-            # state of the live paths only, compacted as paths finish
+            ruined = np.empty(n_paths, dtype=bool)
+            # state of the live paths only, compacted as paths finish: the
+            # flat grid index, the time, the dividends so far and e^{-q*t}
             ids = np.arange(n_paths)
-            n = np.full(n_paths, n0, dtype=np.int64)
-            m = np.full(n_paths, m0, dtype=np.int64)
+            p = np.full(n_paths, n0 * m_pts + m0, dtype=np.intp)
             t = np.zeros(n_paths)
             acc = np.full(n_paths, pay0)
+            disc = np.ones(n_paths)
             rounds = 0
             while ids.size:
                 rounds += 1
                 togo = rng.exponential(1.0 / lam, ids.size)
                 claim = law.sample(rng, ids.size)
                 # instant lump payout down to the chain anchor (none on no-pay nodes)
-                r = anchor[n * m_pts + m]
-                disc = np.exp(-q * t)
-                acc += ((n - node_n[r]) * dx1 + (m - node_m[r]) * dx2) * disc
+                r = anchor[p]
+                buf = lump[p]
+                buf *= disc
+                acc += buf
                 # the whole cells that end before the claim and the horizon,
-                # taken by the base-4 digits of their count
-                cells = np.maximum(np.ceil(np.minimum(togo, horizon - t) / delta) - 1, 0)
-                cells = cells.astype(np.int64)
-                for k in range((int(cells.max()).bit_length() + 1) // 2):
-                    nxt, pay, d = _lift_level(levels, k, succ, paid, d_cell)
-                    digit = (cells >> 2 * k) & 3
-                    at = digit * succ.size + r
-                    acc += pay[at] * disc
-                    disc *= d[digit]
-                    r = nxt[at]
+                # and the time s from the last of them to the claim
+                rest = horizon - t
+                np.minimum(togo, rest, out=buf)
+                buf /= delta
+                np.ceil(buf, out=buf)
+                buf -= 1
+                np.maximum(buf, 0, out=buf)
+                cells = buf.astype(np.intp)
+                buf *= delta
+                # a path whose claim falls after the horizon stops there
+                hit = togo <= rest
+                t += togo
+                np.copyto(t, horizon, where=~hit)
+                s = np.subtract(togo, buf, out=togo)
+                del buf  # lift takes its own scratch
+                # the cells by the base-8 digits of their count; past the
+                # two low digits, cells holds the count of 64s, and the
+                # digits from there on are taken only on the paths that have one
+                digits = (int(cells.max()).bit_length() + 2) // 3
+                lift(range(min(digits, 2)), digits, cells, r, acc, disc)
+                if digits > 2:
+                    hi = np.flatnonzero(cells)
+                    r_hi, acc_hi = r[hi], acc[hi]
+                    lift(range(2, digits), digits, cells[hi], r_hi, acc_hi, disc[hi])
+                    r[hi], acc[hi] = r_hi, acc_hi
                 # a claim before the horizon ruins the path or lands it by
-                # floor rounding, the excess past the outer edges paid with the
-                # remainder; a path whose claim falls after the horizon stops there
-                hit = togo <= horizon - t
-                t = np.where(hit, t + togo, horizon)
-                s = togo - delta * cells
-                y1 = node_n[r] * dx1 + c1 * s - b1 * claim
-                y2 = node_m[r] * dx2 + c2 * s - b2 * claim
-                broke = hit & ((y1 < 0) | (y2 < 0))
-                ruined[ids[broke]] = True
-                n = np.minimum(np.floor(y1 / dx1 + 1e-12).astype(np.int64), g.n_max)
-                m = np.minimum(np.floor(y2 / dx2 + 1e-12).astype(np.int64), g.m_max)
+                # floor rounding, the excess past the outer edges paid with
+                # the remainder
+                y1, y2, scratch = node_x1[r], node_x2[r], rest
+                y1 += np.multiply(s, c1, out=scratch)
+                y1 -= np.multiply(claim, b1, out=scratch)
+                y2 += np.multiply(s, c2, out=scratch)
+                y2 -= np.multiply(claim, b2, out=scratch)
+                broke = (y1 < 0) | (y2 < 0)
+                broke &= hit
                 lands = hit & ~broke
-                acc += np.where(lands, (y1 - n * dx1) + (y2 - m * dx2), 0.0) * np.exp(-q * t)
-                live = lands & (t < horizon)
-                done = ~live
-                vals[ids[done]], t_final[ids[done]] = acc[done], t[done]
-                ids, n, m, t, acc = ids[live], n[live], m[live], t[live], acc[live]
+                # the landing node, as floats, and the remainder paid there
+                n, m, scratch = s, rest, claim
+                _floor_index(y1, dx1, g.n_max, n)
+                _floor_index(y2, dx2, g.m_max, m)
+                y1 -= np.multiply(n, dx1, out=scratch)
+                y2 -= np.multiply(m, dx2, out=scratch)
+                y1 += y2
+                np.copyto(y1, 0.0, where=~lands)
+                np.exp(np.multiply(t, -q, out=disc), out=disc)
+                y1 *= disc
+                acc += y1
+                lands &= t < horizon
+                n *= m_pts  # the landing node's flat index, as a float
+                n += m
+                # the round's buffers go before the compaction copies come
+                del togo, claim, r, cells, rest, s, m, y1, y2, scratch
+                done = np.flatnonzero(~lands)
+                if done.size:
+                    fin = ids[done]
+                    vals[fin], t_final[fin], ruined[fin] = acc[done], t[done], broke[done]
+                    # one array at a time, so at most one is held twice
+                    ids = ids[lands]
+                    t = t[lands]
+                    acc = acc[lands]
+                    disc = disc[lands]
+                    n = n[lands]
+                p = n.astype(np.intp)
             return vals, t_final, ruined, rounds
 
         return run
 
 
+def _floor_index(y, dx, top, out):
+    """min(floor(y/dx + 1e-12), top) into out, as floats."""
+    np.divide(y, dx, out=out)
+    out += 1e-12
+    np.floor(out, out=out)
+    np.minimum(out, top, out=out)
+
+
 def _lift_level(levels, k, succ, paid, d_cell):
-    """Level k of the base-4 lifting tables of the per-cell flow succ, whose
+    """Level k of the base-8 lifting tables of the per-cell flow succ, whose
     cells pay paid at their end and discount by d_cell, appending levels
     to levels until it is there.
 
-    For digit j in 0..3 and no-pay node r, nxt[j*N + r] is the no-pay node
-    j*4^k cells on (N = succ.size), pay[j*N + r] the dividends of those
+    For digit j in 0..7 and no-pay node r, nxt[j*N + r] is the no-pay node
+    j*8^k cells on (N = succ.size), pay[j*N + r] the dividends of those
     cells discounted to their start, and d[j] their discount factor; digit
-    0 is the identity, with pay 0 and factor 1.
+    0 is the identity, with pay 0 and factor 1.  nxt is np.intp, which
+    numpy gathers with no conversion.  Three levels cover 511 cells.
     """
     while len(levels) <= k:
         if levels:
-            # one step of the new level: the last level's digit 3, then its digit 1
+            # one step of the new level: the last level's digit 7, then its digit 1
             nxt, pay, d = levels[-1]
-            three, one = slice(3 * succ.size, None), slice(succ.size, 2 * succ.size)
-            step = (nxt[one][nxt[three]], pay[three] + d[3] * pay[one][nxt[three]], d[3] * d[1])
+            seven, one = slice(7 * succ.size, None), slice(succ.size, 2 * succ.size)
+            step = (nxt[one][nxt[seven]], pay[seven] + d[7] * pay[one][nxt[seven]], d[7] * d[1])
         else:
-            step = (succ, paid * d_cell, d_cell)
-        nxts, pays, ds = [np.arange(succ.size, dtype=np.int32)], [np.zeros(succ.size)], [1.0]
-        for _ in range(3):
+            step = (succ.astype(np.intp), paid * d_cell, d_cell)
+        nxts, pays, ds = [np.arange(succ.size, dtype=np.intp)], [np.zeros(succ.size)], [1.0]
+        for _ in range(7):
             nxts.append(step[0][nxts[-1]])
             pays.append(pays[-1] + ds[-1] * step[1][nxts[-2]])
             ds.append(ds[-1] * step[2])

@@ -32,6 +32,8 @@ from the kernel cells, the form the claim field is checked against; the
 correlation reference sums a kernel table against a value table node by
 node and cell by cell, the form both correlation paths are checked
 against.
+The value.csv reader parses the text table line by line, where the
+reading commands load value.npz.
 MReflection projects a start point onto the proportional ray and follows
 the 1D band strategy there, event by event; simulate.simulate_policy runs
 it through the same pilot and horizon as a policy table.
@@ -425,6 +427,22 @@ def policy_runner_reference(params, law, strat, x0):
         return acc, t, broke
 
     return run
+
+
+def read_value_csv(path, grid):
+    """The ValueField of a value.csv, parsed line by line: the header, then
+    each node of the grid exactly once, at the coordinates n*dx1, m*dx2."""
+    lines = open(path).read().splitlines()
+    assert lines[0] == "n,m,x1,x2,v"
+    values = np.full(grid.shape, np.nan)
+    for line in lines[1:]:
+        n, m, x1, x2, v = line.split(",")
+        n, m = int(n), int(m)
+        assert math.isnan(values[n, m])
+        assert float(x1) == n * grid.dx1 and float(x2) == m * grid.dx2
+        values[n, m] = float(v)
+    assert not np.isnan(values).any()
+    return ValueField(grid, values)
 
 
 def label_reference(mask):

@@ -243,10 +243,12 @@ def test_criterion_10_monte_carlo(name, request):
     grid, v, policy = case["grid"], case["v"], case["policy"]
     table = sim.PolicyTable(policy)
     zs = []
-    for x1, x2 in MC_POINTS[name]:
+    # point i runs on child i of the seed, as in the simulate command
+    streams = np.random.SeedSequence(SEED).spawn(len(MC_POINTS[name]))
+    for (x1, x2), stream in zip(MC_POINTS[name], streams):
         n, m = round(x1 / grid.dx1), round(x2 / grid.dx2)
         x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)
-        res = sim.simulate_policy(STRICT, EX_LAWS[name], table, x0, 100_000, seed=SEED)
+        res = sim.simulate_policy(STRICT, EX_LAWS[name], table, x0, 100_000, seed=stream)
         zs.append(sim.estimate_gap(res, v.values[n, m]))
     ok = all(abs(z) <= 3.0 for z in zs)
     report(10, ok, f"{name} policy |z| = {[f'{z:+.2f}' for z in zs]}")

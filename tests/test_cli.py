@@ -14,12 +14,14 @@ from divopt import hjb2d, solver2d
 from divopt import simulate as sim_mod
 from divopt.cli import (
     ConfigError,
-    _read_value_csv,
+    _read_value_npz,
     build_grid,
     build_model,
     load_config,
     main,
 )
+
+from oracles import read_value_csv
 
 TINY_CFG = """\
 # tiny solve for exercising the command surface
@@ -112,7 +114,7 @@ class TestConfig:
         # integer still counts.
         out = tmp_path / "o"
         out.mkdir()
-        shutil.copy(run_dir[0] / "value.csv", out)
+        shutil.copy(run_dir[0] / "value.npz", out)
         cfg = tmp_path / "exact.cfg"
         cfg.write_text(TINY_CFG + "seed = 9007199254740993\npaths = 5e2\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -125,7 +127,7 @@ class TestSeed:
         # the top seed still spawns the per-point streams and their pilots
         out = tmp_path / "o"
         out.mkdir()
-        for name in ("value.csv", "manifest.json"):
+        for name in ("value.npz", "manifest.json"):
             shutil.copy(run_dir[0] / name, out)
         cfg = tmp_path / "top.cfg"
         cfg.write_text(TINY_CFG + f"seed = {2**128 - 1}\npaths = 500\n")
@@ -139,7 +141,7 @@ class TestSeed:
         # whatever the other points draw
         out = tmp_path / "o"
         out.mkdir()
-        for name in ("value.csv", "manifest.json"):
+        for name in ("value.npz", "manifest.json"):
             shutil.copy(run_dir[0] / name, out)
         real = sim_mod.simulate_policy
         calls = []
@@ -162,7 +164,7 @@ class TestSeed:
         # drawn as the policy table's runner draws them, all differ
         out = tmp_path / "o"
         out.mkdir()
-        shutil.copy(run_dir[0] / "value.csv", out)
+        shutil.copy(run_dir[0] / "value.npz", out)
         first = []
 
         class Recording(sim_mod.PolicyTable):
@@ -186,7 +188,7 @@ class TestSeed:
     def test_seed_flag_out_of_range_exit_2(self, run_dir, tmp_path, capsys, command, seed):
         out = tmp_path / "o"
         out.mkdir()
-        for name in ("value.csv", "manifest.json"):
+        for name in ("value.npz", "manifest.json"):
             shutil.copy(run_dir[0] / name, out)
         assert main([command, "--config", str(run_dir[1]), "--out", str(out),
                      "--seed", str(seed)]) == 2
@@ -233,9 +235,9 @@ def run_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def validated(run_dir, tmp_path_factory):
-    # validate reads value.csv and manifest.json, and no other artifact
+    # validate reads value.npz and manifest.json, and no other artifact
     out = tmp_path_factory.mktemp("validate")
-    for name in ("value.csv", "manifest.json"):
+    for name in ("value.npz", "manifest.json"):
         shutil.copy(run_dir[0] / name, out)
     rc = main(["validate", "--config", str(run_dir[1]), "--out", str(out)])
     return rc, (out / "validate.json").read_text()
@@ -245,7 +247,7 @@ class TestSolve2dCommand:
 
     def test_artifacts_written(self, run_dir):
         out, _ = run_dir
-        for name in ("value.csv", "policy.csv", "summary.json", "regions.dat",
+        for name in ("value.csv", "value.npz", "policy.csv", "summary.json", "regions.dat",
                      "regions.gp", "manifest.json"):
             assert (out / name).is_file()
 
@@ -309,14 +311,29 @@ class TestSolve2dCommand:
         # point i runs on child i of the seed
         assert [row["spawn_key"] for row in sim["results"]] == [[i] for i in range(5)]
 
-    def test_simulate_reads_only_value_csv(self, run_dir, tmp_path):
+    def test_simulate_reads_only_value_npz(self, run_dir, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
-        shutil.copy(run_dir[0] / "value.csv", out)
+        shutil.copy(run_dir[0] / "value.npz", out)
         cfg = tmp_path / "few.cfg"
         cfg.write_text(TINY_CFG.replace("paths = 4000", "paths = 500"))
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["sim.json", "value.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["sim.json", "value.npz"]
+
+    def test_value_npz_is_value_csv(self, run_dir):
+        # the binary table the reading commands load holds value.csv's
+        # values and node coordinates bit for bit
+        out, _ = run_dir
+        table = np.loadtxt(out / "value.csv", delimiter=",", skiprows=1)
+        with np.load(out / "value.npz", allow_pickle=False) as npz:
+            assert set(npz.files) == {"v", "x1", "x2"}
+            v, x1, x2 = npz["v"], npz["x1"], npz["x2"]
+        assert v.dtype == x1.dtype == x2.dtype == np.float64
+        ns, ms = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
+        assert np.array_equal(ns, np.repeat(np.arange(x1.size), x2.size))
+        assert np.array_equal(ms, np.tile(np.arange(x2.size), x1.size))
+        assert np.array_equal(table[:, 2], x1[ns]) and np.array_equal(table[:, 3], x2[ms])
+        assert np.array_equal(table[:, 4], v.ravel())
 
     def test_greedy_policy_of_value_csv_is_policy_csv(self, run_dir):
         # simulate and validate recompute the policy that solve2d wrote
@@ -332,7 +349,7 @@ class TestSolve2dCommand:
             n, m, _, argmax = line.split(",")
             written[int(n), int(m)] = masks[argmax]
         eps_tie = json.loads((out / "manifest.json").read_text())["eps_tie"]
-        v = _read_value_csv(out / "value.csv", grid)
+        v = read_value_csv(out / "value.csv", grid)
         for workers in (1, 2):  # accepted, no effect: the FFT runs on one thread
             hjb2d.set_fft_workers(workers)
             policy, _ = solver2d.greedy_policy(hjb2d.build_claim_kernel(params, law, grid), v)
@@ -379,7 +396,7 @@ class TestSolve2dCommand:
         # points off the solved 9 x 9 grid as well as malformed ones
         out = tmp_path / "o"
         out.mkdir()
-        shutil.copy(run_dir[0] / "value.csv", out)
+        shutil.copy(run_dir[0] / "value.npz", out)
         cfg = tmp_path / "points.cfg"
         cfg.write_text(TINY_CFG + f"sim.points = {points}\n")
         for command, artifact in (("simulate", "sim.json"),
@@ -398,14 +415,14 @@ class TestSolve2dCommand:
         out.mkdir()
         assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.strip().splitlines() == [f"{command}: missing value.csv"]
+        assert err.strip().splitlines() == [f"{command}: missing value.npz"]
         assert not (out / artifact).exists()
 
     def test_validate_missing_manifest_exit_2(self, tmp_path, cfg_file, run_dir, capsys):
-        # value.csv alone: validate also reads the solve's manifest
+        # value.npz alone: validate also reads the solve's manifest
         out = tmp_path / "no_manifest"
         out.mkdir()
-        shutil.copy(run_dir[0] / "value.csv", out)
+        shutil.copy(run_dir[0] / "value.npz", out)
         assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.strip().splitlines() == ["validate: missing manifest.json"]
@@ -573,27 +590,38 @@ class TestArtifactsOfAnotherGrid:
                        .replace("x2_max = 9", f"x2_max = {x_max}"))
         out = tmp_path / "o"
         out.mkdir()
-        artifacts = ["manifest.json", "policy.csv", "value.csv"]
+        artifacts = ["manifest.json", "policy.csv", "value.csv", "value.npz"]
         for name in artifacts:
             shutil.copy(run_dir[0] / name, out)
         capsys.readouterr()
         for command in ("simulate", "validate", "merger-compare"):
             assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert "value.csv" in err and len(err.strip().splitlines()) == 1
+            assert "value.npz" in err and len(err.strip().splitlines()) == 1
         assert sorted(p.name for p in out.iterdir()) == artifacts
 
     def test_value_reader_checks_every_node_once(self, run_dir, tmp_path):
+        # a table one row short, one whose x1 axis is shifted by a node,
+        # a float32 table, one without its x2 axis and a file that is no
+        # archive: none holds each node of the config's grid once, as float64
         out, cfg = run_dir
         cfg_map, _ = load_config(cfg)
         params, _ = build_model(cfg_map)
-        # the right number of rows, but node (0, 1) twice and (0, 0) never
-        lines = (out / "value.csv").read_text().splitlines(keepends=True)
-        assert lines[1].startswith("0,0,") and lines[2].startswith("0,1,")
-        path = tmp_path / "value.csv"
-        path.write_text("".join([lines[0], lines[2]] + lines[2:]))
-        with pytest.raises(ValueError, match="value.csv"):
-            _read_value_csv(path, build_grid(cfg_map, params))
+        grid = build_grid(cfg_map, params)
+        with np.load(out / "value.npz", allow_pickle=False) as npz:
+            good = dict(npz)
+        path = tmp_path / "value.npz"
+        for bad in ({**good, "v": good["v"][:-1]}, {**good, "x1": good["x1"] + grid.dx1},
+                    {**good, "v": good["v"].astype(np.float32)},
+                    {"v": good["v"], "x1": good["x1"]}):
+            np.savez(path, **bad)
+            with pytest.raises(ValueError, match="value.npz"):
+                _read_value_npz(path, grid)
+        path.write_bytes(b"n,m,x1,x2,v\n")  # not an npz archive at all
+        with pytest.raises(ValueError, match="value.npz"):
+            _read_value_npz(path, grid)
+        np.savez(path, **good)
+        assert np.array_equal(_read_value_npz(path, grid).values, good["v"])
 
 
 class TestValidateNegativeControl:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from divopt.hjb2d import build_claim_kernel
+from divopt.hjb2d import Action, build_claim_kernel
 from divopt.model import (
     Deterministic,
     Erlang2,
@@ -144,20 +146,69 @@ class TestPolicyTable:
             assert np.all(np.abs(t_final - ref_t)[~ruined] <= drift_run + 1e-9)
             assert np.all(t_final[~ruined] >= horizon)
 
+    @settings(max_examples=60, deadline=None)
+    @given(b1=st.floats(0.2, 0.8), c2=st.floats(0.5, 2.0), tilt=st.floats(1.01, 3.0),
+           lam=st.floats(0.05, 3.0), q=st.floats(0.02, 0.3),
+           law=st.sampled_from([Exponential(0.6), Erlang2(1.5), Deterministic(1.3)]),
+           delta=st.floats(0.02, 0.5), n_max=st.integers(2, 9), m_max=st.integers(2, 9),
+           no_pay=st.floats(0.0, 0.9), start=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+           cells=st.integers(1, 700), frac=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2**32 - 1))
+    # long claim gaps: rounds of 64 cells and more, whose high digits the
+    # runner takes on the paths that have them
+    @example(b1=0.5, c2=1.0, tilt=1.5, lam=0.1, q=0.05, law=Exponential(0.6), delta=0.05,
+             n_max=9, m_max=9, no_pay=0.5, start=(0.5, 0.5), cells=600, frac=0.5, seed=0)
+    def test_matches_segment_walk_on_random_policies(self, b1, c2, tilt, lam, q, law, delta,
+                                                     n_max, m_max, no_pay, start, cells,
+                                                     frac, seed):
+        # any policy the solver could return, with no no-pay node on an
+        # outer edge (where the segment walk lumps instead of drifting), any
+        # model, grid and start: the same draws give the same paths.  The
+        # horizon falls inside a cell, so no payout falls exactly on it,
+        # where the walk's batched cycles count it and the runner does not
+        params = validate_params(ModelParams(c1=tilt * c2 * b1 / (1 - b1), c2=c2, b1=b1,
+                                             b2=1 - b1, lam=lam, q=q))
+        grid = GridSpec.make(params, delta=delta, x1_max=n_max * params.c1 * delta,
+                             x2_max=m_max * params.c2 * delta)
+        assert (grid.n_max, grid.m_max) == (n_max, m_max)
+        rng = np.random.default_rng(seed)
+        acts = np.where(rng.random(grid.shape) < no_pay, Action.E0,
+                        rng.integers(2, 8, grid.shape)).astype(np.uint8)
+        acts[0, :] &= ~np.uint8(Action.E1)
+        acts[:, 0] &= ~np.uint8(Action.E2)
+        acts[acts == 0] = Action.E0
+        for edge in (acts[n_max, :], acts[1:, m_max]):
+            edge[edge == Action.E0] = Action.E1
+        if acts[0, m_max] == Action.E0:
+            acts[0, m_max] = Action.E2
+        strat = PolicyTable(solver2d.PolicyField(grid, acts, eps_tie=0.0))
+        x0 = SurplusPoint(start[0] * grid.x1_max, start[1] * grid.x2_max)
+        horizon = (cells + frac) * delta
+        vals, t_final, ruined, rounds = strat.runner(params, law, x0)(200, seed, horizon)
+        ref_vals, ref_t, ref_ruined = policy_runner_reference(params, law, strat, x0)(
+            200, seed, horizon)
+        np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(ruined, ref_ruined)
+        np.testing.assert_allclose(t_final[ruined], ref_t[ruined], rtol=0, atol=1e-9)
+        assert np.all(t_final[~ruined] == horizon) and rounds >= 1
+
     @pytest.mark.parametrize("policy_name", ["small_policy", "edge_policy"])
     def test_lifting_tables_match_stepping(self, policy_name, request):
-        # the base-4 digits of c taken from the tables send every no-pay
-        # node to the node, dividends and discount of c single cells
+        # the base-8 digits of c taken from the tables send every no-pay
+        # node to the node, dividends and discount of c single cells, at
+        # the edges of each digit
         grid, v, policy = request.getfixturevalue(policy_name)
         nopay, anchor, succ, paid = PolicyTable(policy).flow
+        assert anchor.dtype == np.intp
         d_cell = math.exp(-PARAMS.q * grid.delta)
         levels = []
-        for c in (0, 1, 3, 4, 15, 16, 17, 255, 256, 1000):
+        for c in (0, 1, 3, 4, 7, 8, 15, 16, 17, 63, 64, 255, 256, 511, 512, 1000):
             r, acc, disc = np.arange(succ.size), np.zeros(succ.size), np.ones(succ.size)
-            for k in range(6):
+            for k in range(4):
                 nxt, pay, d = _lift_level(levels, k, succ, paid, d_cell)
-                at = (c >> 2 * k) % 4 * succ.size + r
-                acc, disc, r = acc + pay[at] * disc, disc * d[(c >> 2 * k) % 4], nxt[at]
+                assert nxt.dtype == np.intp and nxt.size == pay.size == 8 * succ.size
+                at = (c >> 3 * k) % 8 * succ.size + r
+                acc, disc, r = acc + pay[at] * disc, disc * d[(c >> 3 * k) % 8], nxt[at]
             r_ref, acc_ref, disc_ref = np.arange(succ.size), np.zeros(succ.size), 1.0
             for _ in range(c):
                 disc_ref *= d_cell
@@ -166,7 +217,7 @@ class TestPolicyTable:
             np.testing.assert_array_equal(r, r_ref)
             np.testing.assert_allclose(acc, acc_ref, rtol=1e-12, atol=0)
             np.testing.assert_allclose(disc, disc_ref, rtol=1e-12, atol=0)
-        assert len(levels) == 6
+        assert len(levels) == 4
 
     def test_lifting_tables_built_once_per_table(self, small_policy):
         grid, v, policy = small_policy
