@@ -25,7 +25,8 @@ The two solvers also share everything else defined here, on one axis or
 two: the fixed-point loop (fixed_point: policy iteration on a cascade of
 grids, each seeded by the next coarser one, to the grid fixed point
 itself), its vectorised sweep, the flow of a grid policy on its no-pay
-nodes (policy_flow, which the Monte Carlo runner reads too), the greedy
+nodes (policy_flow) and the exact inverse of its discounted drift
+(drift_inverse), both of which the Monte Carlo runner reads too, the greedy
 step, the exact evaluation of a policy, the operator fields and their
 argmax sets, and the exact ray integral.  A policy is evaluated on the
 leading box its no-pay nodes span, a corner of the grid for the optimal
@@ -67,6 +68,8 @@ __all__ = [
     "NonConvergenceError",
     "PolicyFlow",
     "policy_flow",
+    "drift_doubling",
+    "drift_inverse",
     "SolveReport",
     "fixed_point",
     "operator_fields",
@@ -495,6 +498,26 @@ class PolicyFlow(NamedTuple):
     paid: np.ndarray
 
 
+def drift_doubling(succ, disc):
+    """The doubling tables of drift_inverse: (succ^(2^j), disc^(2^j)) for
+    j = 0, 1, ... until disc^(2^j) underflows."""
+    doubling, d = [], disc
+    while d > 0.0:
+        doubling.append((succ, d))
+        succ, d = succ[succ], d * d
+    return doubling
+
+
+def drift_inverse(doubling, y):
+    """x = y + disc * x[succ], solved by pointer doubling over the tables
+    drift_doubling(succ, disc): after j passes x sums the first 2^j terms
+    of y + disc*y[succ] + disc^2*y[succ[succ]] + ..."""
+    x = y.copy()
+    for succ, d in doubling:
+        x += d * x[succ]
+    return x
+
+
 def _anchor_ranks(pref):
     """Rank of the no-pay node at the end of each node's lump chain.
 
@@ -772,9 +795,11 @@ def _evaluate(scheme, pref, v, out, counts):
         x = disc * (x[succ] + paid) + claim(expanded table)[no-pay].
 
     The drift part x -> disc * x[succ] is a functional graph on the no-pay
-    nodes, inverted exactly by pointer doubling; that inverse
-    right-preconditions a restarted GMRES (_gmres) whose matvec is one
-    correlation with the claim kernel.
+    nodes, inverted exactly by pointer doubling (drift_inverse, whose
+    tables are built once per evaluation; the Monte Carlo runner reads
+    the same inverse for its payouts); that inverse right-preconditions a
+    restarted GMRES (_gmres) whose matvec is one correlation with the
+    claim kernel.
 
     The system lives on the leading box [0, n_hi] x [0, m_hi] that the
     no-pay nodes span, so the matvecs expand x and correlate on that box
@@ -813,28 +838,16 @@ def _evaluate(scheme, pref, v, out, counts):
         cf += const
         return scheme.disc * (x[flow.succ] + flow.paid) + cf - x
 
-    # the doubling tables of drift_inverse, (succ^(2^j), disc^(2^j)) until
-    # disc^(2^j) underflows, built once per evaluation
-    doubling, succ, d = [], flow.succ, scheme.disc
-    while d > 0.0:
-        doubling.append((succ, d))
-        succ, d = succ[succ], d * d
-
-    def drift_inverse(y):
-        """x = y + disc * x[succ], solved by pointer doubling: after j
-        passes x sums the first 2^j terms of y + disc*y[succ] + ..."""
-        x = y.copy()
-        for succ, d in doubling:
-            x += d * x[succ]
-        return x
+    doubling = drift_doubling(flow.succ, scheme.disc)
 
     def apply(z):
         """The right-preconditioned operator: z less the claim part of the
         expansion of the drift inverse of z."""
-        np.take(drift_inverse(z), anchor, out=table.ravel(), mode="clip")
+        np.take(drift_inverse(doubling, z), anchor, out=table.ravel(), mode="clip")
         return z - correlation(table)[at]
 
-    x, resid, matvecs = _gmres(apply, residual, drift_inverse, v.ravel()[flow.nopay])
+    x, resid, matvecs = _gmres(apply, residual, functools.partial(drift_inverse, doubling),
+                               v.ravel()[flow.nopay])
     expand_into(x, flow.anchor, out)
     out.ravel()[flow.nopay] = x
     counts["policies"] += 1

@@ -103,8 +103,8 @@ class ClaimLaw:
         raise NotImplementedError
 
 
-def _exp_poly1(a, b, s, off=0.0):
-    """Closed-form (I0, I1) with Ik = int_a^b u^k e^{off - s*u} du, s > 0.
+def _exp_poly(a, b, s, off=0.0):
+    """Closed-form (I0, I1, I2) with Ik = int_a^b u^k e^{off - s*u} du, s > 0.
 
     Supports b = +inf; equal endpoints give 0.  Callers keep off <= s*a so
     every exponent is nonpositive and nothing overflows.
@@ -117,20 +117,9 @@ def _exp_poly1(a, b, s, off=0.0):
     eb = np.where(finite_b, np.exp(off - s * bb), 0.0)
     i0 = (ea - eb) / s
     i1 = (a / s + 1.0 / s**2) * ea - np.where(finite_b, (bb / s + 1.0 / s**2) * eb, 0.0)
-    return i0, i1
-
-
-def _exp_poly2(a, b, s, off=0.0):
-    """int_a^b u^2 e^{off - s*u} du for s > 0, with b possibly +inf."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ea = np.exp(off - s * a)
-    finite_b = np.isfinite(b)
-    bb = np.where(finite_b, b, 0.0)
-    eb = np.where(finite_b, np.exp(off - s * bb), 0.0)
-    term_a = (a**2 / s + 2.0 * a / s**2 + 2.0 / s**3) * ea
-    term_b = np.where(finite_b, (bb**2 / s + 2.0 * bb / s**2 + 2.0 / s**3) * eb, 0.0)
-    return term_a - term_b
+    i2 = ((a**2 / s + 2.0 * a / s**2 + 2.0 / s**3) * ea
+          - np.where(finite_b, (bb**2 / s + 2.0 * bb / s**2 + 2.0 / s**3) * eb, 0.0))
+    return i0, i1, i2
 
 
 @dataclass(frozen=True)
@@ -150,7 +139,7 @@ class Exponential(ClaimLaw):
     def weighted_moments(self, a, b, gamma, ref=0.0):
         d = self.rate
         s = d + gamma
-        i0, i1 = _exp_poly1(a, b, s, off=gamma * np.asarray(ref, dtype=float))
+        i0, i1, _ = _exp_poly(a, b, s, off=gamma * np.asarray(ref, dtype=float))
         return d * i0, d * i1
 
     def sample(self, rng, size):
@@ -175,9 +164,7 @@ class Erlang2(ClaimLaw):
     def weighted_moments(self, a, b, gamma, ref=0.0):
         r = self.rate
         s = r + gamma
-        off = gamma * np.asarray(ref, dtype=float)
-        _, i1 = _exp_poly1(a, b, s, off=off)
-        i2 = _exp_poly2(a, b, s, off=off)
+        _, i1, i2 = _exp_poly(a, b, s, off=gamma * np.asarray(ref, dtype=float))
         return r**2 * i1, r**2 * i2
 
     def sample(self, rng, size):

@@ -7,15 +7,19 @@ path along the flow the solver's policy evaluation reads
 (hjb2d.policy_flow): lump to the chain anchor, then one diagonal cell
 at a time from no-pay node to no-pay node, each cell ending with the lump
 at its drift target, and past the outer edges the unit-slope extension the
-solver's value assumes.  Base-8 lifting tables over that per-cell flow
-(pointer jumping), built once per policy table and shared by every run,
-cover digit*8^k cells at once, so a claim round takes its whole cells by
-the base-8 digits of their count, the digits worth 64 cells and up only
-on the paths that have one, and a path riding the boundary (drift up,
-lump back) is just a loop in the flow.  A path carries its flat grid
-index and its discount factor from round to round, and the lump to its
-anchor comes from a per-node table.  A path stops at the horizon: a
-claim after it is not simulated.
+solver's value assumes.  The dividends of that drift come from a
+potential: phi = hjb2d.drift_inverse of the flow's discounted per-cell
+payouts, the solver's own drift inverse, so phi[r] is what drifting on
+from no-pay node r forever pays, and c cells from r pay
+phi[r] - e^{-q*delta*c} * phi[r_c], r_c the node c cells on.  Base-8
+lifting tables of nodes over the per-cell flow (pointer jumping), built
+once per policy table and shared by every run, find r_c for digit*8^k
+cells at once, so a claim round takes its whole cells by the base-8
+digits of their count, and a path riding the boundary (drift up, lump
+back) is just a loop in the flow.  A path carries its flat grid index and
+its discount factor from round to round, and the lump to its anchor comes
+from a per-node table.  A path stops at the horizon: a claim after it is
+not simulated.
 
 All draws use a counter-based Philox generator keyed by a
 np.random.SeedSequence.  Each claim round draws the inter-arrival times,
@@ -40,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import ClaimLaw, ModelParams, SurplusPoint, validate_params
-from .hjb2d import policy_flow
+from .hjb2d import drift_doubling, drift_inverse, policy_flow
 from .solver2d import _PREF_OF_MASK, PolicyField
 
 __all__ = [
@@ -89,10 +93,9 @@ class PolicyTable:
 
     @cached_property
     def lifts(self):
-        """The base-8 lifting tables of the flow (see _lift_level), one list
-        of levels per discount factor of a cell; built level by level as the
-        runs need them and shared by every run."""
-        return {}
+        """The base-8 lifting tables of the flow (see _lift_level), built
+        level by level as the runs need them and shared by every run."""
+        return []
 
     def runner(self, params, law, x0: SurplusPoint):
         """run(n_paths, seed, horizon) -> (values, final times, ruined, rounds)
@@ -103,33 +106,18 @@ class PolicyTable:
             raise ValueError("initial surplus outside the solved grid")
         _, anchor, succ, paid = self.flow
         lump, node_x1, node_x2 = self.nodes
+        levels = self.lifts
         m_pts = g.shape[1]
         dx1, dx2, delta = g.dx1, g.dx2, g.delta
         c1, c2, b1, b2 = params.c1, params.c2, params.b1, params.b2
         q, lam = params.q, params.lam
         d_cell = math.exp(-q * delta)
-        levels = self.lifts.setdefault(d_cell, [])
+        # the potential: phi[r] is the dividends of drifting on from no-pay
+        # node r forever, discounted to r
+        phi = drift_inverse(drift_doubling(succ, d_cell), paid * d_cell)
         n0 = int(math.floor(x0.x1 / dx1 + 1e-12))
         m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
         pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
-
-        def lift(ks, digits, cells, r, acc, disc):
-            """Take the base-8 digits ks of cells, of digits in all, from the
-            tables, shifting cells down as they are taken: r and acc move
-            on in place, and disc while digits follow."""
-            digit, at, buf = np.empty_like(cells), np.empty_like(cells), np.empty_like(acc)
-            for k in ks:
-                nxt, pay, d = _lift_level(levels, k, succ, paid, d_cell)
-                np.bitwise_and(cells, 7, out=digit)
-                cells >>= 3
-                np.multiply(digit, succ.size, out=at)
-                at += r
-                pay.take(at, out=buf, mode="clip")
-                buf *= disc
-                acc += buf
-                if k + 1 < digits:
-                    disc *= d.take(digit, out=buf, mode="clip")
-                nxt.take(at, out=r, mode="clip")
 
         def run(n_paths, seed, horizon):
             rng = np.random.Generator(np.random.Philox(seed))
@@ -168,17 +156,23 @@ class PolicyTable:
                 t += togo
                 np.copyto(t, horizon, where=~hit)
                 s = np.subtract(togo, buf, out=togo)
-                del buf  # lift takes its own scratch
-                # the cells by the base-8 digits of their count; past the
-                # two low digits, cells holds the count of 64s, and the
-                # digits from there on are taken only on the paths that have one
-                digits = (int(cells.max()).bit_length() + 2) // 3
-                lift(range(min(digits, 2)), digits, cells, r, acc, disc)
-                if digits > 2:
-                    hi = np.flatnonzero(cells)
-                    r_hi, acc_hi = r[hi], acc[hi]
-                    lift(range(2, digits), digits, cells[hi], r_hi, acc_hi, disc[hi])
-                    r[hi], acc[hi] = r_hi, acc_hi
+                # the whole cells take r to r_c, the node they end on, by the
+                # base-8 digits of their count, and pay
+                # disc * (phi[r] - e^{-q*delta*cells} * phi[r_c])
+                paid_c = phi[r]
+                digit, at = np.empty_like(cells), np.empty_like(cells)
+                for k in range((int(cells.max()).bit_length() + 2) // 3):
+                    np.bitwise_and(cells, 7, out=digit)
+                    cells >>= 3
+                    np.multiply(digit, succ.size, out=at)
+                    at += r
+                    _lift_level(levels, k, succ).take(at, out=r, mode="clip")
+                np.exp(np.multiply(buf, -q, out=buf), out=buf)
+                buf *= phi[r]
+                paid_c -= buf
+                paid_c *= disc
+                acc += paid_c
+                del buf, paid_c, digit, at
                 # a claim before the horizon ruins the path or lands it by
                 # floor rounding, the excess past the outer edges paid with
                 # the remainder
@@ -230,31 +224,24 @@ def _floor_index(y, dx, top, out):
     np.minimum(out, top, out=out)
 
 
-def _lift_level(levels, k, succ, paid, d_cell):
-    """Level k of the base-8 lifting tables of the per-cell flow succ, whose
-    cells pay paid at their end and discount by d_cell, appending levels
-    to levels until it is there.
-
-    For digit j in 0..7 and no-pay node r, nxt[j*N + r] is the no-pay node
-    j*8^k cells on (N = succ.size), pay[j*N + r] the dividends of those
-    cells discounted to their start, and d[j] their discount factor; digit
-    0 is the identity, with pay 0 and factor 1.  nxt is np.intp, which
-    numpy gathers with no conversion.  Three levels cover 511 cells.
+def _lift_level(levels, k, succ):
+    """Level k of the base-8 lifting tables of the per-cell flow succ,
+    appending levels to levels until it is there: for digit j in 0..7 and
+    no-pay node r, entry j*N + r (N = succ.size) is the no-pay node j*8^k
+    cells on, digit 0 the identity.  The tables are np.intp, which numpy
+    gathers with no conversion.  Three levels cover 511 cells.
     """
     while len(levels) <= k:
         if levels:
             # one step of the new level: the last level's digit 7, then its digit 1
-            nxt, pay, d = levels[-1]
-            seven, one = slice(7 * succ.size, None), slice(succ.size, 2 * succ.size)
-            step = (nxt[one][nxt[seven]], pay[seven] + d[7] * pay[one][nxt[seven]], d[7] * d[1])
+            nxt = levels[-1]
+            step = nxt[succ.size:2 * succ.size][nxt[7 * succ.size:]]
         else:
-            step = (succ.astype(np.intp), paid * d_cell, d_cell)
-        nxts, pays, ds = [np.arange(succ.size, dtype=np.intp)], [np.zeros(succ.size)], [1.0]
+            step = succ.astype(np.intp)
+        nxts = [np.arange(succ.size, dtype=np.intp)]
         for _ in range(7):
-            nxts.append(step[0][nxts[-1]])
-            pays.append(pays[-1] + ds[-1] * step[1][nxts[-2]])
-            ds.append(ds[-1] * step[2])
-        levels.append((np.concatenate(nxts), np.concatenate(pays), np.array(ds)))
+            nxts.append(step[nxts[-1]])
+        levels.append(np.concatenate(nxts))
     return levels[k]
 
 

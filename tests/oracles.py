@@ -366,13 +366,14 @@ def policy_runner_reference(params, law, strat, x0):
                     ni, mi = n[idx], m[idx]
                 k = exit_k[ni, mi]
                 kd = k * delta
-                # boundary-riding cycle: batch full periods until the claim
+                # boundary-riding cycle: batch full periods until the claim,
+                # counting only the periods that end before the horizon
                 cyc = (ni == last_n[idx]) & (mi == last_m[idx]) & (kd > 0)
                 if np.any(cyc):
                     ci = idx[cyc]
                     kdc = kd[cyc]
                     full = np.floor(togo[ci] / kdc).astype(np.int64)
-                    cap = np.floor(np.maximum(horizon - t[ci], 0.0) / kdc).astype(np.int64)
+                    cap = np.maximum(np.ceil((horizon - t[ci]) / kdc) - 1, 0).astype(np.int64)
                     reps = np.minimum(full, cap)
                     pos = np.nonzero(reps > 0)[0]
                     if pos.size:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divopt.hjb2d import Action, build_claim_kernel
+from divopt.hjb2d import Action, build_claim_kernel, drift_doubling, drift_inverse
 from divopt.model import (
     Deterministic,
     Erlang2,
@@ -154,18 +154,20 @@ class TestPolicyTable:
            no_pay=st.floats(0.0, 0.9), start=st.tuples(st.floats(0, 1), st.floats(0, 1)),
            cells=st.integers(1, 700), frac=st.floats(0.05, 0.95),
            seed=st.integers(0, 2**32 - 1))
-    # long claim gaps: rounds of 64 cells and more, whose high digits the
-    # runner takes on the paths that have them
+    # long claim gaps: rounds of 64 cells and more, three base-8 digits
+    # and up, on paths some of whose counts have fewer
     @example(b1=0.5, c2=1.0, tilt=1.5, lam=0.1, q=0.05, law=Exponential(0.6), delta=0.05,
              n_max=9, m_max=9, no_pay=0.5, start=(0.5, 0.5), cells=600, frac=0.5, seed=0)
+    # a horizon that is a whole number of cells: a boundary-riding cycle's
+    # period ending exactly on it pays nothing
+    @example(b1=0.5, c2=1.0, tilt=1.5, lam=1.0, q=0.25, law=Exponential(0.6), delta=0.5,
+             n_max=2, m_max=2, no_pay=0.5, start=(0.5, 0.5), cells=2, frac=0.0, seed=0)
     def test_matches_segment_walk_on_random_policies(self, b1, c2, tilt, lam, q, law, delta,
                                                      n_max, m_max, no_pay, start, cells,
                                                      frac, seed):
         # any policy the solver could return, with no no-pay node on an
         # outer edge (where the segment walk lumps instead of drifting), any
-        # model, grid and start: the same draws give the same paths.  The
-        # horizon falls inside a cell, so no payout falls exactly on it,
-        # where the walk's batched cycles count it and the runner does not
+        # model, grid and start: the same draws give the same paths
         params = validate_params(ModelParams(c1=tilt * c2 * b1 / (1 - b1), c2=c2, b1=b1,
                                              b2=1 - b1, lam=lam, q=q))
         grid = GridSpec.make(params, delta=delta, x1_max=n_max * params.c1 * delta,
@@ -195,38 +197,43 @@ class TestPolicyTable:
     @pytest.mark.parametrize("policy_name", ["small_policy", "edge_policy"])
     def test_lifting_tables_match_stepping(self, policy_name, request):
         # the base-8 digits of c taken from the tables send every no-pay
-        # node to the node, dividends and discount of c single cells, at
-        # the edges of each digit
+        # node r to the node r_c of c single cells, at the edges of each
+        # digit, and the potential's difference phi[r] - d^c * phi[r_c] is
+        # the dividends of those cells discounted to their start, up to the
+        # potential's rounding where the cells pay nothing
         grid, v, policy = request.getfixturevalue(policy_name)
         nopay, anchor, succ, paid = PolicyTable(policy).flow
         assert anchor.dtype == np.intp
         d_cell = math.exp(-PARAMS.q * grid.delta)
+        phi = drift_inverse(drift_doubling(succ, d_cell), paid * d_cell)
         levels = []
         for c in (0, 1, 3, 4, 7, 8, 15, 16, 17, 63, 64, 255, 256, 511, 512, 1000):
-            r, acc, disc = np.arange(succ.size), np.zeros(succ.size), np.ones(succ.size)
+            r = np.arange(succ.size)
             for k in range(4):
-                nxt, pay, d = _lift_level(levels, k, succ, paid, d_cell)
-                assert nxt.dtype == np.intp and nxt.size == pay.size == 8 * succ.size
-                at = (c >> 3 * k) % 8 * succ.size + r
-                acc, disc, r = acc + pay[at] * disc, disc * d[(c >> 3 * k) % 8], nxt[at]
+                nxt = _lift_level(levels, k, succ)
+                assert nxt.dtype == np.intp and nxt.size == 8 * succ.size
+                r = nxt[(c >> 3 * k) % 8 * succ.size + r]
             r_ref, acc_ref, disc_ref = np.arange(succ.size), np.zeros(succ.size), 1.0
             for _ in range(c):
                 disc_ref *= d_cell
                 acc_ref += paid[r_ref] * disc_ref
                 r_ref = succ[r_ref]
             np.testing.assert_array_equal(r, r_ref)
-            np.testing.assert_allclose(acc, acc_ref, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(disc, disc_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(phi - math.exp(-PARAMS.q * grid.delta * c) * phi[r],
+                                       acc_ref, rtol=1e-12, atol=1e-13 * phi.max())
         assert len(levels) == 4
 
     def test_lifting_tables_built_once_per_table(self, small_policy):
+        # one list of levels per table, whatever the discount of the run
         grid, v, policy = small_policy
         table = PolicyTable(policy)
         simulate_policy(PARAMS, LAW, table, SurplusPoint(2.0, 3.0), 500, seed=1)
-        levels = table.lifts[math.exp(-PARAMS.q * grid.delta)]
-        built = [id(level[0]) for level in levels]
-        simulate_policy(PARAMS, LAW, table, SurplusPoint(4.0, 1.0), 500, seed=2)
-        assert len(table.lifts) == 1 and [id(level[0]) for level in levels[:len(built)]] == built
+        levels = table.lifts
+        built = [id(level) for level in levels]
+        simulate_policy(validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.1)),
+                        LAW, table, SurplusPoint(4.0, 1.0), 500, seed=2)
+        assert built and table.lifts is levels
+        assert [id(level) for level in levels[:len(built)]] == built
 
     def test_diagnostics_count_every_path(self, small_policy):
         grid, v, policy = small_policy
