@@ -5,9 +5,13 @@ and the validation battery; every run writes a manifest echoing the config
 byte for byte together with versions, seeds, and timings so deterministic
 runs can be reproduced exactly.
 
+`simulate` and `validate` run their independent jobs in forked worker
+processes, one per CPU the process may run on (_fan_out), and write the
+reports of a serial run.
+
 Exit codes: 0 success, 1 validation failure, 2 bad config or missing
-artifacts, 3 a solve that cannot finish (nonconvergence, or a 1D band cut
-by its truncation).
+artifacts, 3 a solve that cannot finish (nonconvergence, a 1D band cut
+by its truncation, or a worker process that died without a result).
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import sys
 import time
 import zipfile
@@ -289,17 +295,80 @@ def _sample_points(cfg, grid):
     ]
 
 
+def _run_share(tasks):
+    """(True, result) of each task in turn, until one raises: then (False, its exception)."""
+    outcomes = []
+    for task in tasks:
+        try:
+            outcomes.append((True, task()))
+        except Exception as exc:  # raised again by _fan_out, in the parent
+            return outcomes + [(False, exc)]
+    return outcomes
+
+
+def _fan_out(tasks):
+    """Each task's result, in task order (a task takes no arguments).  The
+    tasks are dealt round-robin to one share per CPU the process may run
+    on: the parent runs share 0, an os.fork() worker each other share and
+    sends back its outcomes pickled through a pipe.  The first exception in
+    task order is raised, as in a serial run; a worker that exits without
+    a result raises ChildProcessError."""
+    shares = (min(len(tasks), len(os.sched_getaffinity(0)))
+              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    workers, outcomes = [], {}
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for k in range(1, shares):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: send its share's outcomes, then leave at once
+                code = 1
+                try:
+                    with open(w, "wb") as fh:
+                        pickle.dump(_run_share(tasks[k::shares]), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            workers.append((k, pid, r))
+        outcomes[0] = _run_share(tasks[0::shares])
+    finally:
+        for k, pid, r in workers:  # read each pipe to its end, then reap its worker
+            with open(r, "rb") as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            outcomes[k] = pickle.loads(data) if status == 0 else [(False, ChildProcessError(
+                f"worker process {pid} exited with status {status}, without a result"))]
+    for i in range(len(tasks)):  # a share's outcomes end at its first exception
+        ok, value = outcomes[i % shares][i // shares]
+        if not ok:
+            raise value
+    return [outcomes[i % shares][i // shares][1] for i in range(len(tasks))]
+
+
+def _point_task(params, law, strat, x, n_paths, stream):
+    """A task of _fan_out: the Monte Carlo run from x = (x1, x2) on its
+    stream, and the run's wall time."""
+    def run():
+        t0 = time.perf_counter()
+        res = sim_mod.simulate_policy(params, law, strat, SurplusPoint(*x), n_paths, stream)
+        return res, time.perf_counter() - t0
+    return run
+
+
 def cmd_simulate(args):
     cfg, params, law, grid, v, n_paths, seed = _load_solve(args, paths=10_000)
     policy, _ = solver2d.greedy_policy(build_claim_kernel(params, law, grid), v)
     table = sim_mod.PolicyTable(policy)
+    table.flow, table.nodes  # built once, before the workers fork
     points = _sample_points(cfg, grid)
-    rows = []
     # one independent stream per start point: child i of the seed
-    for (x1, x2), stream in zip(points, np.random.SeedSequence(seed).spawn(len(points))):
-        t0 = time.perf_counter()
-        res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, stream)
-        wall = time.perf_counter() - t0
+    streams = np.random.SeedSequence(seed).spawn(len(points))
+    runs = _fan_out([_point_task(params, law, table, x, n_paths, stream)
+                     for x, stream in zip(points, streams)])
+    rows = []
+    for (x1, x2), (res, wall) in zip(points, runs):
         z = sim_mod.estimate_gap(res, v.extend(x1, x2))
         rows.append(
             {
@@ -367,47 +436,52 @@ def cmd_validate(args):
     check("d1_identity", dev <= 2 * (grid.dx1 + grid.dx2), f"max deviation {dev:.4f}",
           dev, 2 * (grid.dx1 + grid.dx2))
 
-    wbar = solver1d.solve_1d(
-        solver1d.make_auxiliary_problem(params, law, "wbar"),
-        grid.delta / 4.0,
-        grid.x2_max * 2.0,
-    )
-    rows, _ = solver1d.merger_compare(
-        params, law, 0.0,
-        [(n * grid.dx1, m * grid.dx2)
-         for n in range(0, grid.n_max + 1, max(1, grid.n_max // 20))
-         for m in range(0, grid.m_max + 1, max(1, grid.m_max // 20))],
-        v,
-    )
-    if params.is_symmetric:
-        xs = np.linspace(0.2, 0.8, 7) * min(grid.x1_max, grid.x2_max)
-        rel = max(
-            abs(v.extend((params.b1 / params.b2) * x, x) - wbar.extend(x))
-            / max(1.0, wbar.extend(x))
-            for x in xs
+    def one_d():
+        """The checks against the 1D solves, as check's arguments."""
+        wbar = solver1d.solve_1d(
+            solver1d.make_auxiliary_problem(params, law, "wbar"),
+            grid.delta / 4.0,
+            grid.x2_max * 2.0,
         )
-        check("symmetric_diagonal", rel <= 1e-2, f"max rel dev {rel:.2e}", rel, 1e-2)
-    else:
-        sub = solver2d.check_tilde_suboptimality(params, law, wbar)
-        if sub.get("applicable", True):
-            ok = sub["witness"][1] > 0
-            check("reflection_suboptimal", ok,
-                  f"L(tilde) = {sub['witness'][1]:.4f} at {sub['witness'][0]}",
-                  sub["witness"][1], 0.0)
+        if params.is_symmetric:
+            xs = np.linspace(0.2, 0.8, 7) * min(grid.x1_max, grid.x2_max)
+            rel = max(
+                abs(v.extend((params.b1 / params.b2) * x, x) - wbar.extend(x))
+                / max(1.0, wbar.extend(x))
+                for x in xs
+            )
+            found = [("symmetric_diagonal", rel <= 1e-2, f"max rel dev {rel:.2e}", rel, 1e-2)]
         else:
-            check("reflection_suboptimal", True, "no-pay set empty: take-the-money regime")
-
-    worst_gap = min(r[2] - r[3] for r in rows if r[2] is not None)
-    check("merger_dominance", worst_gap >= -100 * tol_eff, f"min gap {worst_gap:.3e}",
-          worst_gap, -100 * tol_eff)
+            sub = solver2d.check_tilde_suboptimality(params, law, wbar)
+            if sub.get("applicable", True):
+                found = [("reflection_suboptimal", sub["witness"][1] > 0,
+                          f"L(tilde) = {sub['witness'][1]:.4f} at {sub['witness'][0]}",
+                          sub["witness"][1], 0.0)]
+            else:
+                found = [("reflection_suboptimal", True,
+                          "no-pay set empty: take-the-money regime")]
+        rows, _ = solver1d.merger_compare(
+            params, law, 0.0,
+            [(n * grid.dx1, m * grid.dx2)
+             for n in range(0, grid.n_max + 1, max(1, grid.n_max // 20))
+             for m in range(0, grid.m_max + 1, max(1, grid.m_max // 20))],
+            v,
+        )
+        worst_gap = min(r[2] - r[3] for r in rows if r[2] is not None)
+        return found + [("merger_dominance", worst_gap >= -100 * tol_eff,
+                         f"min gap {worst_gap:.3e}", worst_gap, -100 * tol_eff)]
 
     table = sim_mod.PolicyTable(policy)
+    table.flow, table.nodes  # built once, before the workers fork
     points = _sample_points(cfg, grid)[:3]
     # child i of the seed for point i, as in simulate, and the next for TakeAndRun
     *streams, tr_stream = np.random.SeedSequence(seed).spawn(len(points) + 1)
+    checks_1d, *runs = _fan_out([one_d] + [_point_task(params, law, table, x, n_paths, stream)
+                                           for x, stream in zip(points, streams)])
+    for entry in checks_1d:
+        check(*entry)
     worst_z = 0.0
-    for (x1, x2), stream in zip(points, streams):
-        res = sim_mod.simulate_policy(params, law, table, SurplusPoint(x1, x2), n_paths, stream)
+    for (x1, x2), (res, _) in zip(points, runs):
         worst_z = max(worst_z, abs(sim_mod.estimate_gap(res, v.extend(x1, x2))))
     check("mc_policy_crosscheck", worst_z <= 3.0, f"max |z| = {worst_z:.2f}", worst_z, 3.0)
 
@@ -450,8 +524,8 @@ def main(argv=None):
     except FileNotFoundError as exc:  # a solve artifact a reading command needs
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, solver1d.TruncationError) as exc:
-        # a solve that cannot finish: one line on stderr, exit 3
+    except (NonConvergenceError, solver1d.TruncationError, ChildProcessError) as exc:
+        # a solve that cannot finish, or a worker that died: one line on stderr, exit 3
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
 

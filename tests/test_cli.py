@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import divopt
-from divopt import hjb2d, solver2d
+from divopt import hjb2d, solver1d, solver2d
 from divopt import simulate as sim_mod
 from divopt.cli import (
     ConfigError,
+    _fan_out,
     _read_value_npz,
     build_grid,
     build_model,
@@ -138,7 +139,9 @@ class TestSeed:
     def test_validate_point_runs_as_alone(self, run_dir, tmp_path, monkeypatch):
         # validate gives point i child i of the seed's spawn(4), TakeAndRun
         # child 3; each result is the one its child gives run by itself,
-        # whatever the other points draw
+        # whatever the other points draw.  One CPU, one share: the spy
+        # records in this process only
+        _cpus(monkeypatch, 1)
         out = tmp_path / "o"
         out.mkdir()
         for name in ("value.npz", "manifest.json"):
@@ -161,7 +164,9 @@ class TestSeed:
 
     def test_points_draw_from_distinct_streams(self, run_dir, tmp_path, monkeypatch):
         # the first-round inter-arrival times of every point's run and pilot,
-        # drawn as the policy table's runner draws them, all differ
+        # drawn as the policy table's runner draws them, all differ (one
+        # share, so the recording stays in this process)
+        _cpus(monkeypatch, 1)
         out = tmp_path / "o"
         out.mkdir()
         shutil.copy(run_dir[0] / "value.npz", out)
@@ -576,6 +581,146 @@ class TestSolveErrorExit:
             assert main([command, "--config", str(run_dir[1]), "--out", str(out)]) == 3
             err = capsys.readouterr().err
             assert err.startswith(f"{command}: ") and len(err.strip().splitlines()) == 1
+
+
+def _cpus(monkeypatch, n):
+    """Let the commands see n CPUs, so they fan their jobs out to n shares
+    (where os.fork exists)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _count_forks(monkeypatch):
+    """The pids of the workers this process forks from now on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _copy_solve(run_dir, out):
+    out.mkdir()
+    for name in ("value.npz", "manifest.json"):
+        shutil.copy(run_dir / name, out)
+    return out
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork to fan out by")
+class TestFanOut:
+    def test_results_come_back_in_task_order(self, monkeypatch):
+        # seven tasks dealt round-robin to three shares: the parent runs
+        # tasks 0, 3 and 6, a worker each the others
+        _cpus(monkeypatch, 3)
+        forks = _count_forks(monkeypatch)
+        results = _fan_out([lambda i=i: (i, os.getpid()) for i in range(7)])
+        assert [i for i, _ in results] == list(range(7))
+        pids = [pid for _, pid in results]
+        assert pids[0::3] == [os.getpid()] * 3
+        assert pids[1::3] == [forks[0]] * 2 and pids[2::3] == [forks[1]] * 2
+
+    def test_first_exception_in_task_order_is_raised(self, monkeypatch):
+        # task 1 (a worker's) raises before task 2 (the parent's) in task
+        # order, so its exception is the one a serial run would raise
+        _cpus(monkeypatch, 2)
+
+        def fail(exc):
+            raise exc
+
+        tasks = [lambda: 0, lambda: fail(solver1d.TruncationError("in the worker")),
+                 lambda: fail(ValueError("in the parent")), lambda: 3]
+        with pytest.raises(solver1d.TruncationError, match="in the worker"):
+            _fan_out(tasks)
+
+    @pytest.mark.parametrize("config", ["tiny", "sym_gamma"])
+    def test_reports_of_one_share_and_of_two(self, tmp_path, monkeypatch, config):
+        # the example-1 parameters of TINY_CFG, and sym_gamma.cfg, which
+        # takes the symmetric_diagonal branch (its band needs x_max = 20;
+        # the check is too coarse to pass at this delta, but the reports
+        # must agree either way)
+        cfg = tmp_path / "c.cfg"
+        if config == "tiny":
+            cfg.write_text(TINY_CFG)
+        else:
+            bundled = Path(divopt.__file__).parent / "configs" / "sym_gamma.cfg"
+            cfg.write_text(bundled.read_text()
+                           + "delta = 0.05\nx1_max = 20\nx2_max = 20\npaths = 4000\nseed = 7\n")
+        solved = tmp_path / "solved"
+        assert main(["solve2d", "--config", str(cfg), "--out", str(solved)]) == 0
+        forks, reports = _count_forks(monkeypatch), {}
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            out = _copy_solve(solved, tmp_path / f"cpus{cpus}")
+            assert main(["validate", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            # one share forks nothing; two fork one worker per command
+            assert len(forks) == 2 * (cpus - 1)
+            sim = json.loads((out / "sim.json").read_text())
+            assert all(row.pop("wall_s") > 0 for row in sim["results"])
+            reports[cpus] = (out / "validate.json").read_bytes(), sim
+        assert reports[1] == reports[2]
+        checks = [c["name"] for c in json.loads(reports[1][0])["checks"]]
+        assert ("symmetric_diagonal" in checks) == (config == "sym_gamma")
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (solver1d.TruncationError, 3, "validate: "), (ValueError, 2, "error: ")])
+    def test_exception_in_a_worker(self, run_dir, tmp_path, monkeypatch, capsys, exc, code,
+                                   prefix):
+        # a Monte Carlo point of the worker's share raises; the parent's
+        # share holds the 1D solves, which TestTruncated1dBands and
+        # TestSolveErrorExit cut short in the parent
+        _cpus(monkeypatch, 2)
+        parent, real = os.getpid(), sim_mod.simulate_policy
+
+        def raising(*args):
+            if os.getpid() != parent:
+                raise exc("raised in a worker")
+            return real(*args)
+
+        monkeypatch.setattr(sim_mod, "simulate_policy", raising)
+        out = _copy_solve(run_dir[0], tmp_path / "o")
+        capsys.readouterr()
+        assert main(["validate", "--config", str(run_dir[1]), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == f"{prefix}raised in a worker\n"
+        assert not (out / "validate.json").exists()
+
+    def test_worker_that_dies_is_reaped(self, run_dir, tmp_path):
+        # in a fresh interpreter, so a worker left behind would show: the
+        # worker's share exits at once, without a result
+        code = """
+import os, sys
+from divopt import cli, simulate
+parent, real = os.getpid(), simulate.simulate_policy
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def dying(*args):
+    if os.getpid() != parent:
+        os._exit(9)
+    return real(*args)
+
+simulate.simulate_policy = dying
+rc = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:  # no child of this process is left
+    sys.exit(rc)
+sys.exit(99)
+"""
+        out = _copy_solve(run_dir[0], tmp_path / "o")
+        src = str(Path(divopt.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code, "validate", "--config", str(run_dir[1]),
+                              "--out", str(out)], capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.startswith("validate: ") and len(run.stderr.splitlines()) == 1
+        assert "without a result" in run.stderr
+        assert not (out / "validate.json").exists()
 
 
 class TestArtifactsOfAnotherGrid:

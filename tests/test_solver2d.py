@@ -141,6 +141,37 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(PARAMS, LAW, grid, tol=0.0)
 
+    # validate's bounds, increments, residual and merger dominance, on small
+    # random models: c1/b1 >= c2/b2 by b1 = share * c1 / (c1 + c2), and claim
+    # laws of the given mean
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.tuples(st.floats(0.5, 2.5), st.floats(0.5, 2.5)).map(sorted),
+           share=st.floats(0.3, 0.99), lam=st.floats(0.5, 2.0), q=st.floats(0.05, 0.3),
+           kind=st.sampled_from(["exponential", "erlang2", "deterministic"]),
+           mean=st.floats(0.5, 2.0), delta=st.floats(0.2, 0.5), x_max=st.floats(4.0, 6.0))
+    def test_invariants_of_random_models(self, c, share, lam, q, kind, mean, delta, x_max):
+        c2, c1 = c
+        b1 = share * c1 / (c1 + c2)
+        params = validate_params(ModelParams(c1=c1, c2=c2, b1=b1, b2=1.0 - b1, lam=lam, q=q))
+        law = {"exponential": Exponential(1.0 / mean), "erlang2": Erlang2(2.0 / mean),
+               "deterministic": Deterministic(mean)}[kind]
+        grid = GridSpec.make(params, delta=delta, x1_max=x_max, x2_max=x_max)
+        v, _, report = solve(params, law, grid)
+        x = (np.arange(grid.n_max + 1)[:, None] * grid.dx1
+             + np.arange(grid.m_max + 1)[None, :] * grid.dx2)
+        assert np.all(v.values >= x - 1e-9)
+        assert np.all(v.values <= x + (c1 + c2) / q + 1e-9)
+        assert np.all(np.diff(v.values, axis=0) >= grid.dx1 - 1e-9)
+        assert np.all(np.diff(v.values, axis=1) >= grid.dx2 - 1e-9)
+        assert report.residual_max < 1e-10
+        # the merged company at no cost, truncated at 40, past its band on
+        # these models (merger_compare's default, x1_max + x2_max + 1, cuts
+        # some bands at q near 0.05)
+        samples = [(n * grid.dx1, m * grid.dx2)
+                   for n in range(grid.n_max + 1) for m in range(grid.m_max + 1)]
+        rows, _ = solver1d.merger_compare(params, law, 0.0, samples, v, x_max=40.0)
+        assert min(vm - vd for _, _, vm, vd in rows) >= -100 * report.tol_effective
+
 
 class TestSweep:
     @pytest.mark.parametrize("shape", [(1,), (2,), (57,), (1, 1), (2, 3), (21, 41), (30, 17)],
