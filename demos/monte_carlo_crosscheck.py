@@ -3,7 +3,9 @@
 Simulates the solver's own policy path by path (exponential claim arrival
 times, claims split between the branches, lump and rounding payouts
 discounted at their exact instants) and compares the sample mean against
-the solver's value at the same node.  Also checks the pay-everything
+the solver's value at the same node.  Each run stops once what its live
+paths could still earn (tail_bound) is at most 0.05 of its standard
+error, after the claim rounds it reports.  Also checks the pay-everything
 strategy against its closed form x1 + x2 + (c1 + c2)/(q + lambda).
 """
 
@@ -31,7 +33,7 @@ print(f"solver: {len(rep.levels)} grids, {rep.policies} policies, "
 
 n_paths = 50_000
 print(f"\npolicy evaluation with {n_paths} paths per point:")
-print(f"{'start':>14} {'solver':>9} {'simulated':>16} {'z':>6} {'horizon':>8}")
+print(f"{'start':>14} {'solver':>9} {'simulated':>16} {'z':>6} {'rounds':>6} {'tail_bound':>10}")
 table = PolicyTable(policy)
 starts = [(5.4, 6.36), (2.04, 3.0), (8.04, 3.0)]
 # one independent stream per start point, as the simulate command does
@@ -41,7 +43,7 @@ for (x1, x2), stream in zip(starts, np.random.SeedSequence(99).spawn(len(starts)
     res = simulate_policy(params, law, table, x0, n_paths, stream)
     z = estimate_gap(res, v.values[n, m])
     print(f"({x0.x1:5.2f},{x0.x2:5.2f}) {v.values[n, m]:9.4f} "
-          f"{res.mean:9.4f}+-{res.stderr:.4f} {z:+6.2f} {res.horizon:8.1f}")
+          f"{res.mean:9.4f}+-{res.stderr:.4f} {z:+6.2f} {res.rounds:6d} {res.tail_bound:10.2e}")
 
 x0 = SurplusPoint(3.0, 5.0)
 res = simulate_policy(params, law, TakeAndRun(), x0, n_paths, seed=7)

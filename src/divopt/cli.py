@@ -145,6 +145,13 @@ def build_grid(cfg, params):
     )
 
 
+def _grid_1d(cfg, delta=lambda: None, x_max=lambda: None):
+    """A 1D solve's delta and x_max keywords: delta_1d and x_max_1d, or where one
+    is absent its default, called only then (None: merger_compare's own)."""
+    return {"delta": _get_float(cfg, "delta_1d") if "delta_1d" in cfg else delta(),
+            "x_max": _get_float(cfg, "x_max_1d") if "x_max_1d" in cfg else x_max()}
+
+
 def _write_manifest(out, name, cfg_text, extra):
     payload = {
         "command": name,
@@ -239,10 +246,8 @@ def cmd_solve1d(args):
     prob = solver1d.make_auxiliary_problem(params, law, args.kind)
     # delta and x1_max are read only when delta_1d and x_max_1d are absent,
     # for their defaults
-    delta = _get_float(cfg, "delta_1d") if "delta_1d" in cfg else _get_float(cfg, "delta") / 4.0
-    x_max = (_get_float(cfg, "x_max_1d") if "x_max_1d" in cfg
-             else 2.0 * _get_float(cfg, "x1_max", 14.0))
-    sol = solver1d.solve_1d(prob, delta, x_max, tol=_get_float(cfg, "tol", 1e-9))
+    sol = solver1d.solve_1d(prob, tol=_get_float(cfg, "tol", 1e-9), **_grid_1d(
+        cfg, lambda: _get_float(cfg, "delta") / 4.0, lambda: 2 * _get_float(cfg, "x1_max", 14.0)))
     with open(out / f"value1d_{args.kind}.csv", "w") as fh:
         fh.write("x,value,label\n")
         for n, val in enumerate(sol.values):
@@ -391,7 +396,7 @@ def cmd_merger_compare(args):
     cfg, params, law, grid, v, _, _ = _load_solve(args)
     m_cost = args.m_cost if args.m_cost is not None else _get_float(cfg, "merger.cost", 0.0)
     samples = _sample_points(cfg, grid)
-    rows, merger = solver1d.merger_compare(params, law, m_cost, samples, v)
+    rows, merger = solver1d.merger_compare(params, law, m_cost, samples, v, **_grid_1d(cfg))
     with open(Path(args.out) / "merger_compare.csv", "w") as fh:
         fh.write("x1,x2,merger_reduced,v2d_reduced\n")
         for x1, x2, vm, vd in rows:
@@ -438,11 +443,8 @@ def cmd_validate(args):
 
     def one_d():
         """The checks against the 1D solves, as check's arguments."""
-        wbar = solver1d.solve_1d(
-            solver1d.make_auxiliary_problem(params, law, "wbar"),
-            grid.delta / 4.0,
-            grid.x2_max * 2.0,
-        )
+        wbar = solver1d.solve_1d(solver1d.make_auxiliary_problem(params, law, "wbar"), **_grid_1d(
+            cfg, lambda: grid.delta / 4.0, lambda: grid.x2_max * 2.0))
         if params.is_symmetric:
             xs = np.linspace(0.2, 0.8, 7) * min(grid.x1_max, grid.x2_max)
             rel = max(
@@ -465,7 +467,7 @@ def cmd_validate(args):
             [(n * grid.dx1, m * grid.dx2)
              for n in range(0, grid.n_max + 1, max(1, grid.n_max // 20))
              for m in range(0, grid.m_max + 1, max(1, grid.m_max // 20))],
-            v,
+            v, **_grid_1d(cfg),
         )
         worst_gap = min(r[2] - r[3] for r in rows if r[2] is not None)
         return found + [("merger_dominance", worst_gap >= -100 * tol_eff,

@@ -18,21 +18,23 @@ cells at once, so a claim round takes its whole cells by the base-8
 digits of their count, and a path riding the boundary (drift up, lump
 back) is just a loop in the flow.  A path carries its flat grid index and
 its discount factor from round to round, and the lump to its anchor comes
-from a per-node table.  A path stops at the horizon: a claim after it is
-not simulated.
+from a per-node table.  A path runs until a claim ruins it or tail_stop
+ends the run after a claim round.  A round has no horizon in it, so a run
+stopped after R rounds is, path for path, the first R rounds of any
+longer run on the same stream.
 
 All draws use a counter-based Philox generator keyed by a
 np.random.SeedSequence.  Each claim round draws the inter-arrival times,
 then the claim sizes, of the paths still live, in ascending path order,
 so the numbers a path draws depend on which other paths are still live;
-a run is reproducible from its stream alone.  A run and its pilot take children 0
-and 1 of the stream they are given, and the commands give each start
-point a child of its own, so the points of one run are independent.
+a run is reproducible from its stream alone.  A run takes child 0 of the
+stream it is given, and the commands give each start point a child of its
+own, so the points of one run are independent.
 
 Two strategies ship: a grid policy table and pay-everything (TakeAndRun).
 simulate_policy runs any other strategy that provides the same runner
 method as PolicyTable, which is how the tests drive their reference
-strategies through the same pilot run and horizon.
+strategies through the same stop rule.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "philox4x64/seedsequence-spawn"
+TAIL_REL = 0.05  # tail_stop's share of the standard error at which a run stops
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,9 @@ class PolicyTable:
         return []
 
     def runner(self, params, law, x0: SurplusPoint):
-        """run(n_paths, seed, horizon) -> (values, final times, ruined, rounds)
-        of this table's paths from x0; seed is anything np.random.Philox
-        takes, a SeedSequence in simulate_policy."""
+        """run(n_paths, seed, rel) -> (values, final times, ruined, rounds,
+        tail) of this table's paths from x0, stopped by tail_stop at rel;
+        seed is anything np.random.Philox takes."""
         g = self.policy.grid
         if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
             raise ValueError("initial surplus outside the solved grid")
@@ -119,20 +122,20 @@ class PolicyTable:
         m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
         pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
 
-        def run(n_paths, seed, horizon):
+        def run(n_paths, seed, rel):
             rng = np.random.Generator(np.random.Philox(seed))
-            vals = np.empty(n_paths)
-            t_final = np.empty(n_paths)
-            ruined = np.empty(n_paths, dtype=bool)
-            # state of the live paths only, compacted as paths finish: the
-            # flat grid index, the time, the dividends so far and e^{-q*t}
+            vals, t_final = np.empty(n_paths), np.empty(n_paths)
+            ruined = np.zeros(n_paths, dtype=bool)
+            # state of the live paths only, compacted as paths are ruined:
+            # the flat grid index, the time, the dividends so far and e^{-q*t}
             ids = np.arange(n_paths)
             p = np.full(n_paths, n0 * m_pts + m0, dtype=np.intp)
             t = np.zeros(n_paths)
             acc = np.full(n_paths, pay0)
             disc = np.ones(n_paths)
             rounds = 0
-            while ids.size:
+            sums = np.zeros(2)  # of the ruined paths' values and of their squares
+            while True:
                 rounds += 1
                 togo = rng.exponential(1.0 / lam, ids.size)
                 claim = law.sample(rng, ids.size)
@@ -141,20 +144,15 @@ class PolicyTable:
                 buf = lump[p]
                 buf *= disc
                 acc += buf
-                # the whole cells that end before the claim and the horizon,
-                # and the time s from the last of them to the claim
-                rest = horizon - t
-                np.minimum(togo, rest, out=buf)
-                buf /= delta
+                # the whole cells that end before the claim, and the time s
+                # from the last of them to the claim
+                np.divide(togo, delta, out=buf)
                 np.ceil(buf, out=buf)
                 buf -= 1
                 np.maximum(buf, 0, out=buf)
                 cells = buf.astype(np.intp)
                 buf *= delta
-                # a path whose claim falls after the horizon stops there
-                hit = togo <= rest
                 t += togo
-                np.copyto(t, horizon, where=~hit)
                 s = np.subtract(togo, buf, out=togo)
                 # the whole cells take r to r_c, the node they end on, by the
                 # base-8 digits of their count, and pay
@@ -172,48 +170,68 @@ class PolicyTable:
                 paid_c -= buf
                 paid_c *= disc
                 acc += paid_c
-                del buf, paid_c, digit, at
-                # a claim before the horizon ruins the path or lands it by
-                # floor rounding, the excess past the outer edges paid with
-                # the remainder
-                y1, y2, scratch = node_x1[r], node_x2[r], rest
+                del paid_c, digit, at
+                # the claim ruins the path or lands it by floor rounding, the
+                # excess past the outer edges paid with the remainder
+                y1, y2, scratch = node_x1[r], node_x2[r], buf
                 y1 += np.multiply(s, c1, out=scratch)
                 y1 -= np.multiply(claim, b1, out=scratch)
                 y2 += np.multiply(s, c2, out=scratch)
                 y2 -= np.multiply(claim, b2, out=scratch)
                 broke = (y1 < 0) | (y2 < 0)
-                broke &= hit
-                lands = hit & ~broke
                 # the landing node, as floats, and the remainder paid there
-                n, m, scratch = s, rest, claim
+                n, m, scratch = s, buf, claim
                 _floor_index(y1, dx1, g.n_max, n)
                 _floor_index(y2, dx2, g.m_max, m)
                 y1 -= np.multiply(n, dx1, out=scratch)
                 y2 -= np.multiply(m, dx2, out=scratch)
                 y1 += y2
-                np.copyto(y1, 0.0, where=~lands)
+                np.copyto(y1, 0.0, where=broke)
                 np.exp(np.multiply(t, -q, out=disc), out=disc)
                 y1 *= disc
                 acc += y1
-                lands &= t < horizon
+                # tail_stop's e^{-q*t} * (x1 + x2 + (c1+c2)/q) at the landing node
+                np.multiply(n, dx1, out=y2)
+                y2 += np.multiply(m, dx2, out=scratch)
+                y2 += (c1 + c2) / q
+                tail_sum = np.multiply(y2, disc, out=y2).sum(where=~broke)
                 n *= m_pts  # the landing node's flat index, as a float
                 n += m
                 # the round's buffers go before the compaction copies come
-                del togo, claim, r, cells, rest, s, m, y1, y2, scratch
-                done = np.flatnonzero(~lands)
+                del togo, claim, r, cells, buf, s, m, y1, y2, scratch
+                done = np.flatnonzero(broke)
                 if done.size:
                     fin = ids[done]
-                    vals[fin], t_final[fin], ruined[fin] = acc[done], t[done], broke[done]
+                    vals[fin], t_final[fin], ruined[fin] = acc[done], t[done], True
+                    sums += acc[done].sum(), np.square(acc[done]).sum()
                     # one array at a time, so at most one is held twice
+                    lands = ~broke
                     ids = ids[lands]
                     t = t[lands]
                     acc = acc[lands]
                     disc = disc[lands]
                     n = n[lands]
+                stop, tail = tail_stop(sums + (acc.sum(), np.square(acc).sum()), tail_sum,
+                                       n_paths, rel)
+                if stop:  # the live paths are cut here, with their dividends so far
+                    vals[ids], t_final[ids] = acc, t
+                    return vals, t_final, ruined, rounds, tail
                 p = n.astype(np.intp)
-            return vals, t_final, ruined, rounds
 
         return run
+
+
+def tail_stop(sums, tail_sum, n, rel):
+    """(stop, tail) after a claim round of a run of n paths.  tail_sum sums
+    e^{-q*t_i} * (x1_i + x2_i + (c1+c2)/q) over the live paths, t_i a path's
+    last claim and (x1_i, x2_i) its surplus then, which with (c1+c2)/q bounds
+    its later dividends discounted to t_i: tail = tail_sum/n bounds what they
+    can still add to the mean.  stop is tail <= rel * max(stderr, 1e-8), the
+    stderr of n values (a live path's its dividends so far) with these sums."""
+    total, total_sq = sums
+    var = max(total_sq - total * total / n, 0.0) / (n - 1) if n > 1 else 0.0
+    tail = tail_sum / n
+    return tail <= rel * max(math.sqrt(var / n), 1e-8), tail
 
 
 def _floor_index(y, dx, top, out):
@@ -250,18 +268,17 @@ class SimResult:
     mean: float
     stderr: float
     n_paths: int
+    # the earliest time at which the stop cut a path (inf if none was cut)
     horizon: float
     seed: int
     rng: str = RNG_ALGORITHM
-    # claim rounds of the reported run, and how its paths ended: ruined by
-    # a claim or cut at the horizon
+    # claim rounds, and how the paths ended: ruined by a claim or cut by the stop
     rounds: int = 0
     ruined: int = 0
     horizon_cut: int = 0
     # the stream the run was given: SeedSequence(seed, spawn_key=spawn_key)
     spawn_key: tuple = ()
-    # e^{-q*horizon} times the global upper bound: the most the tail cut
-    # at the horizon can add to the mean
+    # tail_stop's bound at the stop: the most the cut paths could add to the mean
     tail_bound: float = 0.0
 
 
@@ -285,50 +302,30 @@ def simulate_policy(
     """Sample mean and standard error of discounted dividends until ruin.
 
     seed is a np.random.SeedSequence, or an int read as SeedSequence(seed).
-    The run draws from its child 0 and the pilot from its child 1, the
-    children seed.spawn(2) would give; seed itself is left as it was.
-
-    The horizon is picked in a pilot run so the discarded tail is below a
-    tenth of the reported standard error (the discounted value beyond T is
-    at most e^{-qT} times the global upper bound: tail_bound).  It aims at
-    half that, because the pilot only estimates the standard deviation:
-    aimed at the full tenth, tail_bound came to 0.90-1.12 tenths of the
-    run's standard error on example 1 (pilots of 200 paths).  The pilot
-    takes at least two paths, so its standard deviation is defined.  Any
-    strategy but TakeAndRun supplies its runner as
-    strat.runner(params, law, x0).
+    The run draws from its child 0, the child seed.spawn(1) would give;
+    seed itself is left as it was.  The run stops by tail_stop at TAIL_REL.
+    Any strategy but TakeAndRun supplies strat.runner(params, law, x0).
     """
     params = validate_params(params)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    main, pilot_ss = (np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i),
-                                             pool_size=ss.pool_size) for i in range(2))
-    stream = {"seed": ss.entropy, "spawn_key": tuple(ss.spawn_key)}
+    main = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0),
+                                  pool_size=ss.pool_size)
     if isinstance(strat, TakeAndRun):
         rng = np.random.Generator(np.random.Philox(main))
         tau = rng.exponential(1.0 / params.lam, n_paths)
-        ctot = params.c1 + params.c2
-        vals = x0.x1 + x0.x2 + ctot * (1.0 - np.exp(-params.q * tau)) / params.q
+        vals = x0.x1 + x0.x2 + (params.c1 + params.c2) * (1.0 - np.exp(-params.q * tau)) / params.q
         # everything is paid at once, so the first claim ruins every path
-        return _wrap(vals, math.inf, 0.0, 1, np.ones(n_paths, dtype=bool), stream)
-    runner = strat.runner(params, law, x0)
-    pilot_n = max(min(max(n_paths // 50, 200), 2000, n_paths), 2)
-    pilot_T = math.log(1e4) / params.q
-    pilot = runner(pilot_n, pilot_ss, pilot_T)[0]
-    target = 0.05 * max(np.std(pilot, ddof=1) / math.sqrt(n_paths), 1e-8)
-    ub = x0.x1 + x0.x2 + (params.c1 + params.c2) / params.q
-    horizon = math.log(max(ub / target, 10.0)) / params.q
-    vals, _, ruined, rounds = runner(n_paths, main, horizon)
-    return _wrap(vals, horizon, ub * math.exp(-params.q * horizon), rounds, ruined, stream)
-
-
-def _wrap(vals, horizon, tail_bound, rounds, ruined, stream):
-    n = len(vals)
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        t_final, ruined, rounds, tail = tau, np.ones(n_paths, dtype=bool), 1, 0.0
+    else:
+        vals, t_final, ruined, rounds, tail = strat.runner(params, law, x0)(
+            n_paths, main, TAIL_REL)
     n_ruined = int(np.count_nonzero(ruined))
     return SimResult(
-        mean=float(np.mean(vals)), stderr=stderr, n_paths=n, horizon=horizon,
-        rounds=rounds, ruined=n_ruined, horizon_cut=n - n_ruined, tail_bound=tail_bound,
-        **stream,
+        mean=float(np.mean(vals)), n_paths=n_paths,
+        stderr=float(np.std(vals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
+        horizon=float(np.min(t_final, where=~ruined, initial=math.inf)),
+        rounds=rounds, ruined=n_ruined, horizon_cut=n_paths - n_ruined, tail_bound=float(tail),
+        seed=ss.entropy, spawn_key=tuple(ss.spawn_key),
     )

@@ -36,7 +36,7 @@ The value.csv reader parses the text table line by line, where the
 reading commands load value.npz.
 MReflection projects a start point onto the proportional ray and follows
 the 1D band strategy there, event by event; simulate.simulate_policy runs
-it through the same pilot and horizon as a policy table.
+it under the same stop rule (simulate.tail_stop) as a policy table.
 """
 
 import math
@@ -61,6 +61,7 @@ from divopt.model import (
     ModelParams,
     integrate_affine,
 )
+from divopt.simulate import tail_stop
 from divopt.solver1d import BandStructure, TruncationError, WbarSolution
 
 
@@ -320,13 +321,14 @@ def policy_runner_reference(params, law, strat, x0):
     """Policy-table runner that walks one drift-and-lump segment at a time.
 
     Boundary-riding cycles (an anchor that drifts and is lumped back to
-    itself) are batched as geometric sums once seen twice in a round.  A
-    claim after the horizon is not simulated.  The draws are the
-    production runner's: each round, the running paths' inter-arrival
-    times, then their claims, in path order.  It reads
+    itself) are batched as geometric sums once seen twice in a round.  The
+    draws are the production runner's: each round, the running paths'
+    inter-arrival times, then their claims, in path order.  It reads
     policy_flow_reference, whose edge rule matches the runner's only where
     no no-pay node lies on an outer edge.
-    run() returns the dividends, final times and the mask of ruined paths.
+    run(n_paths, seed, rounds) runs that many claim rounds, or until every
+    path is ruined, and returns the dividends, the final times (a live
+    path's last claim), the mask of ruined paths and each path's node n, m.
     """
     g = strat.policy.grid
     if x0.x1 > g.x1_max + 1e-9 or x0.x2 > g.x2_max + 1e-9:
@@ -339,7 +341,7 @@ def policy_runner_reference(params, law, strat, x0):
     m0 = int(math.floor(x0.x2 / dx2 + 1e-12))
     pay0 = (x0.x1 - n0 * dx1) + (x0.x2 - m0 * dx2)
 
-    def run(n_paths, seed, horizon):
+    def run(n_paths, seed, rounds):
         rng = np.random.Generator(np.random.Philox(seed))
         n = np.full(n_paths, n0, dtype=np.int64)
         m = np.full(n_paths, m0, dtype=np.int64)
@@ -347,7 +349,9 @@ def policy_runner_reference(params, law, strat, x0):
         acc = np.full(n_paths, pay0)
         running = np.ones(n_paths, dtype=bool)
         broke = np.zeros(n_paths, dtype=bool)
-        while np.any(running):
+        for _ in range(rounds):
+            if not np.any(running):
+                break
             togo, claim = np.zeros(n_paths), np.zeros(n_paths)
             togo[running] = rng.exponential(1.0 / lam, running.sum())
             claim[running] = law.sample(rng, running.sum())
@@ -366,15 +370,12 @@ def policy_runner_reference(params, law, strat, x0):
                     ni, mi = n[idx], m[idx]
                 k = exit_k[ni, mi]
                 kd = k * delta
-                # boundary-riding cycle: batch full periods until the claim,
-                # counting only the periods that end before the horizon
+                # boundary-riding cycle: batch full periods until the claim
                 cyc = (ni == last_n[idx]) & (mi == last_m[idx]) & (kd > 0)
                 if np.any(cyc):
                     ci = idx[cyc]
                     kdc = kd[cyc]
-                    full = np.floor(togo[ci] / kdc).astype(np.int64)
-                    cap = np.maximum(np.ceil((horizon - t[ci]) / kdc) - 1, 0).astype(np.int64)
-                    reps = np.minimum(full, cap)
+                    reps = np.floor(togo[ci] / kdc).astype(np.int64)
                     pos = np.nonzero(reps > 0)[0]
                     if pos.size:
                         pi = ci[pos]
@@ -386,18 +387,8 @@ def policy_runner_reference(params, law, strat, x0):
                         acc[pi] += pay * np.exp(-q * t[pi]) * x * (1 - x ** reps[pos]) / (1 - x)
                         t[pi] += reps[pos] * kdp
                         togo[pi] -= reps[pos] * kdp
-                    over = ci[(full > cap)]
-                    if over.size:
-                        running[over] = False
-                        ph[over] = False
-                    idx = np.nonzero(ph)[0]
-                    if idx.size == 0:
-                        break
-                    ni, mi = n[idx], m[idx]
-                    k = exit_k[ni, mi]
-                    kd = k * delta
                 last_n[idx], last_m[idx] = ni, mi
-                claims_now = (togo[idx] <= kd) & (togo[idx] <= horizon - t[idx])
+                claims_now = togo[idx] <= kd
                 ci = idx[claims_now]
                 if ci.size:
                     s = togo[ci]
@@ -414,7 +405,6 @@ def policy_runner_reference(params, law, strat, x0):
                         rem = (y1[~ruined] - k1 * dx1) + (y2[~ruined] - k2 * dx2)
                         acc[ok] += rem * np.exp(-q * t[ok])
                         n[ok], m[ok] = k1, k2
-                        running[ok[t[ok] >= horizon]] = False
                     ph[ci] = False
                 di = idx[~claims_now]
                 if di.size:
@@ -422,10 +412,7 @@ def policy_runner_reference(params, law, strat, x0):
                     togo[di] -= kd[~claims_now]
                     n[di] += k[~claims_now]
                     m[di] += k[~claims_now]
-                    hit = di[t[di] >= horizon]
-                    running[hit] = False
-                    ph[hit] = False
-        return acc, t, broke
+        return acc, t, broke, n, m
 
     return run
 
@@ -551,7 +538,8 @@ class MReflection:
     """Project onto the proportional ray, then follow the 1D band strategy.
 
     A strategy for simulate.simulate_policy: runner(params, law, x0) returns
-    run(n_paths, seed, horizon) -> (values, final times, ruined, rounds).
+    run(n_paths, seed, rel) -> (values, final times, ruined, rounds, tail),
+    stopped by simulate.tail_stop at rel as a policy table's run is.
     """
 
     wbar: WbarSolution
@@ -584,7 +572,7 @@ class MReflection:
             i = np.searchsorted(ivl_lo, z, side="right") - 1
             return ivl_lab[np.clip(i, 0, len(ivl_lab) - 1)]
 
-        def run(n_paths, seed, horizon):
+        def run(n_paths, seed, rel):
             rng = np.random.Generator(np.random.Philox(seed))
             z = np.full(n_paths, z0)
             t = np.zeros(n_paths)
@@ -593,7 +581,7 @@ class MReflection:
             ruined = np.zeros(n_paths, dtype=bool)
             rounds = 0
             snap = 1e-9 * (1.0 + wbar.x_max)
-            while np.any(running):
+            while True:
                 rounds += 1
                 togo, claim = np.zeros(n_paths), np.zeros(n_paths)
                 togo[running] = rng.exponential(1.0 / lam, running.sum())
@@ -624,7 +612,7 @@ class MReflection:
                         s = togo[ai]
                         acc[ai] += ctot * np.exp(-q * t[ai]) * (1 - np.exp(-q * s)) / q
                         t[ai] += s
-                        _claim_1d(ai, z, t, running, ruined, claim, b2, horizon)
+                        _claim_1d(ai, z, running, ruined, claim, b2)
                         ph[ai] = False
                     # no-pay region: drift up at c2, branch 1 streaming the excess
                     isc = (lab == "C") & ~at_a
@@ -642,22 +630,25 @@ class MReflection:
                         claimers = togo[di] <= reach
                         ci = di[claimers]
                         if ci.size:
-                            _claim_1d(ci, z, t, running, ruined, claim, b2, horizon)
+                            _claim_1d(ci, z, running, ruined, claim, b2)
                             ph[ci] = False
                         togo[di[~claimers]] -= reach[~claimers]
-                    hit = idx[(t[idx] >= horizon) & ph[idx]]
-                    running[hit] = False
-                    ph[hit] = False
-            return acc, t, ruined, rounds
+                # a live path's surplus on the ray is (b1/b2 * z, z)
+                live = np.nonzero(running)[0]
+                stop, tail = tail_stop(
+                    (acc.sum(), np.square(acc).sum()),
+                    float(np.sum(np.exp(-q * t[live]) * (z[live] * (b1 + b2) / b2 + ctot / q))),
+                    n_paths, rel)
+                if stop:
+                    return acc, t, ruined, rounds, tail
 
         return run
 
 
-def _claim_1d(ids, z, t, running, ruined, claim, b2, horizon):
+def _claim_1d(ids, z, running, ruined, claim, b2):
     post = z[ids] - b2 * claim[ids]
     broke = post < 0
     running[ids[broke]] = False
     ruined[ids[broke]] = True
     ok = ids[~broke]
     z[ok] = post[~broke]
-    running[ok[t[ok] >= horizon]] = False

@@ -125,7 +125,7 @@ class TestConfig:
 
 class TestSeed:
     def test_top_config_seed_runs(self, run_dir, tmp_path):
-        # the top seed still spawns the per-point streams and their pilots
+        # the top seed still spawns the per-point streams and their runs' child 0
         out = tmp_path / "o"
         out.mkdir()
         for name in ("value.npz", "manifest.json"):
@@ -163,9 +163,9 @@ class TestSeed:
             assert alone == res and res.seed == 7
 
     def test_points_draw_from_distinct_streams(self, run_dir, tmp_path, monkeypatch):
-        # the first-round inter-arrival times of every point's run and pilot,
-        # drawn as the policy table's runner draws them, all differ (one
-        # share, so the recording stays in this process)
+        # the first-round inter-arrival times of every point's run, drawn as
+        # the policy table's runner draws them, all differ (one share, so
+        # the recording stays in this process)
         _cpus(monkeypatch, 1)
         out = tmp_path / "o"
         out.mkdir()
@@ -176,17 +176,17 @@ class TestSeed:
             def runner(self, params, law, x0):
                 run = super().runner(params, law, x0)
 
-                def recorded(n_paths, seed, horizon):
+                def recorded(n_paths, seed, rel):
                     rng = np.random.Generator(np.random.Philox(seed))
                     first.append(rng.exponential(1.0 / params.lam, n_paths)[:8].tolist())
-                    return run(n_paths, seed, horizon)
+                    return run(n_paths, seed, rel)
 
                 return recorded
 
         monkeypatch.setattr(sim_mod, "PolicyTable", Recording)
         assert main(["simulate", "--config", str(run_dir[1]), "--out", str(out)]) == 0
-        assert len(first) == 10  # a pilot and a run per point
-        assert len({draws[0] for draws in first}) == 10
+        assert len(first) == 5  # one run per point
+        assert len({draws[0] for draws in first}) == 5
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("seed", [-1, 2**128])
@@ -525,12 +525,12 @@ class TestSolve1dCommand:
 
 class TestTruncated1dBands:
     def test_validate_and_merger_compare_exit_3(self, tmp_path, capsys):
-        # example-1 parameters on a grid too small for the 1D bands: the 2D
-        # solve succeeds, the 1D solves inside validate and merger-compare
-        # cannot
+        # example-1 parameters on a grid too small for the 1D bands, and no
+        # x_max_1d: the 2D solve succeeds, the 1D solves inside validate and
+        # merger-compare, truncated by the 2D grid, cannot
         cfg = tmp_path / "small.cfg"
         cfg.write_text(TINY_CFG.replace("x1_max = 9", "x1_max = 1.5")
-                       .replace("x2_max = 9", "x2_max = 1.5"))
+                       .replace("x2_max = 9", "x2_max = 1.5").replace("x_max_1d = 25\n", ""))
         out = tmp_path / "o"
         assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
         # a 9x16 grid has no coarser level, so no error estimate
@@ -545,6 +545,27 @@ class TestTruncated1dBands:
             assert err.startswith(f"{command}: ") and len(err.strip().splitlines()) == 1
         assert not (out / "validate.json").exists()
         assert not (out / "merger_compare.csv").exists()
+
+    def test_validate_and_merger_compare_read_the_1d_grid(self, tmp_path):
+        # sym_gamma at x_max = 9 solves in 2D, but the merged company's band
+        # ends near 20.5, past the default truncation 9 + 9 + 1: the
+        # config's own delta_1d and x_max_1d fit both 1D problems, as in
+        # solve1d.  wbar's band ends near 10.2, past the 2D grid, so the
+        # truncated 2D value falls below the 1D one on the diagonal
+        bundled = Path(divopt.__file__).parent / "configs" / "sym_gamma.cfg"
+        cfg = tmp_path / "sym9.cfg"
+        cfg.write_text(bundled.read_text() + "x1_max = 9\nx2_max = 9\npaths = 2000\n")
+        out = tmp_path / "o"
+        assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["merger-compare", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads((out / "validate.json").read_text())["checks"]}
+        assert [name for name, c in checks.items() if not c["pass"]] == ["symmetric_diagonal"]
+        assert checks["merger_dominance"]["value"] > 0
+        # without the keys, the 1D solves take their truncation from the 2D grid
+        cfg.write_text(cfg.read_text().replace("x_max_1d = 40\n", ""))
+        for command in ("validate", "merger-compare"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
 
 
 class TestNoPayEdge:

@@ -130,21 +130,11 @@ class TestPolicyTable:
         starts = [inside, (20, 30), (5, 80)]
         assert [flow.pref[s] for s in starts] == [0, 1, 2]
         assert flow.exit_k[inside] > 1
-        horizon = math.log(1e4) / PARAMS.q
-        drift_run = flow.exit_k.max() * grid.delta
         for n, m in starts:
             x0 = SurplusPoint(n * grid.dx1, m * grid.dx2)
-            vals, t_final, ruined, rounds = strat.runner(PARAMS, LAW, x0)(2000, 17, horizon)
-            ref_vals, ref_t, ref_ruined = policy_runner_reference(PARAMS, LAW, strat, x0)(
-                2000, 17, horizon)
-            np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-9)
-            np.testing.assert_array_equal(ruined, ref_ruined)
-            assert rounds > 1 and 0 < np.count_nonzero(~ruined) < 2000
-            np.testing.assert_allclose(t_final[ruined], ref_t[ruined], rtol=0, atol=1e-9)
-            # a horizon-cut path stops at the horizon; the reference stops at
-            # the end of the drift run it is in, or halts a batched cycle short
-            assert np.all(np.abs(t_final - ref_t)[~ruined] <= drift_run + 1e-9)
-            assert np.all(t_final[~ruined] >= horizon)
+            out = strat.runner(PARAMS, LAW, x0)(2000, 17, 0.05)
+            assert out[3] > 1 and 0 < np.count_nonzero(~out[2]) < 2000
+            _assert_matches_reference(PARAMS, LAW, strat, x0, 2000, 17, out)
 
     @settings(max_examples=60, deadline=None)
     @given(b1=st.floats(0.2, 0.8), c2=st.floats(0.5, 2.0), tilt=st.floats(1.01, 3.0),
@@ -152,19 +142,14 @@ class TestPolicyTable:
            law=st.sampled_from([Exponential(0.6), Erlang2(1.5), Deterministic(1.3)]),
            delta=st.floats(0.02, 0.5), n_max=st.integers(2, 9), m_max=st.integers(2, 9),
            no_pay=st.floats(0.0, 0.9), start=st.tuples(st.floats(0, 1), st.floats(0, 1)),
-           cells=st.integers(1, 700), frac=st.floats(0.05, 0.95),
+           rel=st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e),
            seed=st.integers(0, 2**32 - 1))
     # long claim gaps: rounds of 64 cells and more, three base-8 digits
     # and up, on paths some of whose counts have fewer
     @example(b1=0.5, c2=1.0, tilt=1.5, lam=0.1, q=0.05, law=Exponential(0.6), delta=0.05,
-             n_max=9, m_max=9, no_pay=0.5, start=(0.5, 0.5), cells=600, frac=0.5, seed=0)
-    # a horizon that is a whole number of cells: a boundary-riding cycle's
-    # period ending exactly on it pays nothing
-    @example(b1=0.5, c2=1.0, tilt=1.5, lam=1.0, q=0.25, law=Exponential(0.6), delta=0.5,
-             n_max=2, m_max=2, no_pay=0.5, start=(0.5, 0.5), cells=2, frac=0.0, seed=0)
+             n_max=9, m_max=9, no_pay=0.5, start=(0.5, 0.5), rel=1e-3, seed=0)
     def test_matches_segment_walk_on_random_policies(self, b1, c2, tilt, lam, q, law, delta,
-                                                     n_max, m_max, no_pay, start, cells,
-                                                     frac, seed):
+                                                     n_max, m_max, no_pay, start, rel, seed):
         # any policy the solver could return, with no no-pay node on an
         # outer edge (where the segment walk lumps instead of drifting), any
         # model, grid and start: the same draws give the same paths
@@ -185,14 +170,25 @@ class TestPolicyTable:
             acts[0, m_max] = Action.E2
         strat = PolicyTable(solver2d.PolicyField(grid, acts, eps_tie=0.0))
         x0 = SurplusPoint(start[0] * grid.x1_max, start[1] * grid.x2_max)
-        horizon = (cells + frac) * delta
-        vals, t_final, ruined, rounds = strat.runner(params, law, x0)(200, seed, horizon)
-        ref_vals, ref_t, ref_ruined = policy_runner_reference(params, law, strat, x0)(
-            200, seed, horizon)
-        np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-9)
-        np.testing.assert_array_equal(ruined, ref_ruined)
-        np.testing.assert_allclose(t_final[ruined], ref_t[ruined], rtol=0, atol=1e-9)
-        assert np.all(t_final[~ruined] == horizon) and rounds >= 1
+        out = strat.runner(params, law, x0)(200, seed, rel)
+        assert out[3] >= 1
+        _assert_matches_reference(params, law, strat, x0, 200, seed, out)
+
+    def test_stop_is_a_prefix_of_longer_runs(self, small_policy):
+        # a round has no horizon in it, so a run stopped early is path for
+        # path the first rounds of a longer run on the same stream: the
+        # ruined paths end alike, no value falls, and the mean rises by at
+        # most the tail bound of the shorter run
+        grid, v, policy = small_policy
+        run = PolicyTable(policy).runner(PARAMS, LAW, SurplusPoint(2.0, 3.0))
+        vals, t_final, ruined, rounds, tail = run(3000, 8, 0.05)
+        long_vals, long_t, long_ruined, long_rounds, long_tail = run(3000, 8, 1e-6)
+        assert long_rounds > rounds and long_tail < tail
+        assert np.all(long_ruined[ruined]) and np.any(long_ruined[~ruined])
+        np.testing.assert_array_equal(long_vals[ruined], vals[ruined])
+        np.testing.assert_array_equal(long_t[ruined], t_final[ruined])
+        assert np.all(long_vals >= vals) and np.all(long_t >= t_final)
+        assert 0 < long_vals.mean() - vals.mean() <= tail
 
     @pytest.mark.parametrize("policy_name", ["small_policy", "edge_policy"])
     def test_lifting_tables_match_stepping(self, policy_name, request):
@@ -265,21 +261,38 @@ class TestPolicyTable:
             simulate_policy(PARAMS, LAW, PolicyTable(policy),
                             SurplusPoint(100.0, 1.0), 10, seed=1)
 
-    def test_single_path_gets_a_finite_horizon(self, small_policy):
-        # the pilot run that picks the horizon takes at least two paths,
-        # so its standard deviation is defined
+    def test_single_path_run_ends(self, small_policy):
+        # one path has no standard error: the run stops on the 1e-8 floor
         grid, v, policy = small_policy
         res = simulate_policy(PARAMS, LAW, PolicyTable(policy),
                               SurplusPoint(2.0, 3.0), 1, seed=4)
-        assert math.isfinite(res.horizon) and res.horizon > 0
+        assert res.n_paths == res.ruined + res.horizon_cut == 1 and res.stderr == 0.0
+        assert res.tail_bound <= 0.05 * 1e-8
 
-    def test_horizon_respects_error_budget(self, small_policy):
+    def test_tail_bound_within_budget(self, small_policy):
+        # the run's own running standard error is the reported one, up to
+        # the rounding of the sum of squares against np.std
         grid, v, policy = small_policy
         res = simulate_policy(PARAMS, LAW, PolicyTable(policy),
                               SurplusPoint(1.0, 1.0), 5000, seed=2)
-        ub = 1.0 + 1.0 + (PARAMS.c1 + PARAMS.c2) / PARAMS.q
-        assert res.tail_bound == pytest.approx(np.exp(-PARAMS.q * res.horizon) * ub, rel=1e-12)
-        assert res.tail_bound < 0.1 * res.stderr
+        assert res.horizon_cut > 0 and 0 < res.horizon < math.inf
+        assert 0 < res.tail_bound <= 0.05 * res.stderr * (1 + 1e-9)
+
+
+def _assert_matches_reference(params, law, strat, x0, n_paths, seed, out):
+    """The runner's output out against the segment walk run for as many
+    rounds with the same draws: values and every final time within 1e-9,
+    ruined exact, and the tail bound recomputed from the walk's live paths."""
+    vals, t_final, ruined, rounds, tail = out
+    ref_vals, ref_t, ref_ruined, n, m = policy_runner_reference(params, law, strat, x0)(
+        n_paths, seed, rounds)
+    np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(ruined, ref_ruined)
+    np.testing.assert_allclose(t_final, ref_t, rtol=0, atol=1e-9)
+    g, live = strat.policy.grid, ~ref_ruined
+    ref_tail = np.sum(np.exp(-params.q * ref_t[live])
+                      * (n[live] * g.dx1 + m[live] * g.dx2 + (params.c1 + params.c2) / params.q))
+    assert tail == pytest.approx(ref_tail / n_paths, rel=1e-9)
 
 
 class TestMReflection:
