@@ -10,8 +10,9 @@ processes, one per CPU the process may run on (_fan_out), and write the
 reports of a serial run.
 
 Exit codes: 0 success, 1 validation failure, 2 bad config or missing
-artifacts, 3 a solve that cannot finish (nonconvergence, a 1D band cut
-by its truncation, or a worker process that died without a result).
+artifacts, 3 a solve that cannot finish (a policy cap, a policy value
+below the iterate or a stalled policy evaluation, a 1D band cut by its
+truncation, or a worker process that died without a result).
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .hjb2d import NonConvergenceError, ValueField, build_claim_kernel, set_fft_workers
+from .hjb2d import (
+    RESIDUAL_REL,
+    NonConvergenceError,
+    ValueField,
+    build_claim_kernel,
+    set_fft_workers,
+)
 from .model import (
     Deterministic,
     Erlang2,
@@ -108,9 +115,8 @@ def _get_seed(args, cfg):
 def _report_fields(report):
     """What a solve reports of its fixed-point run, for the manifests."""
     return {key: getattr(report, key) for key in (
-        "iterations", "residual_max", "tol_effective", "min_increment", "policies",
-        "gmres_matvecs", "gmres_residual", "phases", "levels", "disc_error_est", "correlation",
-        "kernel_cells", "fshape")}
+        "iterations", "residual_max", "policies", "gmres_matvecs", "gmres_residual", "phases",
+        "levels", "disc_error_est", "correlation", "kernel_cells", "fshape")}
 
 
 def build_model(cfg):
@@ -194,19 +200,18 @@ def _read_value_npz(path, grid):
     return ValueField(grid, v)
 
 
-def _load_solve(args, paths=None, needs=()):
+def _load_solve(args, paths=None):
     """(cfg, params, law, grid, v, n_paths, seed) of a reading command: v is
     the value table in --out, n_paths (default paths) and seed are None if
-    paths is.  The config is read first; then value.npz and each file in
-    needs must be in --out, or FileNotFoundError names the first missing."""
+    paths is.  The config is read first; then value.npz must be in --out,
+    or FileNotFoundError names it."""
     cfg, _ = load_config(args.config)
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
     n_paths, seed = (None, None) if paths is None else (_get_count(cfg, "paths", paths, 2),
                                                         _get_seed(args, cfg))
-    for name in ("value.npz", *needs):
-        if not (Path(args.out) / name).is_file():
-            raise FileNotFoundError(f"missing {name}")
+    if not (Path(args.out) / "value.npz").is_file():
+        raise FileNotFoundError("missing value.npz")
     v = _read_value_npz(Path(args.out) / "value.npz", grid)
     return cfg, params, law, grid, v, n_paths, seed
 
@@ -215,11 +220,10 @@ def cmd_solve2d(args):
     cfg, cfg_text = load_config(args.config)
     params, law = build_model(cfg)
     grid = build_grid(cfg, params)
-    tol = _get_float(cfg, "tol", 1e-8)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    v, policy, report = solver2d.solve(params, law, grid, tol=tol)
+    v, policy, report = solver2d.solve(params, law, grid)
     region = solver2d.extract_regions(policy, v)
     solver2d.write_value_csv(out / "value.csv", v)
     _write_value_npz(out / "value.npz", v)
@@ -246,7 +250,7 @@ def cmd_solve1d(args):
     prob = solver1d.make_auxiliary_problem(params, law, args.kind)
     # delta and x1_max are read only when delta_1d and x_max_1d are absent,
     # for their defaults
-    sol = solver1d.solve_1d(prob, tol=_get_float(cfg, "tol", 1e-9), **_grid_1d(
+    sol = solver1d.solve_1d(prob, **_grid_1d(
         cfg, lambda: _get_float(cfg, "delta") / 4.0, lambda: 2 * _get_float(cfg, "x1_max", 14.0)))
     with open(out / f"value1d_{args.kind}.csv", "w") as fh:
         fh.write("x,value,label\n")
@@ -407,14 +411,9 @@ def cmd_merger_compare(args):
 
 
 def cmd_validate(args):
-    cfg, params, law, grid, v, n_paths, seed = _load_solve(args, paths=20_000,
-                                                           needs=("manifest.json",))
-    out = Path(args.out)
-    manifest = json.loads((out / "manifest.json").read_text())
-    if manifest.get("command") != "solve2d":  # solve1d writes to the same manifest.json
-        raise ValueError(f"manifest.json is from {manifest.get('command')!r}, not solve2d")
+    cfg, params, law, grid, v, n_paths, seed = _load_solve(args, paths=20_000)
     policy, resid = solver2d.greedy_policy(build_claim_kernel(params, law, grid), v)
-    tol_eff = manifest.get("tol_effective", 1e-8)
+    resid_bound = RESIDUAL_REL * (1.0 + float(v.values.max()))
     checks = []
 
     def check(name, ok, detail="", value=None, bound=None):
@@ -423,19 +422,17 @@ def cmd_validate(args):
             entry.update(value=float(value), bound=float(bound))
         checks.append(entry)
 
-    check("residual", resid <= 10 * tol_eff, f"residual {resid:.3e} vs 10*tol {10*tol_eff:.3e}",
-          resid, 10 * tol_eff)
+    check("residual", resid <= resid_bound, f"residual {resid:.3e} vs {resid_bound:.3e}", resid,
+          resid_bound)
 
-    ns = np.arange(grid.n_max + 1)[:, None] * grid.dx1
-    ms = np.arange(grid.m_max + 1)[None, :] * grid.dx2
-    lower_ok = np.all(v.values >= ns + ms - 1e-9)
-    upper_ok = np.all(v.values <= ns + ms + (params.c1 + params.c2) / params.q + 1e-9)
-    check("lower_bound", lower_ok)
-    check("upper_bound", upper_ok)
-    inc1 = np.diff(v.values, axis=0) >= grid.dx1 - 1e-9
-    inc2 = np.diff(v.values, axis=1) >= grid.dx2 - 1e-9
-    check("increments", bool(np.all(inc1) and np.all(inc2)))
-    check("iterate_monotone", manifest.get("min_increment", 0.0) >= -1e-15)
+    above = v.values - (np.arange(grid.n_max + 1)[:, None] * grid.dx1
+                        + np.arange(grid.m_max + 1)[None, :] * grid.dx2)
+    low, high = float(above.min()), float(above.max()) - (params.c1 + params.c2) / params.q
+    check("lower_bound", low >= -1e-9, "", low, -1e-9)
+    check("upper_bound", high <= 1e-9, "", high, 1e-9)
+    inc = min(float((np.diff(v.values, axis=axis) - dx).min())
+              for axis, dx in enumerate((grid.dx1, grid.dx2)))
+    check("increments", inc >= -1e-9, "", inc, -1e-9)
 
     dev = solver2d.check_D1_identity(v, params)
     check("d1_identity", dev <= 2 * (grid.dx1 + grid.dx2), f"max deviation {dev:.4f}",
@@ -470,8 +467,8 @@ def cmd_validate(args):
             v, **_grid_1d(cfg),
         )
         worst_gap = min(r[2] - r[3] for r in rows if r[2] is not None)
-        return found + [("merger_dominance", worst_gap >= -100 * tol_eff,
-                         f"min gap {worst_gap:.3e}", worst_gap, -100 * tol_eff)]
+        return found + [("merger_dominance", worst_gap >= -10 * resid_bound,
+                         f"min gap {worst_gap:.3e}", worst_gap, -10 * resid_bound)]
 
     table = sim_mod.PolicyTable(policy)
     table.flow, table.nodes  # built once, before the workers fork
@@ -494,7 +491,7 @@ def cmd_validate(args):
     check("mc_take_and_run", abs(z) <= 3.0, f"z = {z:.2f}", z, 3.0)
 
     all_ok = all(c["pass"] for c in checks)
-    with open(out / "validate.json", "w") as fh:
+    with open(Path(args.out) / "validate.json", "w") as fh:
         json.dump({"pass": all_ok, "checks": checks}, fh, indent=2)
         fh.write("\n")
     for c in checks:

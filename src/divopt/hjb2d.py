@@ -66,6 +66,7 @@ __all__ = [
     "build_claim_kernel",
     "claim_field",
     "NonConvergenceError",
+    "RESIDUAL_REL",
     "PolicyFlow",
     "policy_flow",
     "drift_doubling",
@@ -81,6 +82,11 @@ __all__ = [
 ]
 
 EPS_TIE_REL = 1e-9
+# the one residual bound, relative to 1 + sup v: the most validate's
+# residual check allows (merger dominance allows ten times it), and the
+# most a policy's value may fall below the iterate it was greedy at
+# (_policy_iteration).  On the bundled configs both read below 4e-15.
+RESIDUAL_REL = 1e-8
 
 
 def set_fft_workers(n: int):
@@ -473,7 +479,8 @@ def claim_field(kernel: ClaimKernel, values: np.ndarray) -> np.ndarray:
 
 class NonConvergenceError(RuntimeError):
     """A solve cannot finish: policy iteration hit its policy cap on some
-    level of the cascade, or a policy evaluation stalled."""
+    level of the cascade, a policy's value fell below the iterate, or a
+    policy evaluation stalled."""
 
 
 class PolicyFlow(NamedTuple):
@@ -619,11 +626,9 @@ def _prolong(coarse, fine):
 class SolveReport:
     """What a solve reports of its run to the grid fixed point."""
 
-    # over all levels: the total sweeps, the last one's sup
-    # increment and the least increment of any
+    # over all levels: the total sweeps and the last one's sup increment
     iterations: int
     final_sup_increment: float
-    min_increment: float
     # policy iteration: greedy policies evaluated, GMRES matvecs over all
     # evaluations, and the sup residual of the last evaluation
     policies: int
@@ -638,28 +643,27 @@ class SolveReport:
     # matvecs, eval_box (the per-axis largest box its policy evaluations ran
     # on) and seconds (iterations, policies and gmres_matvecs total them);
     # and V_delta - V_2delta, sup over the 2*delta grid's nodes (None without
-    # one), an estimate of the discretisation error that tol does not bound
+    # one), an estimate of the discretisation error that the residual does
+    # not bound
     levels: list
     disc_error_est: float
     # seconds spent in the claim field, in the sweeps, in the greedy steps
     # and policy evaluations, and in the argmax sets and residual of the
     # final table
     phases: dict
-    # from the finish: the greedy policy's residual at the final table, the
-    # bound tol * (1 + sup v) the residual checks read, and the wall time
+    # from the finish: the greedy policy's residual at the final table and
+    # the wall time (a solve that cannot reach its fixed point raises)
     residual_max: float
-    tol_effective: float
     wall_time: float
-    converged: bool = True  # a solve that cannot reach its fixed point raises
 
 
-def fixed_point(level, shape, tol):
+def fixed_point(level, shape):
     """The whole solve of both solvers, on a grid of one axis or two: the
     grid fixed point by coarse-to-fine policy iteration (Howard), then the
     argmax sets and residual of the finest table (argmax_sets).
 
     level(scale, shape) returns the Scheme on the grid of step scale*delta
-    and that shape; tol > 0 only sets tol_effective = tol * (1 + sup v).
+    and that shape.
     The grids have steps 2^k*delta, k = K, ..., 0.  Each coarser one has
     n_max // 2 on each axis (its node i is node 2i of the next finer one)
     while its shorter axis keeps _MIN_LEVEL_NODES nodes.  The coarsest
@@ -673,21 +677,18 @@ def fixed_point(level, shape, tol):
     tie tolerance and the SolveReport (the correlation is the finest
     grid's).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     t_start = time.perf_counter()
     shapes = [tuple(shape)]
     while min(coarser := tuple((s - 1) // 2 + 1 for s in shapes[-1])) >= _MIN_LEVEL_NODES:
         shapes.append(coarser)
     phases = {"claim_field": 0.0, "sweeps": 0.0, "evaluation": 0.0}
-    levels, coarse, min_inc, disc_error_est = [], None, math.inf, None
+    levels, coarse, disc_error_est = [], None, None
     for k in reversed(range(len(shapes))):
         t_level = time.perf_counter()
         scheme = level(2**k, shapes[k])
         counts = dict(shape=list(shapes[k]), sweeps=0, policies=0, matvecs=0,
                       eval_box=[0] * len(shape))
-        v, pref, sup_inc, inc, gmres_residual = _policy_iteration(scheme, coarse, phases, counts)
-        min_inc = min(min_inc, inc)
+        v, pref, sup_inc, gmres_residual = _policy_iteration(scheme, coarse, phases, counts)
         counts["seconds"] = time.perf_counter() - t_level
         levels.append(counts)
         if k:
@@ -700,12 +701,11 @@ def fixed_point(level, shape, tol):
     phases["policy"] = time.perf_counter() - t_policy
     return v, masks, eps, SolveReport(
         iterations=sum(lv["sweeps"] for lv in levels), final_sup_increment=sup_inc,
-        min_increment=min_inc, policies=sum(lv["policies"] for lv in levels),
+        policies=sum(lv["policies"] for lv in levels),
         gmres_matvecs=sum(lv["matvecs"] for lv in levels), gmres_residual=gmres_residual,
         correlation=scheme.correlation.kind, kernel_cells=scheme.correlation.cells,
         fshape=scheme.correlation.fshape, levels=levels, disc_error_est=disc_error_est,
-        phases=phases, residual_max=resid, tol_effective=tol * (1.0 + float(v.max())),
-        wall_time=time.perf_counter() - t_start)
+        phases=phases, residual_max=resid, wall_time=time.perf_counter() - t_start)
 
 
 def _policy_iteration(scheme, coarse, phases, counts):
@@ -714,14 +714,15 @@ def _policy_iteration(scheme, coarse, phases, counts):
     (_sweep); the greedy policy of the swept table; and v <- max(v, V^pi),
     V^pi its exact value (_evaluate), until the greedy policy repeats.
     V^pi0 and every V^pi are values of admissible grid strategies, so v
-    stays below the fixed point and its increments nonnegative.  Adds up
-    phases and counts (the grid's levels entry); returns the table, its
-    greedy policy, the last sweep's sup increment, the least increment and
-    the last evaluation's sup residual."""
+    stays below the fixed point; and pi is greedy at v, so V^pi >= v up to
+    rounding and the near-tie actions kept (_greedy_pref).  V^pi below v
+    by more than RESIDUAL_REL * (1 + sup v) anywhere raises
+    NonConvergenceError.  Adds up phases and counts (the grid's levels
+    entry); returns the table, its greedy policy, the last sweep's sup
+    increment and the last evaluation's sup residual."""
     v = np.zeros(counts["shape"])
     pref = np.empty(v.shape, dtype=np.int8)
     prev = np.full(v.shape, -1, dtype=np.int8)
-    min_inc = math.inf
     if coarse is not None:
         # the prolonged values are only GMRES's start: V^pi0 overwrites them
         residual = _evaluate(scheme, _prolong(coarse[1], prev), _prolong(coarse[0], v), v,
@@ -730,25 +731,30 @@ def _policy_iteration(scheme, coarse, phases, counts):
     while True:
         counts["sweeps"] += 1
         t_cf = time.perf_counter()
-        before = scheme.claim(v)  # claim field, then v before the sweep, then the best field
+        # claim field, then v before the sweep, then the best field, then V^pi - v
+        before = scheme.claim(v)
         t_sweep = time.perf_counter()
         _sweep(v, before, scheme.disc, scheme.dxs, work)
         np.subtract(v, before, out=before)
         sup_inc = float(before.max())
-        min_inc = min(min_inc, float(before.min()))
         t_eval = time.perf_counter()
         phases["claim_field"] += t_sweep - t_cf
         phases["sweeps"] += t_eval - t_sweep
         _greedy_pref(scheme, v, prev, pref, before, work)
         if np.array_equal(pref, prev):
             phases["evaluation"] += time.perf_counter() - t_eval
-            return v, pref, sup_inc, min_inc, residual
+            return v, pref, sup_inc, residual
         if counts["policies"] == _POLICY_CAP:
             raise NonConvergenceError(
                 f"policy iteration evaluated {_POLICY_CAP} policies on the "
                 f"{'x'.join(map(str, v.shape))}-node grid without the greedy policy "
                 f"repeating (last sweep's sup-increment {sup_inc:.3e})")
         residual = _evaluate(scheme, pref, v, work, counts)
+        drop = float(np.subtract(work, v, out=before).min())
+        if drop < -RESIDUAL_REL * (1.0 + float(v.max())):
+            raise NonConvergenceError(
+                f"policy iteration on the {'x'.join(map(str, v.shape))}-node grid: a greedy "
+                f"policy's value fell {-drop:.3e} below the iterate it was greedy at")
         np.maximum(v, work, out=v)
         pref, prev = prev, pref
         phases["evaluation"] += time.perf_counter() - t_eval

@@ -144,12 +144,10 @@ def solve_1d(
     prob: OneDimProblem,
     delta: float,
     x_max: float,
-    tol: float = 1e-9,
 ) -> WbarSolution:
-    """The 1D grid fixed point, solved by hjb2d.fixed_point (tol only sets
-    tol_effective), and its band.  Raises TruncationError when the final
-    interval before x_max is not a lump region (the truncation cut through
-    the band).
+    """The 1D grid fixed point, solved by hjb2d.fixed_point, and its band.
+    Raises TruncationError when the final interval before x_max is not a
+    lump region (the truncation cut through the band).
     """
     if delta <= 0 or x_max <= 0:
         raise ValueError("delta and x_max must be positive")
@@ -158,7 +156,7 @@ def solve_1d(
     if n_max < 4:
         raise ValueError("truncation too coarse: fewer than 5 grid nodes")
     w, (is_c, is_b), _, report = fixed_point(
-        lambda scale, shape: _scheme(prob, delta * scale, shape[0]), (n_max + 1,), tol)
+        lambda scale, shape: _scheme(prob, delta * scale, shape[0]), (n_max + 1,))
     return WbarSolution(**vars(report), problem=prob, delta=delta, dx=dx, values=w,
                         band=_extract_band(is_b, is_c, dx))
 

@@ -106,12 +106,11 @@ def solve(
     params: ModelParams,
     law: ClaimLaw,
     grid: GridSpec,
-    tol: float = 1e-8,
     kernel: ClaimKernel = None,
 ):
     """The grid fixed point and its policy, solved by hjb2d.fixed_point on
-    the claim kernel of each grid (kernel, if given, is grid's; tol only
-    sets tol_effective).  Returns (ValueField, PolicyField, SolveReport).
+    the claim kernel of each grid (kernel, if given, is grid's).  Returns
+    (ValueField, PolicyField, SolveReport).
     """
     params = validate_params(params)
     if kernel is None:
@@ -123,7 +122,7 @@ def solve(
         # build_claim_kernel resolves in this module at each call, as in _scheme
         return _scheme(kernel if scale == 1 else build_claim_kernel(params, law, g))
 
-    v, masks, eps, report = fixed_point(level, grid.shape, tol)
+    v, masks, eps, report = fixed_point(level, grid.shape)
     return ValueField(grid, v), _policy_field(grid, masks, eps), report
 
 
@@ -132,7 +131,7 @@ def greedy_policy(kernel: ClaimKernel, v: ValueField):
     commands: (PolicyField, residual), the argmax sets of T0, T1, T2 at v
     and |sup over interior nodes of max(T0 - v, T1 - v, T2 - v)|, zero at
     any fixed point (lump ties included); validate requires it to stay
-    within 10 * tol_effective."""
+    within hjb2d.RESIDUAL_REL * (1 + sup v)."""
     masks, eps, resid = argmax_sets(v.values, _scheme(kernel))
     return _policy_field(v.grid, masks, eps), resid
 
@@ -564,8 +563,6 @@ def write_summary_json(path, region: RegionMap, report: SolveReport):
         "gmres_matvecs": report.gmres_matvecs,
         "gmres_residual": report.gmres_residual,
         "final_sup_increment": report.final_sup_increment,
-        "tol_effective": report.tol_effective,
-        "converged": report.converged,
         "slope_runs": region.slope_runs,
     }
     with open(path, "w") as fh:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from divopt.hjb2d import Action, build_claim_kernel
+from divopt.hjb2d import RESIDUAL_REL, Action, build_claim_kernel
 from divopt.model import (
     Deterministic,
     Erlang2,
@@ -136,7 +136,7 @@ def test_criterion_3_example2_a0_location(ex2, regions):
     # of the exact grid fixed point; it is stable under grid refinement
     # (delta/2, delta/4), and the surrounding value surface is confirmed by
     # an independent Monte Carlo run, yet the expected location (4.00, 4.75)
-    # differs in the second coordinate, by about 0.6.  A tol = 1e-8 stop
+    # differs in the second coordinate, by about 0.6.  The former 1e-8 stop
     # of plain value iteration put it at (3.933, 4.096).  The assertion is
     # kept at the required tolerance and fails honestly.
     region = regions["ex2"]
@@ -163,25 +163,30 @@ def test_criterion_4_example3_structure(ex3, regions):
            f"straight boundary run extent {best[1][2]:.4f} vs {target:.4f} +-0.15")
 
 
+def _residual_bound(values):
+    return RESIDUAL_REL * (1.0 + float(values.max()))
+
+
 def test_criterion_5_residuals(ex1, ex2, ex3, sym2d, sym_wbar, ex1_wbar):
     worst = []
     for name, case in [("ex1", ex1), ("ex2", ex2), ("ex3", ex3), ("sym", sym2d)]:
-        rep = case["report"]
-        worst.append((name, rep.residual_max, 10 * rep.tol_effective))
+        worst.append((name, case["report"].residual_max, _residual_bound(case["v"].values)))
     for name, sol in [("sym_wbar", sym_wbar), ("ex1_wbar", ex1_wbar)]:
-        worst.append((name, sol.residual_max, 10 * sol.tol_effective))
+        worst.append((name, sol.residual_max, _residual_bound(sol.values)))
     ok = all(r <= lim for _, r, lim in worst)
     detail = ", ".join(f"{n}={r:.2e}(lim {l:.2e})" for n, r, l in worst)
     report(5, ok, detail)
 
 
 def test_criterion_6_bounds(ex1, ex2, ex3, sym2d):
+    # the iterates' monotonicity is checked inside the solve: fixed_point
+    # raises if a policy value falls below the iterate it was greedy at
     all_ok = True
     details = []
     for name, case, params in [
         ("ex1", ex1, STRICT), ("ex2", ex2, STRICT), ("ex3", ex3, STRICT), ("sym", sym2d, SYM),
     ]:
-        grid, v, rep = case["grid"], case["v"], case["report"]
+        grid, v = case["grid"], case["v"]
         ns = np.arange(grid.n_max + 1)[:, None] * grid.dx1
         ms = np.arange(grid.m_max + 1)[None, :] * grid.dx2
         lower = bool(np.all(v.values >= ns + ms - 1e-12))
@@ -192,9 +197,8 @@ def test_criterion_6_bounds(ex1, ex2, ex3, sym2d):
             np.all(np.diff(v.values, axis=0) >= grid.dx1 - 1e-10)
             and np.all(np.diff(v.values, axis=1) >= grid.dx2 - 1e-10)
         )
-        mono = rep.min_increment >= 0.0
-        all_ok &= lower and upper and inc and mono
-        details.append(f"{name}: lower={lower} upper={upper} inc={inc} mono={mono}")
+        all_ok &= lower and upper and inc
+        details.append(f"{name}: lower={lower} upper={upper} inc={inc}")
     report(6, all_ok, "; ".join(details))
 
 
@@ -261,7 +265,7 @@ def test_criterion_10_monte_carlo(name, request):
 
 
 def test_criterion_11_merger(ex1):
-    grid, v, rep = ex1["grid"], ex1["v"], ex1["report"]
+    grid, v = ex1["grid"], ex1["v"]
     law = EX_LAWS["ex1"]
     prob = solver1d.make_auxiliary_problem(STRICT, law, "merger")
     merger = solver1d.solve_1d(prob, grid.delta / 4, x_max=30.0)
@@ -276,8 +280,8 @@ def test_criterion_11_merger(ex1):
         + (S - k * merger.dx)
     )
     gap = float((vm - v.values).min())
-    ok = gap >= -100 * rep.tol_effective
-    report(11, ok, f"merger dominance min gap {gap:.4f} (lim {-100 * rep.tol_effective:.1e})")
+    lim = -10 * _residual_bound(v.values)
+    report(11, gap >= lim, f"merger dominance min gap {gap:.4f} (lim {lim:.1e})")
 
     near = [(5.01, 5.01), (6.0, 6.99), (4.02, 5.01)]
     far = [(12.0, 0.99), (0.96, 12.0)]
@@ -297,8 +301,8 @@ def test_criterion_12_refinement_monotone(ex1):
     for delta in (0.015, 0.0075):
         case = _solve_example("ex1", delta=delta)
         vals.append(np.array([case["v"].extend(x1, x2) for x1, x2 in pts]))
-        rep = case["report"]
-        assert rep.residual_max <= 10 * rep.tol_effective  # criterion 5 for these too
+        # criterion 5 for these too
+        assert case["report"].residual_max <= _residual_bound(case["v"].values)
     d1 = (vals[1] - vals[0]).min()
     d2 = (vals[2] - vals[1]).min()
     ok = d1 >= -1e-6 and d2 >= -1e-6
@@ -310,7 +314,7 @@ def test_criterion_13_truncation_stability(ex1):
     grid = ex1["grid"]
     win = case2["v"].values[: grid.n_max + 1, : grid.m_max + 1] - ex1["v"].values
     change = float(np.abs(win).max())
-    lim = 100 * ex1["report"].tol_effective
+    lim = 10 * _residual_bound(ex1["v"].values)
     report(13, change < lim, f"doubled-domain change {change:.2e} (lim {lim:.2e})")
 
 

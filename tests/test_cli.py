@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -37,7 +38,6 @@ claim.rate = 0.6
 delta = 0.1
 x1_max = 9
 x2_max = 9
-tol = 1e-8
 paths = 4000
 seed = 7
 delta_1d = 0.01
@@ -82,17 +82,29 @@ class TestConfig:
         assert main(["solve1d", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("command,key", [
-        ("solve2d", "x1_max"), ("solve2d", "tol"),
+        ("solve2d", "x1_max"),
         ("simulate", "x1_max"), ("simulate", "paths"), ("simulate", "seed"),
     ])
     def test_non_finite_number_exit_2(self, tmp_path, capsys, command, key):
-        # an infinite grid, path count or seed cannot be built, and an
-        # infinite tol would stop a solve after one sweep
+        # an infinite grid, path count or seed cannot be built
         p = tmp_path / "inf.cfg"
         p.write_text(TINY_CFG + f"{key} = inf\n")
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert key in err and len(err.strip().splitlines()) == 1
+
+    def test_legacy_tol_key_is_ignored(self, run_dir, tmp_path):
+        # a config that still sets tol (perfbench/make_refs.py writes
+        # tol = 1e-13) solves as the same config without it: the key is
+        # read by nothing, like any other unknown key
+        written = ("value.csv", "value.npz", "policy.csv", "regions.dat", "summary.json")
+        for value in ("1e-13", "inf"):
+            cfg = tmp_path / f"tol_{value}.cfg"
+            cfg.write_text(TINY_CFG + f"tol = {value}\n")
+            out = tmp_path / f"out_{value}"
+            assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
+            for name in written:
+                assert (out / name).read_bytes() == (run_dir[0] / name).read_bytes(), name
 
     @pytest.mark.parametrize("command,key,value", [
         ("simulate", "paths", "2.5"), ("simulate", "paths", "0"), ("simulate", "seed", "2.7"),
@@ -128,8 +140,7 @@ class TestSeed:
         # the top seed still spawns the per-point streams and their runs' child 0
         out = tmp_path / "o"
         out.mkdir()
-        for name in ("value.npz", "manifest.json"):
-            shutil.copy(run_dir[0] / name, out)
+        shutil.copy(run_dir[0] / "value.npz", out)
         cfg = tmp_path / "top.cfg"
         cfg.write_text(TINY_CFG + f"seed = {2**128 - 1}\npaths = 500\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -144,8 +155,7 @@ class TestSeed:
         _cpus(monkeypatch, 1)
         out = tmp_path / "o"
         out.mkdir()
-        for name in ("value.npz", "manifest.json"):
-            shutil.copy(run_dir[0] / name, out)
+        shutil.copy(run_dir[0] / "value.npz", out)
         real = sim_mod.simulate_policy
         calls = []
 
@@ -193,8 +203,7 @@ class TestSeed:
     def test_seed_flag_out_of_range_exit_2(self, run_dir, tmp_path, capsys, command, seed):
         out = tmp_path / "o"
         out.mkdir()
-        for name in ("value.npz", "manifest.json"):
-            shutil.copy(run_dir[0] / name, out)
+        shutil.copy(run_dir[0] / "value.npz", out)
         assert main([command, "--config", str(run_dir[1]), "--out", str(out),
                      "--seed", str(seed)]) == 2
         err = capsys.readouterr().err
@@ -240,10 +249,9 @@ def run_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def validated(run_dir, tmp_path_factory):
-    # validate reads value.npz and manifest.json, and no other artifact
+    # validate reads value.npz, and no other artifact
     out = tmp_path_factory.mktemp("validate")
-    for name in ("value.npz", "manifest.json"):
-        shutil.copy(run_dir[0] / name, out)
+    shutil.copy(run_dir[0] / "value.npz", out)
     rc = main(["validate", "--config", str(run_dir[1]), "--out", str(out)])
     return rc, (out / "validate.json").read_text()
 
@@ -274,11 +282,11 @@ class TestSolve2dCommand:
     def test_summary_fields(self, run_dir):
         out, _ = run_dir
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["converged"]
-        assert summary["residual_max"] <= 10 * summary["tol_effective"]
-        # the policy-iteration finish, in both reports
+        # the policy-iteration finish, in both reports, which keep none of
+        # the retired value-iteration fields
         manifest = json.loads((out / "manifest.json").read_text())
         for report in (summary, manifest):
+            assert not {"tol_effective", "min_increment", "converged"} & set(report)
             assert report["policies"] >= 1 and report["gmres_matvecs"] >= 1
             assert report["residual_max"] < 1e-10 and report["gmres_residual"] < 1e-10
         assert isinstance(summary["a0_points"], list)
@@ -378,11 +386,12 @@ class TestSolve2dCommand:
         # details are formatted from plain floats, not numpy reprs
         assert "np.float64" not in text
 
-    def test_validate_numeric_fields(self, validated):
+    def test_validate_numeric_fields(self, validated, run_dir):
         report = json.loads(validated[1])
         checks = {c["name"]: c for c in report["checks"]}
-        numeric = {"residual", "d1_identity", "reflection_suboptimal", "merger_dominance",
-                   "mc_policy_crosscheck", "mc_take_and_run"}
+        numeric = {"residual", "lower_bound", "upper_bound", "increments", "d1_identity",
+                   "reflection_suboptimal", "merger_dominance", "mc_policy_crosscheck",
+                   "mc_take_and_run"}
         assert numeric <= set(checks)
         for name, c in checks.items():
             if name in numeric:
@@ -391,6 +400,15 @@ class TestSolve2dCommand:
             else:
                 assert "value" not in c and "bound" not in c
         assert checks["residual"]["value"] <= checks["residual"]["bound"]
+        # the residual bound is RESIDUAL_REL * (1 + sup v), merger dominance ten of it
+        with np.load(run_dir[0] / "value.npz", allow_pickle=False) as npz:
+            top = 1.0 + float(npz["v"].max())
+        assert checks["residual"]["bound"] == hjb2d.RESIDUAL_REL * top
+        assert checks["merger_dominance"]["bound"] == -10 * checks["residual"]["bound"]
+        assert "iterate_monotone" not in checks
+        for name in ("lower_bound", "increments"):
+            assert checks[name]["value"] >= checks[name]["bound"] == -1e-9
+        assert checks["upper_bound"]["value"] <= checks["upper_bound"]["bound"] == 1e-9
         assert abs(checks["mc_take_and_run"]["value"]) <= checks["mc_take_and_run"]["bound"]
 
     @pytest.mark.parametrize("points,bad", [
@@ -423,19 +441,9 @@ class TestSolve2dCommand:
         assert err.strip().splitlines() == [f"{command}: missing value.npz"]
         assert not (out / artifact).exists()
 
-    def test_validate_missing_manifest_exit_2(self, tmp_path, cfg_file, run_dir, capsys):
-        # value.npz alone: validate also reads the solve's manifest
-        out = tmp_path / "no_manifest"
-        out.mkdir()
-        shutil.copy(run_dir[0] / "value.npz", out)
-        assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.strip().splitlines() == ["validate: missing manifest.json"]
-        assert not (out / "validate.json").exists()
-
     def test_validate_after_solve1d_exit_2(self, tmp_path, cfg_file, capsys):
-        # solve1d into the solve's directory overwrites its manifest, whose
-        # tol_effective and min_increment validate must not take for the 2D solve's
+        # solve1d into the solve's directory overwrites its manifest, which
+        # validate does not read: it passes on the 2D solve's value.npz
         out = tmp_path / "o"
         assert main(["solve2d", "--config", str(cfg_file), "--out", str(out)]) == 0
         solve2d = json.loads((out / "manifest.json").read_text())
@@ -446,11 +454,8 @@ class TestSolve2dCommand:
         assert set(solve1d["phases"]) == set(solve2d["phases"])
         assert [list(lv) for lv in solve1d["levels"]] == [list(solve2d["levels"][0])] * len(
             solve1d["levels"])
-        capsys.readouterr()
-        assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "manifest.json" in err[0] and "solve1d:merger" in err[0]
-        assert not (out / "validate.json").exists()
+        assert main(["validate", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert json.loads((out / "validate.json").read_text())["pass"]
 
 
 class TestStartup:
@@ -603,6 +608,30 @@ class TestSolveErrorExit:
             err = capsys.readouterr().err
             assert err.startswith(f"{command}: ") and len(err.strip().splitlines()) == 1
 
+    def test_policy_value_below_the_iterate_exits_3(self, cfg_file, tmp_path, monkeypatch,
+                                                     capsys):
+        # a policy evaluation that comes out 1 low, once the level has
+        # evaluated a policy, puts V^pi below the iterate pi is greedy at:
+        # policy iteration stops there, in 2D and in 1D
+        evaluate = hjb2d._evaluate
+
+        def low(scheme, pref, v, out, counts):
+            has_policy = counts["policies"] > 0
+            residual = evaluate(scheme, pref, v, out, counts)
+            if has_policy:
+                out -= 1.0
+            return residual
+
+        monkeypatch.setattr(hjb2d, "_evaluate", low)
+        capsys.readouterr()
+        assert main(["solve2d", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and re.match(r"solve2d: policy iteration on the \d+x\d+-node grid: "
+                                          r"a greedy policy's value fell", err[0]), err
+        prob = solver1d.make_auxiliary_problem(*build_model(load_config(cfg_file)[0]), "wbar")
+        with pytest.raises(hjb2d.NonConvergenceError, match=r"on the \d+-node grid: a greedy"):
+            solver1d.solve_1d(prob, delta=0.01, x_max=20.0)
+
 
 def _cpus(monkeypatch, n):
     """Let the commands see n CPUs, so they fan their jobs out to n shares
@@ -626,8 +655,7 @@ def _count_forks(monkeypatch):
 
 def _copy_solve(run_dir, out):
     out.mkdir()
-    for name in ("value.npz", "manifest.json"):
-        shutil.copy(run_dir / name, out)
+    shutil.copy(run_dir / "value.npz", out)
     return out
 
 
@@ -792,8 +820,8 @@ class TestArtifactsOfAnotherGrid:
 
 class TestValidateNegativeControl:
     def test_early_stopped_solve_fails_residual(self, tmp_path, monkeypatch):
-        # a deliberately loose solve leaves a residual far above 10x tol: a
-        # greedy step that returns the previous policy, once there is one,
+        # a deliberately loose solve leaves a residual far above the bound:
+        # a greedy step that returns the previous policy, once there is one,
         # ends policy iteration after the coarsest grid's first policy and
         # each finer grid's first sweep, before it could take solve2d to the
         # fixed point
@@ -807,13 +835,10 @@ class TestValidateNegativeControl:
 
         monkeypatch.setattr(hjb2d, "_greedy_pref", stale)
         cfg = tmp_path / "loose.cfg"
-        cfg.write_text(TINY_CFG.replace("tol = 1e-8", "tol = 1.0"))
+        cfg.write_text(TINY_CFG)
         out = tmp_path / "loose_out"
         assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
         monkeypatch.undo()
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["tol_effective"] = 1e-8
-        (out / "manifest.json").write_text(json.dumps(manifest))
         rc = main(["validate", "--config", str(cfg), "--out", str(out)])
         assert rc == 1
         report = json.loads((out / "validate.json").read_text())

@@ -66,15 +66,29 @@ class TestSolve:
         assert np.all(np.diff(v.values, axis=0) >= grid.dx1 - 1e-10)
         assert np.all(np.diff(v.values, axis=1) >= grid.dx2 - 1e-10)
 
-    def test_monotone_iterates(self, small_solve):
-        _, _, _, _, report = small_solve
-        assert report.min_increment >= 0.0
-        assert report.converged
+    def test_monotone_iterates(self, monkeypatch):
+        # each policy iteration step's V^pi lies above the iterate v its
+        # policy is greedy at, to rounding: far inside the RESIDUAL_REL *
+        # (1 + sup v) that fixed_point enforces (V^pi0, evaluated into v
+        # itself from the prolonged coarse values, is no such step)
+        evaluate, drops = hjb2d._evaluate, []
+
+        def spy(scheme, pref, v, out, counts):
+            start = v.copy()
+            residual = evaluate(scheme, pref, v, out, counts)
+            if out is not v:
+                drops.append(float((out - start).min()) / (1.0 + float(start.max())))
+            return residual
+
+        monkeypatch.setattr(hjb2d, "_evaluate", spy)
+        grid = GridSpec.make(PARAMS, delta=0.1, x1_max=6, x2_max=6)
+        solve(PARAMS, LAW, grid)
+        assert len(drops) >= 2 and min(drops) >= -1e-13
 
     def test_residual_within_ten_tolerances(self, small_solve):
         grid, kernel, v, policy, report = small_solve
         resid = greedy_policy(kernel, v)[1]
-        assert resid <= 10 * report.tol_effective
+        assert resid <= hjb2d.RESIDUAL_REL * (1.0 + v.values.max())
         assert resid == pytest.approx(report.residual_max, abs=1e-12)
 
     def test_jacobi_agrees_with_inplace(self, small_solve):
@@ -136,11 +150,6 @@ class TestSolve:
         assert report.gmres_residual <= 1e-11
         assert report.final_sup_increment <= 1e-11
 
-    def test_bad_tol_rejected(self):
-        grid = GridSpec.make(PARAMS, delta=0.1, x1_max=4, x2_max=4)
-        with pytest.raises(ValueError):
-            solve(PARAMS, LAW, grid, tol=0.0)
-
     # validate's bounds, increments, residual and merger dominance, on small
     # random models: c1/b1 >= c2/b2 by b1 = share * c1 / (c1 + c2), and claim
     # laws of the given mean
@@ -170,7 +179,8 @@ class TestSolve:
         samples = [(n * grid.dx1, m * grid.dx2)
                    for n in range(grid.n_max + 1) for m in range(grid.m_max + 1)]
         rows, _ = solver1d.merger_compare(params, law, 0.0, samples, v, x_max=40.0)
-        assert min(vm - vd for _, _, vm, vd in rows) >= -100 * report.tol_effective
+        assert min(vm - vd for _, _, vm, vd in rows) >= -10 * hjb2d.RESIDUAL_REL * (
+            1.0 + v.values.max())
 
 
 class TestSweep:
@@ -239,14 +249,13 @@ class TestCascade:
                                         (kernel.cell_i1, kernel.cell_i2), kernel.cell_wv,
                                         kernel.scheme.const)
         np.testing.assert_allclose(v.values, ref, rtol=0, atol=1e-9 * top)
-        # bounds, increments of at least one cell's payout, monotone iterates
+        # bounds, increments of at least one cell's payout
         ns = np.arange(n_max + 1)[:, None] * grid.dx1
         ms = np.arange(m_max + 1)[None, :] * grid.dx2
         assert np.all(v.values >= ns + ms - 1e-12)
         assert np.all(v.values <= ns + ms + (params.c1 + params.c2) / params.q + 1e-9)
         assert np.all(np.diff(v.values, axis=0) >= grid.dx1 - 1e-10)
         assert np.all(np.diff(v.values, axis=1) >= grid.dx2 - 1e-10)
-        assert report.min_increment >= 0.0
 
     @pytest.mark.parametrize("shape", [(5,), (6,), (5, 8), (6, 7)])
     def test_prolongation(self, shape):
