@@ -27,16 +27,18 @@ grids, each seeded by the next coarser one, to the grid fixed point
 itself), its vectorised sweep, the flow of a grid policy on its no-pay
 nodes (policy_flow) and the exact inverse of its discounted drift
 (drift_inverse), both of which the Monte Carlo runner reads too, the greedy
-step, the exact evaluation of a policy, the operator fields and their
-argmax sets, and the exact ray integral.  A policy is evaluated on the
-leading box its no-pay nodes span, a corner of the grid for the optimal
-strategy, which pays no dividend only near the origin, below the dividend
-curve: claims move the surplus down, lumps move it down an axis and every
-drift ends at a no-pay node, so nothing the no-pay nodes read lies outside
-the box.  fixed_point is the whole solve, finish included: a solver
-supplies only the Scheme of the grid of step 2^k*delta and a given shape,
-which build_scheme makes from the claim cells on one axis and two alike,
-and gets back the finest table, its argmax sets and the one SolveReport.
+step (greedy_step: the greedy action, the tie sets and the residual from
+one application of the Bellman operator, for the solve and the reading
+commands alike), the exact evaluation of a policy, and the exact ray
+integral.  A policy is evaluated on the leading box its no-pay nodes span,
+a corner of the grid for the optimal strategy, which pays no dividend only
+near the origin, below the dividend curve: claims move the surplus down,
+lumps move it down an axis and every drift ends at a no-pay node, so
+nothing the no-pay nodes read lies outside the box.  fixed_point is the
+whole solve: a solver supplies only the Scheme of the grid of step
+2^k*delta and a given shape, which build_scheme makes from the claim cells
+on one axis and two alike, and gets back the finest table, its tie sets
+and the one SolveReport.
 """
 
 from __future__ import annotations
@@ -73,15 +75,13 @@ __all__ = [
     "drift_inverse",
     "SolveReport",
     "fixed_point",
-    "operator_fields",
-    "argmax_sets",
+    "greedy_step",
     "set_fft_workers",
     "shift_up_diag",
-    "tie_epsilon",
     "ray_integral",
 ]
 
-EPS_TIE_REL = 1e-9
+EPS_TIE_REL = 1e-9  # an action is in a node's tie set within this (relative) of the max
 # the one residual bound, relative to 1 + sup v: the most validate's
 # residual check allows (merger dominance allows ten times it), and the
 # most a policy's value may fall below the iterate it was greedy at
@@ -159,19 +159,6 @@ def _lumps(dxs):
     lump targets one cell down the axis, and the payout dxs[axis]."""
     return [(axis + 1, (np.s_[:],) * axis + (np.s_[1:],), (np.s_[:],) * axis + (np.s_[:-1],), dx)
             for axis, dx in enumerate(dxs)]
-
-
-def operator_fields(values, scheme):
-    """The operator fields of a Scheme at a table: T0 = disc * shift_up_diag
-    + the claim field, then one lump field per axis (-inf where the lump
-    would leave the grid)."""
-    cf = scheme.claim(values)
-    fields = [np.add(cf, scheme.disc * shift_up_diag(values, scheme.dxs), out=cf)]
-    for _, to, frm, dx in _lumps(scheme.dxs):
-        lump = np.full_like(values, -np.inf)
-        lump[to] = values[frm] + dx
-        fields.append(lump)
-    return fields
 
 
 def _breakpoints(hs, a_cap: float) -> np.ndarray:
@@ -647,20 +634,20 @@ class SolveReport:
     # not bound
     levels: list
     disc_error_est: float
-    # seconds spent in the claim field, in the sweeps, in the greedy steps
-    # and policy evaluations, and in the argmax sets and residual of the
-    # final table
+    # seconds spent in the claim field of each sweep, in the sweeps, in the
+    # policy evaluations (V^pi0 included) and in the greedy steps (each
+    # with its tie sets and residual)
     phases: dict
-    # from the finish: the greedy policy's residual at the final table and
-    # the wall time (a solve that cannot reach its fixed point raises)
+    # the last greedy step's residual, at the final table, and the wall
+    # time (a solve that cannot reach its fixed point raises)
     residual_max: float
     wall_time: float
 
 
 def fixed_point(level, shape):
     """The whole solve of both solvers, on a grid of one axis or two: the
-    grid fixed point by coarse-to-fine policy iteration (Howard), then the
-    argmax sets and residual of the finest table (argmax_sets).
+    grid fixed point by coarse-to-fine policy iteration (Howard), with the
+    tie sets and residual of the finest table from its last greedy step.
 
     level(scale, shape) returns the Scheme on the grid of step scale*delta
     and that shape.
@@ -672,34 +659,30 @@ def fixed_point(level, shape):
     takes coarse node n // 2's action, and GMRES starts from its value).
     That policy lumps off no grid: index 0 takes coarse index 0's action,
     and no greedy step lumps down an axis there.  Each grid then runs
-    _policy_iteration.  The argmax sets run once the grids' tables are
-    freed.  Returns the finest table, its argmax sets (T0 first), their
-    tie tolerance and the SolveReport (the correlation is the finest
-    grid's).
+    _policy_iteration.  Returns the finest table, its tie sets (an Action
+    bitmask per node, greedy_step's), their tie tolerance and the
+    SolveReport (the correlation is the finest grid's).
     """
     t_start = time.perf_counter()
     shapes = [tuple(shape)]
     while min(coarser := tuple((s - 1) // 2 + 1 for s in shapes[-1])) >= _MIN_LEVEL_NODES:
         shapes.append(coarser)
-    phases = {"claim_field": 0.0, "sweeps": 0.0, "evaluation": 0.0}
+    phases = {"claim_field": 0.0, "sweeps": 0.0, "evaluation": 0.0, "policy": 0.0}
     levels, coarse, disc_error_est = [], None, None
     for k in reversed(range(len(shapes))):
         t_level = time.perf_counter()
         scheme = level(2**k, shapes[k])
         counts = dict(shape=list(shapes[k]), sweeps=0, policies=0, matvecs=0,
                       eval_box=[0] * len(shape))
-        v, pref, sup_inc, gmres_residual = _policy_iteration(scheme, coarse, phases, counts)
+        v, pref, (ties, eps, resid), sup_inc, gmres_residual = _policy_iteration(
+            scheme, coarse, phases, counts)
         counts["seconds"] = time.perf_counter() - t_level
         levels.append(counts)
         if k:
             coarse = v, pref
         elif coarse is not None:
             disc_error_est = float((v[(np.s_[::2],) * v.ndim] - coarse[0]).max())
-    coarse = pref = None  # freed before the finish: its fields set a peak of their own
-    t_policy = time.perf_counter()
-    masks, eps, resid = argmax_sets(v, scheme)
-    phases["policy"] = time.perf_counter() - t_policy
-    return v, masks, eps, SolveReport(
+    return v, ties, eps, SolveReport(
         iterations=sum(lv["sweeps"] for lv in levels), final_sup_increment=sup_inc,
         policies=sum(lv["policies"] for lv in levels),
         gmres_matvecs=sum(lv["matvecs"] for lv in levels), gmres_residual=gmres_residual,
@@ -711,22 +694,25 @@ def fixed_point(level, shape):
 def _policy_iteration(scheme, coarse, phases, counts):
     """Policy iteration on the grid of a Scheme, from V^pi0 of the coarser
     grid's final (table, policy) coarse, or from zero if None: one sweep
-    (_sweep); the greedy policy of the swept table; and v <- max(v, V^pi),
-    V^pi its exact value (_evaluate), until the greedy policy repeats.
-    V^pi0 and every V^pi are values of admissible grid strategies, so v
-    stays below the fixed point; and pi is greedy at v, so V^pi >= v up to
-    rounding and the near-tie actions kept (_greedy_pref).  V^pi below v
-    by more than RESIDUAL_REL * (1 + sup v) anywhere raises
-    NonConvergenceError.  Adds up phases and counts (the grid's levels
-    entry); returns the table, its greedy policy, the last sweep's sup
-    increment and the last evaluation's sup residual."""
+    (_sweep); one greedy step (greedy_step) at the swept table; and
+    v <- max(v, V^pi), V^pi the greedy policy's exact value (_evaluate),
+    until the greedy policy repeats.  V^pi0 and every V^pi are values of
+    admissible grid strategies, so v stays below the fixed point; and pi
+    is greedy at v, so V^pi >= v up to rounding and the near-tie actions
+    kept.  V^pi below v by more than RESIDUAL_REL * (1 + sup v) anywhere
+    raises NonConvergenceError.  Adds up phases and counts (the grid's levels
+    entry); returns the table, its greedy policy, the last greedy step's
+    (ties, eps_tie, resid), the last sweep's sup increment and the last
+    evaluation's sup residual."""
     v = np.zeros(counts["shape"])
     pref = np.empty(v.shape, dtype=np.int8)
     prev = np.full(v.shape, -1, dtype=np.int8)
     if coarse is not None:
+        t_eval = time.perf_counter()
         # the prolonged values are only GMRES's start: V^pi0 overwrites them
         residual = _evaluate(scheme, _prolong(coarse[1], prev), _prolong(coarse[0], v), v,
                              counts)
+        phases["evaluation"] += time.perf_counter() - t_eval
     work = np.empty_like(v)  # sweep and greedy-step scratch, then the tables of an evaluation
     while True:
         counts["sweeps"] += 1
@@ -737,13 +723,15 @@ def _policy_iteration(scheme, coarse, phases, counts):
         _sweep(v, before, scheme.disc, scheme.dxs, work)
         np.subtract(v, before, out=before)
         sup_inc = float(before.max())
+        t_greedy = time.perf_counter()
+        greedy = greedy_step(scheme, v, prev, pref, before, work)
         t_eval = time.perf_counter()
         phases["claim_field"] += t_sweep - t_cf
-        phases["sweeps"] += t_eval - t_sweep
-        _greedy_pref(scheme, v, prev, pref, before, work)
+        phases["sweeps"] += t_greedy - t_sweep
+        phases["policy"] += t_eval - t_greedy
         if np.array_equal(pref, prev):
-            phases["evaluation"] += time.perf_counter() - t_eval
-            return v, pref, sup_inc, residual
+            return v, pref, greedy, sup_inc, residual
+        del greedy  # its tie sets are not held through the evaluation
         if counts["policies"] == _POLICY_CAP:
             raise NonConvergenceError(
                 f"policy iteration evaluated {_POLICY_CAP} policies on the "
@@ -760,16 +748,21 @@ def _policy_iteration(scheme, coarse, phases, counts):
         phases["evaluation"] += time.perf_counter() - t_eval
 
 
-def _greedy_pref(scheme, v, prev, pref, best, work):
-    """Write the greedy action of the Scheme at v into pref (0 no-pay, i + 1
-    a lump down axis i), with best and work as grid-sized scratch.
+def greedy_step(scheme, v, prev, pref, best, work):
+    """One application of the Bellman operator of the Scheme at v: write the
+    greedy action into pref (0 no-pay, i + 1 a lump down axis i), with best
+    and work as grid-sized scratch, and return (ties, eps_tie, resid).
 
-    The action attains the max, exact ties going to the lump down axis 0,
-    then axis 1.  A node keeps its previous action prev wherever that is
+    The action attains the max of T0 = disc * shift_up_diag(v) + claim(v)
+    and the lumps, exact ties going to the lump down axis 0, then axis 1.
+    A node keeps its previous action prev (-1 for none) wherever that is
     within _KEEP_REL (relative) of the max, so rounding cannot flip the
-    policy back and forth.
+    policy back and forth.  ties is an Action bitmask (uint8) per node of
+    every action within eps_tie = EPS_TIE_REL * (1 + |sup max|) of the max,
+    and resid is |sup(max - v)| over the interior nodes (all but the last
+    on each axis), zero at any fixed point.
     """
-    t0 = scheme.claim(v)  # the claim field, then T0, then T0 - max(T0, lumps)
+    t0 = scheme.claim(v)  # the claim field, then T0, then T0 - max, then each lump
     lumps = _lumps(scheme.dxs)
     shift_up_diag(v, scheme.dxs, out=work)
     work *= scheme.disc
@@ -778,16 +771,24 @@ def _greedy_pref(scheme, v, prev, pref, best, work):
     for _, to, frm, dx in lumps:
         np.add(v[frm], dx, out=work[to])
         np.maximum(best[to], work[to], out=best[to])
-    eps = _KEEP_REL * (1.0 + abs(float(best.max())))
+    top = 1.0 + abs(float(best.max()))
+    eps_tie, eps_keep = EPS_TIE_REL * top, _KEEP_REL * top
+    np.subtract(best, eps_tie, out=work)  # the least value of a tie
+    ties = np.greater_equal(t0, work).view(np.uint8)  # Action.E0 is bit 0
     t0 -= best
     pref[...] = 0
-    keep = (prev == 0) & (t0 >= -eps)
+    keep = (prev == 0) & (t0 >= -eps_keep)
     for code, to, frm, dx in reversed(lumps):  # the last axis first: axis 0 wins exact ties
-        np.add(v[frm], dx, out=work[to])
-        work[to] -= best[to]
-        pref[to][work[to] == 0.0] = code
-        keep[to] |= (prev[to] == code) & (work[to] >= -eps)
+        lump = np.add(v[frm], dx, out=t0[to])
+        tie = np.greater_equal(lump, work[to]).view(np.uint8)
+        ties[to] |= np.left_shift(tie, code, out=tie)
+        lump -= best[to]
+        pref[to][lump == 0.0] = code
+        keep[to] |= (prev[to] == code) & (lump >= -eps_keep)
     np.copyto(pref, prev, where=keep)
+    inner = (np.s_[:-1],) * v.ndim
+    resid = abs(float(np.subtract(best[inner], v[inner], out=work[inner]).max()))
+    return ties, eps_tie, resid
 
 
 def _evaluate(scheme, pref, v, out, counts):
@@ -912,25 +913,6 @@ def _gmres(apply, residual, precondition, x):
         f"policy evaluation stalled: GMRES residual {beta:.3e} against a target of "
         f"{target:.3e} after {matvecs} matvecs",
     )
-
-
-def tie_epsilon(max_value: float) -> float:
-    return EPS_TIE_REL * (1.0 + abs(max_value))
-
-
-def argmax_sets(v: np.ndarray, scheme):
-    """Argmax sets and residual of the operator fields of a Scheme at the
-    table v (see operator_fields).
-
-    Returns one mask per field, T0 first, true where the field is within
-    the tie tolerance of the max of all; the tie tolerance; and
-    |sup(max - v)| over the interior nodes (all but the last on each axis).
-    """
-    fields = operator_fields(v, scheme)
-    best = functools.reduce(np.maximum, fields)
-    eps = tie_epsilon(float(best.max()))
-    resid = abs(float((best - v)[(slice(-1),) * v.ndim].max()))
-    return [f >= best - eps for f in fields], eps, resid
 
 
 def ray_integral(values: np.ndarray, xs, bs, dxs, slopes, ub: float, law: ClaimLaw):

@@ -9,9 +9,9 @@ fixed-point loop (hjb2d.fixed_point: coarse-to-fine policy iteration to
 the grid fixed point), with a lump paying rho*dx and the reward for
 staying alive folded into the claim field.  The solve supplies that loop
 the Scheme of the grid of step 2^k*delta (hjb2d.build_scheme on one
-axis); the bands come from the argmax sets that fixed_point returns with
-the fixed point, and the solution is its SolveReport with the problem,
-grid, values and band.
+axis); the bands come from the tie sets (Action bitmasks) of the last
+greedy step, which fixed_point returns with the fixed point, and the
+solution is its SolveReport with the problem, grid, values and band.
 """
 
 from __future__ import annotations
@@ -155,10 +155,10 @@ def solve_1d(
     n_max = int(round(x_max / dx))
     if n_max < 4:
         raise ValueError("truncation too coarse: fewer than 5 grid nodes")
-    w, (is_c, is_b), _, report = fixed_point(
+    w, ties, _, report = fixed_point(
         lambda scale, shape: _scheme(prob, delta * scale, shape[0]), (n_max + 1,))
     return WbarSolution(**vars(report), problem=prob, delta=delta, dx=dx, values=w,
-                        band=_extract_band(is_b, is_c, dx))
+                        band=_extract_band((ties & 2) > 0, (ties & 1) > 0, dx))
 
 
 def _extract_band(is_b, is_c, dx):
@@ -224,8 +224,8 @@ def merger_compare(
     entry is None when x1 + x2 < m_cost.  Values are the floor extensions
     of the respective solves.
     """
-    if m_cost < 0:
-        raise ValueError("merger cost must be >= 0")
+    if not (math.isfinite(m_cost) and m_cost >= 0):
+        raise ValueError(f"merger cost must be finite and >= 0, got {m_cost}")
     if merger is None:
         prob = make_auxiliary_problem(params, law, "merger")
         if delta is None:

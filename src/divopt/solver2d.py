@@ -8,9 +8,9 @@ each greedy policy's value solved exactly on its no-pay nodes, then ends
 every grid at its fixed point.  Every iterate is the value of an
 admissible grid strategy, so the sequence increases pointwise to the
 smallest fixed point.  Strict Jacobi value iteration from zero is the test
-suite's reference (tests/oracles.py).  fixed_point also returns the final
-table's argmax sets, which solve packs into its PolicyField as
-greedy_policy does for the reading commands, and the SolveReport.  The
+suite's reference (tests/oracles.py).  fixed_point also returns the tie
+sets of its last greedy step (hjb2d.greedy_step), which solve wraps in its
+PolicyField, and the SolveReport; greedy_policy takes the same step.  The
 artifact writers build their lines with numpy, the values through an exact
 integer %.17g (_g17), byte for byte what per-node f-strings would write.
 """
@@ -30,10 +30,10 @@ from .hjb2d import (
     NonConvergenceError,
     SolveReport,
     ValueField,
-    argmax_sets,
     build_claim_kernel,
     claim_field,
     fixed_point,
+    greedy_step,
     ray_integral,
 )
 from .model import ClaimLaw, GridSpec, ModelParams, region_of, validate_params
@@ -122,24 +122,20 @@ def solve(
         # build_claim_kernel resolves in this module at each call, as in _scheme
         return _scheme(kernel if scale == 1 else build_claim_kernel(params, law, g))
 
-    v, masks, eps, report = fixed_point(level, grid.shape)
-    return ValueField(grid, v), _policy_field(grid, masks, eps), report
+    v, ties, eps, report = fixed_point(level, grid.shape)
+    return ValueField(grid, v), PolicyField(grid, ties, eps), report
 
 
 def greedy_policy(kernel: ClaimKernel, v: ValueField):
-    """The greedy policy of a value table, as solve packs it, for the reading
-    commands: (PolicyField, residual), the argmax sets of T0, T1, T2 at v
-    and |sup over interior nodes of max(T0 - v, T1 - v, T2 - v)|, zero at
-    any fixed point (lump ties included); validate requires it to stay
-    within hjb2d.RESIDUAL_REL * (1 + sup v)."""
-    masks, eps, resid = argmax_sets(v.values, _scheme(kernel))
-    return _policy_field(v.grid, masks, eps), resid
-
-
-def _policy_field(grid, masks, eps):
-    """The argmax sets of T0, T1, T2 (argmax_sets) packed as a PolicyField."""
-    acts = sum(mask * int(a) for mask, a in zip(masks, (Action.E0, Action.E1, Action.E2)))
-    return PolicyField(grid=grid, actions=acts.astype(np.uint8), eps_tie=eps)
+    """The greedy policy of a value table for the reading commands, by the
+    solve's greedy step with no previous policy (hjb2d.greedy_step):
+    (PolicyField, residual), the tie sets of T0, T1, T2 at v and |sup over
+    interior nodes of max(T0, T1, T2) - v|, zero at any fixed point (lump
+    ties included); validate requires it within RESIDUAL_REL * (1 + sup v)."""
+    prev = np.full(v.values.shape, -1, dtype=np.int8)
+    ties, eps, resid = greedy_step(_scheme(kernel), v.values, prev, np.empty_like(prev),
+                                   np.empty_like(v.values), np.empty_like(v.values))
+    return PolicyField(v.grid, ties, eps), resid
 
 
 def _scheme(kernel: ClaimKernel):

@@ -23,7 +23,9 @@ LU, where the solvers work on the no-pay nodes only; and the band
 reference walks the 1D labels node by node.  The policy
 runner reference walks the grid strategy one drift-and-lump segment at a
 time instead of jumping over the per-cell flow.  The Jacobi
-iteration applies T0, T1 and T2 to the previous iterate only.
+iteration applies T0, T1 and T2 to the previous iterate only; those
+operator fields, as whole tables, are also what the greedy step's tie sets
+and residual are checked against.
 
 The region references label and open masks with scipy.ndimage, where
 the region maps run their own labeller and opening.  The per-point
@@ -45,14 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from divopt.hjb2d import (
-    Action,
-    ClaimKernel,
-    ValueField,
-    operator_fields,
-    ray_integral,
-    tie_epsilon,
-)
+from divopt.hjb2d import EPS_TIE_REL, Action, ClaimKernel, ValueField, ray_integral
 from divopt.model import (
     ClaimLaw,
     Deterministic,
@@ -144,6 +139,29 @@ def brute_force_t_slices_1d(prob, delta, values, n, nt=4000):
     inner = integrate_affine(prob.law, lo, hi, p, -rho * b).sum(axis=1)
     weight = (delta / nt) * prob.lam * np.exp(-(prob.lam + prob.q) * t)
     return float(np.dot(weight, inner))
+
+
+def operator_fields(values, scheme):
+    """The operator fields of a Scheme at a table, on one axis or two, each a
+    whole grid-sized table: T0 = disc * lookup(n+1, m+1) + the claim field
+    (past the last node of axis i the lookup adds dxs[i]), then one lump
+    field per axis, values one cell down the axis plus its payout, -inf
+    where the lump would leave the grid."""
+    ndim = values.ndim
+    up = np.pad(values, [(0, 1)] * ndim, mode="edge")[(np.s_[1:],) * ndim]
+    for axis, dx in enumerate(scheme.dxs):
+        up[(np.s_[:],) * axis + (-1,)] += dx
+    fields = [scheme.claim(values) + scheme.disc * up]
+    for axis, dx in enumerate(scheme.dxs):
+        lump = np.full_like(values, -np.inf)
+        lump[(np.s_[:],) * axis + (np.s_[1:],)] = values[(np.s_[:],) * axis + (np.s_[:-1],)] + dx
+        fields.append(lump)
+    return fields
+
+
+def tie_epsilon(max_value: float) -> float:
+    """The tie tolerance at a max value: EPS_TIE_REL * (1 + |max|)."""
+    return EPS_TIE_REL * (1.0 + abs(max_value))
 
 
 def solve_jacobi(kernel, tol=1e-8, iter_cap=200_000):

@@ -378,6 +378,18 @@ class TestSolve2dCommand:
         assert rows[0] == "x1,x2,merger_reduced,v2d_reduced"
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("cost", ["nan", "inf"])
+    def test_merger_compare_non_finite_cost_exit_2(self, run_dir, tmp_path, capsys, cost):
+        # the flag meets the check the merger.cost key does, in merger_compare
+        out = tmp_path / "o"
+        out.mkdir()
+        shutil.copy(run_dir[0] / "value.npz", out)
+        assert main(["merger-compare", "--config", str(run_dir[1]), "--out", str(out),
+                     "--m-cost", cost]) == 2
+        err = capsys.readouterr().err
+        assert "merger cost" in err and len(err.strip().splitlines()) == 1
+        assert not (out / "merger_compare.csv").exists()
+
     def test_validate_command_passes(self, validated):
         rc, text = validated
         report = json.loads(text)
@@ -825,15 +837,15 @@ class TestValidateNegativeControl:
         # ends policy iteration after the coarsest grid's first policy and
         # each finer grid's first sweep, before it could take solve2d to the
         # fixed point
-        greedy = hjb2d._greedy_pref
+        greedy = hjb2d.greedy_step
 
         def stale(scheme, v, prev, pref, *scratch):
-            if prev.min() < 0:  # no policy yet
-                greedy(scheme, v, prev, pref, *scratch)
-            else:
+            step = greedy(scheme, v, prev, pref, *scratch)
+            if prev.min() >= 0:  # a policy to keep
                 np.copyto(pref, prev)
+            return step
 
-        monkeypatch.setattr(hjb2d, "_greedy_pref", stale)
+        monkeypatch.setattr(hjb2d, "greedy_step", stale)
         cfg = tmp_path / "loose.cfg"
         cfg.write_text(TINY_CFG)
         out = tmp_path / "loose_out"

@@ -7,6 +7,7 @@ import scipy.fft as sfft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from divopt import hjb2d, solver1d
 from divopt.hjb2d import (
     Action,
     DirectCorrelation,
@@ -15,6 +16,7 @@ from divopt.hjb2d import (
     build_correlation,
     build_claim_kernel,
     claim_field,
+    greedy_step,
     shift_up_diag,
 )
 from divopt.model import (
@@ -34,6 +36,8 @@ from oracles import (
     op_T,
     op_T0,
     op_lump,
+    operator_fields,
+    tie_epsilon,
 )
 
 PARAMS = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=0.05))
@@ -332,6 +336,121 @@ class TestBellmanOperators:
         assert up[g.n_max, g.m_max] == pytest.approx(
             v.values[g.n_max, g.m_max] + g.dx1 + g.dx2
         )
+
+
+class TestGreedyStep:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.one_of(st.tuples(st.integers(3, 60)),
+                           st.tuples(st.integers(3, 14), st.integers(3, 14))),
+           law=st.sampled_from([Exponential(0.6), Erlang2(0.9), Deterministic(0.45)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_operator_fields(self, shape, law, seed):
+        # a real scheme's claim field at a random table, with T0 moved at some
+        # nodes onto the best lump exactly, or within or just past the tie and
+        # keep tolerances of it, on either side, and then at a few other
+        # nodes T0 or the best lump exactly at the tie bound, best - eps_tie;
+        # on 2D grids some nodes also get two exactly tied lumps.  The greedy
+        # step must give the oracle's tie sets, tie tolerance and residual
+        # bit for bit, and the greedy action of the exact-tie and keep rules
+        # for a random previous policy
+        rng = np.random.default_rng(seed)
+        if len(shape) == 1:
+            scheme = solver1d._scheme(solver1d.make_auxiliary_problem(PARAMS, law, "wbar"),
+                                      0.1, shape[0])
+        else:
+            grid = GridSpec(delta=0.1, dx1=0.2, dx2=0.1, n_max=shape[0] - 1, m_max=shape[1] - 1)
+            scheme = build_claim_kernel(PARAMS, law, grid).scheme
+        axes = np.meshgrid(*[np.arange(s) * dx for s, dx in zip(shape, scheme.dxs)],
+                           indexing="ij")
+        v = sum(axes) + rng.uniform(0.0, 0.5, shape)
+        if len(shape) == 2:
+            for n, m in zip(rng.integers(1, shape[0], 6), rng.integers(1, shape[1], 6)):
+                v[n, m - 1] = _planted(v[n - 1, m] + scheme.dxs[0], scheme.dxs[1])
+        cf = scheme.claim(v)
+        scheme = scheme._replace(claim=lambda u: cf.copy())
+        drift = operator_fields(v, scheme._replace(claim=np.zeros_like))[0]
+        fields = np.array(operator_fields(v, scheme))
+        lump = fields[1:].max(axis=0)
+        top = 1.0 + abs(float(fields.max()))
+        eps, keep = hjb2d.EPS_TIE_REL * top, hjb2d._KEEP_REL * top
+        gaps = [0.0] + [sign * g for sign in (-1, 1) for g in
+                        (0.5 * keep, 2 * keep, eps * (1 - 1e-3), eps * (1 + 1e-3))]
+        prev = rng.integers(-1, len(shape) + 1, shape).astype(np.int8)
+        at = np.flatnonzero(np.isfinite(lump))
+        for i in rng.choice(at, min(at.size, 12), replace=False):
+            idx = np.unravel_index(i, shape)
+            cf[idx] = _planted(lump[idx] + gaps[rng.integers(len(gaps))], drift[idx])
+            prev[idx] = 0 if rng.random() < 0.5 else np.argmax(fields[(np.s_[1:],) + idx]) + 1
+        # the bound plants move no node's max to the table's max, so eps_tie stays
+        fields = np.array(operator_fields(v, scheme))
+        best = fields.max(axis=0)
+        eps = tie_epsilon(float(best.max()))
+        low = np.flatnonzero(np.isfinite(lump) & (np.maximum(best, lump + 2 * eps) < best.max()))
+        for i in rng.choice(low, min(low.size, 4), replace=False):
+            idx = np.unravel_index(i, shape)
+            if fields[0][idx] < lump[idx]:  # T0 at the bound below the lump
+                cf[idx] = _planted(lump[idx] - eps, drift[idx])
+            else:  # T0 where the lump sits at the bound below it
+                t0 = lump[idx] + eps
+                for _ in range(4):
+                    t0 = np.nextafter(t0, t0 + (lump[idx] - (t0 - eps)))
+                cf[idx] = _planted(t0, drift[idx])
+
+        fields = np.array(operator_fields(v, scheme))
+        best = fields.max(axis=0)
+        want_eps = tie_epsilon(float(best.max()))
+        want_ties = sum((f >= best - want_eps).astype(np.uint8) << a
+                        for a, f in enumerate(fields))
+        want_resid = abs(float((best - v)[(np.s_[:-1],) * v.ndim].max()))
+        want_pref = np.zeros(shape, dtype=np.int8)
+        for code in reversed(range(1, len(shape) + 1)):
+            want_pref[fields[code] == best] = code
+        prev_gap = np.take_along_axis(fields, np.maximum(prev, 0)[None], 0)[0] - best
+        kept = (prev >= 0) & (prev_gap >= -hjb2d._KEEP_REL * (1.0 + abs(float(best.max()))))
+        want_pref[kept] = prev[kept]
+
+        pref = np.empty(shape, dtype=np.int8)
+        ties, got_eps, resid = greedy_step(scheme, v.copy(), prev.copy(), pref,
+                                           np.empty(shape), np.empty(shape))
+        assert ties.dtype == np.uint8
+        np.testing.assert_array_equal(ties, want_ties)
+        assert got_eps == want_eps
+        assert resid == want_resid
+        np.testing.assert_array_equal(pref, want_pref)
+
+    def test_planted_ties_land_where_meant(self):
+        # the plants of the property above: an exact tie is exact, T0 just
+        # inside or just past the tie tolerance of a lump lands in or out of
+        # the tie set, and T0 exactly at the bound lands in it
+        grid = GridSpec(delta=0.1, dx1=0.2, dx2=0.1, n_max=5, m_max=5)
+        scheme = build_claim_kernel(PARAMS, Exponential(0.6), grid).scheme
+        v = linear_field(grid, const=3.0).values
+        fields = operator_fields(v, scheme)
+        eps = tie_epsilon(float(np.max(fields, axis=0).max()))
+        cf = scheme.claim(v)
+        drift = operator_fields(v, scheme._replace(claim=np.zeros_like))[0]
+        lump = max(fields[1][3, 3], fields[2][3, 3])  # the two lumps, an ulp apart or tied
+        for target, tied in ((lump, True), (lump - eps * (1 - 1e-3), True), (lump - eps, True),
+                             (lump - eps * (1 + 1e-3), False)):
+            cf[3, 3] = _planted(target, drift[3, 3])
+            assert drift[3, 3] + cf[3, 3] == target
+            planted = scheme._replace(claim=lambda u: cf.copy())
+            ties = greedy_step(planted, v, np.full(v.shape, -1, dtype=np.int8),
+                               np.empty(v.shape, dtype=np.int8), np.empty(v.shape),
+                               np.empty(v.shape))[0]
+            assert ties[3, 3] == (Action.E0 if tied else 0) | Action.E1 | Action.E2
+
+
+def _planted(target, a):
+    """c with a + c == target exactly where a few ulps of c can make it, and
+    c = target - a (rounded) elsewhere."""
+    c = target - a
+    for _ in range(4):
+        got = a + c
+        if got == target:
+            break
+        c = np.nextafter(c, c + (target - got))
+    return c
 
 
 class TestContinuousL:

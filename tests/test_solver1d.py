@@ -49,8 +49,9 @@ class TestMakeAuxiliary:
         assert (prob.c, prob.b, prob.kappa, prob.rho) == (3.0, 1.0, 0.0, 1.0)
 
     def test_bad_merger_cost(self):
-        with pytest.raises(ValueError, match="merger cost"):
-            merger_compare(EX1, Exponential(0.6), -1.0, [(1.0, 1.0)], v2d=None)
+        for cost in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="merger cost"):
+                merger_compare(EX1, Exponential(0.6), cost, [(1.0, 1.0)], v2d=None)
 
     def test_problem_invariants(self):
         with pytest.raises(ValueError):
