@@ -1,10 +1,11 @@
 """Optimal dividend payout for a two-branch insurer with proportional claims.
 
 A numpy library computing the optimal value function and grid-optimal
-payout strategy of a two-dimensional compound Poisson surplus process via
-monotone fixed-point iteration on a discrete dynamic-programming scheme,
-together with the one-dimensional band solver for on-ray and merged-company
-problems and Monte Carlo policy evaluation for cross-validation.
+payout strategy of a two-dimensional compound Poisson surplus process: the
+fixed point of a monotone discrete dynamic-programming scheme, by policy
+iteration on a coarse-to-fine cascade of grids, together with the
+one-dimensional band solver for on-ray and merged-company problems and
+Monte Carlo policy evaluation for cross-validation.
 """
 
 __version__ = "0.1.0"

@@ -23,8 +23,9 @@ operator.
 
 The two solvers also share everything else defined here, on one axis or
 two: the fixed-point loop (fixed_point: policy iteration on a cascade of
-grids, each seeded by the next coarser one, to the grid fixed point
-itself), its vectorised sweep, the flow of a grid policy on its no-pay
+grids, each seeded by the next coarser one and solved first on a crop
+around that one's no-pay box, to the grid fixed point itself), its
+vectorised sweep, the flow of a grid policy on its no-pay
 nodes (policy_flow) and the exact inverse of its discounted drift
 (drift_inverse), both of which the Monte Carlo runner reads too, the greedy
 step (greedy_step: the greedy action, the tie sets and the residual from
@@ -564,6 +565,15 @@ def policy_flow(pref, dxs) -> PolicyFlow:
 # with 12 or 20, 1.8-2.8 s with 45, 3.3-3.7 s with 64 and 12.9-14.4 s on one
 # grid (shared 2-core x86-64 machine, one FFT worker).
 _MIN_LEVEL_NODES = 20
+# Each finer grid first solves on its leading crop of
+# min(n, ceil(_CROP_GROWTH * 2 * b) + _CROP_MARGIN) nodes per axis, n the
+# grid's nodes and b the coarser grid's final no-pay box (at least the
+# origin, so a crop has 5 nodes at the least).  The box grew 1.85-2.16x per
+# halving of the step on the bundled configs.  Only the speed depends on
+# these: the finest and 2*delta grids end with a whole-grid pass, which
+# reaches their fixed points whatever the crops were.
+_CROP_GROWTH = 1.15
+_CROP_MARGIN = 2
 _POLICY_CAP = 100  # greedy policies evaluated on one level before fixed_point gives up
 _KEEP_REL = 1e-13  # a node keeps its action while within this (relative) of the best
 _GMRES_RESTART = 20
@@ -600,13 +610,26 @@ def _sweep(v, cf, disc, dxs, work):
     return v
 
 
-def _prolong(coarse, fine):
-    """fine[n, m] = coarse[n // 2, m // 2] on one axis or two, in place: one
-    strided copy per parity of the indices, so no index table is built."""
-    for parity in itertools.product((0, 1), repeat=fine.ndim):
-        part = fine[tuple(np.s_[p::2] for p in parity)]
-        part[...] = coarse[tuple(np.s_[:s] for s in part.shape)]
-    return fine
+def _seed(last, pref, v):
+    """Put the last grid's final (table, policy, step) on this grid, in
+    place, and return (pref, v): node n takes node n // step's entry, step
+    2 from the coarser grid (prolongation) and 1 from a crop of this grid
+    (embedding), over the leading box those nodes cover.  Past that box
+    every node lumps: down axis 0 past its rows, else down the last axis,
+    so every lump chain ends in the box.  The policy lumps off no grid:
+    index 0 takes the last grid's index-0 action, and no greedy step lumps
+    down an axis there.  v is left alone past the box."""
+    table, policy, step = last
+    covered = tuple(min(s, step * c) for s, c in zip(pref.shape, policy.shape))
+    box = tuple(np.s_[:c] for c in covered)
+    # one strided copy per residue of the indices, so no index table is built
+    for residue in itertools.product(range(step), repeat=pref.ndim):
+        for src, dst in ((policy, pref), (table, v)):
+            part = dst[box][tuple(np.s_[r::step] for r in residue)]
+            part[...] = src[tuple(np.s_[:s] for s in part.shape)]
+    for axis in reversed(range(pref.ndim)):  # axis 0 last: it wins past both
+        pref[(np.s_[:],) * axis + (np.s_[covered[axis]:],)] = axis + 1
+    return pref, v
 
 
 @dataclass(kw_only=True)
@@ -626,9 +649,11 @@ class SolveReport:
     correlation: str
     kernel_cells: int
     fshape: tuple
-    # per grid of the cascade, coarsest first: shape, sweeps, policies,
-    # matvecs, eval_box (the per-axis largest box its policy evaluations ran
-    # on) and seconds (iterations, policies and gmres_matvecs total them);
+    # per grid solved, coarsest first (each finer grid's crop, and the
+    # whole finest and 2*delta grids after a crop smaller than them; the
+    # last is the whole finest grid): shape, sweeps, policies, matvecs,
+    # eval_box (the per-axis largest box its policy evaluations ran on) and
+    # seconds (iterations, policies and gmres_matvecs total them);
     # and V_delta - V_2delta, sup over the 2*delta grid's nodes (None without
     # one), an estimate of the discretisation error that the residual does
     # not bound
@@ -653,35 +678,53 @@ def fixed_point(level, shape):
     and that shape.
     The grids have steps 2^k*delta, k = K, ..., 0.  Each coarser one has
     n_max // 2 on each axis (its node i is node 2i of the next finer one)
-    while its shorter axis keeps _MIN_LEVEL_NODES nodes.  The coarsest
-    starts from zero with no policy; each finer one from V^pi0, the exact
-    value of the coarser one's final policy prolonged (_prolong: node n
-    takes coarse node n // 2's action, and GMRES starts from its value).
-    That policy lumps off no grid: index 0 takes coarse index 0's action,
-    and no greedy step lumps down an axis there.  Each grid then runs
-    _policy_iteration.  Returns the finest table, its tie sets (an Action
-    bitmask per node, greedy_step's), their tie tolerance and the
-    SolveReport (the correlation is the finest grid's).
+    while its shorter axis keeps _MIN_LEVEL_NODES nodes.  The coarsest is
+    solved whole, from zero with no policy.  Each finer one is solved first
+    on its leading crop around the coarser one's final no-pay box (see
+    _CROP_GROWTH), from V^pi0: the exact value of the coarser one's final
+    policy prolonged, with a lump at every node past the nodes it covers
+    (_seed).  The crop's fixed point is the grid's wherever the crop holds
+    the no-pay region: claims only lower the surplus and lumps go down an
+    axis, so the values on the crop depend only on the crop, and a node past
+    it lumps to its target's value plus the payout, the crop edge's
+    unit-slope rule.  A crop smaller than its grid on the finest grid and
+    the 2*delta one (whose whole table disc_error_est reads) is followed by
+    the whole grid, from the crop's final policy embedded (_seed again):
+    the grid fixed point whatever the crop, after one sweep and one greedy
+    step when the crop held the region.  Each of these runs
+    _policy_iteration and has its levels entry.  Returns the finest table,
+    its tie sets (an Action bitmask per node, greedy_step's), their tie
+    tolerance and the SolveReport (the correlation is the finest grid's).
     """
     t_start = time.perf_counter()
     shapes = [tuple(shape)]
     while min(coarser := tuple((s - 1) // 2 + 1 for s in shapes[-1])) >= _MIN_LEVEL_NODES:
         shapes.append(coarser)
     phases = {"claim_field": 0.0, "sweeps": 0.0, "evaluation": 0.0, "policy": 0.0}
-    levels, coarse, disc_error_est = [], None, None
-    for k in reversed(range(len(shapes))):
+    levels, last, coarse = [], None, None
+    k, run = len(shapes) - 1, shapes[-1]
+    while True:
         t_level = time.perf_counter()
-        scheme = level(2**k, shapes[k])
-        counts = dict(shape=list(shapes[k]), sweeps=0, policies=0, matvecs=0,
+        scheme = level(2**k, run)
+        counts = dict(shape=list(run), sweeps=0, policies=0, matvecs=0,
                       eval_box=[0] * len(shape))
         v, pref, (ties, eps, resid), sup_inc, gmres_residual = _policy_iteration(
-            scheme, coarse, phases, counts)
+            scheme, last, phases, counts)
         counts["seconds"] = time.perf_counter() - t_level
         levels.append(counts)
-        if k:
-            coarse = v, pref
-        elif coarse is not None:
-            disc_error_est = float((v[(np.s_[::2],) * v.ndim] - coarse[0]).max())
+        if run != shapes[k] and k <= 1:
+            last, run = (v, pref, 1), shapes[k]  # this grid whole, from its crop's policy
+            continue
+        if k == 0:
+            break
+        if k == 1:
+            coarse = v  # V_2delta, for disc_error_est
+        box = [int(i.max()) + 1 for i in np.nonzero(pref == 0)]  # never empty: the origin
+        last, k = (v, pref, 2), k - 1
+        run = tuple(min(s, math.ceil(_CROP_GROWTH * 2 * b) + _CROP_MARGIN)
+                    for s, b in zip(shapes[k], box))
+    disc_error_est = None if coarse is None else float(
+        (v[(np.s_[::2],) * v.ndim] - coarse).max())
     return v, ties, eps, SolveReport(
         iterations=sum(lv["sweeps"] for lv in levels), final_sup_increment=sup_inc,
         policies=sum(lv["policies"] for lv in levels),
@@ -691,10 +734,10 @@ def fixed_point(level, shape):
         phases=phases, residual_max=resid, wall_time=time.perf_counter() - t_start)
 
 
-def _policy_iteration(scheme, coarse, phases, counts):
-    """Policy iteration on the grid of a Scheme, from V^pi0 of the coarser
-    grid's final (table, policy) coarse, or from zero if None: one sweep
-    (_sweep); one greedy step (greedy_step) at the swept table; and
+def _policy_iteration(scheme, last, phases, counts):
+    """Policy iteration on the grid of a Scheme, from V^pi0 of the last
+    grid's final (table, policy, step) last (_seed), or from zero if None:
+    one sweep (_sweep); one greedy step (greedy_step) at the swept table; and
     v <- max(v, V^pi), V^pi the greedy policy's exact value (_evaluate),
     until the greedy policy repeats.  V^pi0 and every V^pi are values of
     admissible grid strategies, so v stays below the fixed point; and pi
@@ -707,11 +750,10 @@ def _policy_iteration(scheme, coarse, phases, counts):
     v = np.zeros(counts["shape"])
     pref = np.empty(v.shape, dtype=np.int8)
     prev = np.full(v.shape, -1, dtype=np.int8)
-    if coarse is not None:
+    if last is not None:
         t_eval = time.perf_counter()
-        # the prolonged values are only GMRES's start: V^pi0 overwrites them
-        residual = _evaluate(scheme, _prolong(coarse[1], prev), _prolong(coarse[0], v), v,
-                             counts)
+        # the seeded values are only GMRES's start: V^pi0 overwrites them
+        residual = _evaluate(scheme, *_seed(last, prev, v), v, counts)
         phases["evaluation"] += time.perf_counter() - t_eval
     work = np.empty_like(v)  # sweep and greedy-step scratch, then the tables of an evaluation
     while True:

@@ -8,10 +8,11 @@ c*delta, lump/no-pay/stop actions, exact claim-cell kernel, and the same
 fixed-point loop (hjb2d.fixed_point: coarse-to-fine policy iteration to
 the grid fixed point), with a lump paying rho*dx and the reward for
 staying alive folded into the claim field.  The solve supplies that loop
-the Scheme of the grid of step 2^k*delta (hjb2d.build_scheme on one
-axis); the bands come from the tie sets (Action bitmasks) of the last
-greedy step, which fixed_point returns with the fixed point, and the
-solution is its SolveReport with the problem, grid, values and band.
+the Scheme of the grid of step 2^k*delta and any length, a whole grid's
+or a crop's (hjb2d.build_scheme on one axis); the bands come from the tie
+sets (Action bitmasks) of the last greedy step, which fixed_point returns
+with the fixed point, and the solution is its SolveReport with the
+problem, grid, values and band.
 """
 
 from __future__ import annotations

@@ -1,18 +1,20 @@
 """The grid fixed point by coarse-to-fine policy iteration, policy and region maps.
 
 solve hands hjb2d.fixed_point, the solve both solvers share, the Scheme
-of the claim kernel (build_claim_kernel) of the grid of step 2^k*delta.
-Its loop solves the coarsest grid from zero and seeds each finer one with
-the exact value of the coarser grid's final policy; policy iteration,
-each greedy policy's value solved exactly on its no-pay nodes, then ends
-every grid at its fixed point.  Every iterate is the value of an
-admissible grid strategy, so the sequence increases pointwise to the
-smallest fixed point.  Strict Jacobi value iteration from zero is the test
-suite's reference (tests/oracles.py).  fixed_point also returns the tie
-sets of its last greedy step (hjb2d.greedy_step), which solve wraps in its
-PolicyField, and the SolveReport; greedy_policy takes the same step.  The
-artifact writers build their lines with numpy, the values through an exact
-integer %.17g (_g17), byte for byte what per-node f-strings would write.
+of the claim kernel (build_claim_kernel) of the grid of step 2^k*delta
+and a given shape, the whole grid's or a crop's.  Its loop solves the
+coarsest grid from zero and seeds each finer one, on a crop around the
+coarser grid's no-pay box first, with the exact value of the coarser
+grid's final policy; policy iteration, each greedy policy's value solved
+exactly on its no-pay nodes, then ends every grid at its fixed point.
+Every iterate is the value of an admissible grid strategy, so the
+sequence increases pointwise to the smallest fixed point.  Strict Jacobi
+value iteration from zero is the test suite's reference
+(tests/oracles.py).  fixed_point also returns the tie sets of its last
+greedy step (hjb2d.greedy_step), which solve wraps in its PolicyField, and
+the SolveReport; greedy_policy takes the same step.  The artifact writers
+build their lines with numpy, the values through an exact integer %.17g
+(_g17), byte for byte what per-node f-strings would write.
 """
 
 from __future__ import annotations
@@ -109,18 +111,20 @@ def solve(
     kernel: ClaimKernel = None,
 ):
     """The grid fixed point and its policy, solved by hjb2d.fixed_point on
-    the claim kernel of each grid (kernel, if given, is grid's).  Returns
-    (ValueField, PolicyField, SolveReport).
+    the claim kernel of each grid and crop (kernel, if given, is grid's).
+    Returns (ValueField, PolicyField, SolveReport).
     """
     params = validate_params(params)
     if kernel is None:
         kernel = build_claim_kernel(params, law, grid)
 
     def level(scale, shape):
-        g = grid if scale == 1 else GridSpec(grid.delta * scale, grid.dx1 * scale,
-                                             grid.dx2 * scale, shape[0] - 1, shape[1] - 1)
+        if (scale, shape) == (1, grid.shape):
+            return _scheme(kernel)
+        g = GridSpec(grid.delta * scale, grid.dx1 * scale, grid.dx2 * scale,
+                     shape[0] - 1, shape[1] - 1)
         # build_claim_kernel resolves in this module at each call, as in _scheme
-        return _scheme(kernel if scale == 1 else build_claim_kernel(params, law, g))
+        return _scheme(build_claim_kernel(params, law, g))
 
     v, ties, eps, report = fixed_point(level, grid.shape)
     return ValueField(grid, v), PolicyField(grid, ties, eps), report

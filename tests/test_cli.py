@@ -224,7 +224,8 @@ class TestCorrelationPath:
         cfg.write_text(TINY_CFG.replace("claim.kind = exponential\nclaim.rate = 0.6", claim))
         out = tmp_path / "o"
         assert main(["solve2d", "--config", str(cfg), "--out", str(out)]) == 0
-        assert capsys.readouterr().out.startswith("solve2d: 2 levels, ")
+        # two grids: the coarser one, a crop of the finer one, then the whole
+        assert capsys.readouterr().out.startswith("solve2d: 3 levels, ")
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["correlation"], manifest["kernel_cells"], manifest["fshape"]) == (
             path, cells_2d, fshape_2d)
@@ -292,15 +293,18 @@ class TestSolve2dCommand:
         assert isinstance(summary["a0_points"], list)
 
     def test_levels_and_error_estimate(self, run_dir):
-        # the 46x91 grid coarsens once, to 23x46 (twice the step)
+        # the 46x91 grid coarsens once, to 23x46 (twice the step), and is
+        # solved on its 37x83 crop, then whole from the crop's policy, which
+        # GMRES finds already solved
         out, _ = run_dir
         summary = json.loads((out / "summary.json").read_text())
         manifest = json.loads((out / "manifest.json").read_text())
         levels = manifest["levels"]
-        assert [lv["shape"] for lv in levels] == [[23, 46], [46, 91]]
+        assert [lv["shape"] for lv in levels] == [[23, 46], [37, 83], [46, 91]]
         for lv in levels:
             assert set(lv) == {"shape", "sweeps", "policies", "matvecs", "eval_box", "seconds"}
-            assert lv["sweeps"] >= 1 and lv["policies"] >= 1 and lv["matvecs"] >= 1
+            assert lv["sweeps"] >= 1 and lv["policies"] >= 1
+            assert lv["matvecs"] >= 1 or lv is levels[-1]
             assert all(1 <= b <= s for b, s in zip(lv["eval_box"], lv["shape"]))
         assert sum(lv["seconds"] for lv in levels) <= manifest["wall_time"]
         for key, per_level in (("iterations", "sweeps"), ("policies", "policies"),
@@ -507,8 +511,10 @@ class TestSolve1dCommand:
         for report in (band, manifest):
             assert report["policies"] >= 1 and report["gmres_matvecs"] >= 1
             assert report["residual_max"] < 1e-10 and report["gmres_residual"] < 1e-10
-            # 2501 nodes coarsen down to 20, each grid's n_max half the next's
-            shapes = [[20], [40], [79], [157], [313], [626], [1251], [2501]]
+            # 2501 nodes coarsen down to 20, each grid's n_max half the next's;
+            # each finer grid runs on its crop, the last two then whole
+            shapes = [[20], [19], [30], [51], [94], [182], [357], [1251], [706],
+                      [2501]]
             assert [lv["shape"] for lv in report["levels"]] == shapes
             assert report["policies"] == sum(lv["policies"] for lv in report["levels"])
             assert 0.0 < report["disc_error_est"] < 1.0

@@ -120,17 +120,32 @@ class TestSweep:
         np.testing.assert_allclose(y, ref, rtol=0, atol=atol)
 
     def test_solve_with_node_loop_sweep(self, monkeypatch):
-        # the same cascade (401 nodes down to 26) with the sweep run node by node
+        # the same cascade (401 nodes down to 26, each finer grid on its crop,
+        # the 201- and 401-node grids then whole) with the sweep run node by node
         prob = make_auxiliary_problem(EX1, Exponential(0.6), "wbar")
         sol = solve_1d(prob, delta=0.05, x_max=20.0)
         monkeypatch.setattr(hjb2d, "_sweep",
                             lambda v, cf, disc, dxs, work: sweep_reference(v, cf, disc, dxs))
         ref = solve_1d(prob, delta=0.05, x_max=20.0)
-        assert [lv["shape"] for lv in sol.levels] == [[26], [51], [101], [201], [401]]
+        assert [lv["shape"] for lv in sol.levels] == [[26], [25], [42], [78], [201], [147], [401]]
         assert sol.iterations == ref.iterations
         assert sol.band.intervals == ref.band.intervals
         assert sol.band.a_points == ref.band.a_points
         np.testing.assert_allclose(sol.values, ref.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["wbar", "merger"])
+    def test_disc_error_est_of_two_single_grid_solves(self, kind):
+        # V_delta - V_2delta over the whole 2*delta grid of 201 nodes, which
+        # the cascade solves on a crop first
+        prob = make_auxiliary_problem(EX1, Exponential(0.6), kind)
+        sol = solve_1d(prob, delta=0.05, x_max=20.0 * prob.c / EX1.c2)
+        assert len(sol.values) == 401
+        assert sol.levels[-4]["shape"][0] < 201 and sol.levels[-3]["shape"] == [201]
+        with mock.patch.object(hjb2d, "_MIN_LEVEL_NODES", math.inf):
+            fine, coarse = (solve_1d(prob, d, 20.0 * prob.c / EX1.c2).values for d in (0.05, 0.1))
+        assert len(coarse) == 201
+        top = 1.0 + fine.max()
+        assert abs(sol.disc_error_est - (fine[::2] - coarse).max()) <= 1e-12 * top
 
     @settings(max_examples=30, deadline=None)
     @given(n_max=st.integers(15, 400), kind=st.sampled_from(["wbar", "merger"]))

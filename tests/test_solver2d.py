@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import types
@@ -201,40 +202,67 @@ class TestSweep:
             assert np.array_equal(got_cf, v) and np.array_equal(ref_cf, v)
 
     def test_solve_with_node_loop_sweep(self, monkeypatch):
-        # the same cascade (41x41 nodes, then 21x21) with the sweep run node by node
+        # the same cascade (21x21 nodes, then a crop of the 41x41-node grid
+        # and the whole of it) with the sweep run node by node
         grid = GridSpec.make(PARAMS, delta=0.1, x1_max=8, x2_max=4)
         v, policy, report = solve(PARAMS, LAW, grid)
         monkeypatch.setattr(hjb2d, "_sweep",
                             lambda v, cf, disc, dxs, work: sweep_reference(v, cf, disc, dxs))
         ref_v, ref_policy, ref_report = solve(PARAMS, LAW, grid)
-        assert len(report.levels) == len(ref_report.levels) == 2
+        assert len(report.levels) == len(ref_report.levels) == 3
         assert report.iterations == ref_report.iterations
         np.testing.assert_array_equal(policy.actions, ref_policy.actions)
         np.testing.assert_allclose(v.values, ref_v.values, rtol=0, atol=1e-12)
+
+
+# crop constants so tight that each crop holds about half its grid's no-pay
+# box: the whole-grid pass then has more than its seed's policy to evaluate
+_OUTGROWN = dict(_CROP_GROWTH=0.5, _CROP_MARGIN=2)
 
 
 class TestCascade:
     @settings(max_examples=25, deadline=None)
     @given(n_max=st.integers(12, 48), m_max=st.integers(12, 48),
            law=st.sampled_from([LAW, Deterministic(29 / 12)]),
-           q=st.sampled_from([0.05, 5.0]))
+           q=st.sampled_from([0.05, 5.0]), outgrown=st.just(False))
     # q = 5 empties the no-pay set: every node but the origin lumps, down to
-    # index 0 of its axis and then along it, on each grid
-    @example(n_max=39, m_max=38, law=LAW, q=5.0)
-    @example(n_max=38, m_max=47, law=LAW, q=0.05)
-    @example(n_max=79, m_max=78, law=Deterministic(29 / 12), q=0.05)  # three grids
-    def test_matches_single_grid_solve(self, n_max, m_max, law, q):
+    # index 0 of its axis and then along it, on each grid, and every crop has
+    # 5x5 nodes
+    @example(n_max=39, m_max=38, law=LAW, q=5.0, outgrown=False)
+    @example(n_max=79, m_max=78, law=LAW, q=5.0, outgrown=False)
+    @example(n_max=38, m_max=47, law=LAW, q=0.05, outgrown=False)
+    @example(n_max=79, m_max=78, law=Deterministic(29 / 12), q=0.05, outgrown=False)  # three grids
+    # no-pay nodes on the grid's edge, so the crop is the whole grid: the CI's
+    # edge config, one grid of 21x21 nodes
+    @example(n_max=20, m_max=20, law=LAW, q=0.05, outgrown=False)
+    # crops that the no-pay box outgrows: the whole-grid pass still ends at
+    # the single grid's fixed point
+    @example(n_max=79, m_max=78, law=LAW, q=0.05, outgrown=True)
+    def test_matches_single_grid_solve(self, n_max, m_max, law, q, outgrown):
         params = validate_params(ModelParams(c1=2, c2=1, b1=0.5, b2=0.5, lam=1, q=q))
         grid = GridSpec(delta=0.1, dx1=0.2, dx2=0.1, n_max=n_max, m_max=m_max)
         kernel = build_claim_kernel(params, law, grid)
-        v, policy, report = solve(params, law, grid, kernel=kernel)
+        with mock.patch.multiple(hjb2d, **_OUTGROWN) if outgrown else contextlib.nullcontext():
+            v, policy, report = solve(params, law, grid, kernel=kernel)
         with mock.patch.object(hjb2d, "_MIN_LEVEL_NODES", math.inf):
             alone, alone_policy, alone_report = solve(params, law, grid, kernel=kernel)
-        # a coarser grid has n_max // 2 on each axis, kept while both axes have 20 nodes
-        levels = 1 + (min(n_max, m_max) >= 38) + (min(n_max, m_max) >= 78)
-        assert [lv["shape"] for lv in report.levels][-1] == [n_max + 1, m_max + 1]
-        assert len(report.levels) == levels and len(alone_report.levels) == 1
-        assert (report.disc_error_est is None) == (levels == 1)
+        # a coarser grid has n_max // 2 on each axis, kept while both axes have
+        # 20 nodes; each finer grid runs on a crop, and on the finest and
+        # 2*delta grids a crop smaller than the grid is followed by the grid
+        grids = 1 + (min(n_max, m_max) >= 38) + (min(n_max, m_max) >= 78)
+        shapes = [lv["shape"] for lv in report.levels]
+        whole = [[n_max // 2**k + 1, m_max // 2**k + 1] for k in reversed(range(grids))]
+        assert shapes[0] == whole[0] and len(alone_report.levels) == 1
+        rest = shapes[1:]
+        for k, grid_shape in zip(reversed(range(grids - 1)), whole[1:]):
+            crop = rest.pop(0)
+            assert all(c <= s for c, s in zip(crop, grid_shape))
+            if crop != grid_shape and k <= 1:
+                assert rest.pop(0) == grid_shape
+        assert not rest
+        if outgrown:
+            assert report.levels[-1]["policies"] > 1
+        assert (report.disc_error_est is None) == (grids == 1)
         assert alone_report.disc_error_est is None
         assert report.iterations == sum(lv["sweeps"] for lv in report.levels)
         assert report.policies == sum(lv["policies"] for lv in report.levels)
@@ -257,23 +285,65 @@ class TestCascade:
         assert np.all(np.diff(v.values, axis=0) >= grid.dx1 - 1e-10)
         assert np.all(np.diff(v.values, axis=1) >= grid.dx2 - 1e-10)
 
+    @pytest.mark.parametrize("outgrown", [False, True])
+    @pytest.mark.parametrize("law", [LAW, Deterministic(29 / 12)])
+    def test_disc_error_est_of_two_single_grid_solves(self, law, outgrown):
+        # V_delta - V_2delta over the whole 2*delta grid, which the cascade
+        # solves on a crop first, even where the crops are too small
+        grid = GridSpec(delta=0.1, dx1=0.2, dx2=0.1, n_max=88, m_max=78)
+        coarse = GridSpec(delta=0.2, dx1=0.4, dx2=0.2, n_max=44, m_max=39)
+        with mock.patch.multiple(hjb2d, **_OUTGROWN) if outgrown else contextlib.nullcontext():
+            v, _, report = solve(PARAMS, law, grid)
+        # coarsest, 2*delta crop, 2*delta grid, finest crop, finest grid
+        shapes = [lv["shape"] for lv in report.levels]
+        assert shapes[2::2] == [list(coarse.shape), list(grid.shape)]
+        for crop, whole in (shapes[1:3], shapes[3:]):
+            assert crop != whole and all(c <= s for c, s in zip(crop, whole))
+        with mock.patch.object(hjb2d, "_MIN_LEVEL_NODES", math.inf):
+            fine, coarse = (solve(PARAMS, law, g)[0].values for g in (grid, coarse))
+        top = 1 + fine.max()
+        assert abs(report.disc_error_est - (fine[::2, ::2] - coarse).max()) <= 1e-12 * top
+
     @pytest.mark.parametrize("shape", [(5,), (6,), (5, 8), (6, 7)])
     def test_prolongation(self, shape):
-        # fine node n takes coarse node n // 2's entry; a policy that lumps
-        # at every node it may keeps every lump on the grid
+        # fine node n takes coarse node n // 2's entry, in the table and the
+        # policy; a policy that lumps at every node it may keeps every lump
+        # on the grid
         coarse_shape = tuple((s - 1) // 2 + 1 for s in shape)
         coarse = np.arange(math.prod(coarse_shape)).reshape(coarse_shape)
-        fine = hjb2d._prolong(coarse, np.empty(shape, dtype=coarse.dtype))
+        pref, fine = hjb2d._seed((coarse, coarse.astype(np.int8), 2),
+                                 np.empty(shape, dtype=np.int8), np.empty(shape))
         want = functools.reduce(lambda a, ax: np.repeat(a, 2, axis=ax), range(len(shape)), coarse)
         np.testing.assert_array_equal(fine, want[tuple(np.s_[:s] for s in shape)])
+        np.testing.assert_array_equal(pref, want[tuple(np.s_[:s] for s in shape)])
         lumps = np.ones(coarse_shape, dtype=np.int8)
         lumps[0] = 0
         if len(shape) == 2:
             lumps[0, 1:] = 2
-        fine = hjb2d._prolong(lumps, np.empty(shape, dtype=np.int8))
-        assert not np.any(fine[0] == 1)
+        pref, _ = hjb2d._seed((coarse, lumps, 2), np.empty(shape, dtype=np.int8), np.empty(shape))
+        assert not np.any(pref[0] == 1)
         if len(shape) == 2:
-            assert not np.any(fine[:, 0] == 2)
+            assert not np.any(pref[:, 0] == 2)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_seed_past_the_covered_box(self, step):
+        # past the nodes the last grid covers, every node lumps: down axis 0
+        # past the covered rows, else down the last axis, so every lump chain
+        # ends in the covered box, on the last grid's policy
+        policy = np.zeros((3, 4), dtype=np.int8)
+        pref, v = hjb2d._seed((np.ones((3, 4)), policy, step), np.empty((9, 11), dtype=np.int8),
+                              np.zeros((9, 11)))
+        rows, cols = 3 * step, 4 * step
+        assert np.all(pref[:rows, :cols] == 0) and np.all(v[:rows, :cols] == 1)
+        assert np.all(pref[rows:] == 1) and np.all(pref[:rows, cols:] == 2)
+        assert np.all(v[rows:] == 0) and np.all(v[:, cols:] == 0)
+        anchor = hjb2d.policy_flow(pref, (1.0, 1.0)).anchor.reshape(pref.shape)
+        n, m = np.indices(pref.shape)
+        np.testing.assert_array_equal(anchor, np.minimum(n, rows - 1) * cols
+                                      + np.minimum(m, cols - 1))
+        pref, _ = hjb2d._seed((np.ones(3), policy[:, 0], step), np.empty(9, dtype=np.int8),
+                              np.zeros(9))
+        assert np.all(pref[:3 * step] == 0) and np.all(pref[3 * step:] == 1)
 
 
 class TestExtendValue:
